@@ -11,7 +11,7 @@ from repro.pipeline.alignment import (
     SeedIndex,
     align_reads,
 )
-from repro.pipeline.contig_generation import KmerGraph, generate_contigs
+from repro.pipeline.contig_generation import generate_contigs
 from repro.pipeline.contigs import Contig, ContigSet
 from repro.pipeline.kmer_analysis import (
     ClassifiedKmers,
@@ -47,7 +47,6 @@ __all__ = [
     "ReadAlignment",
     "SeedIndex",
     "align_reads",
-    "KmerGraph",
     "generate_contigs",
     "Contig",
     "ContigSet",

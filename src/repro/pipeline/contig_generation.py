@@ -1,17 +1,51 @@
 """Contig generation: traversing unambiguous de Bruijn paths.
 
-Given the classified k-mer spectrum, this stage walks maximal *UU paths* —
+Given the classified k-mer spectrum, this stage emits maximal *UU paths* —
 chains of k-mers whose extensions are UNIQUE on both sides and mutually
-consistent — and emits each as a contig (a unitig, in assembly terms).
-Forks and dead ends terminate paths; that is deliberate: resolving them is
-the job of the *local assembly* stage downstream, which can use read-local
-context unavailable to the global graph (§2.3 of the paper).
+consistent — each as a contig (a unitig, in assembly terms).  Forks and
+dead ends terminate paths; that is deliberate: resolving them is the job
+of the *local assembly* stage downstream, which can use read-local context
+unavailable to the global graph (§2.3 of the paper).
 
-Traversal invariants (checked by tests):
+The stage never walks: it is a fixed sequence of bulk passes over the
+packed spectrum (linear-chain contig generation as array operations, after
+"Distributed-Memory Parallel Contig Generation", PAPERS.md).
+
+1. **Oriented nodes.**  UU row ``i`` (in spectrum order) is two nodes,
+   ``2*i`` (the canonical k-mer as stored) and ``2*i + 1`` (its reverse
+   complement); ``v ^ 1`` is the mirror of ``v``.
+2. **Edges.**  The right neighbour of a forward node is
+   ``kmer[1:] + right_base``; the right neighbour of a mirror node is the
+   reverse complement of ``left_base + kmer[:-1]``.  Both blocks are built
+   in word space, canonicalised and resolved by one
+   :meth:`KmerSpectrum.lookup_many`.  An edge ``v -> w`` survives only if
+   it lands on a UU row, is *mutual* (``w``'s left extension points back
+   at ``v``: ``next[next[v] ^ 1] ^ 1 == v``) and joins two different rows
+   (homopolymer self-loops ``v -> v`` and hairpins ``v -> v ^ 1`` are
+   dropped).  What is left is mirror-symmetric with in- and out-degree at
+   most one: disjoint paths and cycles, every row on exactly two mirrored
+   chains.
+3. **Ranks.**  Pointer doubling on the predecessor array gives every node
+   its chain head and its distance from it in ``~log2(longest chain)``
+   passes.  Nodes that never reach a head lie on cycles; each cycle is cut
+   in front of its lowest row held forward (and its mirror at the mirrored
+   edge), then ranked like any other path.
+4. **Emission.**  Of each mirrored pair the chain whose head id is smaller
+   is kept (for a cut cycle: the one starting at its lowest row, forward).
+   Components are ordered by their lowest spectrum row; sequences are one
+   gather — head k-mer plus the last base of every later node — and depths
+   one ``np.add.reduceat`` of counts.
+
+Python touches a contig once (to slice its string and pick
+``min(seq, revcomp(seq))``) and never a k-mer.
+
+Invariants (checked by tests, against the scalar walker kept in
+``tests/pipeline/reference.py``):
 
 * every distinct k-mer is emitted in at most one contig;
-* output is independent of seed iteration order (canonical-smallest
-  orientation is chosen deterministically);
+* output is deterministic: contigs appear in order of their lowest
+  spectrum row, ``cid`` numbered after the ``min_contig_len`` filter, each
+  in its canonical-smallest orientation;
 * each contig's k-mers chain with (k-1)-overlaps by construction.
 """
 
@@ -21,130 +55,136 @@ import numpy as np
 
 from repro.pipeline.contigs import Contig, ContigSet
 from repro.pipeline.kmer_analysis import ClassifiedKmers, ExtVerdict
-from repro.sequence.dna import BASES, revcomp
-from repro.sequence.kmer import unpack_kmers
+from repro.sequence.dna import decode
+from repro.sequence.kmer import (
+    base_at,
+    predecessor_kmers,
+    revcomp_packed,
+    rows_less,
+    successor_kmers,
+    unpack_kmers,
+)
 
-__all__ = ["generate_contigs", "KmerGraph"]
-
-_COMP = {"A": "T", "C": "G", "G": "C", "T": "A"}
+__all__ = ["generate_contigs"]
 
 
-class KmerGraph:
-    """Lookup structure over classified canonical k-mers.
+def _mirror(ptr: np.ndarray) -> np.ndarray:
+    """Pointer array of the reversed graph, by mirror symmetry: the edge
+    ``v -> w`` exists iff ``w ^ 1 -> v ^ 1`` does, so
+    ``pred[v] == next[v ^ 1] ^ 1`` (and vice versa); ``-1`` stays ``-1``."""
+    swapped = ptr.reshape(-1, 2)[:, ::-1].ravel()
+    return np.where(swapped >= 0, swapped ^ 1, -1)
 
-    Maps a k-mer string (either orientation) to its row index and
-    orientation, and answers oriented extension queries.
+
+def _uu_successors(classified: ClassifiedKmers, uu: np.ndarray) -> np.ndarray:
+    """``next`` pointer over the ``2 * len(uu)`` oriented UU nodes.
+
+    ``next[v]`` is the node reached by extending *v* rightward, or ``-1``
+    when that k-mer is absent, not UU, not mutually linked, or the same
+    row as *v*.
     """
+    spec = classified.spectrum
+    k = spec.k
+    m = uu.size
+    words = spec.words[uu]
+    succ = successor_kmers(words, k, classified.right_base[uu])
+    pred = predecessor_kmers(words, k, classified.left_base[uu])
+    both = np.concatenate([succ, pred])
+    both_rc = revcomp_packed(both, k)
+    is_rc = rows_less(both_rc, both)
+    rows = spec.lookup_many(np.where(is_rc[:, None], both_rc, both))
 
-    def __init__(self, classified: ClassifiedKmers) -> None:
-        self.ck = classified
-        self.k = classified.k
-        spec = classified.spectrum
-        n = len(spec)
-        k = self.k
-        # Vectorised unpack of every canonical k-mer (and its revcomp) to
-        # strings, then one dict keyed by string -> (row, is_rc).  Odd k
-        # guarantees no k-mer equals its own revcomp, so keys are unique.
-        # Each (n, k) base matrix is viewed as n fixed-width byte strings
-        # and decoded in one pass — no per-row Python slicing.
-        from repro.sequence.dna import CODE_TO_BASE
+    local = np.full(len(spec) + 1, -1, dtype=np.int64)  # slot -1: absent
+    local[uu] = np.arange(m, dtype=np.int64)
+    node = local[rows]
+    node = np.where(node >= 0, 2 * node + is_rc, -1)
 
-        codes = unpack_kmers(spec.words, k)
-        rc_codes = (3 - codes[:, ::-1]).astype(np.uint8)
+    nxt = np.empty(2 * m, dtype=np.int64)
+    nxt[0::2] = node[:m]
+    # right of the mirror node = mirror of the forward node's left neighbour
+    nxt[1::2] = np.where(node[m:] >= 0, node[m:] ^ 1, -1)
 
-        def _rows_to_strs(mat: np.ndarray) -> list[str]:
-            raw = np.ascontiguousarray(CODE_TO_BASE[mat]).view(f"S{k}")
-            return np.char.decode(raw.ravel(), "ascii").tolist()
-
-        fwd_strs = _rows_to_strs(codes)
-        rc_strs = _rows_to_strs(rc_codes)
-        index: dict[str, tuple[int, bool]] = dict(
-            zip(fwd_strs, ((i, False) for i in range(n)))
-        )
-        index.update(zip(rc_strs, ((i, True) for i in range(n))))
-        self._index = index
-        #: Cached canonical strings, row-indexed — seeds of
-        #: :func:`generate_contigs` reuse these instead of re-unpacking
-        #: through ``spec.kmer`` one Python word-loop at a time.
-        self._fwd_strs = fwd_strs
-
-    def kmer_str(self, row: int) -> str:
-        """Canonical k-mer string of *row* (cached, no per-call unpack)."""
-        return self._fwd_strs[row]
-
-    def __len__(self) -> int:
-        return len(self._index) // 2
-
-    def find(self, kmer: str) -> tuple[int, bool] | None:
-        """Return ``(row, is_rc)`` for *kmer*, or None if absent.
-
-        ``is_rc`` is True when *kmer* is the reverse complement of the
-        stored canonical form.
-        """
-        return self._index.get(kmer)
-
-    def oriented_ext(self, row: int, is_rc: bool, side: str) -> tuple[ExtVerdict, str]:
-        """Extension (verdict, base) of k-mer *row* on *side*, in the
-        orientation the caller is holding the k-mer.
-
-        For an rc-held k-mer, its right extension is the complement of the
-        canonical form's left extension (and vice versa).
-        """
-        ck = self.ck
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        want_left = (side == "left") != is_rc  # XOR: rc swaps sides
-        if want_left:
-            verdict = ExtVerdict(int(ck.left_verdict[row]))
-            base = BASES[int(ck.left_base[row])]
-        else:
-            verdict = ExtVerdict(int(ck.right_verdict[row]))
-            base = BASES[int(ck.right_base[row])]
-        if is_rc:
-            base = _COMP[base]
-        return verdict, base
-
-    def count(self, row: int) -> int:
-        return int(self.ck.spectrum.counts[row])
-
-    def is_uu(self, row: int) -> bool:
-        return (
-            self.ck.left_verdict[row] == ExtVerdict.UNIQUE
-            and self.ck.right_verdict[row] == ExtVerdict.UNIQUE
-        )
+    ids = np.arange(2 * m, dtype=np.int64)
+    back = _mirror(nxt)[nxt]  # pred[next[v]]; garbage where next[v] < 0
+    keep = (nxt >= 0) & (back == ids) & ((nxt >> 1) != (ids >> 1))
+    return np.where(keep, nxt, -1)
 
 
-def _walk_right(graph: KmerGraph, kmer: str, row: int, is_rc: bool, visited: np.ndarray):
-    """Extend *kmer* rightward along the UU chain.
+def _rank_chains(prd: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Chain head and distance from it for every node, by pointer doubling.
 
-    Returns (appended string, list of rows consumed).  Stops at forks,
-    dead ends, missing neighbours, inconsistent back-links, non-UU
-    neighbours, or already-visited k-mers (cycle guard).
+    Returns ``(head, rank, on_cycle)``.  After round *t* a node's pointer
+    is its ``2**t``-th predecessor or its head, so every round resolves at
+    least one node of any path that still has unresolved ones; a round
+    that resolves nothing therefore leaves only cycle nodes, whose
+    ``head``/``rank`` are meaningless.
     """
-    out: list[str] = []
-    rows: list[int] = []
-    cur, cur_row, cur_rc = kmer, row, is_rc
+    ids = np.arange(prd.size, dtype=np.int64)
+    is_head = prd < 0
+    anc = np.where(is_head, ids, prd)
+    rank = (~is_head).astype(np.int64)
+    unresolved = int(np.count_nonzero(~is_head[anc]))
+    while unresolved:
+        rank = rank + rank[anc]
+        anc = anc[anc]
+        left = int(np.count_nonzero(~is_head[anc]))
+        if left == unresolved:
+            break
+        unresolved = left
+    return anc, rank, ~is_head[anc]
+
+
+def _cut_cycles(prd: np.ndarray, on_cycle: np.ndarray) -> None:
+    """Open every cycle, in place, in front of its lowest row held forward.
+
+    The cycle's lowest row is found by min-label doubling over the cycle
+    nodes only (labels stop changing once every window spans its cycle).
+    Cutting the edge into node ``2 * r`` and its mirror edge (out of
+    ``2 * r + 1``) turns the mirrored cycle pair into a mirrored path
+    pair, the kept one starting at ``2 * r`` and running rightward.
+    """
+    cyc = np.nonzero(on_cycle)[0]
+    pos = np.empty(prd.size, dtype=np.int64)
+    pos[cyc] = np.arange(cyc.size, dtype=np.int64)
+    anc = pos[prd[cyc]]
+    low = cyc >> 1
     while True:
-        verdict, base = graph.oriented_ext(cur_row, cur_rc, "right")
-        if verdict != ExtVerdict.UNIQUE:
+        lower = np.minimum(low, low[anc])
+        if np.array_equal(lower, low):
             break
-        nxt = cur[1:] + base
-        found = graph.find(nxt)
-        if found is None:
-            break
-        nrow, nrc = found
-        if visited[nrow] or not graph.is_uu(nrow):
-            break
-        # Bidirectional consistency: the neighbour's left extension must
-        # point back at the base we are leaving behind.
-        back_verdict, back_base = graph.oriented_ext(nrow, nrc, "left")
-        if back_verdict != ExtVerdict.UNIQUE or back_base != cur[0]:
-            break
-        visited[nrow] = True
-        out.append(base)
-        rows.append(nrow)
-        cur, cur_row, cur_rc = nxt, nrow, nrc
-    return "".join(out), rows
+        low = lower
+        anc = anc[anc]
+    heads = 2 * np.unique(low)
+    tails = prd[heads]
+    prd[heads] = -1
+    prd[tails ^ 1] = -1
+
+
+def _contig_codes(
+    words: np.ndarray, strand: np.ndarray, rank: np.ndarray, n_kmers: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat code array of contigs laid out node by node, and its offsets.
+
+    *words*, *strand* and *rank* describe the oriented nodes in contig
+    order, ``n_kmers[c]`` of them for contig ``c``, which occupies
+    ``codes[offsets[c]:offsets[c + 1]]``.  Every node writes its last base
+    (a mirror node: its first base, complemented) at
+    ``offsets[c] + k - 1 + rank``; the head k-mers fill the ``k - 1``
+    columns in front.
+    """
+    offsets = np.zeros(n_kmers.size + 1, dtype=np.int64)
+    np.cumsum(n_kmers + (k - 1), out=offsets[1:])
+    codes = np.empty(int(offsets[-1]), dtype=np.uint8)
+    flipped = strand.astype(bool)
+    codes[np.repeat(offsets[:-1] + (k - 1), n_kmers) + rank] = np.where(
+        flipped, 3 - base_at(words, 0), base_at(words, k - 1)
+    )
+    is_head = rank == 0
+    head_codes = unpack_kmers(words[is_head], k)
+    head_flipped = flipped[is_head]
+    head_codes[head_flipped] = 3 - head_codes[head_flipped, ::-1]
+    codes[offsets[:-1, None] + np.arange(k - 1)] = head_codes[:, : k - 1]
+    return codes, offsets
 
 
 def generate_contigs(
@@ -160,38 +200,60 @@ def generate_contigs(
         Contigs shorter than this are dropped (default ``k + 2`` — a bare
         k-mer with one extension carries no information the reads don't).
     """
-    graph = KmerGraph(classified)
     k = classified.k
     if min_contig_len is None:
         min_contig_len = k + 2
     spec = classified.spectrum
-    n = len(spec)
-    visited = np.zeros(n, dtype=bool)
-    contigs = ContigSet()
-    cid = 0
-
     uu = np.nonzero(
         (classified.left_verdict == ExtVerdict.UNIQUE)
         & (classified.right_verdict == ExtVerdict.UNIQUE)
     )[0]
+    m = uu.size
+    if m == 0:
+        return ContigSet()
 
-    for seed_row in uu:
-        if visited[seed_row]:
-            continue
-        visited[seed_row] = True
-        seed = graph.kmer_str(int(seed_row))
-        right_str, right_rows = _walk_right(graph, seed, int(seed_row), False, visited)
-        # Walk left = walk right from the reverse complement.
-        left_str, left_rows = _walk_right(graph, revcomp(seed), int(seed_row), True, visited)
-        seq = revcomp(left_str) + seed + right_str
-        member_rows = left_rows[::-1] + [int(seed_row)] + right_rows
-        if len(seq) < min_contig_len:
-            continue
-        depth = float(np.mean([graph.count(r) for r in member_rows]))
-        # Canonical orientation: deterministic output regardless of seed.
-        rc_seq = revcomp(seq)
-        if rc_seq < seq:
-            seq = rc_seq
-        contigs.add(Contig(cid=cid, seq=seq, depth=depth))
-        cid += 1
+    prd = _mirror(_uu_successors(classified, uu))
+    head, rank, on_cycle = _rank_chains(prd)
+    if on_cycle.any():
+        _cut_cycles(prd, on_cycle)
+        head, rank, _ = _rank_chains(prd)
+
+    # One chain of each mirrored pair: a chain's mirror ends at the mirror
+    # of its head, so the two head ids can be compared at the heads.
+    heads = np.nonzero(prd < 0)[0]
+    keep_chain = np.zeros(2 * m, dtype=bool)
+    keep_chain[heads] = heads < head[heads ^ 1]
+    kept = np.nonzero(keep_chain[head])[0]  # one node per UU row, row order
+
+    # Components by lowest row (the scalar walker's seed order), nodes by
+    # rank inside each.
+    lowest = np.full(2 * m, m, dtype=np.int64)
+    np.minimum.at(lowest, head[kept], kept >> 1)
+    order = np.lexsort((rank[kept], lowest[head[kept]]))
+    nodes = kept[order]
+    starts = np.nonzero(rank[nodes] == 0)[0]
+    n_kmers = np.diff(starts, append=m)
+
+    depth = np.add.reduceat(spec.counts[uu[nodes >> 1]], starts) / n_kmers
+
+    long_enough = n_kmers + (k - 1) >= min_contig_len
+    nodes = nodes[np.repeat(long_enough, n_kmers)]
+    if nodes.size == 0:
+        return ContigSet()
+    n_kmers, depth = n_kmers[long_enough], depth[long_enough]
+
+    codes, offsets = _contig_codes(
+        spec.words[uu[nodes >> 1]], nodes & 1, rank[nodes], n_kmers, k
+    )
+    # Reverse complement of every contig in the same flat layout.
+    mirrored = np.repeat(offsets[:-1] + offsets[1:] - 1, np.diff(offsets)) - np.arange(codes.size)
+    fwd_text, rc_text = decode(codes), decode(3 - codes[mirrored])
+
+    contigs = ContigSet()
+    bounds = offsets.tolist()
+    for cid, d in enumerate(depth.tolist()):
+        a, b = bounds[cid], bounds[cid + 1]
+        seq, rc_seq = fwd_text[a:b], rc_text[a:b]
+        # Canonical orientation: deterministic output regardless of strand.
+        contigs.add(Contig(cid=cid, seq=min(seq, rc_seq), depth=d))
     return contigs

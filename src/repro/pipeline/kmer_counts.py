@@ -27,6 +27,7 @@ import numpy as np
 from repro.sequence.dna import N_CODE, revcomp_codes
 from repro.sequence.kmer import (
     pack_kmers,
+    rows_less,
     searchsorted_rows,
     unpack_kmer,
     words_per_kmer,
@@ -163,13 +164,7 @@ def count_kmers(
     rc = rc_all[n - k - starts]
 
     # Lexicographic choice between fwd and rc (row-wise, word-major).
-    use_rc = np.zeros(starts.size, dtype=bool)
-    undecided = np.ones(starts.size, dtype=bool)
-    for w in range(nw):
-        less = undecided & (rc[:, w] < fwd[:, w])
-        greater = undecided & (rc[:, w] > fwd[:, w])
-        use_rc |= less
-        undecided &= ~(less | greater)
+    use_rc = rows_less(rc, fwd)
     canon = np.where(use_rc[:, None], rc, fwd)
 
     # Extensions in read orientation.

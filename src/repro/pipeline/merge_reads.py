@@ -19,10 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sequence.dna import revcomp_codes
+from repro.sequence.dna import N_CODE
 from repro.sequence.read import ReadBatch
 
 __all__ = ["MergeStats", "merge_read_pairs", "find_overlap"]
+
+#: Cells per scoring matrix (pairs x longest read of the batch): a block of
+#: ~1700 pairs of 150 bp reads, small enough for the per-overlap-length
+#: comparison temporaries to stay in cache.
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -57,6 +62,49 @@ def find_overlap(
     return 0
 
 
+def _overlap_lengths(
+    batch: ReadBatch, min_overlap: int, max_mismatch_frac: float
+) -> np.ndarray:
+    """:func:`find_overlap` of every interleaved pair, as array passes.
+
+    Per block of pairs, mate 1 is laid out right-aligned and rc(mate 2)
+    left-aligned, so the candidate overlap of length ``o`` is the last
+    ``o`` columns of one matrix against the first ``o`` of the other for
+    every pair at once: one ``count_nonzero(axis=1)`` per overlap length.
+    Lengths are scanned top-down and a pair keeps the first acceptable
+    one, exactly as the one-pair scan does.  Blocks hold at most
+    ``_BLOCK_CELLS`` matrix cells, so memory does not grow with the batch.
+    """
+    bases, offsets, lengths = batch.bases, batch.offsets, batch.lengths()
+    len1, len2 = lengths[0::2], lengths[1::2]
+    n_pairs = len1.size
+    olap = np.zeros(n_pairs, dtype=np.int64)
+    if n_pairs == 0:
+        return olap
+    per_block = max(1, _BLOCK_CELLS // max(1, int(lengths.max())))
+    for p0 in range(0, n_pairs, per_block):
+        p1 = min(p0 + per_block, n_pairs)
+        l1, l2 = len1[p0:p1], len2[p0:p1]
+        w1, w2 = int(l1.max()), int(l2.max())
+        block = bases[offsets[2 * p0] : offsets[2 * p1]]
+        is_mate2 = np.repeat(np.arange(2 * (p1 - p0)) & 1, lengths[2 * p0 : 2 * p1]).astype(bool)
+        # Right-aligned fills: row-major order of the mask is read order.
+        m1 = np.zeros((p1 - p0, w1), dtype=np.uint8)
+        m1[np.arange(w1) >= (w1 - l1)[:, None]] = block[~is_mate2]
+        m2 = np.zeros((p1 - p0, w2), dtype=np.uint8)
+        m2[np.arange(w2) >= (w2 - l2)[:, None]] = block[is_mate2]
+        # rc(mate 2), left-aligned; N stays N as in revcomp_codes.
+        m2 = np.where(m2 == N_CODE, N_CODE, 3 - m2)[:, ::-1]
+
+        shorter = np.minimum(l1, l2)
+        found = olap[p0:p1]
+        for o in range(int(shorter.max()), max(min_overlap, 1) - 1, -1):
+            mism = np.count_nonzero(m1[:, w1 - o :] != m2[:, :o], axis=1)
+            ok = (mism <= max_mismatch_frac * o) & (shorter >= o) & (found == 0)
+            found[ok] = o
+    return olap
+
+
 def merge_read_pairs(
     batch: ReadBatch,
     min_overlap: int = 12,
@@ -68,66 +116,83 @@ def merge_read_pairs(
     one consensus read and unmerged pairs are kept as two reads, plus
     statistics.  Order is preserved (pair i's outputs precede pair i+1's),
     which keeps downstream runs deterministic.
+
+    Overlaps are scored for all pairs at once (:func:`_overlap_lengths`,
+    equal to :func:`find_overlap` pair by pair); unmerged pairs are copied
+    through as one masked pass, and the consensus is built for the merged
+    pairs only, all of them together over one flat position array.
     """
     if not batch.paired:
         raise ValueError("merge_read_pairs requires an interleaved paired batch")
-    n_pairs = len(batch) // 2
+    offsets = batch.offsets
+    lengths = batch.lengths()
+    len1, len2 = lengths[0::2], lengths[1::2]
+    n_pairs = len1.size
 
-    out_bases: list[np.ndarray] = []
-    out_quals: list[np.ndarray] = []
+    olap = _overlap_lengths(batch, min_overlap, max_mismatch_frac)
+    is_merged = olap > 0
+    merged = np.nonzero(is_merged)[0]
+    n_merged = merged.size
+    merged_len = (len1 + len2 - olap)[merged]
+
+    # Output layout: one read per merged pair, two per unmerged pair.
+    out_is_merged = np.repeat(is_merged, np.where(is_merged, 1, 2))
+    out_lengths = np.empty(out_is_merged.size, dtype=np.int64)
+    out_lengths[~out_is_merged] = lengths[np.repeat(~is_merged, 2)]
+    out_lengths[out_is_merged] = merged_len
+    out_offsets = np.zeros(out_lengths.size + 1, dtype=np.int64)
+    np.cumsum(out_lengths, out=out_offsets[1:])
+    out_bases = np.empty(int(out_offsets[-1]), dtype=np.uint8)
+    out_quals = np.empty(int(out_offsets[-1]), dtype=np.uint8)
+
+    # Unmerged pairs pass through untouched.
+    src_unmerged = np.repeat(~is_merged, len1 + len2)
+    dst_unmerged = np.repeat(~out_is_merged, out_lengths)
+    out_bases[dst_unmerged] = batch.bases[src_unmerged]
+    out_quals[dst_unmerged] = batch.quals[src_unmerged]
+
+    # Every position j of every merged read: mate 1 covers j < len1,
+    # rc(mate 2) covers j >= len1 - olap; the overlap is where both do.
+    pair = np.repeat(np.arange(n_merged), merged_len)
+    starts = np.zeros(n_merged, dtype=np.int64)
+    np.cumsum(merged_len[:-1], out=starts[1:])
+    j = np.arange(pair.size) - starts[pair]
+    l1 = len1[merged][pair]
+    jb = j - (l1 - olap[merged][pair])
+    has_a, has_b = j < l1, jb >= 0
+    # rc(mate 2)[jb] reads mate 2 back to front.
+    src_a = np.where(has_a, offsets[2 * merged][pair] + j, 0)
+    src_b = np.where(has_b, offsets[2 * merged + 2][pair] - 1 - jb, 0)
+    a, aq = batch.bases[src_a], batch.quals[src_a].astype(np.int64)
+    b, bq = batch.bases[src_b], batch.quals[src_b].astype(np.int64)
+    b = np.where(b == N_CODE, N_CODE, 3 - b)
+
+    both = has_a & has_b
+    agree = a == b
+    take_a = ~has_b | (both & (agree | (aq >= bq)))
+    # Agreement boosts confidence (capped); disagreement costs the
+    # loser's quality — the standard merge heuristic.
+    ov_q = np.where(agree, np.minimum(aq + bq, 41), np.abs(aq - bq))
+    dst_merged = ~dst_unmerged
+    out_bases[dst_merged] = np.where(take_a, a, b)
+    out_quals[dst_merged] = np.where(both, ov_q, np.where(has_a, aq, bq))
+
+    # Names: unmerged runs are list slices; Python runs once per merged pair.
+    names = batch.names
+    if names is None:
+        names = np.char.add("read_", np.arange(len(batch)).astype(str)).tolist()
     out_names: list[str] = []
-    n_merged = 0
-    merged_len_total = 0
+    done = 0
+    for p in merged.tolist():
+        out_names += names[done : 2 * p]
+        out_names.append(names[2 * p].removesuffix("/1") + "/merged")
+        done = 2 * p + 2
+    out_names += names[done:]
 
-    for p in range(n_pairs):
-        i1, i2 = 2 * p, 2 * p + 1
-        a = batch.codes(i1)
-        aq = batch.qual_codes(i1)
-        b = revcomp_codes(batch.codes(i2))
-        bq = batch.qual_codes(i2)[::-1]
-
-        olap = find_overlap(a, b, min_overlap, max_mismatch_frac)
-        if olap == 0:
-            out_bases += [a, batch.codes(i2)]
-            out_quals += [aq, batch.qual_codes(i2)]
-            out_names += [batch.name(i1), batch.name(i2)]
-            continue
-
-        n_merged += 1
-        asz = a.size
-        head = a[: asz - olap]
-        head_q = aq[: asz - olap]
-        tail = b[olap:]
-        tail_q = bq[olap:]
-        ov_a, ov_aq = a[asz - olap :], aq[asz - olap :]
-        ov_b, ov_bq = b[:olap], bq[:olap]
-        agree = ov_a == ov_b
-        take_a = agree | (ov_aq >= ov_bq)
-        ov = np.where(take_a, ov_a, ov_b)
-        # Agreement boosts confidence (capped); disagreement costs the
-        # loser's quality — the standard merge heuristic.
-        ov_q = np.where(
-            agree,
-            np.minimum(ov_aq.astype(np.int64) + ov_bq.astype(np.int64), 41),
-            np.abs(ov_aq.astype(np.int64) - ov_bq.astype(np.int64)),
-        ).astype(np.uint8)
-
-        merged = np.concatenate([head, ov, tail])
-        merged_q = np.concatenate([head_q, ov_q, tail_q])
-        merged_len_total += merged.size
-        out_bases.append(merged)
-        out_quals.append(merged_q)
-        out_names.append(batch.name(i1).removesuffix("/1") + "/merged")
-
-    lengths = np.fromiter((b.size for b in out_bases), dtype=np.int64, count=len(out_bases))
-    offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
-    bases = np.concatenate(out_bases) if out_bases else np.empty(0, dtype=np.uint8)
-    quals = np.concatenate(out_quals) if out_quals else np.empty(0, dtype=np.uint8)
-    merged_batch = ReadBatch(bases, quals, offsets, out_names, paired=False)
+    merged_batch = ReadBatch(out_bases, out_quals, out_offsets, out_names, paired=False)
     stats = MergeStats(
         n_pairs=n_pairs,
         n_merged=n_merged,
-        mean_merged_length=merged_len_total / n_merged if n_merged else 0.0,
+        mean_merged_length=int(merged_len.sum()) / n_merged if n_merged else 0.0,
     )
     return merged_batch, stats

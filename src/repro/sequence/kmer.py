@@ -12,7 +12,10 @@ Three forms are provided:
   reference implementation;
 * **packed words** — each k-mer packed into ``ceil(k/32)`` ``uint64`` words
   (2 bits per base, first base in the most-significant position of word 0),
-  used as hash-table keys.  Packing is fully vectorised.
+  used as hash-table keys.  Packing is fully vectorised, and de Bruijn
+  neighbours and reverse complements are formed in word space
+  (:func:`successor_kmers`, :func:`predecessor_kmers`,
+  :func:`revcomp_packed`) without unpacking.
 
 MetaHipMer iterates k through {21, 33, 55, 77, 99}; all helpers here accept
 any odd k ≥ 1 (odd k makes a k-mer never equal to its own reverse
@@ -40,6 +43,11 @@ __all__ = [
     "pack_kmer",
     "unpack_kmer",
     "unpack_kmers",
+    "base_at",
+    "successor_kmers",
+    "predecessor_kmers",
+    "revcomp_packed",
+    "rows_less",
     "rows_as_keys",
     "searchsorted_rows",
     "count_distinct_kmers",
@@ -207,6 +215,16 @@ def unpack_kmer(words: np.ndarray, k: int) -> str:
     return decode(codes)
 
 
+def _base_shift(j: int) -> np.uint64:
+    """Bit offset of base *j* inside its word (word ``j // 32``)."""
+    return np.uint64(62 - 2 * (j % 32))
+
+
+def base_at(words: np.ndarray, j: int) -> np.ndarray:
+    """Code of base *j* of every ``(n, nw)`` packed row, as ``uint8``."""
+    return ((words[:, j // 32] >> _base_shift(j)) & np.uint64(3)).astype(np.uint8)
+
+
 def unpack_kmers(words: np.ndarray, k: int) -> np.ndarray:
     """Unpack ``(n, words_per_kmer(k))`` packed rows to ``(n, k)`` codes.
 
@@ -220,10 +238,75 @@ def unpack_kmers(words: np.ndarray, k: int) -> np.ndarray:
     n = words.shape[0]
     codes = np.empty((n, k), dtype=np.uint8)
     for j in range(k):
-        w = j // 32
-        shift = np.uint64(62 - 2 * (j % 32))
-        codes[:, j] = ((words[:, w] >> shift) & np.uint64(3)).astype(np.uint8)
+        codes[:, j] = base_at(words, j)
     return codes
+
+
+def _shift_rows_left(words: np.ndarray, bits: int) -> np.ndarray:
+    """Each row, read as one big-endian bit string, shifted left by
+    ``0 <= bits < 64``; zeros enter at the low end of the last word."""
+    if bits == 0:
+        return words.copy()
+    out = words << np.uint64(bits)
+    out[:, :-1] |= words[:, 1:] >> np.uint64(64 - bits)
+    return out
+
+
+def successor_kmers(words: np.ndarray, k: int, base: np.ndarray) -> np.ndarray:
+    """Packed ``kmer[1:] + base`` for every ``(n, nw)`` row — the right
+    de Bruijn neighbour reached through extension code ``base[i]`` (0..3).
+
+    Pure word-space: one cross-word 2-bit shift, then the new base is
+    OR-ed into slot ``k - 1`` (which the shift filled from the zero pad).
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    out = _shift_rows_left(words, 2)
+    out[:, (k - 1) // 32] |= np.asarray(base).astype(np.uint64) << _base_shift(k - 1)
+    return out
+
+
+def predecessor_kmers(words: np.ndarray, k: int, base: np.ndarray) -> np.ndarray:
+    """Packed ``base + kmer[:-1]`` for every ``(n, nw)`` row — the left
+    de Bruijn neighbour (inverse direction of :func:`successor_kmers`)."""
+    words = np.asarray(words, dtype=np.uint64)
+    out = words >> np.uint64(2)
+    out[:, 1:] |= words[:, :-1] << np.uint64(62)
+    # the old last base slid into pad slot k (when the last word has
+    # one); keep only the slots of bases 0..k-1 there
+    used = k - 32 * (words.shape[1] - 1)
+    out[:, -1] &= ~np.uint64(0) << np.uint64(64 - 2 * used)
+    out[:, 0] |= np.asarray(base).astype(np.uint64) << np.uint64(62)
+    return out
+
+
+def revcomp_packed(words: np.ndarray, k: int) -> np.ndarray:
+    """Reverse complement of ``(n, nw)`` packed k-mers, in word space.
+
+    Complementing a 2-bit code is a bit flip (``3 - c == ~c & 3``);
+    reversing the bases is reversing the word order plus the 2-bit groups
+    inside each word (swap pairs, swap nibbles, byte-swap).  That leaves
+    the bases in the *low* ``2k`` bits, so one cross-word shift by the
+    pad width restores the most-significant-first layout and drops the
+    (flipped) pad bits.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    x = ~words[:, ::-1]
+    m2, m4 = np.uint64(0x3333333333333333), np.uint64(0x0F0F0F0F0F0F0F0F)
+    x = ((x >> np.uint64(2)) & m2) | ((x & m2) << np.uint64(2))
+    x = ((x >> np.uint64(4)) & m4) | ((x & m4) << np.uint64(4))
+    x = x.byteswap()
+    return _shift_rows_left(x, 64 * words.shape[1] - 2 * k)
+
+
+def rows_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise lexicographic ``a < b`` over ``(n, nw)`` packed rows
+    (word-major, i.e. the order of the underlying k-mer strings)."""
+    less = np.zeros(a.shape[0], dtype=bool)
+    undecided = np.ones(a.shape[0], dtype=bool)
+    for w in range(a.shape[1]):
+        less |= undecided & (a[:, w] < b[:, w])
+        undecided &= a[:, w] == b[:, w]
+    return less
 
 
 def rows_as_keys(words: np.ndarray) -> np.ndarray:

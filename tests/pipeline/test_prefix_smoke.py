@@ -1,0 +1,63 @@
+"""Tier-1 miniature of the end-to-end claim for the de Bruijn prefix.
+
+The e2e benchmark shows the array stages' gain on whole runs; this keeps a
+silent fall back to per-k-mer or per-pair work from passing CI.
+"""
+
+import statistics
+import time
+
+import numpy as np
+import pytest
+from reference import generate_contigs_reference, merge_read_pairs_reference
+
+from repro.pipeline.contig_generation import generate_contigs
+from repro.pipeline.kmer_analysis import analyze_kmers
+from repro.pipeline.merge_reads import merge_read_pairs
+from repro.sequence.community import arcticsynth_like, sample_paired_reads
+
+
+def paired_cpu_ratio(reference, array, rounds: int = 5) -> float:
+    """Median of *rounds* back-to-back reference/array CPU-time ratios:
+    both sides of a ratio share whatever else the box is doing."""
+    ratios = []
+    for _ in range(rounds):
+        t0 = time.process_time()
+        reference()
+        t1 = time.process_time()
+        array()
+        t2 = time.process_time()
+        ratios.append((t1 - t0) / max(t2 - t1, 1e-9))
+    return statistics.median(ratios)
+
+
+@pytest.mark.bench_smoke
+def test_array_prefix_matches_references_and_is_3x_cheaper():
+    rng = np.random.default_rng(2021)
+    community = arcticsynth_like(rng, n_genomes=3, genome_length=5000)
+    reads = sample_paired_reads(community, 500, rng)
+
+    want, want_stats = merge_read_pairs_reference(reads)
+    merged, stats = merge_read_pairs(reads)
+    assert stats == want_stats and stats.n_pairs == 500
+    assert np.array_equal(merged.bases, want.bases)
+    assert np.array_equal(merged.quals, want.quals)
+    assert np.array_equal(merged.offsets, want.offsets)
+    assert merged.names == want.names
+
+    classified = analyze_kmers(merged, 21)
+    assert 12_000 <= len(classified) <= 20_000
+    contigs = generate_contigs(classified)
+    assert [(c.cid, c.seq, repr(c.depth)) for c in contigs] == [
+        (c.cid, c.seq, repr(c.depth)) for c in generate_contigs_reference(classified)
+    ]
+    assert len(contigs) > 10
+
+    merge_ratio = paired_cpu_ratio(
+        lambda: merge_read_pairs_reference(reads), lambda: merge_read_pairs(reads)
+    )
+    contig_ratio = paired_cpu_ratio(
+        lambda: generate_contigs_reference(classified), lambda: generate_contigs(classified)
+    )
+    assert merge_ratio >= 3.0, f"merge_read_pairs only {merge_ratio:.1f}x its reference"
+    assert contig_ratio >= 3.0, f"generate_contigs only {contig_ratio:.1f}x its reference"

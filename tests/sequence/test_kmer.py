@@ -14,6 +14,10 @@ from repro.sequence.kmer import (
     kmers_of,
     pack_kmer,
     pack_kmers,
+    predecessor_kmers,
+    revcomp_packed,
+    rows_less,
+    successor_kmers,
     unpack_kmer,
     valid_kmer_mask,
     words_per_kmer,
@@ -112,3 +116,39 @@ class TestPacking:
         _, valid = pack_kmers(codes, 3)
         # windows overlapping index 4 (N) are invalid
         assert valid.tolist() == [True, True, False, False, False, True, True]
+
+
+class TestWordSpaceNeighbours:
+    """The packed de Bruijn moves equal their string definitions for every
+    word count and pad width (k = 1..99 covers 1-4 words, pad 0..62)."""
+
+    @staticmethod
+    def _kmers(k: int) -> list[str]:
+        from repro.sequence.dna import random_dna
+
+        rng = np.random.default_rng(k)
+        return [random_dna(k, rng) for _ in range(12)] + ["A" * k, "C" * k, "G" * k, "T" * k]
+
+    @pytest.mark.parametrize("k", range(1, 100))
+    def test_successor_predecessor_revcomp(self, k):
+        kmers = self._kmers(k)
+        words = np.stack([pack_kmer(m) for m in kmers])
+        base = np.arange(len(kmers)) % 4
+        succ = successor_kmers(words, k, base)
+        pred = predecessor_kmers(words, k, base)
+        rc = revcomp_packed(words, k)
+        for i, m in enumerate(kmers):
+            b = "ACGT"[base[i]]
+            assert np.array_equal(succ[i], pack_kmer(m[1:] + b))
+            assert np.array_equal(pred[i], pack_kmer(b + m[:-1]))
+            assert np.array_equal(rc[i], pack_kmer(revcomp(m)))
+        assert np.array_equal(revcomp_packed(rc, k), words)
+
+    @pytest.mark.parametrize("k", [1, 21, 32, 33, 64, 65, 99])
+    def test_rows_less_is_string_order(self, k):
+        kmers = self._kmers(k)
+        a = np.stack([pack_kmer(m) for m in kmers])
+        b = np.roll(a, 1, axis=0)
+        expect = [x < y for x, y in zip(kmers, kmers[-1:] + kmers[:-1])]
+        assert rows_less(a, b).tolist() == expect
+        assert not rows_less(a, a).any()
