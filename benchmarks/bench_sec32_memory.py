@@ -14,7 +14,7 @@ import numpy as np
 from conftest import record
 
 from repro.analysis.reporting import format_table, paper_vs_measured
-from repro.core.cpu_local_assembly import build_kmer_table
+from repro.core.cpu_local_assembly import KmerTables
 from repro.core.ht_sizing import (
     SLOT_BYTES,
     compression_factor,
@@ -34,8 +34,9 @@ def bench_sec32_memory_math(benchmark, workload):
         for t in tasks:
             if t.n_reads == 0:
                 continue
-            table = build_kmer_table(t, 21, 20)
-            occupancies.append(len(table) / table_slots(t))
+            # distinct 21-mers: the task's span of the tables' offset prefix
+            distinct = int(KmerTables.build([t], 21, 20).sizes[0])
+            occupancies.append(distinct / table_slots(t))
         return layout, occupancies
 
     layout, occupancies = benchmark.pedantic(compute, rounds=1, iterations=1)

@@ -24,10 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import IntEnum
 
+import numpy as np
+
 __all__ = [
     "WalkStatus",
     "ExtCounts",
     "classify_extension",
+    "classify_extensions",
     "KShiftState",
     "kshift_next",
 ]
@@ -98,6 +101,42 @@ def classify_extension(
     if total[top] >= dominance_ratio * total[second] and total[top] > total[second]:
         return None, top  # type: ignore[return-value]
     return WalkStatus.FORK, -1
+
+
+def classify_extensions(
+    hi4: np.ndarray,
+    tot4: np.ndarray,
+    min_viable: int = 2,
+    dominance_ratio: float = 2.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`classify_extension` over ``(n, 4)`` tally arrays in one pass.
+
+    Returns ``(status, base)`` int64 arrays: where a base was chosen
+    ``status`` is -1 and ``base`` its code; elsewhere ``status`` is the
+    :class:`WalkStatus` value (RUNOUT or FORK) and ``base`` is -1.
+
+    Same decisions as the scalar, row for row: viability with the
+    total-count fallback, ``(total, hi)`` ranking with the lowest base
+    winning ties, and the dominance test in the same float expression.
+    """
+    hi4 = np.asarray(hi4, dtype=np.int64)
+    tot4 = np.asarray(tot4, dtype=np.int64)
+    viable = hi4 >= min_viable
+    no_hi = ~viable.any(axis=1)
+    if no_hi.any():  # low-coverage fallback rows
+        viable[no_hi] = tot4[no_hi] >= min_viable
+    nv = viable.sum(axis=1)
+    key = np.where(viable, (tot4 << 32) + hi4, np.int64(-1))
+    top_b = np.argmax(key, axis=1)  # first max == lowest base on ties
+    tv = np.where(viable, tot4, np.int64(-1))
+    tv.sort(axis=1)
+    t1 = tv[:, 3]
+    t2 = tv[:, 2]
+    dominant = (t1 > t2) & (t1 >= dominance_ratio * t2)
+    status = np.full(nv.size, -1, dtype=np.int64)
+    status[(nv >= 2) & ~dominant] = int(WalkStatus.FORK)
+    status[nv == 0] = int(WalkStatus.RUNOUT)
+    return status, np.where(status < 0, top_b, -1)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.extension import KShiftState, WalkStatus, kshift_next
+from repro.core.extension import (
+    KShiftState,
+    WalkStatus,
+    classify_extensions,
+    kshift_next,
+)
 from repro.core.extension_kernel import _hash_cost_ops, extension_task_kernel_v2
 from repro.core.gpu_batch import EMPTY_PTR, DeviceBatch
 from repro.gpusim.batched import (
@@ -392,32 +397,20 @@ def _walk_group(
         wb.gather_span_lane0(batch.ht_hi, found[cl] * 16, 16, rows[cl])
         # fuse_int=8: the tally-compare arithmetic of classify_extension
         wb.gather_span_lane0(batch.ht_total, found[cl] * 16, 16, rows[cl], fuse_int=8)
-        hi4 = batch.ht_hi.data[found[cl, None] * 4 + ar_4].astype(np.int64)
-        tot4 = batch.ht_total.data[found[cl, None] * 4 + ar_4].astype(np.int64)
-        # Vectorised classify_extension: viability, lexicographic
-        # (total, hi) ranking with lowest-base tie-break, dominance test.
-        viable = hi4 >= cfg.min_viable
-        no_hi = ~viable.any(axis=1)
-        if no_hi.any():  # low-coverage fallback rows
-            viable[no_hi] = tot4[no_hi] >= cfg.min_viable
-        nv = viable.sum(axis=1)
-        key = np.where(viable, (tot4 << 32) + hi4, np.int64(-1))
-        top_b = np.argmax(key, axis=1)  # first max == lowest base on ties
-        tv = np.where(viable, tot4, np.int64(-1))
-        tv.sort(axis=1)
-        t1 = tv[:, 3]
-        t2 = tv[:, 2]
-        dominant = (t1 > t2) & (t1 >= cfg.dominance_ratio * t2)
-        runout = nv == 0
-        fork = (nv >= 2) & ~dominant
-        status[cl[runout]] = int(WalkStatus.RUNOUT)
-        status[cl[fork]] = int(WalkStatus.FORK)
-        walking[cl[runout | fork]] = False
-        st = cl[~(runout | fork)]
+        verdict, top_b = classify_extensions(
+            batch.ht_hi.data[found[cl, None] * 4 + ar_4],
+            batch.ht_total.data[found[cl, None] * 4 + ar_4],
+            cfg.min_viable,
+            cfg.dominance_ratio,
+        )
+        stopped = verdict >= 0  # RUNOUT or FORK
+        status[cl[stopped]] = verdict[stopped]
+        walking[cl[stopped]] = False
+        st = cl[~stopped]
         if st.size:
             wb.store_lane0(
                 batch.seq_buf, seq_off[st] + slen[st],
-                top_b[~(runout | fork)], rows[st],
+                top_b[~stopped], rows[st],
                 fuse_local_store=True,  # walk string bookkeeping
             )
             slen[st] += 1

@@ -51,6 +51,14 @@ class ExtensionTask:
             raise ValueError(f"side must be LEFT/RIGHT, got {self.side}")
         if len(self.reads) != len(self.quals):
             raise ValueError("reads and quals must pair up")
+        # Reads of many tasks are concatenated and indexed by one offset
+        # table; one short quality array would shift every later task's.
+        for i, (read, qual) in enumerate(zip(self.reads, self.quals)):
+            if read.size != qual.size:
+                raise ValueError(
+                    f"task (cid={self.cid}, side={self.side}): read {i} has "
+                    f"{read.size} bases but {qual.size} quals"
+                )
 
     @property
     def n_reads(self) -> int:

@@ -10,7 +10,7 @@ from repro.sequence.dna import encode
 
 def _task(cid, side, n_reads, read_len=50):
     reads = tuple(encode("ACGT" * (read_len // 4)) for _ in range(n_reads))
-    quals = tuple(np.full(read_len, 40, dtype=np.uint8) for _ in range(n_reads))
+    quals = tuple(np.full(r.size, 40, dtype=np.uint8) for r in reads)
     return ExtensionTask(cid=cid, side=side, contig=encode("ACGT" * 20),
                          reads=reads, quals=quals)
 

@@ -6,6 +6,9 @@ pipeline run) so the full suite stays fast.
 
 from __future__ import annotations
 
+import statistics
+import time
+
 import numpy as np
 import pytest
 
@@ -51,3 +54,23 @@ def small_assembly(small_reads):
 @pytest.fixture
 def la_config() -> LocalAssemblyConfig:
     return LocalAssemblyConfig(k_init=21, max_walk_len=150)
+
+
+@pytest.fixture
+def paired_cpu_ratio():
+    """Measure how many times cheaper an array stage is than its reference."""
+
+    def measure(reference, array, rounds: int = 5) -> float:
+        """Median of *rounds* back-to-back reference/array CPU-time ratios:
+        both sides of a ratio share whatever else the box is doing."""
+        ratios = []
+        for _ in range(rounds):
+            t0 = time.process_time()
+            reference()
+            t1 = time.process_time()
+            array()
+            t2 = time.process_time()
+            ratios.append((t1 - t0) / max(t2 - t1, 1e-9))
+        return statistics.median(ratios)
+
+    return measure

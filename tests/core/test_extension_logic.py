@@ -1,5 +1,8 @@
 """Tests for the pure extension logic: classification and k-shift."""
 
+import itertools
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from repro.core.extension import (
     KShiftState,
     WalkStatus,
     classify_extension,
+    classify_extensions,
     kshift_next,
 )
 
@@ -62,6 +66,37 @@ class TestClassify:
     def test_hi_never_exceeding_total_is_not_required(self, hi):
         # classification must not crash however inconsistent the tallies
         classify_extension(hi, (0, 0, 0, 0))
+
+
+class TestClassifyArrays:
+    """The array classifier (batched GPU kernel, CPU tables) against the scalar."""
+
+    @pytest.mark.parametrize("dominance_ratio", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("min_viable", [1, 2, 3])
+    def test_exhaustive_small_tallies(self, min_viable, dominance_ratio):
+        """Every tally 8-tuple with 0 <= hi[b] <= total[b] <= 3."""
+        per_base = [(h, t) for t in range(4) for h in range(t + 1)]
+        rows = np.array(list(itertools.product(per_base, repeat=4)), dtype=np.int64)
+        hi4, tot4 = rows[:, :, 0], rows[:, :, 1]
+        assert len(rows) == 10**4
+        status, base = classify_extensions(hi4, tot4, min_viable, dominance_ratio)
+        want = [
+            classify_extension(h, t, min_viable, dominance_ratio)
+            for h, t in zip(hi4.tolist(), tot4.tolist())
+        ]
+        assert status.tolist() == [-1 if s is None else int(s) for s, _ in want]
+        assert base.tolist() == [b for _, b in want]
+
+    @given(st.lists(st.tuples(counts4, counts4), max_size=20))
+    def test_matches_scalar_on_any_tallies(self, rows):
+        """Larger and inconsistent (hi > total) tallies, uint32 like the
+        device tables hold them, and the empty batch."""
+        hi4 = np.array([h for h, _ in rows], dtype=np.uint32).reshape(-1, 4)
+        tot4 = np.array([t for _, t in rows], dtype=np.uint32).reshape(-1, 4)
+        status, base = classify_extensions(hi4, tot4)
+        want = [classify_extension(h, t) for h, t in rows]
+        assert status.tolist() == [-1 if s is None else int(s) for s, _ in want]
+        assert base.tolist() == [b for _, b in want]
 
 
 class TestKShift:

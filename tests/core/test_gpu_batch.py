@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
+from la_reference import build_kmer_table, mer_walk
 
 from repro.core.config import LocalAssemblyConfig
-from repro.core.cpu_local_assembly import build_kmer_table
 from repro.core.extension_kernel import build_table_v2, mer_walk_gpu
 from repro.core.gpu_batch import (
     EMPTY_PTR,
@@ -122,8 +122,6 @@ class TestKernelPieces:
         assert gpu == cpu
 
     def test_walk_extends_like_cpu(self, rng):
-        from repro.core.cpu_local_assembly import mer_walk
-
         cfg = LocalAssemblyConfig(k_init=21, max_walk_len=80)
         ctx = GpuContext()
         task = _task(rng, n_reads=10, contig_len=60)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.cpu_local_assembly import KmerTables
 from repro.core.ht_sizing import (
     SLOT_BYTES,
     compression_factor,
@@ -43,7 +44,7 @@ class TestLoadFactor:
 
     def test_empirical_load_factor_below_bound(self):
         """Actual distinct k-mers never exceed the sized capacity."""
-        from repro.core.cpu_local_assembly import build_kmer_table
+        from la_reference import build_kmer_table
 
         rng = np.random.default_rng(0)
         from repro.sequence.dna import random_dna
@@ -53,6 +54,7 @@ class TestLoadFactor:
         task = ExtensionTask(cid=0, side=0, contig=encode("ACGT" * 10), reads=reads, quals=quals)
         table = build_kmer_table(task, 21, 20)
         assert len(table) <= table_slots(task) * load_factor_bound(150, 21)
+        assert KmerTables.build([task], 21, 20).sizes.tolist() == [len(table)]
 
 
 class TestLayout:
@@ -115,12 +117,13 @@ class TestEdgeCases:
         """One read shorter than k: the load-factor bound collapses to 0
         (no k-mer fits), but the table is still sized from read bases and
         the k-mer build yields an empty table, not an error."""
-        from repro.core.cpu_local_assembly import build_kmer_table
+        from la_reference import build_kmer_table
 
         task = _task(0, [10])
         assert load_factor_bound(10, 21) == 0.0
         assert table_slots(task) == 10
         assert len(build_kmer_table(task, 21, 10)) == 0
+        assert KmerTables.build([task], 21, 10).sizes.tolist() == [0]
 
     def test_bound_at_boundary_lengths(self):
         """(l-k+1)/l at the edges: l == k gives one window (1/l), l == k-1

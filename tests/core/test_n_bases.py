@@ -6,9 +6,10 @@ implementation must skip N-containing k-mers identically.
 
 import numpy as np
 import pytest
+from la_reference import build_kmer_table
 
 from repro.core.config import LocalAssemblyConfig
-from repro.core.cpu_local_assembly import build_kmer_table, run_local_assembly_cpu
+from repro.core.cpu_local_assembly import KmerTables, run_local_assembly_cpu
 from repro.core.driver import GpuLocalAssembler
 from repro.core.tasks import RIGHT, ExtensionTask, TaskSet
 from repro.sequence.dna import encode, random_dna
@@ -36,6 +37,7 @@ class TestNBases:
         table = build_kmer_table(task, 21, 20)
         for key in table:
             assert 4 not in key  # no N code in any stored k-mer
+        assert KmerTables.build([task], 21, 20).sizes.tolist() == [len(table)]
 
     @pytest.mark.parametrize("version", ["v1", "v2"])
     def test_gpu_equals_cpu_with_ns(self, rng, version):

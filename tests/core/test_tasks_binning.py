@@ -32,6 +32,14 @@ class TestTasks:
                 reads=(encode("AC"),), quals=(),
             )
 
+    def test_rejects_read_with_mismatched_quals(self):
+        """In a concatenated block a short quality array would shift every
+        later task's qualities, so it is refused where the task is built."""
+        reads = (encode("ACGT"), encode("ACGTA"))
+        quals = (np.full(4, 40, dtype=np.uint8), np.full(4, 40, dtype=np.uint8))
+        with pytest.raises(ValueError, match=r"cid=5, side=1.*read 1 has 5 bases but 4 quals"):
+            ExtensionTask(cid=5, side=RIGHT, contig=encode("ACGT"), reads=reads, quals=quals)
+
     def test_read_stats(self):
         t = _task(0, RIGHT, 3)
         assert t.n_reads == 3

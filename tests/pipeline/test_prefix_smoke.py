@@ -4,9 +4,6 @@ The e2e benchmark shows the array stages' gain on whole runs; this keeps a
 silent fall back to per-k-mer or per-pair work from passing CI.
 """
 
-import statistics
-import time
-
 import numpy as np
 import pytest
 from reference import generate_contigs_reference, merge_read_pairs_reference
@@ -17,22 +14,8 @@ from repro.pipeline.merge_reads import merge_read_pairs
 from repro.sequence.community import arcticsynth_like, sample_paired_reads
 
 
-def paired_cpu_ratio(reference, array, rounds: int = 5) -> float:
-    """Median of *rounds* back-to-back reference/array CPU-time ratios:
-    both sides of a ratio share whatever else the box is doing."""
-    ratios = []
-    for _ in range(rounds):
-        t0 = time.process_time()
-        reference()
-        t1 = time.process_time()
-        array()
-        t2 = time.process_time()
-        ratios.append((t1 - t0) / max(t2 - t1, 1e-9))
-    return statistics.median(ratios)
-
-
 @pytest.mark.bench_smoke
-def test_array_prefix_matches_references_and_is_3x_cheaper():
+def test_array_prefix_matches_references_and_is_3x_cheaper(paired_cpu_ratio):
     rng = np.random.default_rng(2021)
     community = arcticsynth_like(rng, n_genomes=3, genome_length=5000)
     reads = sample_paired_reads(community, 500, rng)
