@@ -15,22 +15,30 @@ Two benches, one measured and one modelled:
   ``cpu_cores`` alongside so readers can tell which regime produced the
   numbers; the wall-clock gate only arms when the cores exist.
 
-* ``bench_rank_exchange`` keeps the in-process model twin
-  (:class:`RankSimulator`) as the analytic overlay: exchanged volume
-  rises as ``(R-1)/R`` with rank count R, which is why the exchange
-  stops strong-scaling early (§4.4).
+* ``bench_rank_exchange`` is the analytic overlay: every partition's
+  per-destination record counts (:func:`pack_for_exchange`) priced by
+  :func:`exchange_stats` — no ranks run.  Exchanged volume rises as
+  ``(R-1)/R`` with rank count R, which is why the exchange stops
+  strong-scaling early (§4.4).
 """
 
 import json
 import os
 import time
 
+import numpy as np
 from conftest import RESULTS_DIR, record
 
 from repro.analysis.reporting import format_table
-from repro.distributed.procrank import distributed_count_proc, procrank_available
-from repro.distributed.rank import RankSimulator, partition_reads
+from repro.distributed.comm import CommCostModel
+from repro.distributed.procrank import (
+    distributed_count_proc,
+    pack_for_exchange,
+    procrank_available,
+)
+from repro.distributed.rank import RECORD_BYTES, exchange_stats, partition_reads
 from repro.pipeline.kmer_counts import count_kmers
+from repro.sequence.kmer import words_per_kmer
 
 RANKS = (1, 2, 4, 8, 16)
 MEASURED_RANKS = (1, 2, 4)
@@ -72,8 +80,6 @@ def bench_rank_strong_scaling(benchmark, workload):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     # bit-identity before any number is reported
-    import numpy as np
-
     for r, spec, _, _, _ in rows:
         assert np.array_equal(spec.words, single.words), f"ranks={r}"
         assert np.array_equal(spec.counts, single.counts), f"ranks={r}"
@@ -141,25 +147,26 @@ def bench_rank_strong_scaling(benchmark, workload):
 
 
 def bench_rank_exchange(benchmark, workload):
-    """Model overlay: exchanged volume vs rank count (in-process twin)."""
+    """Model overlay: exchanged volume vs rank count, from the counts
+    matrix every partition's outbox would publish."""
     reads = workload["reads"]
+    row_bytes = RECORD_BYTES(words_per_kmer(21))
 
     def sweep():
         out = []
         for r in RANKS:
-            local_records = sum(
-                len(count_kmers(p, 21)) for p in partition_reads(reads, r)
-            )
-            merged, stats = RankSimulator(r).distributed_count(reads, 21)
-            out.append((r, local_records, stats, len(merged)))
+            counts = np.stack([
+                pack_for_exchange(count_kmers(p, 21), r)[1]
+                for p in partition_reads(reads, r)
+            ])
+            stats = exchange_stats(counts, row_bytes, CommCostModel())
+            out.append((r, int(counts.sum()), stats))
         return out
 
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
-    n_distinct = rows[0][3]
     table_rows = []
-    for r, local_records, stats, n_merged in rows:
-        assert n_merged == n_distinct  # invariant: same spectrum at any R
+    for r, local_records, stats in rows:
         frac = stats.total_kmers_sent / max(local_records, 1)
         table_rows.append(
             (r, stats.total_kmers_sent,
@@ -180,6 +187,6 @@ def bench_rank_exchange(benchmark, workload):
     assert sents[0] == 0  # a single rank sends nothing
     assert all(a < b for a, b in zip(sents, sents[1:]))  # rising volume
     # measured off-rank fraction tracks (R-1)/R within 10 points
-    for (r, local_records, stats, _) in rows[1:]:
+    for (r, local_records, stats) in rows[1:]:
         frac = stats.total_kmers_sent / local_records
         assert abs(frac - (r - 1) / r) < 0.10

@@ -1,15 +1,16 @@
-"""Functional multi-rank simulation (the UPC++ substitute).
+"""Partitioning, ownership and the k-mer wire format (the UPC++ substitute).
 
 MetaHipMer2 runs one UPC++ rank per core; reads are partitioned across
 ranks and the k-mer analysis stage hash-partitions k-mers so each rank
-owns a disjoint shard of the global spectrum.  This module reproduces that
-structure *functionally* at laptop scale:
+owns a disjoint shard of the global spectrum.  This module holds the
+pure pieces of that structure, shared by every ranked stage
+(:mod:`repro.distributed.procrank`):
 
 * :func:`partition_reads` splits an interleaved paired batch across ranks
   (whole pairs, contiguous blocks — MHM2's file-splitting behaviour);
-* :class:`RankSimulator` runs per-rank k-mer counting, performs the
-  hash-partitioned exchange (measuring the exchanged volume), merges the
-  shards, and checks against the single-process spectrum.
+* :func:`owner_of_words` is the owner hash, :func:`pack_records` the wire
+  format of one k-mer record, :func:`merge_spectra` the owner's reduce;
+* :func:`exchange_stats` prices a measured ``[src, dest]`` counts matrix.
 
 The invariant tested is the one MHM2 relies on: the distributed spectrum
 is exactly the spectrum of the union of the reads.
@@ -22,13 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.distributed.comm import CommCostModel
-from repro.pipeline.kmer_counts import KmerSpectrum, count_kmers
+from repro.pipeline.kmer_counts import KmerSpectrum
 from repro.sequence.read import ReadBatch
 
 __all__ = [
     "partition_reads",
     "ExchangeStats",
-    "RankSimulator",
+    "exchange_stats",
     "merge_spectra",
     "owner_of_words",
     "pack_records",
@@ -41,8 +42,8 @@ __all__ = [
 def owner_of_words(words: np.ndarray, n_ranks: int) -> np.ndarray:
     """Destination rank of each k-mer: hash-partition on word 0.
 
-    Shared by the in-process simulator and the real process ranks so the
-    two paths shard the spectrum identically.
+    The one sharding rule: every transport and every caller that models
+    exchange volume uses it, so they shard the spectrum identically.
     """
     mix = (words[:, 0] * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(33)
     return (mix % np.uint64(n_ranks)).astype(np.int64)
@@ -71,7 +72,7 @@ def RECORD_BYTES(nw: int) -> int:
 
 def pack_records(spec: KmerSpectrum) -> np.ndarray:
     """Flatten a spectrum into ``(n, record_width)`` uint64 wire rows."""
-    nw = spec.words.shape[1] if len(spec) else 1
+    nw = spec.words.shape[1]  # an empty spectrum still knows its width
     out = np.empty((len(spec), record_width(nw)), dtype=np.uint64)
     if len(spec):
         out[:, :nw] = spec.words
@@ -141,6 +142,24 @@ class ExchangeStats:
     modelled_time_s: float
 
 
+def exchange_stats(
+    counts: np.ndarray, row_bytes: int, comm: CommCostModel
+) -> ExchangeStats:
+    """Exchange volume measured from a ``[src, dest]`` counts matrix of
+    *row_bytes*-byte rows; only off-diagonal rows cross ranks.
+    ``total_kmers_sent`` carries the row count whatever the rows are."""
+    n_ranks = counts.shape[0]
+    offdiag = counts.copy()
+    np.fill_diagonal(offdiag, 0)
+    bytes_max = int(offdiag.sum(axis=1).max()) * row_bytes
+    return ExchangeStats(
+        n_ranks=n_ranks,
+        total_kmers_sent=int(offdiag.sum()),
+        bytes_per_rank_max=bytes_max,
+        modelled_time_s=comm.alltoall_time(bytes_max, n_ranks),
+    )
+
+
 def merge_spectra(shards: list[KmerSpectrum], k: int) -> KmerSpectrum:
     """Merge per-rank spectra (disjoint or overlapping) into one.
 
@@ -178,80 +197,3 @@ def merge_spectra(shards: list[KmerSpectrum], k: int) -> KmerSpectrum:
     return KmerSpectrum(
         k=k, words=words[new_group], counts=m_counts, left_ext=m_left, right_ext=m_right
     )
-
-
-class RankSimulator:
-    """Runs the distributed k-mer analysis pattern over simulated ranks.
-
-    This is the in-process *model* twin of the real process-rank launcher
-    (:mod:`repro.distributed.procrank`): same partitioning, same owner
-    hash, same wire format — but executed sequentially in one process
-    with modelled (not measured) exchange time.  The benches keep it as
-    the analytic overlay next to the measured multi-rank runs.
-    """
-
-    def __init__(self, n_ranks: int, comm: CommCostModel | None = None) -> None:
-        if n_ranks < 1:
-            raise ValueError("n_ranks must be >= 1")
-        self.n_ranks = n_ranks
-        self.comm = comm or CommCostModel()
-
-    def owner_of(self, words: np.ndarray) -> np.ndarray:
-        """Destination rank of each k-mer: hash-partition on word 0."""
-        return owner_of_words(words, self.n_ranks)
-
-    def distributed_count(
-        self, batch: ReadBatch, k: int, min_count: int = 1
-    ) -> tuple[KmerSpectrum, ExchangeStats]:
-        """Count k-mers the distributed way: local count, exchange, merge.
-
-        Returns the merged global spectrum (identical to the
-        single-process :func:`count_kmers` result, by the invariant the
-        tests enforce) and exchange statistics.
-        """
-        parts = partition_reads(batch, self.n_ranks)
-        local = [count_kmers(p, k, min_count=1) for p in parts]
-
-        # Exchange: each rank sends every locally-seen k-mer record to its
-        # owner rank.  We tally the per-rank outgoing volume.
-        from repro.sequence.kmer import words_per_kmer
-
-        record_bytes = RECORD_BYTES(words_per_kmer(k))
-        sent_per_rank = np.zeros(self.n_ranks, dtype=np.int64)
-        shards_in: list[list[KmerSpectrum]] = [[] for _ in range(self.n_ranks)]
-        total_sent = 0
-        for r, spec in enumerate(local):
-            if not len(spec):
-                continue
-            owners = self.owner_of(spec.words)
-            for dest in range(self.n_ranks):
-                mask = owners == dest
-                n = int(np.count_nonzero(mask))
-                if n == 0:
-                    continue
-                if dest != r:
-                    sent_per_rank[r] += n * record_bytes
-                    total_sent += n
-                shards_in[dest].append(
-                    KmerSpectrum(
-                        k=k,
-                        words=spec.words[mask],
-                        counts=spec.counts[mask],
-                        left_ext=spec.left_ext[mask],
-                        right_ext=spec.right_ext[mask],
-                    )
-                )
-
-        owned = [merge_spectra(shards, k) for shards in shards_in]
-        merged = merge_spectra(owned, k)
-        if min_count > 1:
-            merged = merged.filtered(min_count)
-
-        bytes_max = int(sent_per_rank.max()) if self.n_ranks > 1 else 0
-        stats = ExchangeStats(
-            n_ranks=self.n_ranks,
-            total_kmers_sent=total_sent,
-            bytes_per_rank_max=bytes_max,
-            modelled_time_s=self.comm.alltoall_time(bytes_max, self.n_ranks),
-        )
-        return merged, stats

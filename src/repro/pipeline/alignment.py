@@ -199,8 +199,9 @@ class PackedSeedIndex:
     ascending) — exactly the order the legacy dict produced.
 
     The index is five flat arrays (``words``, ``slot``, ``pos``,
-    ``cbases``, ``coff``) plus the slot→cid map, so it broadcasts through
-    shared memory to alignment ranks without re-packing.
+    ``cbases``, ``coff``) plus the slot→cid map.  Alignment ranks never
+    rebuild or receive it: they are forked after it is built and read the
+    parent's copy.
     """
 
     def __init__(
@@ -310,33 +311,6 @@ class PackedSeedIndex:
         widths = self._bstart[1:] - self._bstart[:-1]
         self._bucket_width = int(widths.max(initial=0))
         self._bucket_rounds = max(self._bucket_width, 1).bit_length()
-
-    @classmethod
-    def from_arrays(
-        cls,
-        seed_len: int,
-        cids: np.ndarray,
-        cbases: np.ndarray,
-        coff: np.ndarray,
-        words: np.ndarray,
-        slot: np.ndarray,
-        pos: np.ndarray,
-        stride: int = 1,
-    ) -> "PackedSeedIndex":
-        """Rebuild an index from its flat arrays (shared-memory attach)."""
-        self = cls.__new__(cls)
-        self.seed_len = seed_len
-        self.stride = stride
-        self.cids = np.asarray(cids, dtype=np.int64)
-        self.cbases = np.asarray(cbases, dtype=np.uint8)
-        self.coff = np.asarray(coff, dtype=np.int64)
-        self.words = np.ascontiguousarray(words, dtype=np.uint64)
-        self.slot = np.asarray(slot, dtype=np.int32)
-        self.pos = np.asarray(pos, dtype=np.int32)
-        self._keys = rows_as_keys(self.words)
-        self._run_end = _run_ends(self._keys)
-        self._build_buckets()
-        return self
 
     def lookup_ranges(self, qwords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(lo, hi) table ranges of each query row; hits are

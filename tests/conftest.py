@@ -74,3 +74,57 @@ def paired_cpu_ratio():
         return statistics.median(ratios)
 
     return measure
+
+
+@pytest.fixture(scope="session")
+def shm_snapshot():
+    """``shm_snapshot()``: the live shared-memory names this runtime could
+    have created — diff two snapshots to prove a launch leaked nothing."""
+    from repro.sanitize.rankcheck import SegmentLedger
+
+    return SegmentLedger().snapshot
+
+
+@pytest.fixture(scope="session")
+def ranked_stages():
+    """The three ranked stages over one small workload, for tests that
+    drive ``run_ranks`` directly: ``{name: (build, same)}`` where
+    ``build(n_ranks)`` is the stage's ``(stage, finish)`` pair and
+    ``same(a, b)`` says two finished results are bit-identical."""
+    from repro.core.tasks import tasks_from_candidates
+    from repro.distributed.procrank import align_stage, kmer_stage, la_stage
+    from repro.pipeline.alignment import align_reads
+    from repro.pipeline.contig_generation import generate_contigs
+    from repro.pipeline.kmer_analysis import analyze_kmers
+    from repro.pipeline.merge_reads import merge_read_pairs
+    from repro.sequence.community import arcticsynth_like
+
+    rng = np.random.default_rng(31)
+    comm = arcticsynth_like(rng, n_genomes=2, genome_length=4000)
+    reads = sample_paired_reads(comm, 400, rng)
+    merged, _ = merge_read_pairs(reads)
+    contigs = generate_contigs(analyze_kmers(merged, 21, min_count=2, min_depth=2))
+    candidates = align_reads(contigs, reads).candidates
+    tasks = list(
+        tasks_from_candidates({c.cid: c.seq for c in contigs}, candidates.values())
+    )
+
+    def same_spectrum(a, b):
+        return all(
+            np.array_equal(getattr(a, f), getattr(b, f))
+            for f in ("words", "counts", "left_ext", "right_ext")
+        )
+
+    def same_alignment(a, b):
+        return (
+            a.alignments == b.alignments
+            and a.n_seed_hits == b.n_seed_hits
+            and {c: (len(v.left), len(v.right)) for c, v in a.candidates.items()}
+            == {c: (len(v.left), len(v.right)) for c, v in b.candidates.items()}
+        )
+
+    return {
+        "kmer": (lambda r: kmer_stage(reads, 21, r, min_count=2), same_spectrum),
+        "aln": (lambda r: align_stage(contigs, reads, r), same_alignment),
+        "la": (lambda r: la_stage(tasks, r, mode="cpu"), lambda a, b: a == b),
+    }

@@ -1,24 +1,31 @@
-"""Tests for the real process ranks and their shared-memory exchange.
+"""Tests for the ranked k-mer and local-assembly stages.
 
 Three layers of guarantees:
 
 * the pure exchange (pack + shuffle) is a *permutation* of the input
   record multiset — nothing lost, duplicated or torn;
-* the forked multi-process path produces a merged spectrum bit-identical
-  to the sequential :func:`count_kmers` at every rank count;
+* the ranked count produces a merged spectrum bit-identical to the
+  sequential :func:`count_kmers` at every rank count, through either
+  transport of the harness;
 * the pipeline with ``kmer_ranks`` > 1 produces bit-identical contigs
   vs the sequential engine.
+
+Plus the failure route every stage inherits from the harness: a rank
+that crashes or is killed raises promptly and leaves ``/dev/shm`` clean.
 """
 
+import dataclasses
 import os
+import time
 
 import numpy as np
 import pytest
 
+from repro.distributed import harness
+from repro.distributed.harness import run_ranks
 from repro.distributed.procrank import (
     RANK_PHASES,
     distributed_count_proc,
-    _distributed_count_inproc,
     exchange_rows,
     pack_for_exchange,
     procrank_available,
@@ -31,7 +38,6 @@ from repro.distributed.rank import (
     partition_reads,
     spectrum_from_records,
 )
-from repro.distributed.comm import CommCostModel
 from repro.gpusim.shmem import (
     cleanup_launch_segments,
     create_named_shared_array,
@@ -137,7 +143,7 @@ class TestProcessRanks:
             batch, 21, n_ranks, min_count=2
         )
         assert _spectra_equal(single, spec)
-        assert report.mode == "procrank"
+        assert report.mode == ("procrank" if n_ranks > 1 else "inproc")
         assert report.n_ranks == n_ranks
         assert stats.n_ranks == n_ranks
         assert len(report.per_rank) == n_ranks
@@ -148,18 +154,30 @@ class TestProcessRanks:
         # with 4 ranks the owner hash sends ~3/4 of records off-rank
         assert stats.total_kmers_sent > 0
         assert stats.bytes_per_rank_max > 0
-        sent = sum(m.sent_records for m in report.per_rank)
-        recv = sum(m.recv_records for m in report.per_rank)
+        sent = sum(m.sent for m in report.per_rank)
+        recv = sum(m.recv for m in report.per_rank)
         assert sent == recv == stats.total_kmers_sent
 
-    def test_inproc_fallback_identical(self, batch):
+    def test_inproc_fallback_identical(self, batch, monkeypatch):
+        """No fork, no /dev/shm: the same stage body on the list transport."""
         single = count_kmers(batch, 21, min_count=2)
-        spec, _, report = _distributed_count_inproc(
-            batch, 21, 3, min_count=2, min_qual=0, profile=False,
-            comm=CommCostModel(),
-        )
+        forked = distributed_count_proc(batch, 21, 3, min_count=2)
+        monkeypatch.setattr(harness, "procrank_available", lambda: False)
+        spec, stats, report = distributed_count_proc(batch, 21, 3, min_count=2)
         assert _spectra_equal(single, spec)
         assert report.mode == "inproc"
+        assert len(report.per_rank) == 3
+        assert stats == forked[1]  # same counts matrix through either
+
+    def test_empty_partitions_and_multiword_kmers(self, batch, monkeypatch):
+        """More ranks than read pairs, k > 32: ranks with nothing to put
+        still describe a two-word outbox."""
+        tiny = partition_reads(batch, 100)[0]
+        assert len(tiny) == 8
+        single = count_kmers(tiny, 41)
+        assert _spectra_equal(single, distributed_count_proc(tiny, 41, 5)[0])
+        monkeypatch.setattr(harness, "procrank_available", lambda: False)
+        assert _spectra_equal(single, distributed_count_proc(tiny, 41, 5)[0])
 
     def test_profiles_have_rank_phases(self, batch):
         _, _, report = distributed_count_proc(
@@ -198,58 +216,79 @@ class TestProcessRanks:
             distributed_count_proc(batch, 21, 0)
 
 
+@pytest.mark.skipif(not procrank_available(), reason="needs fork + shm")
 class TestCrashRecovery:
     """Satellite: a rank crashing between publish and barrier must not
-    leave segments behind — the survivors abort, the parent sweeps."""
+    leave segments behind — the survivors abort, the parent sweeps.
+    The route lives in the harness, so every stage has it."""
 
-    def _shm_snapshot(self):
-        try:
-            names = os.listdir("/dev/shm")
-        except OSError:
-            return frozenset()
-        return frozenset(n for n in names if n.startswith(("psm_", "repro-")))
+    def test_crash_between_publish_and_barrier_leaves_shm_clean(
+        self, batch, monkeypatch, shm_snapshot
+    ):
+        before = shm_snapshot()
+        monkeypatch.setattr(harness, "_CRASH_RANK", 1)
+        with pytest.raises(RuntimeError, match="failed: repro-kmer-rank1;"):
+            distributed_count_proc(batch, 21, 2, min_count=2)
+        assert sorted(shm_snapshot() - before) == []
 
-    def test_crash_between_publish_and_barrier_leaves_shm_clean(self, batch):
-        import repro.distributed.procrank as pr
+    def test_crash_under_rankcheck_still_sweeps(
+        self, batch, monkeypatch, shm_snapshot
+    ):
+        before = shm_snapshot()
+        monkeypatch.setattr(harness, "_CRASH_RANK", 0)
+        with pytest.raises(RuntimeError, match="failed: repro-kmer-rank0;"):
+            distributed_count_proc(
+                batch, 21, 2, min_count=2, sanitize="rankcheck"
+            )
+        assert sorted(shm_snapshot() - before) == []
 
-        before = self._shm_snapshot()
-        pr._CRASH_RANK = 1
-        try:
-            with pytest.raises(RuntimeError, match="rank process"):
-                pr.distributed_count_proc(batch, 21, 2, min_count=2)
-        finally:
-            pr._CRASH_RANK = None
-        leaked = sorted(self._shm_snapshot() - before)
-        assert leaked == []
-
-    def test_crash_under_rankcheck_still_sweeps(self, batch):
-        import repro.distributed.procrank as pr
-
-        before = self._shm_snapshot()
-        pr._CRASH_RANK = 0
-        try:
-            with pytest.raises(RuntimeError, match="rank process"):
-                pr.distributed_count_proc(
-                    batch, 21, 2, min_count=2, sanitize="rankcheck"
-                )
-        finally:
-            pr._CRASH_RANK = None
-        leaked = sorted(self._shm_snapshot() - before)
-        assert leaked == []
-
-    def test_next_launch_after_crash_is_healthy(self, batch):
-        import repro.distributed.procrank as pr
-
-        pr._CRASH_RANK = 1
-        try:
+    def test_next_launch_after_crash_is_healthy(self, batch, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "_CRASH_RANK", 1)
             with pytest.raises(RuntimeError):
-                pr.distributed_count_proc(batch, 21, 2, min_count=2)
-        finally:
-            pr._CRASH_RANK = None
+                distributed_count_proc(batch, 21, 2, min_count=2)
         single = count_kmers(batch, 21, min_count=2)
-        spec, _, report = pr.distributed_count_proc(batch, 21, 2, min_count=2)
+        spec, _, report = distributed_count_proc(batch, 21, 2, min_count=2)
         assert report.mode == "procrank"
         assert _spectra_equal(single, spec)
+
+    @pytest.mark.parametrize("sanitize", ["off", "rankcheck"])
+    @pytest.mark.parametrize("name", ["kmer", "aln"])
+    def test_crash_in_any_exchange_leaves_shm_clean(
+        self, ranked_stages, monkeypatch, shm_snapshot, name, sanitize
+    ):
+        build, _ = ranked_stages[name]
+        stage, _ = build(2)
+        before = shm_snapshot()
+        monkeypatch.setattr(harness, "_CRASH_RANK", 1)
+        with pytest.raises(RuntimeError, match=f"failed: repro-{name}-rank1;"):
+            run_ranks(stage, 2, sanitize=sanitize)
+        assert sorted(shm_snapshot() - before) == []
+
+    @pytest.mark.parametrize("name", ["kmer", "aln", "la"])
+    def test_killed_rank_raises_promptly_in_every_stage(
+        self, ranked_stages, shm_snapshot, name
+    ):
+        """A rank that dies outright — no exception, nothing published —
+        used to strand local assembly forever and the exchanging stages
+        for the full barrier timeout."""
+        build, same = ranked_stages[name]
+        stage, finish = build(2)
+
+        def produce(rank, clock):
+            if rank == 1:
+                os._exit(9)
+            return stage.produce(rank, clock)
+
+        before = shm_snapshot()
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match=f"failed: repro-{name}-rank1;"):
+            run_ranks(dataclasses.replace(stage, produce=produce), 2, timeout_s=60)
+        assert time.monotonic() - t0 < 10
+        assert sorted(shm_snapshot() - before) == []
+        # the next launch of the same stage is healthy and bit-identical
+        reference = build(1)
+        assert same(finish(run_ranks(stage, 2)), reference[1](run_ranks(reference[0], 1)))
 
 
 class TestSegmentNaming:
@@ -341,7 +380,11 @@ class TestRankedLocalAssembly:
         )
 
     def test_extensions_identical_across_rank_counts(self, tasks):
-        base, _ = ranked_extend_tasks(tasks, 1, mode="gpu")
+        from repro.core.local_assembler import extend_tasks
+
+        base, report = ranked_extend_tasks(tasks, 1, mode="gpu")
+        assert report.mode == "inproc"
+        assert base == extend_tasks(tasks, mode="gpu")[0]
         for ranks in (2, 4):
             ext, report = ranked_extend_tasks(tasks, ranks, mode="gpu")
             assert ext == base

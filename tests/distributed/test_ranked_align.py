@@ -2,8 +2,8 @@
 soundness, exchange accounting, and segment hygiene.
 
 The load-bearing invariant mirrors the k-mer exchange's: at every rank
-count (including the inproc fallback) :func:`repro.distributed.procrank.
-ranked_align` must return an :class:`~repro.pipeline.alignment.
+count (through either transport of the harness)
+:func:`repro.distributed.procrank.ranked_align` must return an :class:`~repro.pipeline.alignment.
 AlignmentResult` bit-identical to the single-process
 :func:`~repro.pipeline.alignment.align_reads` — alignments, counters and
 per-end candidate reads alike — so ``PipelineConfig.aln_ranks`` can
@@ -15,10 +15,9 @@ import os
 import numpy as np
 import pytest
 
-from repro.distributed import procrank
+from repro.distributed import harness
 from repro.distributed.procrank import (
     ALN_RANK_PHASES,
-    AlnRankMetrics,
     aln_wire_rows,
     group_rows_by_owner,
     procrank_available,
@@ -136,16 +135,19 @@ class TestRankedAlign:
     def test_inproc_fallback_identical(self, workload, monkeypatch):
         contigs, reads = workload
         ref = align_reads(contigs, reads)
-        monkeypatch.setattr(procrank, "procrank_available", lambda: False)
-        aln, _, report = ranked_align(contigs, reads, 3)
+        _, forked_stats, _ = ranked_align(contigs, reads, 3)
+        monkeypatch.setattr(harness, "procrank_available", lambda: False)
+        aln, stats, report = ranked_align(contigs, reads, 3)
         assert report.mode == "inproc"
+        assert len(report.per_rank) == 3
+        assert stats == forked_stats  # same counts matrix through either
         _assert_same(ref, aln)
 
     def test_exchange_volume_measured(self, workload):
         contigs, reads = workload
         _, stats, report = ranked_align(contigs, reads, 2)
-        sent = sum(m.sent_rows for m in report.per_rank)
-        recv = sum(m.recv_rows for m in report.per_rank)
+        sent = sum(m.sent for m in report.per_rank)
+        recv = sum(m.recv for m in report.per_rank)
         assert sent == recv == stats.total_kmers_sent  # rows, here
         assert stats.bytes_per_rank_max > 0
         assert stats.total_kmers_sent > 0
@@ -155,9 +157,9 @@ class TestRankedAlign:
         _, _, report = ranked_align(contigs, reads, 2, profile=True)
         assert len(report.per_rank) == 2
         for m in report.per_rank:
-            assert isinstance(m, AlnRankMetrics)
+            assert tuple(m.phase_s) == ALN_RANK_PHASES
             assert m.wall_s > 0 and m.cpu_s >= 0
-            assert m.align_s > 0
+            assert m.phase_s["align"] > 0
         assert report.cpu_critical_s > 0
         assert report.profiles is not None
         for prof in report.profiles:

@@ -112,20 +112,6 @@ class TestPackedSeedIndex:
         with pytest.raises(ValueError):
             PackedSeedIndex(ContigSet(), seed_len=4)
 
-    def test_from_arrays_roundtrip(self, rng):
-        contigs = ContigSet([Contig(0, random_dna(400, rng))])
-        a = PackedSeedIndex(contigs, seed_len=17)
-        b = PackedSeedIndex.from_arrays(
-            17, a.cids, a.cbases, a.coff, a.words, a.slot, a.pos
-        )
-        assert np.array_equal(a.words, b.words)
-        assert np.array_equal(a.slot, b.slot)
-        assert np.array_equal(a.pos, b.pos)
-        words, _ = pack_kmers(encode(contigs[0].seq), 17)
-        la, ha = a.lookup_ranges(words)
-        lb, hb = b.lookup_ranges(words)
-        assert np.array_equal(la, lb) and np.array_equal(ha, hb)
-
 
 class TestBatchedEqualsScalar:
     @pytest.mark.parametrize(

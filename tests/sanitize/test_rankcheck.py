@@ -198,6 +198,9 @@ class TestReport:
 
 # -- integration over the real exchange ---------------------------------------
 
+from repro.distributed import harness  # noqa: E402
+from repro.distributed.harness import run_ranks  # noqa: E402
+from repro.distributed.procrank import distributed_count_proc  # noqa: E402
 from repro.gpusim.shmem import shared_memory_available  # noqa: E402
 
 
@@ -214,10 +217,11 @@ def batch():
     not shared_memory_available(), reason="no shared memory on this host"
 )
 class TestExchangeIntegration:
-    def test_clean_two_rank_run_has_zero_races_and_leaks(self, batch):
-        import repro.distributed.procrank as pr
+    """The k-mer exchange through its public entry point, then every
+    exchanging stage through the harness that does the tracing."""
 
-        spec, _, report = pr.distributed_count_proc(
+    def test_clean_two_rank_run_has_zero_races_and_leaks(self, batch):
+        _, _, report = distributed_count_proc(
             batch, 21, 2, min_count=2, sanitize="rankcheck"
         )
         assert report.mode == "procrank"
@@ -228,17 +232,12 @@ class TestExchangeIntegration:
         assert san["errors"] == []
         assert "sanitizer" in report.to_dict()
 
-    def test_injected_cross_rank_write_is_detected(self, batch):
-        import repro.distributed.procrank as pr
-
-        ref, _, _ = pr.distributed_count_proc(batch, 21, 2, min_count=2)
-        pr._INJECT_RACE = True
-        try:
-            spec, _, report = pr.distributed_count_proc(
-                batch, 21, 2, min_count=2, sanitize="rankcheck"
-            )
-        finally:
-            pr._INJECT_RACE = False
+    def test_injected_cross_rank_write_is_detected(self, batch, monkeypatch):
+        ref, _, _ = distributed_count_proc(batch, 21, 2, min_count=2)
+        monkeypatch.setattr(harness, "_INJECT_RACE", True)
+        spec, _, report = distributed_count_proc(
+            batch, 21, 2, min_count=2, sanitize="rankcheck"
+        )
         san = report.sanitizer
         assert san["n_errors"] >= 1
         kinds = {e["kind"] for e in san["errors"]}
@@ -252,28 +251,44 @@ class TestExchangeIntegration:
         assert np.array_equal(spec.counts, ref.counts)
 
     def test_sanitize_off_attaches_no_report(self, batch):
-        import repro.distributed.procrank as pr
-
-        _, _, report = pr.distributed_count_proc(batch, 21, 2, min_count=2)
+        _, _, report = distributed_count_proc(batch, 21, 2, min_count=2)
         assert report.sanitizer is None
         assert "sanitizer" not in report.to_dict()
 
     def test_unknown_mode_rejected(self, batch):
-        import repro.distributed.procrank as pr
-
         with pytest.raises(ValueError, match="sanitize"):
-            pr.distributed_count_proc(batch, 21, 2, sanitize="racecheck")
+            distributed_count_proc(batch, 21, 2, sanitize="racecheck")
 
-    def test_inproc_fallback_reports_trivially_clean(self, batch):
-        from repro.distributed.comm import CommCostModel
-        from repro.distributed.procrank import _distributed_count_inproc
-
-        _, _, report = _distributed_count_inproc(
-            batch, 21, 2, 2, 0, False, CommCostModel(), sanitize="rankcheck"
+    def test_inproc_fallback_reports_trivially_clean(self, batch, monkeypatch):
+        monkeypatch.setattr(harness, "procrank_available", lambda: False)
+        _, _, report = distributed_count_proc(
+            batch, 21, 2, min_count=2, sanitize="rankcheck"
         )
         assert report.mode == "inproc"
         assert report.sanitizer is not None
         assert report.sanitizer["n_errors"] == 0
+
+    @pytest.mark.parametrize("name", ["kmer", "aln"])
+    def test_every_exchange_is_traced_clean(self, ranked_stages, name):
+        build, _ = ranked_stages[name]
+        stage, _ = build(2)
+        san = run_ranks(stage, 2, sanitize="rankcheck").report.sanitizer
+        assert san["n_errors"] == 0 and san["errors"] == []
+        assert san["n_checked"] > 0
+
+    @pytest.mark.parametrize("name", ["kmer", "aln"])
+    def test_injected_race_is_flagged_in_every_exchange(
+        self, ranked_stages, monkeypatch, name
+    ):
+        build, same = ranked_stages[name]
+        stage, finish = build(2)
+        ref = finish(run_ranks(stage, 2))
+        monkeypatch.setattr(harness, "_INJECT_RACE", True)
+        run = run_ranks(stage, 2, sanitize="rankcheck")
+        (race,) = run.report.sanitizer["errors"]  # exactly one finding
+        assert race["kind"] == "rank_race"
+        assert race["details"]["segment"] == "out0"
+        assert same(finish(run), ref)  # value-neutral: bit-identical
 
 
 @pytest.mark.skipif(
