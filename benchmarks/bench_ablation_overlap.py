@@ -6,9 +6,9 @@ it on the real stream timelines:
 
 * ``overlap=off`` — every op (staging, H2D, kernel, D2H, unpack) is
   chained on the serialised timeline; the critical path is the serial sum.
-* ``overlap=on`` — the persistent stager worker packs batch N+1 while the
-  engine executes batch N; copies ride the copy streams, kernels the
-  compute stream; on the batched engine, each wave of up to
+* ``overlap=on`` — the same single-threaded loop on an unserialised
+  timeline: staging rides a host lane, copies ride the copy streams,
+  kernels the compute stream; on the batched engine, each wave of up to
   ``prefetch + 1`` batches dispatches as one fused SoA sweep.
 
 Methodology: both modes run the *same batch schedule* — a fixed batching

@@ -16,11 +16,7 @@ from repro.core.cpu_local_assembly import (
     TaskResult,
     run_local_assembly_cpu,
 )
-from repro.core.driver import (
-    GpuLocalAssembler,
-    GpuLocalAssemblyReport,
-    shutdown_stager,
-)
+from repro.core.driver import GpuLocalAssembler, GpuLocalAssemblyReport
 from repro.core.extension import (
     ExtCounts,
     KShiftState,
@@ -63,7 +59,6 @@ __all__ = [
     "run_local_assembly_cpu",
     "GpuLocalAssembler",
     "GpuLocalAssemblyReport",
-    "shutdown_stager",
     "ExtCounts",
     "KShiftState",
     "WalkStatus",

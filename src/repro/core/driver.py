@@ -6,33 +6,38 @@ into flat device buffers, launching per-bin kernels (bin 3 — the few
 contigs with the most reads — first, so the GPU always has its largest
 work set available), and unpacking extension results.
 
-Two execution shapes share one codebase:
+One single-threaded batch loop runs every mode; ``overlap`` decides what
+the *modelled* stream timeline makes of it (placement there follows the
+declared dependencies, never the host thread that issued an op):
 
 * ``overlap="off"`` — the classic synchronous driver: stage, upload,
-  launch, copy back, one batch at a time.  Every op still lands on the
-  context's stream timeline, fully serialised, so the reported critical
-  path equals the serial sum.
-* ``overlap="on"`` — the §3.1 double-buffered pipeline: a persistent
-  stager worker packs batch N+1 into host staging buffers (real NumPy
-  work) while the engine executes batch N; uploads ride copy streams,
-  kernels ride the compute stream, and events order them.  Bin 3 launches
-  first and bin 2's transfers overlap bin 3's tail, exactly the
-  prefetch/compute overlap MHM2 uses.  The memory budget is split
-  ``prefetch + 1`` ways so the modelled double-residency is honest.
+  launch, copy back, one batch at a time, every op chained on a
+  serialised timeline, so the reported critical path equals the serial
+  sum.
+* ``overlap="on"`` — the §3.1 double-buffered pipeline, as a model:
+  staging rides a host lane, uploads ride copy streams, kernels ride the
+  compute stream, and events order them, so batch N+1's packing and
+  transfers hide behind batch N's kernel.  Bin 3 launches first and bin
+  2's transfers overlap bin 3's tail, exactly the prefetch/compute
+  overlap MHM2 uses.  The memory budget is split ``prefetch + 1`` ways so
+  the modelled double-residency is honest.
 
-The host path is engineered to stay off the real-time critical path
-(wall clock must track the model, not fight it):
+The host path is engineered to stay small next to the engine sweep it
+drives (staging + unpacking are ~0.1% of a run, BENCH_overlap.json):
 
 * staging is bulk NumPy into recycled :class:`~repro.core.gpu_batch.
   StagingArena` buffers; device buffers recycle through a
   :class:`~repro.core.gpu_batch.DeviceArena` (both skipped under a
   sanitizer, which wants precise per-allocation attribution);
-* on the batched engine, the overlapped driver *fuses* each wave of up
-  to ``prefetch + 1`` same-bin batches into one SoA sweep
+* on the batched engine, an overlapped run *fuses* each wave of up to
+  ``prefetch + 1`` same-bin batches into one SoA sweep
   (:meth:`~repro.gpusim.kernel.GpuContext.launch_fused`), paying the
-  per-op Python overhead once per wave instead of once per batch.  The
-  per-warp counters split back exactly, so every reported launch — and
-  the modelled timeline — is identical to the unfused schedule;
+  per-op Python overhead once per wave instead of once per batch — this,
+  not a second thread, is where the overlapped driver's wall-clock win
+  comes from.  The per-warp counters split back per batch, so the
+  report and the modelled timeline show the launches of the unfused
+  schedule (instruction streams exactly; load-sector counts can move by
+  a few where a fused batch's packed reads start mid-sector);
 * a :class:`~repro.perf.HostProfiler` (``profile_host=True``) times every
   stage/upload/dispatch/unpack/free block so the claims are measured.
 
@@ -45,10 +50,7 @@ path) that the experiments consume.
 
 from __future__ import annotations
 
-import queue
-import threading
 from collections import defaultdict
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +85,7 @@ from repro.gpusim.kernel import (
 from repro.perf import HostProfiler
 from repro.sequence.dna import decode
 
-__all__ = ["GpuLocalAssemblyReport", "GpuLocalAssembler", "shutdown_stager"]
+__all__ = ["GpuLocalAssemblyReport", "GpuLocalAssembler"]
 
 _KERNELS = {
     "v1": extension_task_kernel_v1,
@@ -93,36 +95,6 @@ _KERNELS = {
 #: timeline lane names used by the driver.
 _STAGE_LANE = "host.stage"
 _DRIVE_LANE = "host.drive"
-
-#: the persistent stager worker, shared by every overlapped run in the
-#: process (satellite of the per-run thread churn: one executor, reused).
-_STAGER: ThreadPoolExecutor | None = None
-_STAGER_LOCK = threading.Lock()
-
-
-def _stager_executor() -> ThreadPoolExecutor:
-    global _STAGER
-    with _STAGER_LOCK:
-        if _STAGER is None:
-            _STAGER = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-stager"
-            )
-        return _STAGER
-
-
-def shutdown_stager(wait: bool = True) -> None:
-    """Idempotently shut down the process-wide stager executor.
-
-    Long-lived processes (the job service's lifecycle, test harnesses)
-    call this when they are done running overlapped drivers; the next
-    overlapped run after a shutdown lazily recreates the executor.
-    Calling it with no executor alive is a no-op.
-    """
-    global _STAGER
-    with _STAGER_LOCK:
-        stager, _STAGER = _STAGER, None
-    if stager is not None:
-        stager.shutdown(wait=wait)
 
 
 @dataclass
@@ -228,21 +200,21 @@ class GpuLocalAssembler:
         ``"initcheck"`` or ``"full"``).  Anything but ``"off"`` attaches a
         :class:`~repro.sanitize.Sanitizer` to the context and stores its
         report on :attr:`GpuLocalAssemblyReport.sanitizer`.  A sanitized
-        run serialises the overlapped pipeline (shadow state is not
-        thread-safe) and disables buffer arenas + fused dispatch, so every
-        allocation and launch stays individually attributable.
+        run serialises the timeline (``overlap`` reports ``"off"``) and
+        disables buffer arenas + fused dispatch, so every allocation and
+        launch stays individually attributable.
     overlap:
         ``"off"`` (default) — the synchronous driver; ``"on"`` — the
-        double-buffered pipeline: the stager worker packs batch N+1 while
-        the engine executes batch N, transfers overlap kernels on the
-        modelled stream timeline.  Extensions are bit-identical either
-        way.
+        double-buffered pipeline on the modelled stream timeline: batch
+        N+1's staging and transfers overlap batch N's kernel.  The host
+        runs the same single-threaded loop either way and extensions are
+        bit-identical.
     prefetch:
-        Staging depth of the overlapped pipeline: how many batches the
-        stager may run ahead of the engine.  The device memory budget is
-        split ``prefetch + 1`` ways so the modelled residency is honest;
-        on the batched engine, each wave of up to ``prefetch + 1``
-        same-bin batches dispatches as one fused SoA sweep.
+        Depth of the overlapped pipeline: how many batches may be staged
+        ahead of the one executing.  The device memory budget is split
+        ``prefetch + 1`` ways so the modelled residency is honest; on the
+        batched engine, each wave of up to ``prefetch + 1`` same-bin
+        batches dispatches as one fused SoA sweep.
     streams:
         Number of copy streams batches round-robin across (the compute
         stream is always one — one device).
@@ -325,7 +297,7 @@ class GpuLocalAssembler:
             for i in tasks_by_cid[cid]:
                 extensions[(tasks[i].cid, tasks[i].side)] = ""
 
-        # The sanitizer's shadow state is single-threaded: serialise.
+        # A sanitized run keeps every op individually attributable: serialise.
         overlap_on = self.overlap == "on" and self.sanitize == "off"
         ctx = GpuContext(
             device=self.device,
@@ -345,10 +317,7 @@ class GpuLocalAssembler:
 
         try:
             work = self._plan_work(tasks, bins, tasks_by_cid, overlap_on)
-            if overlap_on:
-                self._run_overlapped(ctx, work, extensions, report, prof)
-            else:
-                self._run_serial(ctx, work, extensions, report, prof)
+            self._run_batches(ctx, work, extensions, report, prof)
 
             report.launches = list(ctx.launches)
             report.transfer_time_s = ctx.transfer_time_s
@@ -412,199 +381,106 @@ class GpuLocalAssembler:
             return (n_tasks + 31) // 32
         return n_tasks
 
-    # -- synchronous driver ------------------------------------------------------
+    # -- the batch loop ----------------------------------------------------------
 
-    def _run_serial(self, ctx: GpuContext, work, extensions, report, prof) -> None:
-        """Stage, upload, launch, unpack — one batch at a time.
+    def _run_batches(self, ctx: GpuContext, work, extensions, report, prof) -> None:
+        """Stage, upload, launch, unpack, free — one wave at a time.
 
-        Ops still land on the (serialised) timeline, so the critical
-        path degenerates to the serial sum — the pre-stream behaviour.
-        Unsanitized runs recycle host and device buffers through arenas;
-        sanitized runs keep the reset-per-batch allocator discipline so
-        every allocation stays individually attributable.
+        A wave is one batch, except on an overlapped, unsanitized
+        batched-engine run, where up to ``prefetch + 1`` same-bin batches
+        fuse into one SoA sweep.  Every op lands on the context's
+        timeline with its dependencies declared; whether the run reads as
+        the synchronous driver or the §3.1 pipeline is the timeline's
+        ``serialize`` flag, not this loop.  Unsanitized runs recycle host
+        and device buffers through arenas; sanitized runs keep the
+        reset-per-batch allocator discipline so every allocation stays
+        individually attributable.
         """
         kernel = _KERNELS[self.kernel_version]
         compute = ctx.stream("compute")
-        darena = DeviceArena(ctx) if ctx.sanitizer is None else None
-        sarena = StagingArena() if ctx.sanitizer is None else None
-        for b, (bin_name, batch_tasks, label) in enumerate(work):
-            copy = ctx.stream(f"copy{b % ctx.n_streams}")
-            with ctx.timeline.host_slice(f"stage {label}", _STAGE_LANE) as st:
-                with prof.phase("stage", label):
-                    staged = stage_batch(batch_tasks, self.config, arena=sarena)
-            if darena is None:
-                ctx.allocator.reset()
-            with prof.phase("upload", label):
-                batch, ev_h2d = upload_batch(
-                    ctx, staged, stream=copy, deps=(st.event,), arena=darena
-                )
-            with prof.phase("dispatch", label):
-                _, ev_kernel = ctx.launch_async(
-                    f"extension_{bin_name}_{self.kernel_version}",
-                    kernel,
-                    self._n_warps(len(batch_tasks)),
-                    batch,
-                    np.arange(len(batch_tasks)),
-                    stream=compute,
-                    deps=(ev_h2d,),
-                    bin_name=bin_name,
-                    kernel_version=self.kernel_version,
-                )
-            with prof.phase("unpack", label):
-                self._unpack(ctx, batch, staged, extensions, copy, ev_kernel, label)
-            if darena is not None:
-                with prof.phase("free", label):
-                    free_batch(ctx, batch, arena=darena)
-            report.n_batches += 1
-
-    # -- double-buffered driver --------------------------------------------------
-
-    def _run_overlapped(self, ctx: GpuContext, work, extensions, report, prof) -> None:
-        """The §3.1 pipeline: the persistent stager worker packs batch
-        N+1 while the engine executes batch N; copies and kernels overlap
-        on streams.  On the batched engine, each wave of up to
-        ``prefetch + 1`` same-bin batches runs as one fused SoA sweep."""
-        cfg = self.config
-        staged_q: queue.Queue = queue.Queue(maxsize=self.prefetch)
-        stop = threading.Event()
-        # Staging-arena ring: an item's big arrays must survive from the
-        # stager (≤ queue + 1 in flight) through the consumer's wave
-        # buffer (≤ prefetch + 1 held) until fused/uploaded.
-        arenas = [StagingArena() for _ in range(2 * self.prefetch + 3)]
-
-        def stage_all() -> None:
-            try:
-                for i, (bin_name, batch_tasks, label) in enumerate(work):
-                    if stop.is_set():
-                        return
-                    with ctx.timeline.host_slice(f"stage {label}", _STAGE_LANE) as st:
-                        with prof.phase("stage", label):
-                            staged = stage_batch(
-                                batch_tasks, cfg, arena=arenas[i % len(arenas)]
-                            )
-                    staged_q.put((staged, st.event))
-            except BaseException as exc:  # surfaces in the driver thread
-                staged_q.put(exc)
-
-        future = _stager_executor().submit(stage_all)
-        kernel = _KERNELS[self.kernel_version]
-        compute = ctx.stream("compute")
-        darena = DeviceArena(ctx) if ctx.sanitizer is None else None
+        pooled = ctx.sanitizer is None
+        darena = DeviceArena(ctx) if pooled else None
         # Fused dispatch needs the batched engine (and its BatchCounters
         # row-local accounting); anything else keeps per-batch launches.
         fused_ok = (
-            darena is not None
+            ctx.overlap == "on"
+            and pooled
             and ctx.engine_mode == "batched"
             and batched_impl(kernel) is not None
         )
-        waves = _plan_waves(work, self.prefetch + 1 if fused_ok else 1)
-        b = 0
-
-        def next_staged():
-            item = staged_q.get()
-            if isinstance(item, BaseException):
-                raise item
-            return item
-
-        try:
-            for rows in waves:
-                bin_name = work[rows[0]][0]
-                entries = [next_staged() for _ in rows]
-                copy = ctx.stream(f"copy{b % ctx.n_streams}")
-                if len(rows) == 1:
-                    staged, ev_stage = entries[0]
-                    label = work[rows[0]][2]
-                    with prof.phase("upload", label):
-                        batch, ev_h2d = upload_batch(
-                            ctx, staged, stream=copy, deps=(ev_stage,), arena=darena
-                        )
-                    with prof.phase("dispatch", label):
-                        _, ev_kernel = ctx.launch_async(
-                            f"extension_{bin_name}_{self.kernel_version}",
-                            kernel,
-                            self._n_warps(len(work[rows[0]][1])),
-                            batch,
-                            np.arange(batch.n_tasks),
-                            stream=compute,
-                            deps=(ev_h2d,),
-                            bin_name=bin_name,
-                            kernel_version=self.kernel_version,
-                        )
-                    with prof.phase("unpack", label):
-                        self._unpack(
-                            ctx, batch, staged, extensions, copy, ev_kernel, label
-                        )
-                else:
-                    labels = [work[r][2] for r in rows]
-                    wave_label = f"{labels[0]}+{len(rows) - 1}"
-                    with prof.phase("stage", f"fuse {wave_label}"):
-                        fused = fuse_staged([e[0] for e in entries])
-                    with prof.phase("upload", wave_label):
-                        batch, ev_h2d = upload_batch(
-                            ctx,
-                            fused,
-                            stream=copy,
-                            deps=tuple(e[1] for e in entries),
-                            arena=darena,
-                        )
-                    sub_warps = [len(work[r][1]) for r in rows]
-                    with prof.phase("dispatch", wave_label):
-                        results = ctx.launch_fused(
-                            f"extension_{bin_name}_{self.kernel_version}",
-                            kernel,
-                            sub_warps,
-                            batch,
-                            np.arange(batch.n_tasks),
-                            bin_name=bin_name,
-                            kernel_version=self.kernel_version,
-                        )
-                    # Per-sub kernel + D2H ops keep the modelled timeline
-                    # identical to the unfused schedule.
-                    deps = (ev_h2d,)
-                    lo = 0
-                    for res, label, n_sub in zip(results, labels, sub_warps):
-                        ev_kernel = ctx.timeline.push(
-                            compute, res.name, "kernel", res.time_s, deps
-                        )
-                        deps = (ev_kernel,)
-                        with prof.phase("unpack", label):
-                            self._unpack(
-                                ctx, batch, fused, extensions, copy, ev_kernel,
-                                label, lo, lo + n_sub,
-                            )
-                        lo += n_sub
-                if darena is not None:
-                    with prof.phase("free", work[rows[-1]][2]):
-                        free_batch(ctx, batch, arena=darena)
-                report.n_batches += len(rows)
-                b += 1
-        finally:
-            # On an error path the stager may be blocked on a full queue;
-            # signal it, drain so it can finish, then wait it out.
-            stop.set()
-            try:
-                while True:
-                    staged_q.get_nowait()
-            except queue.Empty:
-                pass
-            future.exception(timeout=60.0)
+        wave_size = self.prefetch + 1 if fused_ok else 1
+        # One staging arena per batch a wave holds, reused across waves
+        # (fusing and uploading copy out of them).
+        sarenas = [StagingArena() if pooled else None for _ in range(wave_size)]
+        for w, wave in enumerate(_plan_waves(work, wave_size)):
+            bin_name = wave[0][0]
+            labels = [label for _, _, label in wave]
+            sub_tasks = [len(batch_tasks) for _, batch_tasks, _ in wave]
+            wave_label = labels[0]
+            if len(wave) > 1:
+                wave_label += f"+{len(wave) - 1}"
+            copy = ctx.stream(f"copy{w % ctx.n_streams}")
+            parts, staged_evs = [], []
+            for (_, batch_tasks, label), sarena in zip(wave, sarenas):
+                with ctx.timeline.host_slice(f"stage {label}", _STAGE_LANE) as st:
+                    with prof.phase("stage", label):
+                        part = stage_batch(batch_tasks, self.config, arena=sarena)
+                parts.append(part)
+                staged_evs.append(st.event)
+            staged = parts[0]
+            if len(parts) > 1:
+                with prof.phase("stage", f"fuse {wave_label}"):
+                    staged = fuse_staged(parts)
+            if darena is None:
+                ctx.allocator.reset()
+            with prof.phase("upload", wave_label):
+                batch, ev_h2d = upload_batch(
+                    ctx, staged, stream=copy, deps=tuple(staged_evs), arena=darena
+                )
+            with prof.phase("dispatch", wave_label):
+                results = ctx.launch_fused(
+                    f"extension_{bin_name}_{self.kernel_version}",
+                    kernel,
+                    [self._n_warps(n) for n in sub_tasks],
+                    batch,
+                    np.arange(batch.n_tasks),
+                    bin_name=bin_name,
+                    kernel_version=self.kernel_version,
+                )
+            # Per-sub kernel + D2H ops keep the modelled timeline
+            # identical to the unfused schedule.
+            deps = (ev_h2d,)
+            lo = 0
+            for res, label, n_sub in zip(results, labels, sub_tasks):
+                ev_kernel = ctx.timeline.push(
+                    compute, res.name, "kernel", res.time_s, deps
+                )
+                deps = (ev_kernel,)
+                with prof.phase("unpack", label):
+                    self._unpack(
+                        ctx, batch, staged, extensions, copy, ev_kernel,
+                        label, lo, lo + n_sub,
+                    )
+                lo += n_sub
+            if darena is not None:
+                with prof.phase("free", labels[-1]):
+                    free_batch(ctx, batch, arena=darena)
+            report.n_batches += len(wave)
 
     # -- unpacking ---------------------------------------------------------------
 
     def _unpack(
         self, ctx, batch, staged, extensions, copy_stream, ev_kernel, label,
-        lo: int = 0, hi: int | None = None,
+        lo: int, hi: int,
     ) -> None:
         """Copy back only the per-task extension spans and decode them.
 
         The kernel appends the extension at ``[init_len, seq_len)`` of
         each task's region in ``seq_buf``; everything else (the contig
-        tails and unused capacity) never crosses the bus.  ``[lo, hi)``
-        restricts the copy to one sub-batch of a fused wave (the byte
-        totals match the unfused per-batch copies exactly).
+        tails and unused capacity) never crosses the bus.  ``[lo, hi)`` is
+        the task range of one batch within its (possibly fused) wave, so
+        the byte totals match per-batch copies exactly.
         """
-        if hi is None:
-            hi = batch.n_tasks
         regions = [
             (
                 int(batch.seq_offsets[j]) + int(staged.seq_len_host[j]),
@@ -616,15 +492,10 @@ class GpuLocalAssembler:
             batch.seq_buf, regions, copy_stream,
             f"D2H ext {label}", (ev_kernel,),
         )
-        if lo == 0 and hi == batch.n_tasks:
-            _, ev_len = ctx.from_device_async(
-                batch.out_ext_len, copy_stream, f"D2H ext_len {label}", (ev_kernel,)
-            )
-        else:
-            _, ev_len = ctx.from_device_regions_async(
-                batch.out_ext_len, [(lo, hi)], copy_stream,
-                f"D2H ext_len {label}", (ev_kernel,),
-            )
+        _, ev_len = ctx.from_device_regions_async(
+            batch.out_ext_len, [(lo, hi)], copy_stream,
+            f"D2H ext_len {label}", (ev_kernel,),
+        )
         with ctx.timeline.host_slice(
             f"unpack {label}", _DRIVE_LANE, deps=(ev_spans, ev_len)
         ):
@@ -640,15 +511,15 @@ def _split_even(ids: list[int], parts: int) -> list[list[int]]:
     return [ids[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _plan_waves(work, wave_size: int) -> list[list[int]]:
+def _plan_waves(work: list, wave_size: int) -> list[list]:
     """Group consecutive same-bin rows of *work* into waves of up to
     *wave_size* (the fused-dispatch units; 1 = per-batch dispatch)."""
-    waves: list[list[int]] = []
+    waves: list[list] = []
     i = 0
     while i < len(work):
         j = i
         while j < len(work) and work[j][0] == work[i][0] and j - i < wave_size:
             j += 1
-        waves.append(list(range(i, j)))
+        waves.append(work[i:j])
         i = j
     return waves

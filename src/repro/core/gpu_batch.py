@@ -208,15 +208,14 @@ class StagedBatch:
     """Host-side staging of one batch: everything :func:`upload_batch`
     needs, built by pure NumPy work with no device/context access.
 
-    This is the unit the overlapped driver's stager thread produces
-    (the pinned-host-buffer analogue): staging batch N+1 is real host
-    work that runs while the engine executes batch N.  When built
-    through a :class:`StagingArena`, the upload-consumed arrays
+    This is the unit the driver stages per batch (the pinned-host-buffer
+    analogue) and the timeline's ``host.stage`` lane accounts for.  When
+    built through a :class:`StagingArena`, the upload-consumed arrays
     (``reads_host``/``quals_host``/``seq_host``) are views into the
-    arena's recycled buffers — valid until the arena slot is reused (the
-    driver sizes its arena ring accordingly).  The metadata arrays
-    (offsets, ``seq_len_host``) are always fresh: they outlive staging
-    inside the :class:`DeviceBatch`.
+    arena's recycled buffers — valid until the arena is staged into
+    again (the driver fuses/uploads a wave before staging the next).  The
+    metadata arrays (offsets, ``seq_len_host``) are always fresh: they
+    outlive staging inside the :class:`DeviceBatch`.
     """
 
     tasks: list[ExtensionTask]
@@ -244,10 +243,9 @@ class StagingArena:
 
     ``take`` hands out a view of a persistent backing buffer instead of a
     fresh allocation; the caller owns the view until it asks for the same
-    role again.  The overlapped driver keeps a ring of ``2·prefetch + 3``
-    arenas so a staged batch's arrays stay valid from staging through the
-    consumer's wave buffer and upload while later batches stage into
-    other slots.
+    role again.  The driver keeps one arena per batch a wave holds, so a
+    staged batch's arrays stay valid until its wave is fused and uploaded,
+    and reuses them for the next wave.
     """
 
     def __init__(self) -> None:
@@ -605,11 +603,10 @@ def free_batch(
 ) -> None:
     """Release all of *batch*'s device allocations.
 
-    The overlapped driver frees batch N this way once its extensions are
-    unpacked (instead of the serial driver's whole-allocator ``reset``),
-    so batch N+1's buffers can already be resident.  With *arena* given
-    the buffers park in the recycling pool instead of going back to the
-    allocator.
+    The driver frees a wave this way once its extensions are unpacked
+    (sanitized runs ``reset`` the whole allocator per batch instead).
+    With *arena* given the buffers park in the recycling pool instead of
+    going back to the allocator.
     """
     for attr, role in _BATCH_BUFFERS:
         darr = getattr(batch, attr)

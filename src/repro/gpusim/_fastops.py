@@ -1,52 +1,21 @@
-"""Optional compiled lane for the batched engine's hottest helpers.
+"""The batched engine's and the aligner's shared scan primitives.
 
 The batched SoA engine spends its host time in a handful of tiny
 primitives — run-head detection over sorted key arrays is the one every
 transaction-dedup path shares (``_per_group_unique``,
-``_sorted_transactions``, the atomic duplicate grouping).  When numba is
-importable the primitives compile to machine loops; otherwise the
-pure-NumPy forms below serve, selected once at import time so the hot
-path never branches.
-
-Toggle with ``REPRO_NUMBA``:
-
-* ``auto`` (default) — use numba when importable, NumPy otherwise;
-* ``0`` / ``off`` / ``false`` — never import numba;
-* ``1`` / ``on`` / ``true`` — require numba (ImportError if missing), for
-  CI jobs that want to pin the compiled lane.
-
-``HAVE_NUMBA`` reports which lane was selected.
+``_sorted_transactions``, the atomic duplicate grouping) — and the
+batched aligner scores every candidate diagonal through one segmented
+equal-base count.  All three are plain NumPy passes.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-__all__ = [
-    "HAVE_NUMBA",
-    "run_heads",
-    "run_head_positions",
-    "segment_match_counts",
-]
-
-_TOGGLE = os.environ.get("REPRO_NUMBA", "auto").strip().lower()
-
-HAVE_NUMBA = False
-if _TOGGLE not in ("0", "off", "false", "no"):
-    try:
-        import numba  # noqa: F401
-
-        HAVE_NUMBA = True
-    except ImportError:
-        if _TOGGLE in ("1", "on", "true", "yes"):
-            raise ImportError(
-                "REPRO_NUMBA=1 requires numba, which is not importable"
-            )
+__all__ = ["run_heads", "run_head_positions", "segment_match_counts"]
 
 
-def _run_heads_numpy(keys: np.ndarray) -> np.ndarray:
+def run_heads(keys: np.ndarray) -> np.ndarray:
     """Boolean mask marking the first element of each run in sorted *keys*."""
     head = np.empty(keys.size, dtype=np.bool_)
     if keys.size:
@@ -55,31 +24,13 @@ def _run_heads_numpy(keys: np.ndarray) -> np.ndarray:
     return head
 
 
-if HAVE_NUMBA:
-    from numba import njit
-
-    @njit(cache=True)
-    def _run_heads_numba(keys):  # pragma: no cover - requires numba
-        n = keys.size
-        head = np.empty(n, dtype=np.bool_)
-        if n:
-            head[0] = True
-            for i in range(1, n):
-                head[i] = keys[i] != keys[i - 1]
-        return head
-
-    run_heads = _run_heads_numba
-else:
-    run_heads = _run_heads_numpy
-
-
 def run_head_positions(keys: np.ndarray) -> np.ndarray:
     """Indices of run starts in sorted *keys* (``nonzero`` of
     :func:`run_heads`, the shape the atomic grouping wants)."""
     return np.nonzero(run_heads(keys))[0]
 
 
-def _segment_match_counts_numpy(
+def segment_match_counts(
     a: np.ndarray,
     b: np.ndarray,
     a_start: np.ndarray,
@@ -122,26 +73,3 @@ def _segment_match_counts_numpy(
     np.cumsum(eq, dtype=cdtype, out=cs[1:])
     out[:] = cs[ends] - cs[starts]
     return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _segment_match_counts_numba(
-        a, b, a_start, b_start, span
-    ):  # pragma: no cover - requires numba
-        n = span.size
-        out = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            sa = a_start[i]
-            sb = b_start[i]
-            m = 0
-            for j in range(span[i]):
-                if a[sa + j] == b[sb + j]:
-                    m += 1
-            out[i] = m
-        return out
-
-    segment_match_counts = _segment_match_counts_numba
-else:
-    segment_match_counts = _segment_match_counts_numpy

@@ -72,8 +72,7 @@ _KEY_BASE = np.int64(1) << 45
 
 #: batched-kernel registry: sequential kernel fn -> batched implementation
 #: with signature ``impl(n_warps, sector_bytes, *launch_args)`` returning
-#: a :class:`BatchCounters` (or, legacy form, an already-finalized
-#: ``(KernelCounters, per_warp_inst list)`` tuple).
+#: a :class:`BatchCounters`.
 _BATCHED_IMPLS: dict[Callable, Callable] = {}
 
 #: the per-warp counter fields, computed once (dataclasses.fields per

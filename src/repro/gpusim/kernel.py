@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.gpusim.batched import batched_impl, set_active_sanitizer
 from repro.gpusim.counters import KernelCounters
 from repro.gpusim.device import DeviceSpec, V100
 from repro.gpusim.memory import DeviceAllocator, DeviceArray
@@ -343,65 +344,12 @@ class GpuContext:
         bin_name: str = "",
         kernel_version: str = "",
     ) -> LaunchResult:
-        """Run *kernel_fn* for each of *n_warps* warps and price the launch."""
-        counters = KernelCounters()
-        counters.n_warps_launched = n_warps
-        per_warp: list[int] = []
-        if self.sanitizer is not None:
-            self.sanitizer.begin_launch(
-                kernel_version or name, bin_name, n_warps
-            )
-        batched = None
-        if self.engine_mode == "batched" and n_warps > 0:
-            from repro.gpusim.batched import batched_impl
-
-            batched = batched_impl(kernel_fn)
-        t0 = time.perf_counter()
-        if batched is not None:
-            if self.sanitizer is not None:
-                from repro.gpusim.batched import set_active_sanitizer
-
-                set_active_sanitizer(self.sanitizer)
-                try:
-                    ret = batched(n_warps, self.device.sector_bytes, *args)
-                finally:
-                    set_active_sanitizer(None)
-            else:
-                ret = batched(n_warps, self.device.sector_bytes, *args)
-            # impls return BatchCounters (or, legacy, a finalized tuple)
-            counters, per_warp = ret if isinstance(ret, tuple) else ret.finalize()
-            counters.n_warps_launched = n_warps
-        elif self._parallel(n_warps):
-            for shard_counters, shard_per_warp in self.warp_engine.run(
-                kernel_fn, n_warps, self.device.sector_bytes, args
-            ):
-                counters.merge(shard_counters)
-                per_warp.extend(shard_per_warp)
-        else:
-            for warp_id in range(n_warps):
-                before = counters.warp_inst
-                warp = Warp(
-                    counters,
-                    warp_id=warp_id,
-                    sector_bytes=self.device.sector_bytes,
-                    sanitizer=self.sanitizer,
-                )
-                kernel_fn(warp, warp_id, *args)
-                per_warp.append(counters.warp_inst - before)
-        dispatch_s = time.perf_counter() - t0
-        timing = self.timing_model.kernel_timing(counters, n_warps)
-        result = LaunchResult(
-            name=name,
-            n_warps=n_warps,
-            counters=counters,
-            timing=timing,
-            per_warp_inst=tuple(per_warp),
-            bin=bin_name,
-            kernel=kernel_version,
-            host_dispatch_s=dispatch_s,
-        )
-        self.launches.append(result)
-        return result
+        """Run *kernel_fn* for each of *n_warps* warps and price the launch
+        (a fused launch of one sub-batch)."""
+        return self.launch_fused(
+            name, kernel_fn, [n_warps], *args,
+            bin_name=bin_name, kernel_version=kernel_version,
+        )[0]
 
     def launch_fused(
         self,
@@ -412,45 +360,73 @@ class GpuContext:
         bin_name: str = "",
         kernel_version: str = "",
     ) -> list[LaunchResult]:
-        """One batched sweep over several fused sub-batches, reported as
-        per-sub :class:`LaunchResult`\\ s.
+        """One sweep over several fused sub-batches, reported as per-sub
+        :class:`LaunchResult`\\ s — the one launch body.
 
-        ``sub_warps[i]`` is sub-batch *i*'s warp count; the fused launch
-        runs all ``sum(sub_warps)`` warps in one SoA sweep (paying the
-        per-op Python overhead once instead of once per sub-batch) and
-        splits the per-warp counters back into per-sub results.  Sound
-        because the batched engine's accounting is row-local (see
-        :meth:`~repro.gpusim.batched.BatchCounters.finalize_range`), so
-        each sub's counters — and modelled timing — are identical to the
-        unfused launches.
+        ``sub_warps[i]`` is sub-batch *i*'s warp count; the launch runs
+        all ``sum(sub_warps)`` warps in one sweep (on the batched engine,
+        paying the per-op Python overhead once instead of once per
+        sub-batch) and splits the per-warp counters back into per-sub
+        results.  Sound because the batched engine's accounting is
+        row-local (see
+        :meth:`~repro.gpusim.batched.BatchCounters.finalize_range`): each
+        sub's instruction counters are those of the unfused launch, and
+        only its load-sector count can move by a few, where its slice of
+        a packed buffer starts mid-sector.
 
-        Requires a registered batched impl returning
-        :class:`~repro.gpusim.batched.BatchCounters` and an unsanitized
-        context (sanitized runs keep per-batch launches for precise
-        attribution).
+        More than one sub-batch requires a registered batched impl and an
+        unsanitized context (sanitized runs keep per-batch launches for
+        precise attribution); the interpreter engines run one at a time.
         """
-        from repro.gpusim.batched import BatchCounters, batched_impl
-
-        if self.sanitizer is not None:
-            raise RuntimeError("launch_fused requires sanitize='off'")
-        batched = batched_impl(kernel_fn)
-        if self.engine_mode != "batched" or batched is None:
-            raise RuntimeError(
-                f"launch_fused needs a batched impl for {name!r}"
-            )
         n_total = int(sum(sub_warps))
-        t0 = time.perf_counter()
-        ret = batched(n_total, self.device.sector_bytes, *args)
-        dispatch_s = time.perf_counter() - t0
-        if not isinstance(ret, BatchCounters):
-            raise TypeError(
-                "launch_fused needs a BatchCounters-returning impl"
+        batched = None
+        if self.engine_mode == "batched" and n_total > 0:
+            batched = batched_impl(kernel_fn)
+        if len(sub_warps) > 1 and (batched is None or self.sanitizer is not None):
+            raise RuntimeError(
+                f"fusing {name!r} needs a batched impl and sanitize='off'"
             )
+        if self.sanitizer is not None:
+            self.sanitizer.begin_launch(kernel_version or name, bin_name, n_total)
+        t0 = time.perf_counter()
+        if batched is not None:
+            # Batched impls build their own WarpBatch; publish the
+            # sanitizer for it around the call.
+            if self.sanitizer is not None:
+                set_active_sanitizer(self.sanitizer)
+            try:
+                swept = batched(n_total, self.device.sector_bytes, *args)
+            finally:
+                if self.sanitizer is not None:
+                    set_active_sanitizer(None)
+            parts = [
+                swept.finalize_range(int(hi) - n_sub, int(hi))
+                for n_sub, hi in zip(sub_warps, np.cumsum(sub_warps))
+            ]
+        else:
+            counters = KernelCounters()
+            per_warp: list[int] = []
+            if self._parallel(n_total):
+                for shard_counters, shard_per_warp in self.warp_engine.run(
+                    kernel_fn, n_total, self.device.sector_bytes, args
+                ):
+                    counters.merge(shard_counters)
+                    per_warp.extend(shard_per_warp)
+            else:
+                for warp_id in range(n_total):
+                    before = counters.warp_inst
+                    warp = Warp(
+                        counters,
+                        warp_id=warp_id,
+                        sector_bytes=self.device.sector_bytes,
+                        sanitizer=self.sanitizer,
+                    )
+                    kernel_fn(warp, warp_id, *args)
+                    per_warp.append(counters.warp_inst - before)
+            parts = [(counters, per_warp)]
+        dispatch_s = time.perf_counter() - t0
         results = []
-        lo = 0
-        for i, n_sub in enumerate(sub_warps):
-            hi = lo + int(n_sub)
-            counters, per_warp = ret.finalize_range(lo, hi)
+        for i, (n_sub, (counters, per_warp)) in enumerate(zip(sub_warps, parts)):
             counters.n_warps_launched = n_sub
             result = LaunchResult(
                 name=f"{name}[{i}]" if len(sub_warps) > 1 else name,
@@ -464,7 +440,6 @@ class GpuContext:
             )
             self.launches.append(result)
             results.append(result)
-            lo = hi
         return results
 
     # -- engine lifecycle --------------------------------------------------------

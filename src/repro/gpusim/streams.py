@@ -21,9 +21,9 @@ Two kinds of duration coexist on the time axis:
 * **device ops** (H2D, kernels, D2H) carry *modelled* V100 seconds from
   :class:`~repro.gpusim.timing.TimingModel`;
 * **host ops** (batch staging, result unpacking) carry *measured* CPU
-  seconds of the thread that did the work (``time.thread_time``, so a
-  1-core box timesharing the stager and the engine does not inflate
-  them).
+  seconds of the thread that did the work (``time.thread_time``, so
+  other threads timesharing the core — the service's job fleet — do not
+  inflate them).
 
 Placement is simulated, never wall-clock: the host thread that issues an
 op does not matter, only the declared dependencies do.  That keeps the
@@ -154,8 +154,10 @@ class StreamTimeline:
         self.serialize = serialize
         self.ops: list[TimelineOp] = []
         self._streams: dict[str, Stream] = {}
-        #: guards ops + every stream cursor; pushes come from both the
-        #: driver thread and the stager thread.
+        #: running end of the last-finishing op (kept, not rescanned).
+        self._end_s = 0.0
+        #: guards ops + every stream cursor, should a caller push from
+        #: more than one thread (the driver itself pushes from one).
         self._lock = threading.Lock()
 
     # -- lanes -----------------------------------------------------------------
@@ -196,14 +198,15 @@ class StreamTimeline:
             start = stream.cursor_s
             for ev in deps:
                 start = max(start, ev.time_s)
-            if self.serialize and self.ops:
-                start = max(start, max(op.end_s for op in self.ops))
+            if self.serialize:
+                start = max(start, self._end_s)
             op = TimelineOp(
                 name=name, cat=cat, lane=stream.name,
                 start_s=start, dur_s=dur_s, nbytes=nbytes,
             )
             self.ops.append(op)
             stream.cursor_s = op.end_s
+            self._end_s = max(self._end_s, op.end_s)
             done = Event()
             done._record(op.end_s, stream.name)
         return done
@@ -230,7 +233,7 @@ class StreamTimeline:
     def end_s(self) -> float:
         """End of the last placed op (0.0 for an empty timeline)."""
         with self._lock:
-            return max((op.end_s for op in self.ops), default=0.0)
+            return self._end_s
 
     def makespan(self) -> float:
         """The measured critical path: timeline start (0) to last op end."""

@@ -76,11 +76,10 @@ class HostProfiler:
     every hook a cheap no-op so the hot path does not pay for profiling it
     did not ask for.
 
-    Recording is thread-safe: the overlapped driver's stager worker times
-    its ``stage`` phases on its own thread while the driver thread records
-    the rest, and the job service runs many drivers concurrently — record
-    mutation and aggregation snapshots go through one lock so phase
-    accounting never tears.
+    Recording is thread-safe: a profiler may be shared by several
+    recording threads (the job service runs many drivers concurrently), so
+    record mutation and aggregation snapshots go through one lock and
+    phase accounting never tears.
     """
 
     def __init__(self, enabled: bool = True) -> None:

@@ -93,8 +93,7 @@ def ungapped_align_batch(
     clamping semantics of the scalar kernel (``ov_end <= ov_start`` rows
     report ``ov_end == ov_start`` and 0 matches).  The inner per-segment
     comparison runs through :func:`repro.gpusim._fastops.segment_match_counts`,
-    which compiles under ``REPRO_NUMBA`` and falls back to a cumsum-offset
-    NumPy gather otherwise.
+    one cumsum-offset NumPy gather over all candidates.
     """
     from repro.gpusim._fastops import segment_match_counts
 

@@ -77,8 +77,8 @@ class PipelineConfig:
     #: overlapped (double-buffered) GPU driver ("off" | "on"): stage
     #: batch N+1 while batch N executes, transfers overlap kernels
     local_assembly_overlap: str = "off"
-    #: staging depth of the overlapped driver (batches the stager may
-    #: run ahead)
+    #: depth of the overlapped driver's pipeline (the memory budget
+    #: splits prefetch + 1 ways; that many batches fuse per launch wave)
     local_assembly_prefetch: int = 1
     #: copy streams the overlapped driver round-robins batches across
     local_assembly_streams: int = 2

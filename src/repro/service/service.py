@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.core.driver import shutdown_stager
 from repro.gpusim.device import V100, DeviceSpec
 from repro.locking import ClaimFile, pid_alive
 from repro.service.cache import ResultCache
@@ -403,16 +402,12 @@ class AssemblyService:
         self.close()
 
     def close(self) -> None:
-        """Drain workers and release process-wide resources (idempotent)."""
+        """Drain the worker fleet (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
         self._executor.shutdown(wait=True)
-        # the driver's persistent stager is process-global; the service
-        # lifecycle owns tearing it down so long-lived daemons don't leak
-        # the thread (it is lazily recreated if another run needs it).
-        shutdown_stager()
 
     # -- admission -------------------------------------------------------------
 

@@ -2,21 +2,28 @@
 
 The tentpole guarantee: overlap is a pure *scheduling* change.  Extensions
 are bit-identical to the synchronous driver on every engine; what changes
-is the stream timeline — staging and transfers hide behind kernels, and
-the reported critical path shrinks accordingly.
+is the modelled stream timeline — staging and transfers hide behind
+kernels, and the reported critical path shrinks accordingly.  The host
+runs one single-threaded batch loop in both modes: no helper thread, no
+process-wide state, errors raised straight from the calling thread.
 """
 
 from __future__ import annotations
 
+import copy
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import repro.core.driver as driver_mod
 from repro.core.config import LocalAssemblyConfig
 from repro.core.cpu_local_assembly import run_local_assembly_cpu
 from repro.core.driver import GpuLocalAssembler
 from repro.core.tasks import LEFT, RIGHT, ExtensionTask, TaskSet
+from repro.gpusim.kernel import GpuContext
 from repro.gpusim.shmem import shared_memory_available
 from repro.sequence.dna import encode, random_dna
 
@@ -160,6 +167,154 @@ class TestPipelineShape:
         bins = [l.bin for l in on.launches]
         assert "bin3" in bins and "bin2" in bins
         assert bins.index("bin3") < bins.index("bin2")
+
+
+class TestModelledTimeline:
+    """The overlap lives in the model; pin what the model is made of."""
+
+    #: per lane, in push order: (name, cat, nbytes) of every op of the
+    #: ``overlap="on", prefetch=2, batch_cap=2`` run — captured at the
+    #: last commit that staged on a second thread (311c14d).
+    GOLDEN = {
+        "host.stage": [
+            ("stage bin3.0", "host", 0),
+            ("stage bin3.1", "host", 0),
+            ("stage bin3.2", "host", 0),
+            ("stage bin2.0", "host", 0),
+            ("stage bin2.1", "host", 0),
+        ],
+        "copy0": [
+            ("H2D reads", "h2d", 18620),
+            ("H2D quals", "h2d", 18620),
+            ("H2D seq", "h2d", 6678),
+            ("D2H ext bin3.0", "d2h", 300),
+            ("D2H ext_len bin3.0", "d2h", 8),
+            ("D2H ext bin3.1", "d2h", 300),
+            ("D2H ext_len bin3.1", "d2h", 8),
+            ("D2H ext bin3.2", "d2h", 300),
+            ("D2H ext_len bin3.2", "d2h", 8),
+        ],
+        "compute": [
+            ("extension_bin3_v2[0]", "kernel", 0),
+            ("extension_bin3_v2[1]", "kernel", 0),
+            ("extension_bin3_v2[2]", "kernel", 0),
+            ("extension_bin2_v2[0]", "kernel", 0),
+            ("extension_bin2_v2[1]", "kernel", 0),
+        ],
+        "host.drive": [
+            ("unpack bin3.0", "host", 0),
+            ("unpack bin3.1", "host", 0),
+            ("unpack bin3.2", "host", 0),
+            ("unpack bin2.0", "host", 0),
+            ("unpack bin2.1", "host", 0),
+        ],
+        "copy1": [
+            ("H2D reads", "h2d", 1260),
+            ("H2D quals", "h2d", 1260),
+            ("H2D seq", "h2d", 3339),
+            ("D2H ext bin2.0", "d2h", 20),
+            ("D2H ext_len bin2.0", "d2h", 8),
+            ("D2H ext bin2.1", "d2h", 10),
+            ("D2H ext_len bin2.1", "d2h", 4),
+        ],
+    }
+
+    def test_per_lane_op_sequence_is_pinned(self, workload, config):
+        report = GpuLocalAssembler(
+            config, overlap="on", prefetch=2, batch_cap=2
+        ).run(workload)
+        lanes: dict[str, list] = {}
+        for op in report.timeline.ops:
+            lanes.setdefault(op.lane, []).append((op.name, op.cat, op.nbytes))
+        assert lanes == self.GOLDEN
+        durations = [op.dur_s for op in report.timeline.ops]
+        assert report.critical_path_s < sum(durations)
+        assert report.critical_path_s >= max(durations)
+
+
+class TestSingleThreadedLoop:
+    """What having no stager thread buys: no cross-run coupling, no
+    leftover thread, and staging errors raised where they happen."""
+
+    def test_concurrent_overlapped_runs_do_not_couple(
+        self, workload, config, monkeypatch
+    ):
+        threads_before = threading.active_count()
+        solo = GpuLocalAssembler(config, overlap="on").run(workload)
+        # run A gets its own task objects, so its stage calls can be held
+        tasks_a = TaskSet([copy.copy(t) for t in workload])
+        a_ids = {id(t) for t in tasks_a}
+        held, release = threading.Event(), threading.Event()
+        real_stage = driver_mod.stage_batch
+
+        def stage(batch_tasks, cfg, arena=None):
+            if id(batch_tasks[0]) in a_ids:
+                held.set()
+                assert release.wait(60)
+            return real_stage(batch_tasks, cfg, arena=arena)
+
+        monkeypatch.setattr(driver_mod, "stage_batch", stage)
+        results = {}
+
+        def run(name, tasks):
+            results[name] = GpuLocalAssembler(config, overlap="on").run(tasks)
+
+        run_a = threading.Thread(target=run, args=("A", tasks_a))
+        run_b = threading.Thread(target=run, args=("B", workload))
+        run_a.start()
+        try:
+            assert held.wait(10)
+            run_b.start()
+            run_b.join(5)
+            assert not run_b.is_alive(), "run B stalled behind run A's staging"
+            assert run_a.is_alive() and "A" not in results
+        finally:
+            release.set()
+            for t in (run_a, run_b):
+                if t.is_alive():
+                    t.join(60)
+        assert not run_a.is_alive() and not run_b.is_alive()
+        assert results["A"].extensions == solo.extensions
+        assert results["B"].extensions == solo.extensions
+        assert threading.active_count() == threads_before
+        assert not [t.name for t in threading.enumerate() if "stager" in t.name]
+
+    @pytest.mark.parametrize("batch_cap", [None, 2])
+    @pytest.mark.parametrize("overlap", ["off", "on"])
+    def test_staging_error_surfaces_unwrapped(
+        self, workload, config, monkeypatch, overlap, batch_cap
+    ):
+        boom = RuntimeError("boom")
+        real_stage = driver_mod.stage_batch
+        calls = []
+
+        def stage(batch_tasks, cfg, arena=None):
+            calls.append(len(batch_tasks))
+            if len(calls) == 2:
+                raise boom
+            return real_stage(batch_tasks, cfg, arena=arena)
+
+        closed = []
+        real_close = GpuContext.close
+
+        def close(ctx):
+            closed.append(ctx)
+            real_close(ctx)
+
+        assembler = GpuLocalAssembler(config, overlap=overlap, batch_cap=batch_cap)
+        with monkeypatch.context() as patch:
+            patch.setattr(driver_mod, "stage_batch", stage)
+            patch.setattr(GpuContext, "close", close)
+            t0 = time.perf_counter()
+            with pytest.raises(RuntimeError, match="^boom$") as raised:
+                assembler.run(workload)
+            assert time.perf_counter() - t0 < 2.0
+        assert raised.value is boom
+        assert len(calls) == 2 and len(closed) == 1
+        # nothing of the failed run lingers: a fresh run is still right
+        cpu, _ = run_local_assembly_cpu(workload, config)
+        fresh = GpuLocalAssembler(config, overlap=overlap, batch_cap=batch_cap)
+        assert fresh.run(workload).extensions == cpu
 
 
 class TestShrunkD2H:
