@@ -16,10 +16,46 @@ group:
 
 * **clear** — per-row span memsets of the hash-table + visited regions;
 * **build** — each warp's insert stream is decomposed into 32-lane chunk
-  steps (the Fig 7 layout); step *s* of every warp runs as one operation:
-  window-span loads, row murmur hashes, then the ``atomicCAS`` +
-  ``match_any`` insert choreography with ``(rows, 32)`` pending masks
-  advancing the linear probe;
+  steps (the Fig 7 layout).  §3.2–3.3 make insertion deterministic
+  (exactly-sized warp-private tables, murmur + linear probing, lowest
+  lane wins a CAS), so the table and every counter are *derived* rather
+  than stepped — resolve, place, account:
+
+  1. *resolve* (pass 1) flattens the valid lanes, accounts each step's
+     window-span loads and row hashes in bulk, and names every warp's
+     distinct k-mers by one sort on ``(warp, murmur)`` confirmed against
+     content, giving one *agent* per distinct k-mer at its first
+     occurrence;
+  2. *place* (phase A) runs the step/round lockstep over agents only —
+     probe ``home + j``, lowest lane claims each empty slot — recording
+     every k-mer's slot and the (step, round) it was claimed in;
+  3. *account* (pass 2) expands each lane into the ``d + 1`` slots from
+     its home to its k-mer's and classifies every visit, from which issue
+     counts are per-(step, round) reductions, sector counts one composite
+     sort per access kind, and both tally tables one ``bincount``.
+
+  Four facts about the choreography carry this, each pinned by
+  ``tests/core/test_batched_engine.py``: **(a)** lanes of one step holding
+  the same k-mer share hash and probe offset, so they move together;
+  **(b)** a claimed slot never changes occupant; **(c)** two agents reach
+  the same empty slot in the same round only if they share a home slot,
+  and the lowest lane wins; **(d)** a lane whose k-mer an earlier step
+  placed never meets an empty slot — it walks occupied slots from home to
+  its k-mer's and tallies there.  Hence a visit issues a CAS iff its slot
+  was claimed in the visit's own (step, round), wins iff it is also its
+  k-mer's first lane, compares keys otherwise, and resolves at distance
+  ``d``.  Passes 1 and 2 run in blocks of whole warps of about
+  ``_BLOCK_LANES`` lanes: their per-lane temporaries would otherwise all
+  be live at once and set the process's peak RSS; results do not depend
+  on the cap.
+
+  A *sanitized* launch keeps the lockstep build
+  (:func:`_build_group_lockstep`: step *s* of every warp as one
+  operation, ``(rows, 32)`` pending masks advancing the probe), because
+  the order of individual accesses is what a sanitizer consumes.  The
+  choice is made by ``wb.sanitizer`` alone — there is no option — and the
+  lockstep build doubles as a second oracle for the derivation beside the
+  sequential interpreter, which stays the reference;
 * **walk** — single-lane per warp; each walk step (visited-table probe,
   main-table lookup, fork/dead-end classification, base append) applies
   to all still-walking rows at once.
@@ -39,7 +75,10 @@ for it.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.core.extension import (
     KShiftState,
@@ -49,6 +88,7 @@ from repro.core.extension import (
 )
 from repro.core.extension_kernel import _hash_cost_ops, extension_task_kernel_v2
 from repro.core.gpu_batch import EMPTY_PTR, DeviceBatch
+from repro.gpusim._fastops import run_heads
 from repro.gpusim.batched import (
     BatchCounters,
     WarpBatch,
@@ -60,6 +100,19 @@ from repro.hashing.murmur import murmurhash2_rows
 __all__ = ["run_extension_v2_batched"]
 
 _LANES = 32
+
+#: Lanes per resolve/account block of the derived build (a warp with more
+#: is a block of its own).  Bounds the per-lane temporaries alive at once
+#: (peak RSS); counters and tables are independent of it.
+_BLOCK_LANES = 1 << 15
+
+#: the counters a table build moves (``predicated_off`` follows from the
+#: first two)
+_BUILD_COUNTERS = (
+    "warp_inst", "thread_inst", "int_inst", "control_inst",
+    "global_ld_inst", "global_ld_transactions", "atomic_inst",
+    "atomic_transactions", "shuffle_inst", "sync_inst", "atomic_conflicts",
+)
 
 
 def _warp_build_stream(batch: DeviceBatch, t: int, k: int):
@@ -223,7 +276,17 @@ def _probe_insert_group(
 
 
 def _build_group(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots) -> None:
-    """Lockstep warp-cooperative table build for one k-group."""
+    """Warp-cooperative table build for one k-group: derived in closed
+    form, or in lockstep when a sanitizer needs per-access order."""
+    if wb.sanitizer is not None:
+        _build_group_lockstep(wb, batch, rows, tasks_g, k, ht_start, slots)
+    else:
+        _build_group_derived(wb, batch, rows, tasks_g, k, ht_start, slots)
+
+
+def _build_group_lockstep(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots) -> None:
+    """Lockstep table build: every access of every probe round is issued
+    through ``wb``, in program order — what a sanitizer consumes."""
     streams = [_warp_build_stream(batch, int(t), k) for t in tasks_g]
     n_steps = np.array(
         [0 if s is None else s[0].shape[0] for s in streams], dtype=np.int64
@@ -267,6 +330,298 @@ def _build_group(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_st
         _probe_insert_group(
             wb, batch, r, ht_start[sel], slots[sel], V, H, my_ptr, E, Q, k
         )
+
+
+def _fold(index, values, n: int) -> np.ndarray:
+    """Per-bin integer sums of *values* (``bincount`` accumulates in
+    float64, which is exact for totals this far below 2**53)."""
+    return np.bincount(index, weights=values, minlength=n).astype(np.int64)
+
+
+def _within(counts) -> np.ndarray:
+    """``0 … c - 1`` for every count *c*, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+class _Agents(NamedTuple):
+    """A k-group's agents: one per distinct (warp, k-mer), numbered
+    block by block, each acting at its k-mer's first occurrence."""
+
+    first: np.ndarray  #: valid-lane index of the first occurrence
+    base: np.ndarray  #: its warp's table start in ``ht_ptr``
+    slots: np.ndarray  #: its warp's table size
+    home: np.ndarray  #: ``murmur % slots``
+    ptr: np.ndarray  #: read pointer of the first lane (the table key)
+    step: np.ndarray  #: build step of the first occurrence
+    # filled by phase A
+    dist: np.ndarray  #: probe distance from home to the claimed slot
+    slot: np.ndarray  #: the claimed slot's index in ``ht_ptr``
+
+
+def _resolve_block(batch: DeviceBatch, k: int, n_before, load_start, n_act, row_warp):
+    """Pass 1 for a block of step rows: name each warp's distinct k-mers.
+
+    Flattens the rows' valid lanes (row-major: warp, step, lane) and
+    returns per valid lane its block-local agent id, extension base and
+    hi-quality flag, the valid-lane count of every row, and per agent the
+    block-local lane and row of its first occurrence, its murmur hash and
+    that lane's read pointer.  ``n_before[i]`` counts the ambiguous bases
+    ahead of read byte *i*.  None when the block has no valid lane.
+    """
+    lane_row = np.repeat(np.arange(n_act.size), n_act)
+    starts = load_start[lane_row] + _within(n_act)  # flat k-mer start pointers
+    # valid: no ambiguous base in the window or the extension base
+    v = np.nonzero(n_before[starts + k + 1] == n_before[starts])[0]
+    if v.size == 0:
+        return None
+    starts, lane_row = starts[v], lane_row[v]
+    win = sliding_window_view(batch.reads_buf.data, k)[starts]
+    hashes = murmurhash2_rows(win).astype(np.int64)
+    warp = row_warp[lane_row]
+    # Equal (warp, hash) is equal k-mer unless two of a warp's k-mers
+    # collide in all 32 hash bits; a run holding two contents shows up as
+    # an unequal adjacent pair, and only then is content sorted on.
+    keys = (warp << 32) | hashes
+    order = np.argsort(keys)
+    head = run_heads(keys[order])
+    content = win.view(np.dtype((np.void, k))).ravel()  # one item per k-mer
+    sc = content[order]
+    if ((sc[1:] != sc[:-1]) & ~head[1:]).any():
+        order = np.lexsort((*win.T[::-1], warp))
+        sc, sw = content[order], warp[order]
+        head[1:] = (sc[1:] != sc[:-1]) | (sw[1:] != sw[:-1])
+    agent = np.empty(v.size, dtype=np.int64)
+    agent[order] = np.cumsum(head) - 1
+    first = np.minimum.reduceat(order, np.nonzero(head)[0])
+    return (
+        agent,
+        batch.reads_buf.data[starts + k],
+        batch.quals_buf.data[starts + k] >= batch.config.hi_q_thresh,
+        np.bincount(lane_row, minlength=n_act.size),
+        first, lane_row[first], hashes[first], starts[first],
+    )
+
+
+def _place_agents(ht: np.ndarray, ag: _Agents) -> None:
+    """Phase A: the step/round lockstep over agents only.
+
+    An agent enters at its first-occurrence step and probes ``home + j``
+    in round *j* until it claims an empty slot; of the agents reaching one
+    empty slot in a round the lowest lane wins (fact c), and every other
+    agent — its k-mer is in no earlier slot, this being its first
+    occurrence — moves on.  Fills ``ag.dist`` / ``ag.slot`` and writes the
+    claiming agent's *id* to ``ht``: pass 2 reads a slot's owner through
+    it before :func:`_build_group_derived` stores the read pointers.
+    """
+    # (step, first lane) order: np.unique's first index per slot is then
+    # the lowest lane of the slot's warp
+    order = np.lexsort((ag.first, ag.step))
+    cuts = np.searchsorted(ag.step[order], np.arange(int(ag.step.max()) + 2))
+    for step in range(cuts.size - 1):
+        pend = order[cuts[step] : cuts[step + 1]]
+        j = 0
+        while pend.size:
+            g = ag.base[pend] + (ag.home[pend] + j) % ag.slots[pend]
+            empty = np.nonzero(ht[g] == EMPTY_PTR)[0]
+            if empty.size:
+                claimed, won = np.unique(g[empty], return_index=True)
+                won = empty[won]
+                ht[claimed] = pend[won]
+                ag.dist[pend[won]] = j
+                ag.slot[pend[won]] = claimed
+                pend = np.delete(pend, won)
+            j += 1
+
+
+def _account_block(
+    wb: WarpBatch, batch: DeviceBatch, k: int, acc: dict, ag: _Agents,
+    row_warp, row_step, row_valid, lane0: int, agent, ext, hi, a0: int, a1: int,
+) -> None:
+    """Pass 2 for one block: expand every valid lane into its probe visits
+    and derive what the lockstep would have accumulated.
+
+    A lane whose k-mer sits ``d`` slots past home visits rounds
+    ``0 … d`` (fact d: nothing on the way is empty unless it is claimed
+    in that very round).  A visit issues a CAS iff its slot was claimed in
+    the visit's own (step, round); it wins iff it also is its k-mer's
+    first lane; every other visit compares keys with the slot's occupant,
+    and the round-``d`` visit resolves and tallies.  Issue counts are
+    per-(row, round) *group* reductions of those classes, sector counts
+    one composite sort per access kind, all folded into ``acc`` per warp.
+    The block holds valid lanes ``lane0 …`` and agents ``a0 … a1``.
+    """
+    n = agent.size
+    d = ag.dist[agent]
+    n_vis = d + 1
+    lane_row = np.repeat(np.arange(row_valid.size), row_valid)
+    # a row probes for as many rounds as its farthest lane needs
+    live = np.nonzero(row_valid)[0]
+    rounds = np.zeros(row_valid.size, dtype=np.int64)
+    rounds[live] = np.maximum.reduceat(n_vis, (np.cumsum(row_valid) - row_valid)[live])
+    n_grp = int(rounds.sum())
+    grp_warp = np.repeat(row_warp, rounds)
+    lane_grp0 = (np.cumsum(rounds) - rounds)[lane_row]
+    lane_step = row_step[lane_row]
+
+    vl = np.repeat(np.arange(n), n_vis)  # visit -> lane
+    j = _within(n_vis)  # visit -> probe round
+    va = agent[vl]
+    gidx = ag.base[va] + (ag.home[va] + j) % ag.slots[va]
+    grp = lane_grp0[vl] + j
+    wb._strict_check(batch.ht_ptr, gidx, "load_gather")
+    owner = batch.ht_ptr.data[gidx]
+    cas = (ag.step[owner] == lane_step[vl]) & (ag.dist[owner] == j)
+    won = cas & (owner == va) & (ag.first[agent] == np.arange(lane0, lane0 + n))[vl]
+    cont = ~won
+    grp_cas = grp[cas]
+    # the round-d visit of each lane resolves: one tally per lane
+    res_grp = lane_grp0 + d
+    cidx = ag.slot[agent] * 4 + ext
+    hi_grp, hi_cidx = res_grp[hi], cidx[hi]
+    wb._strict_check(batch.ht_total, cidx, "atomic_add")
+    wb._strict_check(batch.ht_hi, hi_cidx, "atomic_add")
+
+    p = np.bincount(grp, minlength=n_grp)
+    e = np.bincount(grp_cas, minlength=n_grp)
+    w = np.bincount(grp[won], minlength=n_grp)
+    r = np.bincount(res_grp, minlength=n_grp)
+    h = np.bincount(hi_grp, minlength=n_grp)
+    c = p - w
+    has_e, has_c, has_r, has_h = e > 0, c > 0, r > 0, h > 0
+    kw = (k + 7) // 8  # key words: one gather + one compare op each
+    per_group = {
+        # load_gather (+2 int address math, +1 loop-back branch), fused
+        # match_any + CAS + sync, key gather + compare, the two tallies
+        "warp_inst": 4 + 3 * has_e + 2 * kw * has_c + has_r + has_h,
+        "thread_inst": 4 * p + 3 * e + 2 * kw * c + r + h,
+        "int_inst": 2 + kw * has_c,
+        "control_inst": np.ones(n_grp, dtype=np.int64),
+        "global_ld_inst": 1 + kw * has_c,
+        "atomic_inst": has_e.astype(np.int64) + has_r + has_h,
+        "shuffle_inst": has_e,
+        "sync_inst": has_e,
+        "global_ld_transactions": wb._element_transactions(
+            batch.ht_ptr, gidx, grp, n_grp
+        )
+        + wb._word_transactions(
+            batch.reads_buf, ag.ptr[owner[cont]], grp[cont], n_grp, k
+        ),
+        "atomic_transactions": wb._element_transactions(
+            batch.ht_ptr, gidx[cas], grp_cas, n_grp
+        )
+        + wb._element_transactions(batch.ht_total, cidx, res_grp, n_grp)
+        + wb._element_transactions(batch.ht_hi, hi_cidx, hi_grp, n_grp),
+        # every slot CASed in a round gets exactly one winner
+        "atomic_conflicts": e - w,
+    }
+    for name, values in per_group.items():
+        acc[name] += _fold(grp_warp, values, acc[name].size)
+
+    # both tally tables: one bincount on agent * 4 + ext (cleared to zero
+    # by _clear_group, and an agent's slot belongs to this block alone)
+    code = (agent - a0) * 4 + ext
+    for darr, codes in ((batch.ht_total, code), (batch.ht_hi, code[hi])):
+        counts = np.bincount(codes, minlength=4 * (a1 - a0))
+        hit = np.nonzero(counts)[0]
+        flat = darr.data.reshape(-1)
+        flat[ag.slot[a0 + (hit >> 2)] * 4 + (hit & 3)] += counts[hit].astype(flat.dtype)
+
+
+def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots) -> None:
+    """Closed-form table build — resolve, place, account (module
+    docstring).  Leaves the three tables and every counter exactly as
+    :func:`_build_group_lockstep` would."""
+    G = rows.size
+    ro = batch.read_offsets
+    trs = batch.task_read_start
+    # -- step rows: one per (warp, read, 32-lane chunk), warp-major ----------
+    n_reads = trs[tasks_g + 1] - trs[tasks_g]
+    read_warp = np.repeat(np.arange(G), n_reads)
+    rid = np.repeat(trs[tasks_g], n_reads) + _within(n_reads)
+    nk = ro[rid + 1] - ro[rid] - k
+    keep = nk > 0
+    if not keep.any():
+        return
+    read_warp, rb, nk = read_warp[keep], ro[rid[keep]], nk[keep]
+    n_steps = (nk + _LANES - 1) // _LANES
+    chunk = _within(n_steps)
+    n_rows = chunk.size
+    row_warp = np.repeat(read_warp, n_steps)
+    load_start = np.repeat(rb, n_steps) + _LANES * chunk
+    n_act = np.minimum(_LANES, np.repeat(nk, n_steps) - _LANES * chunk)
+    warp_rows = np.bincount(row_warp, minlength=G)
+    row_step = _within(warp_rows)
+
+    # Coalesced window + ext-base + quality loads (Fig 7) and the row
+    # murmur hashes of every step of every warp.
+    wb._strict_span_check(batch.reads_buf, load_start, n_act + k, "load_span")
+    wb._strict_span_check(batch.quals_buf, load_start + k, n_act, "load_span")
+    hops = _hash_cost_ops(k)
+    win_inst = (n_act + k + _LANES - 1) // _LANES
+    acc = {name: np.zeros(G, dtype=np.int64) for name in _BUILD_COUNTERS}
+    acc["warp_inst"] += _fold(row_warp, win_inst + 1 + hops, G)
+    acc["thread_inst"] += _fold(row_warp, (2 + hops) * n_act + k, G)
+    acc["int_inst"] += hops * warp_rows
+    acc["global_ld_inst"] += _fold(row_warp, win_inst + 1, G)
+    acc["global_ld_transactions"] += _fold(
+        row_warp,
+        wb._span_sectors(batch.reads_buf, load_start, n_act + k)
+        + wb._span_sectors(batch.quals_buf, load_start + k, n_act),
+        G,
+    )
+
+    # -- pass 1 (resolve), in blocks of whole warps ---------------------------
+    warp_lanes = _fold(row_warp, n_act, G)
+    block_of_row = ((np.cumsum(warp_lanes) - warp_lanes) // _BLOCK_LANES)[row_warp]
+    row_cuts = np.searchsorted(block_of_row, np.arange(int(block_of_row[-1]) + 2))
+    n_before = np.zeros(batch.reads_buf.data.size + 1, dtype=np.int64)
+    np.cumsum(batch.reads_buf.data >= 4, out=n_before[1:])
+    # per valid lane, filled block by block (valid lanes <= lanes)
+    n_total = int(warp_lanes.sum())
+    lane_agent = np.empty(n_total, dtype=np.int64)
+    lane_ext = np.empty(n_total, dtype=np.uint8)
+    lane_hi = np.empty(n_total, dtype=bool)
+    row_valid = np.zeros(n_rows, dtype=np.int64)
+    found = []  # per block: agents' first lane, first row, hash, read pointer
+    blocks = []  # (row_lo, row_hi, lane_lo, lane_hi, agent_lo, agent_hi)
+    n_lanes = n_agents = 0
+    for r0, r1 in zip(row_cuts[:-1].tolist(), row_cuts[1:].tolist()):
+        res = _resolve_block(
+            batch, k, n_before, load_start[r0:r1], n_act[r0:r1], row_warp[r0:r1]
+        )
+        if res is None:
+            continue
+        agent, ext, hi, row_valid[r0:r1], first, first_row, a_hash, a_ptr = res
+        l1, a1 = n_lanes + agent.size, n_agents + first.size
+        lane_agent[n_lanes:l1] = agent + n_agents
+        lane_ext[n_lanes:l1] = ext
+        lane_hi[n_lanes:l1] = hi
+        found.append((first + n_lanes, first_row + r0, a_hash, a_ptr))
+        blocks.append((r0, r1, n_lanes, l1, n_agents, a1))
+        n_lanes, n_agents = l1, a1
+    del n_before
+    if blocks:
+        a_first, a_row, a_hash, a_ptr = (np.concatenate(p) for p in zip(*found))
+        a_warp = row_warp[a_row]
+        ag = _Agents(
+            first=a_first, base=ht_start[a_warp], slots=slots[a_warp],
+            home=a_hash % slots[a_warp], ptr=a_ptr, step=row_step[a_row],
+            dist=np.empty(n_agents, dtype=np.int64),
+            slot=np.empty(n_agents, dtype=np.int64),
+        )
+        ht = batch.ht_ptr.data
+        _place_agents(ht, ag)  # phase A
+        for r0, r1, l0, l1, a0, a1 in blocks:  # pass 2
+            _account_block(
+                wb, batch, k, acc, ag,
+                row_warp[r0:r1], row_step[r0:r1], row_valid[r0:r1],
+                l0, lane_agent[l0:l1], lane_ext[l0:l1], lane_hi[l0:l1], a0, a1,
+            )
+        ht[ag.slot] = ag.ptr
+    c = wb.counters
+    acc["predicated_off"] = acc["warp_inst"] * _LANES - acc["thread_inst"]
+    for name, total in acc.items():
+        getattr(c, name)[rows] += total
 
 
 def _walk_group(

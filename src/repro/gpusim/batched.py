@@ -87,10 +87,21 @@ _COUNTER_NAMES = tuple(
 #: the hot ops rebuild identical aranges thousands of times per sweep.
 _ARANGES: dict[int, np.ndarray] = {}
 
+#: widest arange worth caching.  The hot requests are fixed widths (k, 32,
+#: word counts); data-sized requests (a task's k-mer count, a launch's
+#: warps) would add one entry per distinct size for the life of the process.
+_ARANGE_CACHE_MAX = 4096
+
 
 def cached_arange(n: int) -> np.ndarray:
-    """``np.arange(n, dtype=int64)``, cached and **read-only** — callers
-    must never mutate the returned array."""
+    """``np.arange(n, dtype=int64)`` that callers must never mutate.
+
+    Widths up to ``_ARANGE_CACHE_MAX`` are cached and **read-only**; a
+    larger *n* gets a fresh array each call and is never retained, so the
+    cache cannot grow with the data.
+    """
+    if n > _ARANGE_CACHE_MAX:
+        return np.arange(n, dtype=np.int64)
     a = _ARANGES.get(n)
     if a is None:
         a = np.arange(n, dtype=np.int64)
@@ -109,22 +120,26 @@ def batched_impl(kernel_fn: Callable) -> Callable | None:
     return _BATCHED_IMPLS.get(kernel_fn)
 
 
+def _sorted_run_count(keys: np.ndarray, n_groups: int) -> np.ndarray:
+    """Distinct ``group * _KEY_BASE + value`` keys per group; sorts *keys*
+    in place (sort + run-heads + bincount — cheaper than ``np.unique``)."""
+    keys.sort()
+    return np.bincount(
+        (keys[run_heads(keys)] // _KEY_BASE).astype(np.intp, copy=False),
+        minlength=n_groups,
+    ).astype(np.int64, copy=False)
+
+
 def _per_group_unique(n_groups: int, groups: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Distinct *values* per group, vectorised over all groups at once.
 
     This is the batched form of the sequential path's per-warp
     ``len(set(...))`` sector dedup: one global sort over composite
-    ``group * base + value`` keys replaces a Python set per warp
-    (sort + run-heads + bincount — cheaper than ``np.unique``).
+    ``group * base + value`` keys replaces a Python set per warp.
     """
     if groups.size == 0:
         return np.zeros(n_groups, dtype=np.int64)
-    keys = groups.astype(np.int64) * _KEY_BASE + values
-    keys.sort()
-    head = run_heads(keys)
-    return np.bincount(
-        (keys[head] // _KEY_BASE).astype(np.intp, copy=False), minlength=n_groups
-    ).astype(np.int64, copy=False)
+    return _sorted_run_count(groups.astype(np.int64) * _KEY_BASE + values, n_groups)
 
 
 def _run_lengths(run_starts: np.ndarray, total: int) -> np.ndarray:
@@ -496,28 +511,34 @@ class WarpBatch:
                 darr, starts[mask].astype(np.int64), nbytes,
                 np.asarray(rows)[rloc], cloc, op="gather_span",
             )
-        addrs = darr.base_addr + starts[mask].astype(np.int64)
-        w = cached_arange(n_words)
-        word_addrs = addrs[:, None] + word_bytes * w[None, :]
-        word_len = np.minimum(word_bytes, nbytes - word_bytes * w)
-        first = word_addrs // self.sector_bytes
-        last = (word_addrs + word_len[None, :] - 1) // self.sector_bytes
-        # one group per (row, word) column, then fold columns back to rows;
-        # only sector-straddling words contribute a distinct second key
-        col = rloc[:, None] * n_words + w[None, :]
-        fkeys = col * _KEY_BASE + first
-        cross = (last != first).ravel()
-        lkeys = (col * _KEY_BASE + last).ravel()[cross]
-        keys = np.concatenate([fkeys.ravel(), lkeys])
-        keys.sort()
-        head = np.empty(keys.size, dtype=bool)
-        head[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        trans = np.bincount(
-            ((keys[head] // _KEY_BASE) // n_words).astype(np.intp),
-            minlength=len(rows),
+        self.counters.global_ld_transactions[rows] += self._word_transactions(
+            darr, starts[mask].astype(np.int64), rloc, len(rows), nbytes, word_bytes
         )
-        self.counters.global_ld_transactions[rows] += trans
+
+    def _word_transactions(
+        self, darr, starts, groups, n_groups: int, nbytes: int, word_bytes: int = 8
+    ) -> np.ndarray:
+        """Per-group sector count of key-stream gathers: entry *i* reads
+        ``nbytes`` from byte offset ``starts[i]`` in ``word_bytes`` words
+        on behalf of group ``groups[i]``.  Per word, a group's distinct
+        {first, last} sectors are counted separately (no dedup across
+        words) — the sequential per-column accounting."""
+        n_words = (nbytes + word_bytes - 1) // word_bytes
+        addrs = darr.base_addr + starts
+        gkeys = groups * _KEY_BASE
+        trans = np.zeros(n_groups, dtype=np.int64)
+        for w in range(n_words):
+            lo = addrs + word_bytes * w
+            first = lo // self.sector_bytes
+            lo += min(word_bytes, nbytes - word_bytes * w) - 1
+            lo //= self.sector_bytes  # last sector
+            # only sector-straddling words contribute a distinct second key
+            cross = lo != first
+            first += gkeys
+            trans += _sorted_run_count(
+                np.concatenate([first, lo[cross] + gkeys[cross]]), n_groups
+            )
+        return trans
 
     # -- single-lane (walk-mode) variants -----------------------------------------
     #

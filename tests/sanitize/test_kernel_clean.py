@@ -35,6 +35,11 @@ def workload():
     return TaskSet(tasks)
 
 
+#: accesses one sanitized v2 run of ``workload`` checks, on every engine
+#: (measured before the batched build was derived, PR 20)
+N_CHECKED = 911_183
+
+
 @pytest.fixture(scope="module")
 def cfg():
     return LocalAssemblyConfig(k_init=21, max_walk_len=150)
@@ -59,8 +64,20 @@ def test_v2_sanitizer_clean_on_engine(workload, cfg, baseline, engine, workers):
     assert san is not None
     assert san.mode == "full"
     assert san.clean, san.summary()
-    assert san.n_checked > 0
+    # every engine shows the sanitizer the same accesses
+    assert san.n_checked == N_CHECKED
     # enabling the checkers must not perturb the assembly
+    assert report.extensions == baseline.extensions
+
+
+@pytest.mark.parametrize("mode", ["memcheck", "racecheck", "initcheck"])
+def test_batched_sanitized_coverage_is_pinned(workload, cfg, baseline, mode):
+    """Unsanitized batched launches derive the table build instead of
+    stepping it; a sanitized one must still step — and show — every
+    access, under each checker family."""
+    report = GpuLocalAssembler(config=cfg, engine="batched", sanitize=mode).run(workload)
+    assert report.sanitizer.clean, report.sanitizer.summary()
+    assert report.sanitizer.n_checked == N_CHECKED
     assert report.extensions == baseline.extensions
 
 
