@@ -1,33 +1,21 @@
-"""Measured alignment-stage vectorisation: batched speedup + ranked scaling.
+"""Measured alignment-stage strong scaling over real process ranks.
 
-Two benches, both gated on bit-identity before any number is reported:
+``bench_aln_ranked_scaling`` forks real process ranks
+(:func:`repro.distributed.procrank.ranked_align`) at 1/2/4 ranks, gated
+on bit-identity with the single-process aligner before any number is
+reported.  As with the k-mer exchange bench, the honest scaling metric on
+a time-sliced host is the critical-path CPU (max per-rank
+``process_time``); the wall-clock gate only arms when >=4 cores exist.
+Exchange volume (owner-grouped alignment rows) is recorded per rank
+count.
 
-* ``bench_aln_batched_vs_scalar`` times the retained per-read reference
-  (:func:`repro.pipeline.alignment.align_reads_scalar`) against the
-  batched rewrite (:func:`~repro.pipeline.alignment.align_reads`) in the
-  **same run** at ``read_seed_stride=1`` — the dense regime the ISSUE's
-  >=5x gate targets; at the default stride 8 both paths share the
-  materialisation floor and the ratio compresses to ~3.5-4x, which is
-  recorded alongside for honesty.  Each repeat times scalar and batched
-  back-to-back so both see the same machine load; the gate is the
-  **median of the per-repeat paired ratios**, which is robust to load
-  drifting between repeats (best-of on each side independently is not:
-  a lucky scalar repeat paired with an unlucky batched one fakes a
-  slowdown that no single moment of the machine ever exhibited).  The
-  per-phase :data:`repro.perf.ALN_PHASES` breakdown of the batched pass
-  rides along.
+(The batched-vs-scalar race that used to live here is retired: identity
+is tier-1's ``test_batched_aligner_smoke`` against
+``tests/pipeline/reference.py``, timing is
+``pipeline.alignment.align_core.cpu_s`` in the end-to-end trace.)
 
-* ``bench_aln_ranked_scaling`` forks real process ranks
-  (:func:`repro.distributed.procrank.ranked_align`) at 1/2/4 ranks.  As
-  with the k-mer exchange bench, the honest scaling metric on a
-  time-sliced host is the critical-path CPU (max per-rank
-  ``process_time``); the wall-clock gate only arms when >=4 cores exist.
-  Exchange volume (owner-grouped alignment rows) is recorded per rank
-  count.
-
-Both write their tables to ``results/*.txt`` and their machine-readable
-curves into ``results/BENCH_aln.json`` (read-modify-write, so each bench
-can run alone).
+Writes its table to ``results/aln_ranked_scaling.txt`` and its
+machine-readable curve into ``results/BENCH_aln.json``.
 """
 
 import json
@@ -39,32 +27,14 @@ from conftest import RESULTS_DIR, record
 
 from repro.analysis.reporting import format_table
 from repro.distributed.procrank import procrank_available, ranked_align
-from repro.perf import ALN_PHASES, HostProfiler
-from repro.pipeline.alignment import (
-    PackedSeedIndex,
-    align_core,
-    align_reads,
-    align_reads_scalar,
-)
+from repro.pipeline.alignment import align_reads
 
 MEASURED_RANKS = (1, 2, 4)
-#: best-of-N on both sides of every ratio: single-core scheduling noise
-#: (frequency states, fork order) otherwise dominates.
+#: best-of-N per rank count: single-core scheduling noise (frequency
+#: states, fork order) otherwise dominates.
 REPEATS = 5
-#: the ISSUE's gate: batched must beat scalar by >=5x at stride 1.
-MIN_SPEEDUP_STRIDE1 = 5.0
 
 _JSON_PATH = RESULTS_DIR / "BENCH_aln.json"
-
-
-def _merge_json(section: str, payload: dict) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    doc = {}
-    if _JSON_PATH.exists():
-        doc = json.loads(_JSON_PATH.read_text())
-    doc["workload"] = "arcticsynth-like, 4 genomes x 15 kb, 5000 pairs"
-    doc[section] = payload
-    _JSON_PATH.write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def _same_alignment(a, b) -> None:
@@ -72,92 +42,6 @@ def _same_alignment(a, b) -> None:
     assert a.n_reads_aligned == b.n_reads_aligned
     assert a.alignments == b.alignments
     assert set(a.candidates) == set(b.candidates)
-
-
-def bench_aln_batched_vs_scalar(benchmark, workload):
-    """Same-run scalar-vs-batched aligner race at strides 1 and 8."""
-    contigs = workload["contigs"]
-    reads = workload["reads"]
-
-    def race():
-        out = {}
-        align_reads(contigs, reads)  # warm caches/allocators untimed
-        for stride in (1, 8):
-            kw = {"read_seed_stride": stride}
-            # paired repeats: scalar then batched back-to-back, so each
-            # ratio compares the two paths under the same load
-            ratios, t_scalar, t_batched = [], [], []
-            ref = got = None
-            for _ in range(REPEATS):
-                t0 = time.perf_counter()
-                ref = align_reads_scalar(contigs, reads, **kw)
-                ts = time.perf_counter() - t0
-                t0 = time.perf_counter()
-                got = align_reads(contigs, reads, **kw)
-                tb = time.perf_counter() - t0
-                t_scalar.append(ts)
-                t_batched.append(tb)
-                ratios.append(ts / tb)
-            out[stride] = (
-                float(np.median(ratios)), min(t_scalar), min(t_batched),
-                ref, got,
-            )
-        return out
-
-    runs = benchmark.pedantic(race, rounds=1, iterations=1)
-
-    # bit-identity first, numbers second
-    for stride, (_, _, _, ref, got) in runs.items():
-        _same_alignment(ref, got)
-
-    # per-phase breakdown of one batched stride-1 pass
-    prof = HostProfiler()
-    index = PackedSeedIndex(contigs, seed_len=17)
-    align_core(index, reads, read_seed_stride=1, profile=prof)
-    phase_s = {p: prof.phase_total_s(p) for p in ALN_PHASES}
-
-    table_rows, json_strides = [], []
-    for stride in (1, 8):
-        ratio, t_s, t_b, ref, _ = runs[stride]
-        table_rows.append(
-            (stride, f"{t_s:.3f}", f"{t_b:.3f}", f"{ratio:.2f}x",
-             ref.n_seed_hits, len(ref.alignments))
-        )
-        json_strides.append({
-            "read_seed_stride": stride,
-            "scalar_best_s": t_s,
-            "batched_best_s": t_b,
-            "speedup_paired_median": ratio,
-            "speedup_best_over_best": t_s / t_b,
-            "n_seed_hits": ref.n_seed_hits,
-            "n_alignments": len(ref.alignments),
-        })
-    text = format_table(
-        ["stride", "scalar (s)", "batched (s)", "speedup",
-         "seed hits", "alignments"],
-        table_rows,
-        f"batched vs scalar aligner (times are best of {REPEATS}, speedup "
-        f"is the median of {REPEATS} paired back-to-back ratios, same "
-        "run; phase split @stride1: "
-        + ", ".join(f"{p.removeprefix('aln_')} {s * 1e3:.0f}ms"
-                    for p, s in phase_s.items()),
-    )
-    record("aln_stage", text)
-
-    speedup_1 = runs[1][0]
-    _merge_json("batched", {
-        "repeats": REPEATS,
-        "bit_identical": True,
-        "strides": json_strides,
-        "phase_seconds_stride1": phase_s,
-        "speedup_at_stride1": speedup_1,
-        "gate_min_speedup": MIN_SPEEDUP_STRIDE1,
-    })
-
-    assert speedup_1 >= MIN_SPEEDUP_STRIDE1, (
-        f"batched aligner is only {speedup_1:.2f}x over scalar at stride 1 "
-        f"(gate: {MIN_SPEEDUP_STRIDE1}x)"
-    )
 
 
 def bench_aln_ranked_scaling(benchmark, workload):
@@ -232,14 +116,19 @@ def bench_aln_ranked_scaling(benchmark, workload):
     )
     record("aln_ranked_scaling", text)
 
-    _merge_json("ranked", {
+    ranked = {
         "cpu_cores": cpu_cores,
         "repeats": REPEATS,
         "bit_identical": True,
         "ranks": json_rows,
         "cpu_critical_speedup_at_4_ranks": base_cpu / rows[2][3].cpu_critical_s,
         "wall_speedup_at_4_ranks": base_wall / rows[2][4],
-    })
+    }
+    doc = {
+        "workload": "arcticsynth-like, 4 genomes x 15 kb, 5000 pairs",
+        "ranked": ranked,
+    }
+    _JSON_PATH.write_text(json.dumps(doc, indent=2) + "\n")
 
     # exchange accounting: a single rank keeps everything local; volume
     # rises with rank count as (R-1)/R of the rows go off-rank.

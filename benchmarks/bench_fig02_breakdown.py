@@ -53,7 +53,7 @@ def bench_fig02_measured_laptop_profile(benchmark, workload):
     Absolute seconds are Python-scale; the check is the *shape*: local
     assembly is one of the dominant stages, as the paper motivates.
     """
-    from repro.pipeline import PipelineConfig, run_pipeline
+    from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 
     result = benchmark.pedantic(
         lambda: run_pipeline(

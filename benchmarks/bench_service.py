@@ -30,7 +30,7 @@ import numpy as np
 from conftest import RESULTS_DIR, record
 
 from repro.analysis.reporting import format_table
-from repro.pipeline import PipelineConfig, run_pipeline
+from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 from repro.sequence.community import arcticsynth_like, sample_paired_reads
 from repro.sequence.fastq import load_read_batch, read_fasta, save_read_batch
 from repro.service import AssemblyService, JobState, ServiceConfig

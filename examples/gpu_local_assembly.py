@@ -14,14 +14,15 @@ import time
 
 import numpy as np
 
-from repro.core import (
-    GpuLocalAssembler,
-    LocalAssemblyConfig,
-    bin_contigs,
-    run_local_assembly_cpu,
-    tasks_from_candidates,
-)
-from repro.pipeline import align_reads, analyze_kmers, generate_contigs, merge_read_pairs
+from repro.core.binning import bin_contigs
+from repro.core.config import LocalAssemblyConfig
+from repro.core.cpu_local_assembly import run_local_assembly_cpu
+from repro.core.driver import GpuLocalAssembler
+from repro.core.tasks import tasks_from_candidates
+from repro.pipeline.alignment import align_reads
+from repro.pipeline.contig_generation import generate_contigs
+from repro.pipeline.kmer_analysis import analyze_kmers
+from repro.pipeline.merge_reads import merge_read_pairs
 from repro.sequence import arcticsynth_like, sample_paired_reads
 
 

@@ -13,11 +13,12 @@ import sys
 
 import numpy as np
 
-from repro.analysis import assembly_stats, genome_fraction
-from repro.distributed import CommCostModel, distributed_count_proc, partition_reads
-from repro.distributed.procrank import pack_for_exchange
-from repro.distributed.rank import RECORD_BYTES, exchange_stats
-from repro.pipeline import PipelineConfig, count_kmers, run_pipeline
+from repro.analysis.stats import assembly_stats, genome_fraction
+from repro.distributed.comm import CommCostModel
+from repro.distributed.procrank import distributed_count_proc, pack_for_exchange
+from repro.distributed.rank import RECORD_BYTES, exchange_stats, partition_reads
+from repro.pipeline.kmer_counts import count_kmers
+from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 from repro.sequence import sample_paired_reads, wa_like
 
 
@@ -34,7 +35,7 @@ def main(seed: int = 3) -> None:
     # Cap candidate reads per contig end so the *simulated* GPU (which pays
     # Python overhead per warp step) stays interactive; real GPUs use the
     # paper's cap of 3000.
-    from repro.core import LocalAssemblyConfig
+    from repro.core.config import LocalAssemblyConfig
 
     config = PipelineConfig(
         local_assembly_mode="gpu",
@@ -57,7 +58,7 @@ def main(seed: int = 3) -> None:
           f"({cov[gi]:.2f}x): {100 * frac:.1f}% recovered")
 
     print("\nReference validation (chimera check):")
-    from repro.analysis import evaluate_against_references
+    from repro.analysis.validation import evaluate_against_references
 
     ref_report = evaluate_against_references(
         result.contigs, [g.seq for g in community.genomes]

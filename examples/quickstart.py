@@ -12,8 +12,8 @@ import sys
 
 import numpy as np
 
-from repro.analysis import assembly_stats, genome_fraction
-from repro.pipeline import PipelineConfig, run_pipeline
+from repro.analysis.stats import assembly_stats, genome_fraction
+from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 from repro.sequence import arcticsynth_like, sample_paired_reads
 
 

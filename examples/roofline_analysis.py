@@ -11,11 +11,17 @@ import sys
 
 import numpy as np
 
-from repro.core import GpuLocalAssembler, LocalAssemblyConfig, tasks_from_candidates
-from repro.core.tasks import ExtensionTask, TaskSet
-from repro.gpusim import V100, LaunchResult, TimingModel, render_roofline, roofline_point
-from repro.gpusim.timing import KernelTiming
-from repro.pipeline import align_reads, analyze_kmers, generate_contigs, merge_read_pairs
+from repro.core.config import LocalAssemblyConfig
+from repro.core.driver import GpuLocalAssembler
+from repro.core.tasks import ExtensionTask, TaskSet, tasks_from_candidates
+from repro.gpusim.device import V100
+from repro.gpusim.kernel import LaunchResult
+from repro.gpusim.roofline import render_roofline, roofline_point
+from repro.gpusim.timing import KernelTiming, TimingModel
+from repro.pipeline.alignment import align_reads
+from repro.pipeline.contig_generation import generate_contigs
+from repro.pipeline.kmer_analysis import analyze_kmers
+from repro.pipeline.merge_reads import merge_read_pairs
 from repro.sequence import arcticsynth_like, sample_paired_reads
 
 

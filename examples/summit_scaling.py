@@ -7,15 +7,13 @@ the stage-share pies for the WA and arcticsynth profiles.  See DESIGN.md
 Run:  python examples/summit_scaling.py
 """
 
-from repro.analysis import format_fractions, format_table
-from repro.distributed import (
-    ARCTICSYNTH_PROFILE,
+from repro.analysis.reporting import format_fractions, format_table
+from repro.distributed.strong_scaling import (
     PAPER_NODES,
-    SummitScaleModel,
-    WA_PROFILE,
     la_scaling_table,
     pipeline_scaling_table,
 )
+from repro.distributed.summit import ARCTICSYNTH_PROFILE, SummitScaleModel, WA_PROFILE
 
 
 def main() -> None:

@@ -2,7 +2,6 @@
 
 from repro.analysis.reporting import format_fractions, format_table, paper_vs_measured
 from repro.analysis.stats import AssemblyStats, assembly_stats, genome_fraction, nx
-from repro.analysis.workload import WorkloadProfile, profile_tasks
 from repro.analysis.validation import (
     ContigEvaluation,
     ReferenceReport,
@@ -20,6 +19,4 @@ __all__ = [
     "ContigEvaluation",
     "ReferenceReport",
     "evaluate_against_references",
-    "WorkloadProfile",
-    "profile_tasks",
 ]

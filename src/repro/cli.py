@@ -76,8 +76,7 @@ def _tenant_budget(text: str) -> tuple[str, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.gpusim import ENGINE_MODES, OVERLAP_MODES
-    from repro.sanitize import SANITIZE_MODES
+    from repro.core.config import ENGINE_MODES, OVERLAP_MODES, SANITIZE_MODES
     from repro.service.service import WORKER_MODES
 
     parser = argparse.ArgumentParser(
@@ -307,7 +306,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
     from repro.core.config import LocalAssemblyConfig
-    from repro.pipeline import PipelineConfig, StageTimes, run_pipeline
+    from repro.pipeline.pipeline import PipelineConfig, run_pipeline
+    from repro.pipeline.stages import StageTimes
     from repro.sequence.fastq import load_read_batch, write_fasta
 
     times = StageTimes()
@@ -380,7 +380,7 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.analysis import assembly_stats
+    from repro.analysis.stats import assembly_stats
     from repro.sequence.fastq import read_fasta
 
     for path in args.fastas:
@@ -390,14 +390,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_scale(args: argparse.Namespace) -> int:
-    from repro.analysis import format_fractions, format_table
-    from repro.distributed import (
-        ARCTICSYNTH_PROFILE,
+    from repro.analysis.reporting import format_fractions, format_table
+    from repro.distributed.strong_scaling import (
         PAPER_NODES,
-        WA_PROFILE,
-        SummitScaleModel,
         la_scaling_table,
         pipeline_scaling_table,
+    )
+    from repro.distributed.summit import (
+        ARCTICSYNTH_PROFILE,
+        WA_PROFILE,
+        SummitScaleModel,
     )
 
     profile = WA_PROFILE if args.dataset == "wa" else ARCTICSYNTH_PROFILE
@@ -429,7 +431,10 @@ def _cmd_scale(args: argparse.Namespace) -> int:
 def _cmd_dump_localassm(args: argparse.Namespace) -> int:
     from repro.core.dump import save_tasks
     from repro.core.tasks import tasks_from_candidates
-    from repro.pipeline import align_reads, analyze_kmers, generate_contigs, merge_read_pairs
+    from repro.pipeline.alignment import align_reads
+    from repro.pipeline.contig_generation import generate_contigs
+    from repro.pipeline.kmer_analysis import analyze_kmers
+    from repro.pipeline.merge_reads import merge_read_pairs
     from repro.sequence.fastq import load_read_batch
 
     reads = load_read_batch(args.reads, paired=True)
@@ -517,7 +522,7 @@ def _service_config_from_args(args: argparse.Namespace):
 
 
 def _format_jobs_table(jobs) -> str:
-    from repro.analysis import format_table
+    from repro.analysis.reporting import format_table
 
     rows = []
     for j in jobs:
@@ -627,12 +632,8 @@ def _cmd_cancel(args: argparse.Namespace) -> int:
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     import repro
-    from repro.sanitize import (
-        collect_py_files,
-        conlint_files,
-        findings_report,
-        lint_files,
-    )
+    from repro.sanitize.concheck import conlint_files
+    from repro.sanitize.lint import collect_py_files, findings_report, lint_files
 
     paths = list(args.paths)
     pkg = Path(repro.__file__).parent

@@ -3,7 +3,9 @@
 Public entry points:
 
 * :func:`repro.core.local_assembler.extend_contigs` — pipeline-facing API;
-* :class:`repro.core.driver.GpuLocalAssembler` — the GPU driver (§4.3);
+* :class:`repro.core.driver.GpuLocalAssembler` — the GPU driver (§4.3),
+  imported from its own module: it pulls in the whole simulator, which a
+  CPU run never loads;
 * :func:`repro.core.cpu_local_assembly.run_local_assembly_cpu` — baseline;
 * :func:`repro.core.binning.bin_contigs` — §3.1 contig binning;
 * :mod:`repro.core.ht_sizing` — §3.2 memory math.
@@ -16,7 +18,6 @@ from repro.core.cpu_local_assembly import (
     TaskResult,
     run_local_assembly_cpu,
 )
-from repro.core.driver import GpuLocalAssembler, GpuLocalAssemblyReport
 from repro.core.extension import (
     ExtCounts,
     KShiftState,
@@ -35,11 +36,6 @@ from repro.core.ht_sizing import (
 )
 from repro.core.dump import load_tasks, save_tasks
 from repro.core.local_assembler import LocalAssemblyReport, extend_contigs, extend_tasks
-from repro.core.multi_gpu import (
-    NodeLocalAssembler,
-    NodeLocalAssemblyReport,
-    partition_tasks_by_work,
-)
 from repro.core.tasks import (
     LEFT,
     RIGHT,
@@ -57,8 +53,6 @@ __all__ = [
     "CpuAssemblyStats",
     "TaskResult",
     "run_local_assembly_cpu",
-    "GpuLocalAssembler",
-    "GpuLocalAssemblyReport",
     "ExtCounts",
     "KShiftState",
     "WalkStatus",
@@ -76,9 +70,6 @@ __all__ = [
     "extend_tasks",
     "load_tasks",
     "save_tasks",
-    "NodeLocalAssembler",
-    "NodeLocalAssemblyReport",
-    "partition_tasks_by_work",
     "LEFT",
     "RIGHT",
     "ExtensionTask",

@@ -1,4 +1,5 @@
-"""Configuration for the local-assembly module (CPU and GPU paths share it).
+"""Configuration for the local-assembly module (CPU and GPU paths share it),
+and the one definition of every mode string a run can be configured with.
 
 The defaults mirror the constants the paper states or implies:
 
@@ -13,7 +14,37 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["LocalAssemblyConfig"]
+__all__ = [
+    "LocalAssemblyConfig",
+    "ENGINE_MODES",
+    "OVERLAP_MODES",
+    "SANITIZE_MODES",
+    "RANK_SANITIZE_MODES",
+]
+
+# The mode tuples live here, below every layer that validates against
+# them, so checking a config (input arrives from job.json and the CLI)
+# imports neither the simulator nor the sanitizers.
+
+#: valid ``GpuContext(engine=...)`` values.  ``"auto"`` resolves to
+#: ``"batched"`` — the SoA engine is 7-22x faster than the sequential
+#: interpreter on every measured workload (BENCH_engine.json), while the
+#: process pool loses to IPC overhead on small boxes, so the pool runs
+#: only on explicit request.  Kernels without a batched implementation
+#: (e.g. v1) fall back to sequential interpretation per launch.
+ENGINE_MODES = ("auto", "sequential", "pool", "batched")
+
+#: valid ``GpuContext(overlap=...)`` values: ``"on"`` lets ops on
+#: different streams overlap on the modelled timeline, ``"off"``
+#: serialises every op (the classic synchronous driver).
+OVERLAP_MODES = ("off", "on")
+
+#: valid ``sanitize=`` values of the simulated GPU.  ``"full"`` enables
+#: all three checkers.
+SANITIZE_MODES = ("off", "memcheck", "racecheck", "initcheck", "full")
+
+#: valid ``sanitize=`` values of the distributed layer.
+RANK_SANITIZE_MODES = ("off", "rankcheck")
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.binning import ContigBins, bin_contigs
-from repro.core.config import LocalAssemblyConfig
+from repro.core.config import (
+    ENGINE_MODES,
+    OVERLAP_MODES,
+    SANITIZE_MODES,
+    LocalAssemblyConfig,
+)
 from repro.core.extension_kernel import (
     extension_task_kernel_v1,
     extension_task_kernel_v2,
@@ -76,12 +81,7 @@ from repro.core.tasks import TaskSet
 from repro.gpusim.batched import batched_impl
 from repro.gpusim.counters import KernelCounters
 from repro.gpusim.device import V100, DeviceSpec
-from repro.gpusim.kernel import (
-    ENGINE_MODES,
-    OVERLAP_MODES,
-    GpuContext,
-    LaunchResult,
-)
+from repro.gpusim.kernel import GpuContext, LaunchResult
 from repro.perf import HostProfiler
 from repro.sequence.dna import decode
 
@@ -265,8 +265,6 @@ class GpuLocalAssembler:
             raise ValueError("batch_cap must be >= 1 (or None)")
         if mem_budget is not None and mem_budget < 1:
             raise ValueError("mem_budget must be >= 1 (or None)")
-        from repro.sanitize import SANITIZE_MODES
-
         if sanitize not in SANITIZE_MODES:
             raise ValueError(f"sanitize must be one of {SANITIZE_MODES}")
         self.config = config or LocalAssemblyConfig()

@@ -9,17 +9,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.config import LocalAssemblyConfig
 from repro.core.cpu_local_assembly import CpuAssemblyStats, run_local_assembly_cpu
-from repro.core.driver import GpuLocalAssembler, GpuLocalAssemblyReport
-from typing import TYPE_CHECKING
-
 from repro.core.tasks import TaskSet, apply_extensions, tasks_from_candidates
-from repro.gpusim.device import V100, DeviceSpec
 
-if TYPE_CHECKING:  # avoid a circular import: pipeline.pipeline imports us
+if TYPE_CHECKING:
+    # the GPU driver and the simulator load in the ``mode == "gpu"``
+    # branch only — a CPU run never imports them
+    from repro.core.driver import GpuLocalAssemblyReport
+    from repro.gpusim.device import DeviceSpec
+
+    # avoid a circular import: pipeline.pipeline imports us
     from repro.pipeline.contigs import ContigSet
 
 __all__ = ["LocalAssemblyReport", "extend_contigs", "extend_tasks"]
@@ -42,7 +44,7 @@ def extend_tasks(
     tasks: TaskSet,
     config: LocalAssemblyConfig | None = None,
     mode: str = "cpu",
-    device: DeviceSpec = V100,
+    device: DeviceSpec | None = None,
     kernel_version: str = "v2",
     workers: int = 1,
     engine: str = "auto",
@@ -57,7 +59,8 @@ def extend_tasks(
     """Run local assembly over a prepared task set.
 
     Returns ``({(cid, side): extension}, report)``.  GPU and CPU modes
-    produce identical extensions by construction.
+    produce identical extensions by construction.  *device* (GPU mode
+    only) defaults to the V100.
     """
     config = config or LocalAssemblyConfig()
     t0 = time.perf_counter()
@@ -74,9 +77,12 @@ def extend_tasks(
         )
         return extensions, report
     if mode == "gpu":
+        from repro.core.driver import GpuLocalAssembler
+        from repro.gpusim.device import V100
+
         assembler = GpuLocalAssembler(
             config=config,
-            device=device,
+            device=device if device is not None else V100,
             kernel_version=kernel_version,
             workers=workers,
             engine=engine,
@@ -107,7 +113,7 @@ def extend_contigs(
     candidates: Mapping[int, object] | Iterable,
     config: LocalAssemblyConfig | None = None,
     mode: str = "cpu",
-    device: DeviceSpec = V100,
+    device: DeviceSpec | None = None,
     kernel_version: str = "v2",
     workers: int = 1,
     engine: str = "auto",

@@ -1,4 +1,9 @@
-"""Simulated multi-node execution and Summit-scale models (see DESIGN.md §2)."""
+"""Real process ranks over the read-proportional stages (see DESIGN.md §2).
+
+The Summit-scale analytic models (:mod:`repro.distributed.summit`,
+:mod:`repro.distributed.strong_scaling`) are imported from their own
+modules — a ranked run never evaluates them.
+"""
 
 from repro.distributed.comm import CommCostModel
 from repro.distributed.procrank import (
@@ -13,21 +18,6 @@ from repro.distributed.rank import (
     merge_spectra,
     partition_reads,
 )
-from repro.distributed.strong_scaling import (
-    PAPER_NODES,
-    ScalingRow,
-    la_scaling_table,
-    pipeline_scaling_table,
-)
-from repro.distributed.summit import (
-    ARCTICSYNTH_PROFILE,
-    WA_PROFILE,
-    DatasetProfile,
-    GpuLocalAssemblyScaleModel,
-    StageScaling,
-    SummitNodeSpec,
-    SummitScaleModel,
-)
 
 __all__ = [
     "CommCostModel",
@@ -39,15 +29,4 @@ __all__ = [
     "ranked_extend_tasks",
     "merge_spectra",
     "partition_reads",
-    "PAPER_NODES",
-    "ScalingRow",
-    "la_scaling_table",
-    "pipeline_scaling_table",
-    "ARCTICSYNTH_PROFILE",
-    "WA_PROFILE",
-    "DatasetProfile",
-    "GpuLocalAssemblyScaleModel",
-    "StageScaling",
-    "SummitNodeSpec",
-    "SummitScaleModel",
 ]

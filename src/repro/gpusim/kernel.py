@@ -22,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.config import ENGINE_MODES, OVERLAP_MODES, SANITIZE_MODES
 from repro.gpusim.batched import batched_impl, set_active_sanitizer
 from repro.gpusim.counters import KernelCounters
 from repro.gpusim.device import DeviceSpec, V100
@@ -30,22 +31,9 @@ from repro.gpusim.streams import Event, Stream, StreamTimeline
 from repro.gpusim.timing import KernelTiming, TimingModel
 from repro.gpusim.warp import Warp
 
-__all__ = ["LaunchResult", "GpuContext", "ENGINE_MODES", "OVERLAP_MODES"]
+__all__ = ["LaunchResult", "GpuContext"]
 
 KernelFn = Callable[..., None]
-
-#: valid ``GpuContext(engine=...)`` values.  ``"auto"`` resolves to
-#: ``"batched"`` — the SoA engine is 7-22x faster than the sequential
-#: interpreter on every measured workload (BENCH_engine.json), while the
-#: process pool loses to IPC overhead on small boxes, so the pool runs
-#: only on explicit request.  Kernels without a batched implementation
-#: (e.g. v1) fall back to sequential interpretation per launch.
-ENGINE_MODES = ("auto", "sequential", "pool", "batched")
-
-#: valid ``GpuContext(overlap=...)`` values: ``"on"`` lets ops on
-#: different streams overlap on the modelled timeline, ``"off"``
-#: serialises every op (the classic synchronous driver).
-OVERLAP_MODES = ("off", "on")
 
 
 @dataclass(frozen=True)
@@ -149,7 +137,7 @@ class GpuContext:
         if self.timeline is None:
             self.timeline = StreamTimeline(serialize=self.overlap != "on")
         if self.sanitize != "off":
-            from repro.sanitize import SANITIZE_MODES, Sanitizer
+            from repro.sanitize.sanitizer import Sanitizer
 
             if self.sanitize not in SANITIZE_MODES:
                 raise ValueError(

@@ -1,13 +1,9 @@
-"""Hashing substrate: MurmurHash2 and open-addressing tables."""
+"""Hashing substrate: MurmurHash2 (the kernels' table hash)."""
 
 from repro.hashing.murmur import murmurhash2_32, murmurhash2_rows, murmurhash64a
-from repro.hashing.linear_probe import EMPTY_KEY, LinearProbeTable, probe_distance_stats
 
 __all__ = [
     "murmurhash2_32",
     "murmurhash2_rows",
     "murmurhash64a",
-    "LinearProbeTable",
-    "EMPTY_KEY",
-    "probe_distance_stats",
 ]

@@ -1,14 +1,16 @@
-"""The MetaHipMer2-style assembly pipeline (Fig 1 of the paper)."""
+"""The MetaHipMer2-style assembly pipeline (Fig 1 of the paper).
 
-from repro.pipeline.aln_kernel import AlnScore, smith_waterman_banded, ungapped_align
-from repro.pipeline.aln_kernel_gpu import gpu_align_batch
+Re-exports what a default run executes.  The checkpoint store
+(:mod:`repro.pipeline.checkpoint`) is imported from its own module: a run
+loads it only when ``checkpoint_dir`` is set.
+"""
+
 from repro.pipeline.insert_size import InsertSizeEstimate, estimate_insert_size
 from repro.pipeline.alignment import (
     AlignmentResult,
     CandidateReads,
     ContigCandidates,
     ReadAlignment,
-    SeedIndex,
     align_reads,
 )
 from repro.pipeline.contig_generation import generate_contigs
@@ -27,25 +29,15 @@ from repro.pipeline.scaffolding import (
     ScaffoldingResult,
     build_scaffolds,
 )
-from repro.pipeline.checkpoint import (
-    checkpoint_key,
-    load_contigs_checkpoint,
-    save_contigs_checkpoint,
-)
 from repro.pipeline.stages import STAGES, StageTimes
 
 __all__ = [
-    "AlnScore",
-    "gpu_align_batch",
     "InsertSizeEstimate",
     "estimate_insert_size",
-    "smith_waterman_banded",
-    "ungapped_align",
     "AlignmentResult",
     "CandidateReads",
     "ContigCandidates",
     "ReadAlignment",
-    "SeedIndex",
     "align_reads",
     "generate_contigs",
     "Contig",
@@ -67,7 +59,4 @@ __all__ = [
     "build_scaffolds",
     "STAGES",
     "StageTimes",
-    "checkpoint_key",
-    "load_contigs_checkpoint",
-    "save_contigs_checkpoint",
 ]

@@ -28,26 +28,24 @@ Method (seed-and-extend, as in MHM2's klign) — fully batched:
 Each end keeps at most ``max_reads_per_end`` candidates — the paper's
 empirical cap of 3000 (§3.1).
 
-The pre-batch scalar implementation is retained as
-:func:`align_reads_scalar` (with its :class:`SeedIndex`): it is the
-reference the batched path must match **bit for bit** — same alignments,
-same ``n_seed_hits``, same candidate reads in the same order — so that
-downstream local assembly is unaffected by the rewrite.  The property
-suite in ``tests/pipeline/test_alignment_batched.py`` enforces this.
+The per-read scalar aligner this replaced (``align_reads_scalar`` with its
+dict ``SeedIndex``) lives in ``tests/pipeline/reference.py``: the batched
+path must match it **bit for bit** — same alignments, same
+``n_seed_hits``, same candidate reads in the same order — which the
+property suite in ``tests/pipeline/test_alignment_batched.py`` enforces.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.perf import HostProfiler
-from repro.pipeline.aln_kernel import AlnScore, ungapped_align, ungapped_align_batch
+from repro.pipeline.aln_kernel import ungapped_align_batch
 from repro.pipeline.contigs import ContigSet
 from repro.sequence.dna import encode, revcomp_codes
-from repro.sequence.kmer import pack_kmers, rows_as_keys, valid_kmer_mask, words_per_kmer
+from repro.sequence.kmer import pack_kmers, rows_as_keys, words_per_kmer
 from repro.sequence.read import ReadBatch
 
 __all__ = [
@@ -55,11 +53,9 @@ __all__ = [
     "CandidateReads",
     "ContigCandidates",
     "AlignmentResult",
-    "SeedIndex",
     "PackedSeedIndex",
     "AlnRows",
     "align_reads",
-    "align_reads_scalar",
     "align_core",
     "materialise_alignment",
     "recruit_flags",
@@ -136,38 +132,6 @@ class AlignmentResult:
             if cur is None or a.matches > cur.matches:
                 best[a.read_idx] = a
         return best
-
-
-class SeedIndex:
-    """Exact-position index of all seed-length k-mers of a contig set.
-
-    The original bytes-dict form, retained for the scalar reference path
-    (:func:`align_reads_scalar`); the batched aligner uses
-    :class:`PackedSeedIndex`.
-    """
-
-    def __init__(self, contigs: ContigSet, seed_len: int = 17, stride: int = 1) -> None:
-        if seed_len < 8:
-            raise ValueError("seed_len must be >= 8")
-        self.seed_len = seed_len
-        self.stride = stride
-        self._index: dict[bytes, list[tuple[int, int]]] = defaultdict(list)
-        self.contig_codes: dict[int, np.ndarray] = {}
-        for c in contigs:
-            codes = encode(c.seq)
-            self.contig_codes[c.cid] = codes
-            valid = valid_kmer_mask(codes, seed_len)
-            for pos in range(0, codes.size - seed_len + 1, stride):
-                if not valid[pos]:
-                    continue
-                window = codes[pos : pos + seed_len]
-                self._index[window.tobytes()].append((c.cid, pos))
-
-    def hits(self, seed: np.ndarray) -> list[tuple[int, int]]:
-        return self._index.get(seed.tobytes(), [])
-
-    def __len__(self) -> int:
-        return len(self._index)
 
 
 #: Bits of the seed key used for the direct-address bucket table.
@@ -394,102 +358,6 @@ class PackedSeedIndex:
 
     def __len__(self) -> int:
         return int(self.slot.size)
-
-
-def _recruit(
-    cand: ContigCandidates,
-    aln: AlnScore,
-    contig_len: int,
-    oriented_seq: np.ndarray,
-    oriented_qual: np.ndarray,
-    max_reads_per_end: int,
-) -> None:
-    """File an aligned read under the contig end(s) it hangs off."""
-    projected_start = aln.offset
-    projected_end = aln.offset + oriented_seq.size
-    if projected_start < 0 and len(cand.left) < max_reads_per_end:
-        # Left-end candidate: flip so extension walks rightward on rc(contig).
-        cand.left.add(revcomp_codes(oriented_seq), oriented_qual[::-1].copy())
-    if projected_end > contig_len and len(cand.right) < max_reads_per_end:
-        cand.right.add(oriented_seq, oriented_qual)
-
-
-def align_reads_scalar(
-    contigs: ContigSet,
-    reads: ReadBatch,
-    seed_len: int = 17,
-    read_seed_stride: int = 8,
-    min_identity: float = 0.9,
-    min_overlap: int = 30,
-    max_reads_per_end: int = MAX_READS_PER_END,
-) -> AlignmentResult:
-    """Reference scalar aligner (read × strand × seed Python loops).
-
-    Kept verbatim from the pre-batch implementation: the batched
-    :func:`align_reads` must reproduce its output exactly, and the bench
-    measures the two against each other in the same run.
-    """
-    index = SeedIndex(contigs, seed_len=seed_len)
-    contig_len = {c.cid: len(c.seq) for c in contigs}
-    candidates = {c.cid: ContigCandidates(cid=c.cid) for c in contigs}
-    alignments: list[ReadAlignment] = []
-    n_seed_hits = 0
-    n_aligned = 0
-
-    for ridx in range(len(reads)):
-        fwd = reads.codes(ridx)
-        fq = reads.qual_codes(ridx)
-        if fwd.size < seed_len:
-            continue
-        best_per_contig: dict[int, tuple[AlnScore, bool]] = {}
-        for is_rc in (False, True):
-            oriented = revcomp_codes(fwd) if is_rc else fwd
-            # one O(n) pass replaces a per-seed N scan
-            valid_seed = valid_kmer_mask(oriented, seed_len)
-            seen_diag: set[tuple[int, int]] = set()
-            for rpos in range(0, oriented.size - seed_len + 1, read_seed_stride):
-                if not valid_seed[rpos]:
-                    continue
-                seed = oriented[rpos : rpos + seed_len]
-                for cid, cpos in index.hits(seed):
-                    n_seed_hits += 1
-                    diag = (cid, cpos - rpos)
-                    if diag in seen_diag:
-                        continue
-                    seen_diag.add(diag)
-                    aln = ungapped_align(index.contig_codes[cid], oriented, cpos, rpos)
-                    if aln.ov_len < min_overlap or aln.identity < min_identity:
-                        continue
-                    cur = best_per_contig.get(cid)
-                    if cur is None or aln.matches > cur[0].matches:
-                        best_per_contig[cid] = (aln, is_rc)
-        if not best_per_contig:
-            continue
-        n_aligned += 1
-        for cid, (aln, is_rc) in best_per_contig.items():
-            oriented = revcomp_codes(fwd) if is_rc else fwd
-            oq = fq[::-1].copy() if is_rc else fq
-            alignments.append(
-                ReadAlignment(
-                    read_idx=ridx,
-                    cid=cid,
-                    offset=aln.offset,
-                    is_rc=is_rc,
-                    matches=aln.matches,
-                    mismatches=aln.mismatches,
-                    ov_len=aln.ov_len,
-                )
-            )
-            _recruit(
-                candidates[cid], aln, contig_len[cid], oriented, oq, max_reads_per_end
-            )
-
-    return AlignmentResult(
-        alignments=alignments,
-        candidates=candidates,
-        n_reads_aligned=n_aligned,
-        n_seed_hits=n_seed_hits,
-    )
 
 
 # --------------------------------------------------------------------------
@@ -875,7 +743,7 @@ def align_reads(
     Returns per-read best placements plus per-contig-end candidate reads.
     Every contig gets a :class:`ContigCandidates` entry (possibly with zero
     reads) — the zero-read population is what the paper's bin 1 holds.
-    Output is bit-identical to :func:`align_reads_scalar`.
+    Output is bit-identical to the scalar reference in the tests tree.
     """
     index = PackedSeedIndex(contigs, seed_len=seed_len)
     layout = _oriented_layout(reads)

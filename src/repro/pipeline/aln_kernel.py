@@ -1,73 +1,64 @@
-"""Alignment kernels: ungapped seed extension and banded Smith-Waterman.
+"""Alignment kernel: batched ungapped seed extension.
 
 MetaHipMer's alignment stage uses a GPU Smith-Waterman kernel (ADEPT, Awan
 et al. 2020 — the "aln kernel" slice of the paper's pie charts).  Our
 pipeline aligns short Illumina-model reads (substitution errors only), so
-the workhorse is the *ungapped* seed-and-extend scorer; the banded
-Smith-Waterman is provided as the faithful ADEPT analogue and is used for
-verification and for divergent cases in tests.
-
-Both kernels are NumPy-vectorised along the sequence dimension.
+the kernel is the *ungapped* seed-and-extend scorer, NumPy-vectorised
+over every candidate diagonal of a read batch at once.  The one-candidate
+scalar form it must match is ``ungapped_align`` in
+``tests/pipeline/reference.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-__all__ = [
-    "AlnScore",
-    "ungapped_align",
-    "ungapped_align_batch",
-    "smith_waterman_banded",
-    "SWResult",
-]
+__all__ = ["ungapped_align_batch", "segment_match_counts"]
 
 
-@dataclass(frozen=True)
-class AlnScore:
-    """Result of anchoring a read to a contig at a fixed diagonal.
+def segment_match_counts(
+    a: np.ndarray,
+    b: np.ndarray,
+    a_start: np.ndarray,
+    b_start: np.ndarray,
+    span: np.ndarray,
+) -> np.ndarray:
+    """Per-segment equal-base counts: for segment *i*, compare
+    ``a[a_start[i]:a_start[i]+span[i]]`` with the same-length slice of
+    *b* at ``b_start[i]`` and count equal positions.
 
-    ``offset`` is the contig coordinate of (oriented) read position 0 —
-    possibly negative when the read hangs off the contig's left edge.
-    The aligned (overlap) region is ``[ov_start, ov_end)`` in contig
-    coordinates.
+    Vectorised as one flat gather: segment lengths are expanded with
+    ``repeat``, within-segment offsets recovered from a cumsum, and the
+    per-segment sums taken as cumsum differences.
     """
-
-    offset: int
-    ov_start: int
-    ov_end: int
-    matches: int
-    mismatches: int
-
-    @property
-    def ov_len(self) -> int:
-        return self.ov_end - self.ov_start
-
-    @property
-    def identity(self) -> float:
-        return self.matches / self.ov_len if self.ov_len else 0.0
-
-
-def ungapped_align(
-    contig: np.ndarray, read: np.ndarray, contig_pos: int, read_pos: int
-) -> AlnScore:
-    """Score the full ungapped overlap implied by one seed match.
-
-    The seed anchors read position *read_pos* to contig position
-    *contig_pos*; every read base on that diagonal that falls inside the
-    contig is compared in one vectorised pass.
-    """
-    offset = int(contig_pos) - int(read_pos)
-    ov_start = max(offset, 0)
-    ov_end = min(offset + read.size, contig.size)
-    if ov_end <= ov_start:
-        return AlnScore(offset, ov_start, ov_start, 0, 0)
-    c = contig[ov_start:ov_end]
-    r = read[ov_start - offset : ov_end - offset]
-    matches = int(np.count_nonzero(c == r))
-    return AlnScore(offset, ov_start, ov_end, matches, c.size - matches)
+    span = np.asarray(span, dtype=np.int64)
+    n = span.size
+    out = np.zeros(n, dtype=np.int64)
+    if n == 0:
+        return out
+    total = int(span.sum())
+    if total == 0:
+        return out
+    ends = np.cumsum(span)
+    starts = ends - span
+    # Fused flat gather indices: a_start[seg] + local collapses to one
+    # repeat of (a_start - seg_start) plus the flat arange — no per-base
+    # segment-id array, no separate local-offset array.
+    pos = np.arange(total, dtype=np.int64)
+    idx = np.repeat(np.asarray(a_start, dtype=np.int64) - starts, span)
+    idx += pos
+    ga = a[idx]
+    idx = np.repeat(np.asarray(b_start, dtype=np.int64) - starts, span)
+    idx += pos
+    eq = ga == b[idx]
+    # int32 prefix sums are safe (< 2^31 compared bases per call) and
+    # halve the traffic of the two heaviest passes.
+    cdtype = np.int32 if total < 2**31 else np.int64
+    cs = np.empty(total + 1, dtype=cdtype)
+    cs[0] = 0
+    np.cumsum(eq, dtype=cdtype, out=cs[1:])
+    out[:] = cs[ends] - cs[starts]
+    return out
 
 
 def ungapped_align_batch(
@@ -81,7 +72,7 @@ def ungapped_align_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Score many (contig, read, diagonal) candidates in one pass.
 
-    Batch form of :func:`ungapped_align`.  Sequences live concatenated:
+    Sequences live concatenated:
     contig *c* spans ``contig_bases[contig_off[c]:contig_off[c+1]]`` and
     read *r* spans ``read_bases[read_off[r]:read_off[r+1]]`` (for the
     aligner, "read" rows are oriented — forward and reverse-complement
@@ -92,11 +83,9 @@ def ungapped_align_batch(
     Returns ``(ov_start, ov_end, matches)`` per candidate, with the exact
     clamping semantics of the scalar kernel (``ov_end <= ov_start`` rows
     report ``ov_end == ov_start`` and 0 matches).  The inner per-segment
-    comparison runs through :func:`repro.gpusim._fastops.segment_match_counts`,
-    one cumsum-offset NumPy gather over all candidates.
+    comparison runs through :func:`segment_match_counts`, one
+    cumsum-offset NumPy gather over all candidates.
     """
-    from repro.gpusim._fastops import segment_match_counts
-
     cseq = np.asarray(cseq, dtype=np.int64)
     rseq = np.asarray(rseq, dtype=np.int64)
     offset = np.asarray(offset, dtype=np.int64)
@@ -118,59 +107,3 @@ def ungapped_align_batch(
         span,
     )
     return ov_start, ov_end, matches
-
-
-@dataclass(frozen=True)
-class SWResult:
-    """Banded Smith-Waterman outcome."""
-
-    score: int
-    end_a: int  # exclusive end in sequence a
-    end_b: int  # exclusive end in sequence b
-
-
-def smith_waterman_banded(
-    a: np.ndarray,
-    b: np.ndarray,
-    band: int = 16,
-    match: int = 1,
-    mismatch: int = -1,
-    gap: int = -2,
-) -> SWResult:
-    """Banded local alignment of code arrays *a* (rows) vs *b* (columns).
-
-    The band is centred on the main diagonal (callers shift sequences so
-    the expected diagonal is the main one).  Each DP row is computed with
-    vectorised NumPy ops; the scan dependency of in-row gaps is
-    approximated by one extra relaxation pass, which is exact for
-    affine-free single gaps and sufficient for seed verification.
-    """
-    n, m = a.size, b.size
-    if n == 0 or m == 0:
-        return SWResult(0, 0, 0)
-    # Two DP rows, allocated once and swapped — the per-row np.zeros /
-    # np.zeros_like of the original formulation dominated small-band runs.
-    rows = np.zeros((2, m + 1), dtype=np.int32)
-    prev, cur = rows[0], rows[1]
-    best, best_i, best_j = 0, 0, 0
-    for i in range(1, n + 1):
-        lo = max(1, i - band)
-        hi = min(m, i + band)
-        cur.fill(0)
-        sub = np.where(b[lo - 1 : hi] == a[i - 1], match, mismatch).astype(np.int32)
-        diag = prev[lo - 1 : hi] + sub
-        up = prev[lo : hi + 1] + gap
-        h = np.maximum(diag, up)
-        np.maximum(h, 0, out=h)
-        # left-gap relaxation (two passes handle the common short gaps)
-        for _ in range(2):
-            left = np.concatenate(([prev[lo - 1]], h[:-1])) + gap
-            h = np.maximum(h, left)
-        cur[lo : hi + 1] = h
-        row_best = int(h.max()) if h.size else 0
-        if row_best > best:
-            best = row_best
-            best_i = i
-            best_j = lo + int(np.argmax(h))
-        prev, cur = cur, prev
-    return SWResult(best, best_i, best_j)

@@ -18,12 +18,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.config import LocalAssemblyConfig
+from repro.core.config import (
+    ENGINE_MODES,
+    OVERLAP_MODES,
+    RANK_SANITIZE_MODES,
+    SANITIZE_MODES,
+    LocalAssemblyConfig,
+)
 from repro.core.local_assembler import LocalAssemblyReport, extend_contigs
 from repro.pipeline.alignment import AlignmentResult, align_reads
 from repro.pipeline.contigs import ContigSet
 from repro.pipeline.contig_generation import generate_contigs
-from repro.pipeline.kmer_analysis import analyze_kmers
+from repro.pipeline.insert_size import estimate_insert_size
+from repro.pipeline.kmer_analysis import analyze_kmers, classify_spectrum
 from repro.pipeline.merge_reads import MergeStats, merge_read_pairs
 from repro.pipeline.scaffolding import ScaffoldingResult, build_scaffolds
 from repro.pipeline.stages import StageTimes
@@ -109,26 +116,18 @@ class PipelineConfig:
             raise ValueError("kmer_ranks must be >= 1")
         if self.aln_ranks < 1:
             raise ValueError("aln_ranks must be >= 1")
-        from repro.sanitize.rankcheck import RANK_SANITIZE_MODES
-
         if self.kmer_sanitize not in RANK_SANITIZE_MODES:
             raise ValueError(
                 f"kmer_sanitize must be one of {RANK_SANITIZE_MODES}"
             )
-        from repro.gpusim import ENGINE_MODES
-
         if self.local_assembly_engine not in ENGINE_MODES:
             raise ValueError(
                 f"local_assembly_engine must be one of {ENGINE_MODES}"
             )
-        from repro.sanitize import SANITIZE_MODES
-
         if self.local_assembly_sanitize not in SANITIZE_MODES:
             raise ValueError(
                 f"local_assembly_sanitize must be one of {SANITIZE_MODES}"
             )
-        from repro.gpusim import OVERLAP_MODES
-
         if self.local_assembly_overlap not in OVERLAP_MODES:
             raise ValueError(
                 f"local_assembly_overlap must be one of {OVERLAP_MODES}"
@@ -267,7 +266,6 @@ def run_pipeline(
                     # sequential count, so everything downstream
                     # (contigs, checkpoints, cache keys) is unchanged.
                     from repro.distributed.procrank import distributed_count_proc
-                    from repro.pipeline.kmer_analysis import classify_spectrum
 
                     spectrum, _, rank_report = distributed_count_proc(
                         counting_input,
@@ -338,8 +336,6 @@ def run_pipeline(
             best = aln2.best_by_read()
             insert_mean = config.insert_mean
             if config.estimate_insert:
-                from repro.pipeline.insert_size import estimate_insert_size
-
                 est = estimate_insert_size(best, reads.lengths())
                 if est.reliable:
                     insert_mean = est.mean

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.pipeline.alignment import ReadAlignment
 from repro.pipeline.contigs import ContigSet
+from repro.pipeline.insert_size import median
 from repro.sequence.dna import revcomp
 
 __all__ = ["Scaffold", "ScaffoldingResult", "build_scaffolds", "LEFT", "RIGHT"]
@@ -128,7 +129,7 @@ def build_scaffolds(
         end_degree[eb] += 1
     ambiguous = {e for e, d in end_degree.items() if d > 1}
     kept = {
-        k: int(np.median(v))
+        k: int(median(v))
         for k, v in edges.items()
         if k[0] not in ambiguous and k[1] not in ambiguous
     }

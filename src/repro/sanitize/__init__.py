@@ -1,49 +1,35 @@
 """Compute-sanitizer-style dynamic checkers and static kernel lint.
 
-Dynamic side (:class:`Sanitizer`): memcheck (out-of-bounds /
-use-after-free), racecheck (conflicting non-atomic lane accesses between
-sync points) and initcheck (reads of never-written device elements),
-instrumenting the `gpusim` interpreter through hooks in
+Dynamic side (:class:`repro.sanitize.sanitizer.Sanitizer`): memcheck
+(out-of-bounds / use-after-free), racecheck (conflicting non-atomic lane
+accesses between sync points) and initcheck (reads of never-written
+device elements), instrumenting the `gpusim` interpreter through hooks in
 :class:`~repro.gpusim.warp.Warp`, :class:`~repro.gpusim.batched.WarpBatch`
 and :class:`~repro.gpusim.memory.DeviceAllocator`.
 
-Static side (:func:`lint_paths`): AST hygiene rules over kernel source —
-twin signature/counter parity, banned impure calls, discarded atomics.
-The concurrency checkers of the process-rank era live next door:
-:func:`conlint_paths` (segment/claim lifecycle pairing, fork safety,
-barrier-abort pairing) and :mod:`repro.sanitize.rankcheck` (the dynamic
-vector-clock cross-rank race detector + segment-leak ledger behind
-``sanitize=rankcheck``).
+Static side (:func:`repro.sanitize.lint.lint_paths`): AST hygiene rules
+over kernel source — twin signature/counter parity, banned impure calls,
+discarded atomics.  The concurrency checkers of the process-rank era live
+next door: :func:`repro.sanitize.concheck.conlint_paths` (segment/claim
+lifecycle pairing, fork safety, barrier-abort pairing) and
+:mod:`repro.sanitize.rankcheck` (the dynamic vector-clock cross-rank race
+detector + segment-leak ledger behind ``sanitize=rankcheck``).
+
+Only the report types are re-exported: every ranked run imports
+:mod:`~repro.sanitize.rankcheck` through this package, and must not pay
+for the two linters and the kernel sanitizer it never calls.
 """
 
-from repro.sanitize.concheck import CONCURRENCY_RULES, conlint_files, conlint_paths
-from repro.sanitize.lint import (
-    LintFinding,
-    collect_py_files,
-    findings_report,
-    lint_files,
-    lint_paths,
-)
 from repro.sanitize.report import (
     MAX_ERRORS,
     SANITIZE_MODES,
     SanitizerError,
     SanitizerReport,
 )
-from repro.sanitize.sanitizer import Sanitizer
 
 __all__ = [
-    "CONCURRENCY_RULES",
     "MAX_ERRORS",
     "SANITIZE_MODES",
-    "LintFinding",
-    "Sanitizer",
     "SanitizerError",
     "SanitizerReport",
-    "collect_py_files",
-    "conlint_files",
-    "conlint_paths",
-    "findings_report",
-    "lint_files",
-    "lint_paths",
 ]

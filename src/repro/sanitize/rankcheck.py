@@ -43,6 +43,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.config import RANK_SANITIZE_MODES
 from repro.sanitize.report import SanitizerError, SanitizerReport
 
 __all__ = [
@@ -54,9 +55,6 @@ __all__ = [
     "SegmentLedger",
     "build_rank_report",
 ]
-
-#: valid ``sanitize=`` values of the distributed layer.
-RANK_SANITIZE_MODES = ("off", "rankcheck")
 
 #: /dev/shm name prefixes this runtime creates (anonymous ``psm_`` from
 #: multiprocessing.shared_memory, ``repro-`` from the named exchange).

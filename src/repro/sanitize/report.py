@@ -13,10 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-__all__ = ["SANITIZE_MODES", "SanitizerError", "SanitizerReport"]
+from repro.core.config import SANITIZE_MODES
 
-#: valid ``sanitize=`` values.  ``"full"`` enables all three checkers.
-SANITIZE_MODES = ("off", "memcheck", "racecheck", "initcheck", "full")
+__all__ = ["SANITIZE_MODES", "SanitizerError", "SanitizerReport"]
 
 #: errors kept per report; further ones only bump ``n_suppressed`` (real
 #: compute-sanitizer caps at 100 reported errors too).

@@ -45,7 +45,7 @@ def small_reads(small_community):
 @pytest.fixture(scope="session")
 def small_assembly(small_reads):
     """One CPU-mode pipeline run shared by integration tests."""
-    from repro.pipeline import PipelineConfig, run_pipeline
+    from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 
     cfg = PipelineConfig(local_assembly_mode="cpu")
     return run_pipeline(small_reads, cfg)

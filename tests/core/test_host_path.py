@@ -30,14 +30,11 @@ from repro.core.gpu_batch import (
 )
 from repro.core.ht_sizing import plan_layout
 from repro.core.tasks import LEFT, RIGHT, ExtensionTask, TaskSet
-from repro.gpusim._fastops import (
-    run_head_positions,
-    run_heads,
-    segment_match_counts,
-)
+from repro.gpusim._fastops import run_heads
 from repro.gpusim.kernel import GpuContext
 from repro.gpusim.shmem import shared_memory_available
 from repro.perf import PHASES, HostProfiler
+from repro.pipeline.aln_kernel import segment_match_counts
 from repro.sequence.dna import encode, random_dna
 
 
@@ -373,7 +370,6 @@ class TestFastOps:
             dtype=bool,
         )
         assert np.array_equal(run_heads(keys), naive)
-        assert np.array_equal(run_head_positions(keys), np.nonzero(naive)[0])
 
     @staticmethod
     def _naive_match_counts(a, b, a_start, b_start, span):

@@ -336,7 +336,7 @@ class TestPipelineBitIdentity:
         return sample_paired_reads(comm, 500, rng)
 
     def test_contigs_identical_across_rank_counts(self, reads):
-        from repro.pipeline import PipelineConfig, run_pipeline
+        from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 
         results = {}
         for ranks in (1, 2, 4):

@@ -190,13 +190,13 @@ class TestRankedAlign:
 
 class TestPipelineKnob:
     def test_aln_ranks_validation(self):
-        from repro.pipeline import PipelineConfig
+        from repro.pipeline.pipeline import PipelineConfig
 
         with pytest.raises(ValueError):
             PipelineConfig(aln_ranks=0)
 
     def test_pipeline_contigs_identical(self, workload):
-        from repro.pipeline import PipelineConfig, run_pipeline
+        from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 
         _, reads = workload
         r1 = run_pipeline(reads, PipelineConfig(run_scaffolding=False))

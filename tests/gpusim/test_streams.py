@@ -12,8 +12,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.gpusim import GpuContext, StreamTimeline
-from repro.gpusim.streams import HOST_LANE, Event
+from repro.gpusim.kernel import GpuContext
+from repro.gpusim.streams import HOST_LANE, Event, StreamTimeline
 
 
 class TestStreamPlacement:

@@ -1,4 +1,4 @@
-"""Scalar references for the two array-built de Bruijn prefix stages.
+"""Scalar references for the array-built pipeline stages.
 
 The k-mer-string walker (``KmerGraph``, ``_walk_right``, the seed loop) and
 the per-pair merge loop, moved here verbatim from ``repro.pipeline`` when
@@ -6,20 +6,42 @@ the per-pair merge loop, moved here verbatim from ``repro.pipeline`` when
 passes.  They define the contract: the array stages must reproduce these
 bit for bit (``cid``, ``seq``, ``repr(depth)``, order; ``bases``, ``quals``,
 ``offsets``, ``names``, ``paired``, ``MergeStats``).
+
+The per-read aligner (``SeedIndex``, ``ungapped_align``, ``_recruit``,
+``align_reads_scalar``) followed once no entry point reached it: the
+batched ``align_reads`` must reproduce its alignments, ``n_seed_hits`` and
+candidate reads in the same order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from dataclasses import dataclass
+
 import numpy as np
 
+from repro.pipeline.alignment import (
+    MAX_READS_PER_END,
+    AlignmentResult,
+    ContigCandidates,
+    ReadAlignment,
+)
 from repro.pipeline.contigs import Contig, ContigSet
 from repro.pipeline.kmer_analysis import ClassifiedKmers, ExtVerdict
 from repro.pipeline.merge_reads import MergeStats, find_overlap
-from repro.sequence.dna import BASES, revcomp, revcomp_codes
-from repro.sequence.kmer import unpack_kmers
+from repro.sequence.dna import BASES, encode, revcomp, revcomp_codes
+from repro.sequence.kmer import unpack_kmers, valid_kmer_mask
 from repro.sequence.read import ReadBatch
 
-__all__ = ["KmerGraph", "generate_contigs_reference", "merge_read_pairs_reference"]
+__all__ = [
+    "KmerGraph",
+    "generate_contigs_reference",
+    "merge_read_pairs_reference",
+    "AlnScore",
+    "ungapped_align",
+    "SeedIndex",
+    "align_reads_scalar",
+]
 
 _COMP = {"A": "T", "C": "G", "G": "C", "T": "A"}
 
@@ -266,3 +288,175 @@ def merge_read_pairs_reference(
         mean_merged_length=merged_len_total / n_merged if n_merged else 0.0,
     )
     return merged_batch, stats
+
+
+@dataclass(frozen=True)
+class AlnScore:
+    """Result of anchoring a read to a contig at a fixed diagonal.
+
+    ``offset`` is the contig coordinate of (oriented) read position 0 —
+    possibly negative when the read hangs off the contig's left edge.
+    The aligned (overlap) region is ``[ov_start, ov_end)`` in contig
+    coordinates.
+    """
+
+    offset: int
+    ov_start: int
+    ov_end: int
+    matches: int
+    mismatches: int
+
+    @property
+    def ov_len(self) -> int:
+        return self.ov_end - self.ov_start
+
+    @property
+    def identity(self) -> float:
+        return self.matches / self.ov_len if self.ov_len else 0.0
+
+
+def ungapped_align(
+    contig: np.ndarray, read: np.ndarray, contig_pos: int, read_pos: int
+) -> AlnScore:
+    """Score the full ungapped overlap implied by one seed match.
+
+    The seed anchors read position *read_pos* to contig position
+    *contig_pos*; every read base on that diagonal that falls inside the
+    contig is compared in one vectorised pass.
+    """
+    offset = int(contig_pos) - int(read_pos)
+    ov_start = max(offset, 0)
+    ov_end = min(offset + read.size, contig.size)
+    if ov_end <= ov_start:
+        return AlnScore(offset, ov_start, ov_start, 0, 0)
+    c = contig[ov_start:ov_end]
+    r = read[ov_start - offset : ov_end - offset]
+    matches = int(np.count_nonzero(c == r))
+    return AlnScore(offset, ov_start, ov_end, matches, c.size - matches)
+
+
+class SeedIndex:
+    """Exact-position index of all seed-length k-mers of a contig set.
+
+    The original bytes-dict form, retained for the scalar reference path
+    (:func:`align_reads_scalar`); the batched aligner uses
+    :class:`PackedSeedIndex`.
+    """
+
+    def __init__(self, contigs: ContigSet, seed_len: int = 17, stride: int = 1) -> None:
+        if seed_len < 8:
+            raise ValueError("seed_len must be >= 8")
+        self.seed_len = seed_len
+        self.stride = stride
+        self._index: dict[bytes, list[tuple[int, int]]] = defaultdict(list)
+        self.contig_codes: dict[int, np.ndarray] = {}
+        for c in contigs:
+            codes = encode(c.seq)
+            self.contig_codes[c.cid] = codes
+            valid = valid_kmer_mask(codes, seed_len)
+            for pos in range(0, codes.size - seed_len + 1, stride):
+                if not valid[pos]:
+                    continue
+                window = codes[pos : pos + seed_len]
+                self._index[window.tobytes()].append((c.cid, pos))
+
+    def hits(self, seed: np.ndarray) -> list[tuple[int, int]]:
+        return self._index.get(seed.tobytes(), [])
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+
+def _recruit(
+    cand: ContigCandidates,
+    aln: AlnScore,
+    contig_len: int,
+    oriented_seq: np.ndarray,
+    oriented_qual: np.ndarray,
+    max_reads_per_end: int,
+) -> None:
+    """File an aligned read under the contig end(s) it hangs off."""
+    projected_start = aln.offset
+    projected_end = aln.offset + oriented_seq.size
+    if projected_start < 0 and len(cand.left) < max_reads_per_end:
+        # Left-end candidate: flip so extension walks rightward on rc(contig).
+        cand.left.add(revcomp_codes(oriented_seq), oriented_qual[::-1].copy())
+    if projected_end > contig_len and len(cand.right) < max_reads_per_end:
+        cand.right.add(oriented_seq, oriented_qual)
+
+
+def align_reads_scalar(
+    contigs: ContigSet,
+    reads: ReadBatch,
+    seed_len: int = 17,
+    read_seed_stride: int = 8,
+    min_identity: float = 0.9,
+    min_overlap: int = 30,
+    max_reads_per_end: int = MAX_READS_PER_END,
+) -> AlignmentResult:
+    """Reference scalar aligner (read × strand × seed Python loops).
+
+    Kept verbatim from the pre-batch implementation: the batched
+    :func:`align_reads` must reproduce its output exactly.
+    """
+    index = SeedIndex(contigs, seed_len=seed_len)
+    contig_len = {c.cid: len(c.seq) for c in contigs}
+    candidates = {c.cid: ContigCandidates(cid=c.cid) for c in contigs}
+    alignments: list[ReadAlignment] = []
+    n_seed_hits = 0
+    n_aligned = 0
+
+    for ridx in range(len(reads)):
+        fwd = reads.codes(ridx)
+        fq = reads.qual_codes(ridx)
+        if fwd.size < seed_len:
+            continue
+        best_per_contig: dict[int, tuple[AlnScore, bool]] = {}
+        for is_rc in (False, True):
+            oriented = revcomp_codes(fwd) if is_rc else fwd
+            # one O(n) pass replaces a per-seed N scan
+            valid_seed = valid_kmer_mask(oriented, seed_len)
+            seen_diag: set[tuple[int, int]] = set()
+            for rpos in range(0, oriented.size - seed_len + 1, read_seed_stride):
+                if not valid_seed[rpos]:
+                    continue
+                seed = oriented[rpos : rpos + seed_len]
+                for cid, cpos in index.hits(seed):
+                    n_seed_hits += 1
+                    diag = (cid, cpos - rpos)
+                    if diag in seen_diag:
+                        continue
+                    seen_diag.add(diag)
+                    aln = ungapped_align(index.contig_codes[cid], oriented, cpos, rpos)
+                    if aln.ov_len < min_overlap or aln.identity < min_identity:
+                        continue
+                    cur = best_per_contig.get(cid)
+                    if cur is None or aln.matches > cur[0].matches:
+                        best_per_contig[cid] = (aln, is_rc)
+        if not best_per_contig:
+            continue
+        n_aligned += 1
+        for cid, (aln, is_rc) in best_per_contig.items():
+            oriented = revcomp_codes(fwd) if is_rc else fwd
+            oq = fq[::-1].copy() if is_rc else fq
+            alignments.append(
+                ReadAlignment(
+                    read_idx=ridx,
+                    cid=cid,
+                    offset=aln.offset,
+                    is_rc=is_rc,
+                    matches=aln.matches,
+                    mismatches=aln.mismatches,
+                    ov_len=aln.ov_len,
+                )
+            )
+            _recruit(
+                candidates[cid], aln, contig_len[cid], oriented, oq, max_reads_per_end
+            )
+
+    return AlignmentResult(
+        alignments=alignments,
+        candidates=candidates,
+        n_reads_aligned=n_aligned,
+        n_seed_hits=n_seed_hits,
+    )

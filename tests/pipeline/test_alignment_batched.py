@@ -2,7 +2,7 @@
 
 :func:`repro.pipeline.alignment.align_reads` (PackedSeedIndex +
 ``align_core`` + ``materialise_alignment``) must reproduce
-:func:`~repro.pipeline.alignment.align_reads_scalar` exactly — same
+``align_reads_scalar`` of ``tests/pipeline/reference.py`` exactly — same
 alignment list in the same order, same ``n_seed_hits``, same candidate
 reads per contig end — across seed lengths (single- and multi-word
 packing, the 32-mer sentinel edge), read-seed strides (including the
@@ -13,14 +13,13 @@ a property the rewrite is allowed to have.
 
 import numpy as np
 import pytest
+from reference import SeedIndex, align_reads_scalar
 
 from repro.pipeline.alignment import (
     AlnRows,
     PackedSeedIndex,
-    SeedIndex,
     align_core,
     align_reads,
-    align_reads_scalar,
 )
 from repro.pipeline.contig_generation import generate_contigs
 from repro.pipeline.contigs import Contig, ContigSet

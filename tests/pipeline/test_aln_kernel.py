@@ -1,10 +1,8 @@
-"""Tests for the alignment kernels."""
+"""Tests for the scalar ungapped kernel the batched one must match."""
 
-import numpy as np
-import pytest
+from reference import ungapped_align
 
-from repro.pipeline.aln_kernel import smith_waterman_banded, ungapped_align
-from repro.sequence.dna import encode, random_dna
+from repro.sequence.dna import encode
 
 
 class TestUngapped:
@@ -44,84 +42,3 @@ class TestUngapped:
         read = encode("ACGT")
         aln = ungapped_align(contig, read, contig_pos=10, read_pos=0)
         assert aln.ov_len == 0 and aln.identity == 0.0
-
-
-class TestSmithWaterman:
-    def test_perfect_match(self):
-        a = encode("ACGTACGTAC")
-        res = smith_waterman_banded(a, a)
-        assert res.score == 10
-        assert res.end_a == 10 and res.end_b == 10
-
-    def test_substring(self):
-        a = encode("CGTAC")
-        b = encode("AACGTACTT")
-        res = smith_waterman_banded(a, b, band=8)
-        assert res.score == 5
-
-    def test_mismatch_penalty(self):
-        a = encode("ACGTACGTAC")
-        b = encode("ACGTGCGTAC")
-        res = smith_waterman_banded(a, b)
-        assert res.score == 8  # 9 matches - 1 mismatch
-
-    def test_single_gap(self):
-        a = encode("ACGTACGT")
-        b = encode("ACGTTACGT")  # one inserted T
-        res = smith_waterman_banded(a, b, band=4)
-        assert res.score >= 8 - 2  # 8 matches - 1 gap
-
-    def test_empty(self):
-        assert smith_waterman_banded(encode(""), encode("ACGT")).score == 0
-
-    def test_local_ignores_bad_prefix(self, rng):
-        core = random_dna(30, rng)
-        a = encode("TTTTTTTT" + core)
-        b = encode("GGGGGGGG" + core)
-        res = smith_waterman_banded(a, b, band=6)
-        assert res.score >= 28  # the shared core dominates
-
-
-class TestSmithWatermanGapRegression:
-    """Pinned scores for gap-bearing cases.
-
-    The two-preallocated-row rewrite must score exactly what the
-    per-row-allocating original did; these literals were captured from
-    the original formulation and hold the recurrence (linear gap -2,
-    two-pass left relaxation) fixed.
-    """
-
-    @pytest.mark.parametrize(
-        "a,b,band,expect",
-        [
-            # perfect 20-mer: all matches
-            ("ACGTACGTACGTACGTACGT", "ACGTACGTACGTACGTACGT", 16,
-             (20, 20, 20)),
-            # one base inserted in b at position 10: 20 matches - 1 gap
-            ("ACGTACGTACGTACGTACGT", "ACGTACGTACTGTACGTACGT", 16,
-             (18, 20, 21)),
-            # deletion at b's end: local alignment simply ends earlier
-            ("ACGTACGTACGTACGTACGT", "ACGTACGTACGTACGTACG", 16,
-             (19, 19, 19)),
-            # one base inserted in a (gap in the other sequence)
-            ("ACGTACGTACGGTACGTACGT", "ACGTACGTACGTACGTACGT", 16,
-             (18, 21, 20)),
-            # mid-sequence indel with trailing divergence
-            ("ACGTAACCGGTTACGTACGT", "ACGTAACCGGACGTACGTAA", 16,
-             (14, 20, 18)),
-            # two-base insertion: 16 matches - 2 gaps * 2
-            ("AAAACCCCGGGGTTTT", "AAAACCCCTTGGGGTTTT", 8,
-             (12, 16, 18)),
-        ],
-    )
-    def test_pinned_scores(self, a, b, band, expect):
-        res = smith_waterman_banded(encode(a), encode(b), band=band)
-        assert (res.score, res.end_a, res.end_b) == expect
-
-    def test_rows_not_shared_between_calls(self):
-        # two consecutive calls must not see each other's DP state
-        a = encode("ACGTACGTACGTACGT")
-        first = smith_waterman_banded(a, a)
-        smith_waterman_banded(encode("TTTTGGGG"), encode("CCCCAAAA"))
-        again = smith_waterman_banded(a, a)
-        assert first == again

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import repro.pipeline.checkpoint as checkpoint_mod
-from repro.pipeline import PipelineConfig, run_pipeline
+from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 from repro.pipeline.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     checkpoint_key,

@@ -5,7 +5,7 @@ import pytest
 
 from repro.pipeline.alignment import ReadAlignment, align_reads
 from repro.pipeline.contigs import Contig, ContigSet
-from repro.pipeline.insert_size import estimate_insert_size
+from repro.pipeline.insert_size import estimate_insert_size, median
 from repro.sequence.community import Community, CommunityDesign, sample_paired_reads
 from repro.sequence.error_model import PERFECT
 from repro.sequence.genomes import GenomeSpec
@@ -14,6 +14,25 @@ from repro.sequence.genomes import GenomeSpec
 def _aln(read_idx, cid, offset, is_rc):
     return ReadAlignment(read_idx=read_idx, cid=cid, offset=offset, is_rc=is_rc,
                          matches=100, mismatches=0, ov_len=100)
+
+
+class TestMedian:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [351.0, 347.0, 362.0, 349.0, 350.0],  # odd
+            [351.0, 347.0, 362.0, 349.0],  # even: mean of the middle two
+            [350.0] * 6,  # all equal
+            [417.0],  # single element
+            [3, 9, 4, 4],  # the scaffolder passes plain int gap lists
+        ],
+    )
+    def test_equals_np_median(self, values):
+        got = median(values)
+        want = np.median(values)
+        assert type(got) is float
+        assert got == want
+        assert median(np.asarray(values, dtype=np.float64)) == want
 
 
 class TestSyntheticPlacements:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.stats import assembly_stats
-from repro.pipeline import PipelineConfig, run_pipeline
+from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 from repro.sequence.community import Community, CommunityDesign, sample_paired_reads
 from repro.sequence.error_model import IlluminaErrorModel
 from repro.sequence.genomes import GenomeSpec

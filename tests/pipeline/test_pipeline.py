@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.stats import assembly_stats, genome_fraction
-from repro.pipeline import PipelineConfig, run_pipeline
+from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 from repro.pipeline.stages import STAGES
 from repro.sequence.community import Community, CommunityDesign, sample_paired_reads
 from repro.sequence.error_model import PERFECT
@@ -98,6 +98,21 @@ class TestConfig:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             PipelineConfig(local_assembly_mode="tpu")
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "local_assembly_engine",
+            "local_assembly_overlap",
+            "local_assembly_sanitize",
+            "kmer_sanitize",
+        ],
+    )
+    def test_bad_mode_string_rejected_in_cpu_mode(self, field):
+        # the GPU-only knobs are checked whatever the mode: a bad job.json
+        # must fail at admission, not when someone flips the mode to gpu
+        with pytest.raises(ValueError, match=field):
+            PipelineConfig(local_assembly_mode="cpu", **{field: "bogus"})
 
     def test_multi_round_runs(self):
         rng = np.random.default_rng(5)

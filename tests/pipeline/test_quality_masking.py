@@ -59,7 +59,7 @@ class TestMinQual:
         assert total_ext == 2 * ck.spectrum.counts[i]
 
     def test_pipeline_config_accepts_min_qual(self, small_reads):
-        from repro.pipeline import PipelineConfig, run_pipeline
+        from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 
         res = run_pipeline(
             small_reads,

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from repro.gpusim.kernel import GpuContext
-from repro.sanitize import MAX_ERRORS, SANITIZE_MODES, Sanitizer
+from repro.sanitize.report import MAX_ERRORS, SANITIZE_MODES
+from repro.sanitize.sanitizer import Sanitizer
 
 
 # --- fixture kernels (one seeded defect each) -------------------------------

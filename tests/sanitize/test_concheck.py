@@ -12,7 +12,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.sanitize import CONCURRENCY_RULES, conlint_files, conlint_paths
+from repro.sanitize.concheck import CONCURRENCY_RULES, conlint_files, conlint_paths
 
 _PKG = Path(repro.__file__).parent
 

@@ -92,7 +92,7 @@ def test_unsanitized_report_has_no_sanitizer(baseline):
 
 
 def test_sanitize_knob_threads_through_pipeline():
-    from repro.pipeline import PipelineConfig
+    from repro.pipeline.pipeline import PipelineConfig
 
     cfg = PipelineConfig(local_assembly_sanitize="full")
     assert cfg.local_assembly_sanitize == "full"

@@ -6,7 +6,7 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.sanitize import lint_files, lint_paths
+from repro.sanitize.lint import lint_files, lint_paths
 
 _PKG = Path(repro.__file__).parent
 

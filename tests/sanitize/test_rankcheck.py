@@ -296,7 +296,7 @@ class TestExchangeIntegration:
 )
 class TestPipelineWiring:
     def test_kmer_sanitize_threads_to_result(self, batch):
-        from repro.pipeline import PipelineConfig, run_pipeline
+        from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 
         config = PipelineConfig(
             min_kmer_count=2, kmer_ranks=2, kmer_sanitize="rankcheck"
@@ -307,7 +307,7 @@ class TestPipelineWiring:
         assert result.kmer_sanitizer["n_errors"] == 0
 
     def test_bad_mode_rejected_at_config(self):
-        from repro.pipeline import PipelineConfig
+        from repro.pipeline.pipeline import PipelineConfig
 
         with pytest.raises(ValueError, match="kmer_sanitize"):
             PipelineConfig(kmer_sanitize="memcheck")

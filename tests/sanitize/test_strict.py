@@ -10,10 +10,9 @@ frees of arrays it does not own.
 import numpy as np
 import pytest
 
-from repro.gpusim import DeviceFreeError
 from repro.gpusim.batched import BatchCounters, WarpBatch
 from repro.gpusim.counters import KernelCounters
-from repro.gpusim.memory import DeviceAllocator
+from repro.gpusim.memory import DeviceAllocator, DeviceFreeError
 from repro.gpusim.warp import Warp
 
 

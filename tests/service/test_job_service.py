@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.pipeline import PipelineConfig, run_pipeline
+from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 from repro.sequence.community import arcticsynth_like, sample_paired_reads
 from repro.sequence.fastq import load_read_batch, save_read_batch
 from repro.service import (

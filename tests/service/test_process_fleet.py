@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.locking import ClaimFile
-from repro.pipeline import PipelineConfig, run_pipeline
+from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 from repro.sequence.community import arcticsynth_like, sample_paired_reads
 from repro.sequence.fastq import load_read_batch, save_read_batch
 from repro.service import AssemblyService, JobQueue, JobSpec, JobState, ServiceConfig

@@ -28,11 +28,15 @@ class TestPackage:
         import repro.core
         import repro.distributed
         import repro.gpusim
+        import repro.hashing
         import repro.pipeline
+        import repro.sanitize
         import repro.sequence
+        import repro.service
 
         for mod in (repro.analysis, repro.core, repro.distributed,
-                    repro.gpusim, repro.pipeline, repro.sequence):
+                    repro.gpusim, repro.hashing, repro.pipeline,
+                    repro.sanitize, repro.sequence, repro.service):
             for name in mod.__all__:
                 assert hasattr(mod, name), f"{mod.__name__}.{name} missing"
 
