@@ -112,16 +112,19 @@ def _partition_bounds(batch: ReadBatch, n_ranks: int) -> np.ndarray:
 
 
 def partition_part(batch: ReadBatch, n_ranks: int, rank: int) -> ReadBatch:
-    """Rank *rank*'s slice of the partition — what a worker process
-    materialises without copying the other ranks' reads."""
+    """Rank *rank*'s slice of the partition: views of the parent's arrays
+    (the block is contiguous), so a worker process copies no read."""
     bounds = _partition_bounds(batch, n_ranks)
     if not 0 <= rank < n_ranks:
         raise ValueError(f"rank {rank} out of range for {n_ranks} ranks")
-    idx = np.arange(bounds[rank], bounds[rank + 1])
-    part = batch.subset(idx)
-    # subset drops pairedness; restore it (blocks are pair-aligned).
+    lo, hi = int(bounds[rank]), int(bounds[rank + 1])
+    start, stop = batch.offsets[lo], batch.offsets[hi]
     return ReadBatch(
-        part.bases, part.quals, part.offsets, part.names, paired=batch.paired
+        batch.bases[start:stop],
+        batch.quals[start:stop],
+        batch.offsets[lo : hi + 1] - start,
+        batch.names[lo:hi] if batch.names is not None else None,
+        paired=batch.paired,  # blocks are pair-aligned
     )
 
 

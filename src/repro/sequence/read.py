@@ -12,6 +12,7 @@ pair block.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -122,18 +123,21 @@ class ReadBatch:
 
     @classmethod
     def from_reads(cls, reads: Iterable[Read], paired: bool = False) -> "ReadBatch":
-        """Pack an iterable of :class:`Read` objects."""
+        """Pack an iterable of :class:`Read` objects: one ``encode`` of the
+        joined sequences, one byte string of the chained qualities."""
         reads = list(reads)
-        lengths = np.fromiter((len(r) for r in reads), dtype=np.int64, count=len(reads))
         offsets = np.zeros(len(reads) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        bases = np.empty(int(offsets[-1]), dtype=np.uint8)
-        quals = np.empty(int(offsets[-1]), dtype=np.uint8)
-        for i, r in enumerate(reads):
-            sl = slice(offsets[i], offsets[i + 1])
-            bases[sl] = encode(r.seq)
-            quals[sl] = np.asarray(r.quals, dtype=np.uint8)
-        return cls(bases, quals, offsets, [r.name for r in reads], paired=paired)
+        np.cumsum(np.fromiter(map(len, reads), np.int64, len(reads)), out=offsets[1:])
+        bases = encode("".join(r.seq for r in reads))
+        # a bytearray, not bytes: the array viewing it stays writable
+        quals = bytearray(itertools.chain.from_iterable(r.quals for r in reads))
+        return cls(
+            bases,
+            np.frombuffer(quals, dtype=np.uint8),
+            offsets,
+            [r.name for r in reads],
+            paired=paired,
+        )
 
     @classmethod
     def from_strings(
@@ -212,14 +216,11 @@ class ReadBatch:
         lengths = self.lengths()[idx]
         offsets = np.zeros(idx.size + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
-        bases = np.empty(int(offsets[-1]), dtype=np.uint8)
-        quals = np.empty(int(offsets[-1]), dtype=np.uint8)
-        for j, i in enumerate(idx):
-            sl = slice(offsets[j], offsets[j + 1])
-            bases[sl] = self.codes(int(i))
-            quals[sl] = self.qual_codes(int(i))
-        names = [self.name(int(i)) for i in idx] if self.names is not None else None
-        return ReadBatch(bases, quals, offsets, names, paired=False)
+        # source position of every output base: one gather for both arrays
+        src = np.repeat(self.offsets[idx] - offsets[:-1], lengths)
+        src += np.arange(offsets[-1])
+        names = [self.names[i] for i in idx.tolist()] if self.names is not None else None
+        return ReadBatch(self.bases[src], self.quals[src], offsets, names, paired=False)
 
     @classmethod
     def concat(cls, batches: Sequence["ReadBatch"]) -> "ReadBatch":
