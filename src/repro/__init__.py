@@ -30,6 +30,14 @@ Subpackages
     Assembly statistics and experiment reporting helpers.
 """
 
+import os
+
 from repro._version import __version__
 
 __all__ = ["__version__"]
+
+# The program makes no BLAS call, but ``import numpy`` starts one OpenBLAS
+# worker per further core, and each spins ~0.13 CPU-s waiting for work
+# before it sleeps for good.  Every subpackage imports numpy after this
+# line; a thread count the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

@@ -137,6 +137,26 @@ class TestRunLoadsWhatItRuns:
         }
 
 
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+def test_setup_starts_no_blas_worker():
+    """The program makes no BLAS call, so its import leaves one thread: an
+    OpenBLAS worker would spin ~0.13 CPU-s into set-up or the run."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    out = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import os, repro.pipeline.pipeline; print(len(os.listdir('/proc/self/task')))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=dict(env, PYTHONPATH=str(PKG.parent)),
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "1"
+
+
 # -- (b) every module is reachable from an entry point ------------------------
 
 #: modules no entry point imports, each with the caller that keeps it
