@@ -4,28 +4,27 @@ Two studies of *simulation throughput* (warps/sec of host wall time — not
 the modelled V100 time, which is identical by construction across
 engines):
 
-* ``bench_engine_scaling`` sweeps the engine modes over the mixed driver
-  workload: the sequential interpreter, the process pool at each worker
-  count, and the batched SoA engine.  Every run is checked bit-identical
-  to the sequential baseline, which is the engines' core contract.
-* ``bench_batched_trio`` times the sequential/pool/batched trio on the
-  ISSUE's reference workload — 100 uniform single-warp tasks — with a
-  warmup plus best-of-N protocol so the recorded speedup is not hostage
-  to scheduler noise on a shared box.
+* ``bench_engine_scaling`` runs both engines over the mixed driver
+  workload: the sequential interpreter and the batched SoA engine.  The
+  batched run is checked bit-identical to the sequential baseline, which
+  is the engines' core contract.
+* ``bench_batched_trio`` times sequential against batched on the
+  reference workload — 100 uniform single-warp tasks — with a warmup plus
+  best-of-N protocol so the recorded speedup is not hostage to scheduler
+  noise on a shared box.
 
 Results land under ``benchmarks/results/``:
 
 * ``engine_scaling.txt`` — the human-readable sweep table;
 * ``BENCH_engine.json`` — machine-readable sweep numbers (cores, wall,
   warps/s, speedup, identity check) for downstream tooling;
-* ``BENCH_batched.json`` — the 100-warp trio (throughput per engine,
-  ``batched_speedup_vs_sequential``, ``bit_identical_to_sequential``).
+* ``BENCH_batched.json`` — the 100-warp comparison (throughput per
+  engine, ``batched_speedup_vs_sequential``,
+  ``bit_identical_to_sequential``).
 
-Pool speedup is bounded by the cores actually available: on a single-core
-container the sweep records ~1.0x (plus IPC overhead), which is the
-honest result — the JSON carries ``cpu_cores`` so readers can tell.  The
-batched engine's speedup comes from array-programming the warp axis, not
-from extra cores, so it holds even at ``cpu_cores == 1``.
+The batched engine's speedup comes from array-programming the warp axis,
+not from extra cores, so it holds at any ``cpu_cores`` (recorded in both
+JSON files).
 """
 
 from __future__ import annotations
@@ -57,10 +56,10 @@ def _cpu_cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run(tasks, workers: int = 1, engine: str = "auto"):
+def _run(tasks, engine: str = "auto"):
     gc.collect()
     t0 = time.perf_counter()
-    report = GpuLocalAssembler(CFG, workers=workers, engine=engine).run(tasks)
+    report = GpuLocalAssembler(CFG, engine=engine).run(tasks)
     wall = time.perf_counter() - t0
     return report, wall
 
@@ -74,16 +73,14 @@ def _identical(report, base) -> bool:
     )
 
 
-def bench_engine_scaling(benchmark, driver_workload, engine_workers):
+def bench_engine_scaling(benchmark, driver_workload):
     tasks = driver_workload
 
     def sweep():
-        results = {"sequential": _run(tasks, engine="sequential")}
-        for w in engine_workers:
-            if w > 1:
-                results[f"pool-{w}"] = _run(tasks, workers=w, engine="pool")
-        results["batched"] = _run(tasks, engine="batched")
-        return results
+        return {
+            engine: _run(tasks, engine=engine)
+            for engine in ("sequential", "batched")
+        }
 
     results = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
@@ -96,15 +93,13 @@ def bench_engine_scaling(benchmark, driver_workload, engine_workers):
         same = _identical(report, base_report)
         identical &= same
         speedup = base_wall / wall if wall else 0.0
-        workers = int(name.split("-")[1]) if name.startswith("pool-") else 1
         rows.append(
             (name, f"{wall:.2f}", f"{n_warps / wall:.1f}", f"{speedup:.2f}x",
              "yes" if same else "NO")
         )
         entries.append(
             {
-                "engine": name.split("-")[0],
-                "workers": workers,
+                "engine": name,
                 "wall_s": wall,
                 "warps_per_s": n_warps / wall if wall else 0.0,
                 "speedup_vs_sequential": speedup,
@@ -139,7 +134,7 @@ def bench_engine_scaling(benchmark, driver_workload, engine_workers):
 
 
 def _uniform_workload(n_warps: int = 100) -> TaskSet:
-    """The ISSUE's reference workload: *n_warps* uniform tiling tasks."""
+    """The reference workload: *n_warps* uniform tiling tasks."""
     rng = np.random.default_rng(7)
     tasks = []
     for cid in range(n_warps):
@@ -159,27 +154,22 @@ def _uniform_workload(n_warps: int = 100) -> TaskSet:
 
 def bench_batched_trio(benchmark):
     tasks = _uniform_workload(100)
-    pool_workers = min(4, max(2, _cpu_cores()))
 
     def trio():
         _run(tasks, engine="batched")  # warmup
         bat = [_run(tasks, engine="batched") for _ in range(3)]
         seq = [_run(tasks, engine="sequential") for _ in range(2)]
-        pool = [_run(tasks, workers=pool_workers, engine="pool")]
-        return bat, seq, pool
+        return bat, seq
 
-    bat, seq, pool = benchmark.pedantic(trio, rounds=1, iterations=1)
+    bat, seq = benchmark.pedantic(trio, rounds=1, iterations=1)
 
     base_report, _ = seq[0]
     n_warps = sum(l.n_warps for l in base_report.launches)
     best = {
         "sequential": min(w for _, w in seq),
-        "pool": min(w for _, w in pool),
         "batched": min(w for _, w in bat),
     }
-    identical = all(
-        _identical(r, base_report) for r, _ in [*bat, seq[1], *pool]
-    )
+    identical = all(_identical(r, base_report) for r, _ in [*bat, seq[1]])
     speedup = best["sequential"] / best["batched"]
 
     rows = [
@@ -190,8 +180,8 @@ def bench_batched_trio(benchmark):
     text = format_table(
         ["engine", "best wall (s)", "warps/s", "speedup"],
         rows,
-        f"Extension — batched SoA trio ({n_warps} uniform warps, "
-        f"pool workers={pool_workers}, {_cpu_cores()} core(s) available, "
+        f"Extension — batched SoA vs sequential ({n_warps} uniform warps, "
+        f"{_cpu_cores()} core(s) available, "
         f"bit-identical={'yes' if identical else 'NO'})",
     )
     record("batched_trio", text)
@@ -203,7 +193,6 @@ def bench_batched_trio(benchmark):
                 "bench": "batched_trio",
                 "cpu_cores": _cpu_cores(),
                 "n_warps": n_warps,
-                "pool_workers": pool_workers,
                 "throughput_warps_per_s": {
                     name: n_warps / wall for name, wall in best.items()
                 },
@@ -216,4 +205,4 @@ def bench_batched_trio(benchmark):
         + "\n"
     )
 
-    assert identical, "batched/pool runs must be bit-identical to sequential"
+    assert identical, "batched runs must be bit-identical to sequential"

@@ -7,12 +7,6 @@ Checked invariants: every sanitized run reports **zero** errors, and the
 extensions are bit-identical with and without the checkers — turning the
 sanitizer on must observe the kernels, never steer them.
 
-Note the pool row: a sanitized context cannot share its shadow state
-across processes, so the pool engine falls back to in-process sequential
-execution under the sanitizer (exactly like compute-sanitizer serialising
-a multi-stream app).  Its "full" column is therefore sequential-shaped,
-and the JSON says so.
-
 Results land in ``benchmarks/results/sanitize_overhead.txt`` and
 ``benchmarks/results/BENCH_sanitize.json``.
 """
@@ -21,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import json
+import os
 import time
 from pathlib import Path
 
@@ -56,29 +51,26 @@ def _uniform_workload(n_warps: int = 100) -> TaskSet:
     return TaskSet(tasks)
 
 
-def _run(tasks, engine: str, sanitize: str, workers: int = 1):
+def _run(tasks, engine: str, sanitize: str):
     gc.collect()
     t0 = time.perf_counter()
-    report = GpuLocalAssembler(
-        CFG, workers=workers, engine=engine, sanitize=sanitize
-    ).run(tasks)
+    report = GpuLocalAssembler(CFG, engine=engine, sanitize=sanitize).run(tasks)
     return report, time.perf_counter() - t0
 
 
 def bench_sanitize_overhead(benchmark):
     tasks = _uniform_workload(100)
-    engines = [("sequential", 1), ("pool", 2), ("batched", 1)]
 
     def sweep():
         _run(tasks, "batched", "off")  # warmup
         out = {}
-        for engine, workers in engines:
+        for engine in ("sequential", "batched"):
             off = min(
-                (_run(tasks, engine, "off", workers) for _ in range(2)),
+                (_run(tasks, engine, "off") for _ in range(2)),
                 key=lambda rw: rw[1],
             )
             full = min(
-                (_run(tasks, engine, "full", workers) for _ in range(2)),
+                (_run(tasks, engine, "full") for _ in range(2)),
                 key=lambda rw: rw[1],
             )
             out[engine] = (off, full)
@@ -107,7 +99,6 @@ def bench_sanitize_overhead(benchmark):
                 "slowdown": slowdown,
                 "n_checked": san.n_checked,
                 "n_errors": san.n_errors,
-                "serialized_by_sanitizer": engine == "pool",
             }
         )
 
@@ -115,7 +106,8 @@ def bench_sanitize_overhead(benchmark):
         ["engine", "off (s)", "full (s)", "slowdown", "accesses checked"],
         rows,
         f"Sanitizer overhead — {n_warps} uniform warps, sanitize=full "
-        "(memcheck+racecheck+initcheck; pool serialises under sanitizer)",
+        f"(memcheck+racecheck+initcheck), {len(os.sched_getaffinity(0))} "
+        "core(s) available",
     )
     record("sanitize_overhead", text)
 
@@ -124,6 +116,7 @@ def bench_sanitize_overhead(benchmark):
         json.dumps(
             {
                 "bench": "sanitize_overhead",
+                "cpu_cores": len(os.sched_getaffinity(0)),
                 "n_warps": n_warps,
                 "mode": "full",
                 "results": entries,

@@ -21,23 +21,6 @@ import pytest
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-@pytest.fixture(scope="session")
-def engine_workers() -> tuple[int, ...]:
-    """Worker counts the engine-scaling bench sweeps.
-
-    Override with ``REPRO_ENGINE_WORKERS=1,2,4,8`` to match the machine;
-    the default sweep covers the sequential baseline and the ISSUE's
-    reference points.
-    """
-    import os
-
-    spec = os.environ.get("REPRO_ENGINE_WORKERS", "1,2,4")
-    counts = tuple(int(s) for s in spec.split(",") if s.strip())
-    if not counts or counts[0] != 1:
-        counts = (1,) + counts  # speedups are always relative to workers=1
-    return counts
-
-
 def record(name: str, text: str) -> None:
     """Persist a bench's report and echo it."""
     RESULTS_DIR.mkdir(exist_ok=True)

@@ -76,7 +76,12 @@ def _tenant_budget(text: str) -> tuple[str, int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.core.config import ENGINE_MODES, OVERLAP_MODES, SANITIZE_MODES
+    from repro.core.config import (
+        ENGINE_MODES,
+        KERNEL_VERSIONS,
+        OVERLAP_MODES,
+        SANITIZE_MODES,
+    )
     from repro.service.service import WORKER_MODES
 
     parser = argparse.ArgumentParser(
@@ -106,13 +111,10 @@ def build_parser() -> argparse.ArgumentParser:
     asm.add_argument("--checkpoint", action="store_true",
                      help="persist/reuse the contig-generation checkpoint "
                           "in the output directory (MHM2 --checkpoint)")
-    asm.add_argument("--workers", type=_positive_int, default=1,
-                     help="worker processes for the simulated GPU's parallel "
-                          "warp engine (gpu mode; 1 = sequential)")
     asm.add_argument("--engine", choices=ENGINE_MODES, default="auto",
                      help="warp execution engine (gpu mode; 'auto' resolves to "
-                          "'batched' — the lockstep SoA engine; the process "
-                          "pool runs only on explicit request)")
+                          "'batched' — the lockstep SoA engine; 'sequential' "
+                          "interprets one warp at a time)")
     asm.add_argument("--sanitize", choices=SANITIZE_MODES + ("rankcheck",),
                      default="off",
                      help="dynamic checkers: memcheck/racecheck/initcheck "
@@ -167,15 +169,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     la.add_argument("dump", type=Path, help=".npz dump from dump-localassm")
     la.add_argument("--mode", choices=["cpu", "gpu"], default="gpu")
-    la.add_argument("--kernel", choices=["v1", "v2"], default="v2")
+    la.add_argument("--kernel", choices=KERNEL_VERSIONS, default="v2")
     la.add_argument("--k-init", type=int, default=21)
-    la.add_argument("--workers", type=_positive_int, default=1,
-                    help="worker processes for the parallel warp engine "
-                         "(gpu mode; 1 = sequential)")
     la.add_argument("--engine", choices=ENGINE_MODES, default="auto",
                     help="warp execution engine (gpu mode; 'auto' resolves to "
-                         "'batched' — the lockstep SoA engine; the process "
-                         "pool runs only on explicit request)")
+                         "'batched' — the lockstep SoA engine; 'sequential' "
+                         "interprets one warp at a time)")
     la.add_argument("--sanitize", choices=SANITIZE_MODES, default="off",
                     help="dynamic kernel checkers (gpu mode; compute-"
                          "sanitizer analogue: memcheck/racecheck/initcheck)")
@@ -329,7 +328,6 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
         aln_ranks=args.aln_ranks,
         local_assembly_mode=args.mode,
         local_assembly=LocalAssemblyConfig(max_reads_per_end=args.max_reads_per_end),
-        local_assembly_workers=args.workers,
         local_assembly_engine=args.engine,
         local_assembly_sanitize="off" if rankcheck else args.sanitize,
         local_assembly_overlap=args.overlap,
@@ -469,7 +467,6 @@ def _cmd_localassm(args: argparse.Namespace) -> int:
         config=config,
         mode=args.mode,
         kernel_version=args.kernel,
-        workers=args.workers,
         engine=args.engine,
         sanitize=args.sanitize,
         overlap=args.overlap,
@@ -642,7 +639,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             # the process-rank concurrency surface
             paths = [
                 pkg / "distributed",
-                pkg / "gpusim" / "shmem.py",
                 pkg / "locking.py",
                 pkg / "service",
             ]

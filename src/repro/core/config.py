@@ -17,6 +17,7 @@ from dataclasses import dataclass
 __all__ = [
     "LocalAssemblyConfig",
     "ENGINE_MODES",
+    "KERNEL_VERSIONS",
     "OVERLAP_MODES",
     "SANITIZE_MODES",
     "RANK_SANITIZE_MODES",
@@ -27,12 +28,16 @@ __all__ = [
 # imports neither the simulator nor the sanitizers.
 
 #: valid ``GpuContext(engine=...)`` values.  ``"auto"`` resolves to
-#: ``"batched"`` — the SoA engine is 7-22x faster than the sequential
-#: interpreter on every measured workload (BENCH_engine.json), while the
-#: process pool loses to IPC overhead on small boxes, so the pool runs
-#: only on explicit request.  Kernels without a batched implementation
-#: (e.g. v1) fall back to sequential interpretation per launch.
-ENGINE_MODES = ("auto", "sequential", "pool", "batched")
+#: ``"batched"`` — the SoA engine is 22-38x faster than the sequential
+#: interpreter on every recorded workload (BENCH_engine.json,
+#: BENCH_batched.json).  Kernels without a batched implementation (e.g.
+#: v1) fall back to sequential interpretation per launch.
+ENGINE_MODES = ("auto", "sequential", "batched")
+
+#: valid GPU extension-kernel versions: ``"v2"`` is the paper's
+#: warp-cooperative kernel, ``"v1"`` the thread-per-table baseline of the
+#: §4.2 roofline comparison.
+KERNEL_VERSIONS = ("v1", "v2")
 
 #: valid ``GpuContext(overlap=...)`` values: ``"on"`` lets ops on
 #: different streams overlap on the modelled timeline, ``"off"``

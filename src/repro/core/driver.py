@@ -58,6 +58,7 @@ import numpy as np
 from repro.core.binning import ContigBins, bin_contigs
 from repro.core.config import (
     ENGINE_MODES,
+    KERNEL_VERSIONS,
     OVERLAP_MODES,
     SANITIZE_MODES,
     LocalAssemblyConfig,
@@ -87,6 +88,7 @@ from repro.sequence.dna import decode
 
 __all__ = ["GpuLocalAssemblyReport", "GpuLocalAssembler"]
 
+#: one kernel per ``KERNEL_VERSIONS`` entry
 _KERNELS = {
     "v1": extension_task_kernel_v1,
     "v2": extension_task_kernel_v2,
@@ -185,14 +187,10 @@ class GpuLocalAssembler:
         ``"v2"`` — the paper's warp-cooperative kernel (default) —
         or ``"v1"`` — the thread-per-table development baseline used for
         the §4.2 roofline comparison.
-    workers:
-        Worker processes for the pool warp-execution engine (only used
-        when ``engine="pool"`` is explicitly requested).
     engine:
         Warp execution mode: ``"auto"`` (the batched SoA engine — it is
-        7-22x faster than sequential interpretation on every measured
-        workload, see BENCH_engine.json), ``"sequential"``, ``"pool"``
-        (explicit request only; loses to IPC overhead on small boxes) or
+        22-38x faster than sequential interpretation on every recorded
+        workload, see BENCH_engine.json), ``"sequential"`` or
         ``"batched"``.  v1 kernels have no batched twin and fall back to
         sequential interpretation.  All modes are bit-identical.
     sanitize:
@@ -239,7 +237,6 @@ class GpuLocalAssembler:
         config: LocalAssemblyConfig | None = None,
         device: DeviceSpec = V100,
         kernel_version: str = "v2",
-        workers: int = 1,
         engine: str = "auto",
         sanitize: str = "off",
         overlap: str = "off",
@@ -249,10 +246,8 @@ class GpuLocalAssembler:
         mem_budget: int | None = None,
         profile_host: bool = False,
     ) -> None:
-        if kernel_version not in _KERNELS:
-            raise ValueError(f"kernel_version must be one of {sorted(_KERNELS)}")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
+        if kernel_version not in KERNEL_VERSIONS:
+            raise ValueError(f"kernel_version must be one of {KERNEL_VERSIONS}")
         if engine not in ENGINE_MODES:
             raise ValueError(f"engine must be one of {ENGINE_MODES}")
         if overlap not in OVERLAP_MODES:
@@ -270,7 +265,6 @@ class GpuLocalAssembler:
         self.config = config or LocalAssemblyConfig()
         self.device = device
         self.kernel_version = kernel_version
-        self.workers = workers
         self.engine = engine
         self.sanitize = sanitize
         self.overlap = overlap
@@ -299,7 +293,6 @@ class GpuLocalAssembler:
         overlap_on = self.overlap == "on" and self.sanitize == "off"
         ctx = GpuContext(
             device=self.device,
-            workers=self.workers,
             engine=self.engine,
             sanitize=self.sanitize,
             overlap="on" if overlap_on else "off",
@@ -313,21 +306,18 @@ class GpuLocalAssembler:
             host_profile=prof if self.profile_host else None,
         )
 
-        try:
-            work = self._plan_work(tasks, bins, tasks_by_cid, overlap_on)
-            self._run_batches(ctx, work, extensions, report, prof)
+        work = self._plan_work(tasks, bins, tasks_by_cid, overlap_on)
+        self._run_batches(ctx, work, extensions, report, prof)
 
-            report.launches = list(ctx.launches)
-            report.transfer_time_s = ctx.transfer_time_s
-            report.transfer_bytes = ctx.transfer_bytes
-            report.h2d_bytes = ctx.h2d_bytes
-            report.d2h_bytes = ctx.d2h_bytes
-            report.high_water_bytes = ctx.allocator.high_water_bytes
-            report.critical_path_s = ctx.synchronize()
-            report.timeline = ctx.timeline
-            report.sanitizer = ctx.sanitizer_report()
-        finally:
-            ctx.close()
+        report.launches = list(ctx.launches)
+        report.transfer_time_s = ctx.transfer_time_s
+        report.transfer_bytes = ctx.transfer_bytes
+        report.h2d_bytes = ctx.h2d_bytes
+        report.d2h_bytes = ctx.d2h_bytes
+        report.high_water_bytes = ctx.allocator.high_water_bytes
+        report.critical_path_s = ctx.synchronize()
+        report.timeline = ctx.timeline
+        report.sanitizer = ctx.sanitizer_report()
         return report
 
     # -- batch planning ----------------------------------------------------------

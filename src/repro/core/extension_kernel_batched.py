@@ -63,9 +63,9 @@ group:
 Bit-identity with the sequential interpreter holds because counters are
 additive per warp (each :class:`~repro.gpusim.batched.WarpBatch` primitive
 reproduces the per-warp accounting exactly) and all device regions are
-warp-disjoint, so results do not depend on warp interleaving — the same
-argument that makes the process-pool engine exact, checked end to end by
-``tests/core/test_batched_engine.py`` and the scaling benchmark.
+warp-disjoint, so results do not depend on warp interleaving — checked
+end to end by ``tests/core/test_batched_engine.py`` and the scaling
+benchmark.
 
 The v1 kernel is not batched: its per-*lane* tasking already amortises
 interpretation over 32 tasks per warp, and it exists as the §4.2 baseline;

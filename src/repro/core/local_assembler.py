@@ -46,6 +46,7 @@ def extend_tasks(
     mode: str = "cpu",
     device: DeviceSpec | None = None,
     kernel_version: str = "v2",
+    # always 1: benchmarks/e2e/trace.py passes it; ROADMAP 1(c) deletes it
     workers: int = 1,
     engine: str = "auto",
     sanitize: str = "off",
@@ -60,8 +61,10 @@ def extend_tasks(
 
     Returns ``({(cid, side): extension}, report)``.  GPU and CPU modes
     produce identical extensions by construction.  *device* (GPU mode
-    only) defaults to the V100.
+    only) defaults to the V100.  *workers* accepts only 1.
     """
+    if workers != 1:
+        raise ValueError(f"workers must be 1, got {workers!r}")
     config = config or LocalAssemblyConfig()
     t0 = time.perf_counter()
     if mode == "cpu":
@@ -84,7 +87,6 @@ def extend_tasks(
             config=config,
             device=device if device is not None else V100,
             kernel_version=kernel_version,
-            workers=workers,
             engine=engine,
             sanitize=sanitize,
             overlap=overlap,
@@ -115,7 +117,6 @@ def extend_contigs(
     mode: str = "cpu",
     device: DeviceSpec | None = None,
     kernel_version: str = "v2",
-    workers: int = 1,
     engine: str = "auto",
     sanitize: str = "off",
     overlap: str = "off",
@@ -143,7 +144,6 @@ def extend_contigs(
         mode=mode,
         device=device,
         kernel_version=kernel_version,
-        workers=workers,
         engine=engine,
         sanitize=sanitize,
         overlap=overlap,

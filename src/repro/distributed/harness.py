@@ -61,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.gpusim.shmem import (
+from repro.distributed.shmem import (
     attach_shared_array,
     cleanup_launch_segments,
     create_named_shared_array,

@@ -8,8 +8,7 @@ Instruction Roofline module reproduces the paper's §4.2 analysis.
 
 Nothing is re-exported: import each name from the module that defines
 it (``repro.gpusim.kernel.GpuContext``, ``repro.gpusim.device.V100``, …).
-Every ranked run reaches this package for ``gpusim.shmem`` alone and
-reports read ``gpusim.counters`` with no simulator behind them, so the
+Reports read ``gpusim.counters`` with no simulator behind them, so the
 package itself must cost nothing to import.
 """
 

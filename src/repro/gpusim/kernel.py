@@ -1,17 +1,17 @@
 """Kernel launching on the simulated device.
 
 A kernel is a Python callable ``fn(warp, warp_id, *args)``; a *launch* runs
-it once per warp.  Warps execute either sequentially in-process or — when
-the context is created with ``workers > 1`` — sharded across the parallel
-execution engine (:mod:`repro.gpusim.engine`).  Their results must be
+it once per warp.  Warps execute either one at a time on the
+:class:`~repro.gpusim.warp.Warp` interpreter or all at once on the batched
+SoA engine (:mod:`repro.gpusim.batched`).  Their results must be
 order-independent (guaranteed by the atomic-based kernel designs and
 checked by the differential tests), and the two execution modes produce
 bit-identical :class:`LaunchResult`\\ s: counters accumulate as if the
 warps ran concurrently either way, and the timing model then prices the
 launch.
 
-:class:`GpuContext` owns the device, its allocator, the worker engine and
-the log of launches, playing the role of a CUDA stream + profiler.
+:class:`GpuContext` owns the device, its allocator and the log of
+launches, playing the role of a CUDA stream + profiler.
 """
 
 from __future__ import annotations
@@ -76,30 +76,24 @@ class LaunchResult:
 
 @dataclass
 class GpuContext:
-    """A simulated GPU: device spec, allocator, worker engine, launch log.
+    """A simulated GPU: device spec, allocator, launch log.
 
     The ``engine`` field picks how a launch's warps are executed; all modes
     produce bit-identical :class:`LaunchResult`\\ s:
 
     * ``"sequential"`` — one :class:`Warp` interpreter per warp, in-process;
-    * ``"pool"`` — warps sharded across a persistent process pool; device
-      arrays are backed by shared memory.  Kernels must keep cross-warp
-      state disjoint (the paper's all do — per-task table regions);
     * ``"batched"`` — the SoA engine (:mod:`repro.gpusim.batched`): all
       warps advance in lockstep through vectorised kernel steps.  Kernels
       without a registered batched implementation fall back to sequential;
-    * ``"auto"`` (default) — ``"batched"``: the SoA engine dominates the
-      alternatives (BENCH_engine.json: 7-22x vs. sequential, pool at
-      0.67-0.79x), so the pool only runs when explicitly requested.
+    * ``"auto"`` (default) — ``"batched"``, which is 22-38x faster than
+      sequential on every recorded workload (BENCH_engine.json,
+      BENCH_batched.json).
 
     The context also owns a :class:`~repro.gpusim.streams.StreamTimeline`
     and the CUDA-style async API (:meth:`to_device_async`,
     :meth:`launch_async`, :meth:`from_device_async`): ops placed on
     different streams may overlap on the modelled clock when
     ``overlap="on"``, and serialise globally when ``overlap="off"``.
-
-    Call :meth:`close` (or use the context manager form) when done to
-    release the pool and unlink shared segments.
     """
 
     device: DeviceSpec = V100
@@ -110,7 +104,6 @@ class GpuContext:
     transfer_time_s: float = 0.0
     h2d_bytes: int = 0
     d2h_bytes: int = 0
-    workers: int = 1
     engine_mode: str = field(default="auto", init=False)
     engine: str = "auto"
     sanitize: str = "off"
@@ -118,11 +111,8 @@ class GpuContext:
     n_streams: int = 2
     timeline: StreamTimeline = field(default=None, repr=False)  # type: ignore[assignment]
     sanitizer: "object" = field(default=None, init=False, repr=False)
-    _engine: "object" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if self.engine not in ENGINE_MODES:
             raise ValueError(
                 f"engine must be one of {ENGINE_MODES}, got {self.engine!r}"
@@ -146,15 +136,7 @@ class GpuContext:
                 )
             self.sanitizer = Sanitizer(self.sanitize)
         if self.allocator is None:
-            # Only the process pool needs shared-memory-backed arrays; a
-            # sanitized context never uses the pool (see _parallel), so it
-            # never needs shared segments either.
-            self.allocator = DeviceAllocator(
-                self.device.global_mem_bytes,
-                shared=self.engine_mode == "pool"
-                and self.workers > 1
-                and self.sanitizer is None,
-            )
+            self.allocator = DeviceAllocator(self.device.global_mem_bytes)
         if self.sanitizer is not None:
             self.allocator.sanitizer = self.sanitizer
         if self.timing_model is None:
@@ -165,13 +147,9 @@ class GpuContext:
     def alloc(self, shape, dtype) -> DeviceArray:
         return self.allocator.alloc(shape, dtype)
 
-    def host_array(self, shape, dtype) -> np.ndarray:
-        """Host scratch that kernel shards can mutate (shared when parallel)."""
-        return self.allocator.host_array(shape, dtype)
-
-    def to_device(self, host_array) -> DeviceArray:
+    def to_device(self, host) -> DeviceArray:
         """Copy host data in, accounting for transfer time."""
-        darr = self.allocator.to_device(host_array)
+        darr = self.allocator.to_device(host)
         self._account_transfer(darr.nbytes, "h2d")
         return darr
 
@@ -215,29 +193,29 @@ class GpuContext:
         return self.timeline.stream(name)
 
     def to_device_async(
-        self, host_array, stream: Stream, name: str = "H2D",
+        self, host, stream: Stream, name: str = "H2D",
         deps: tuple = (),
     ) -> tuple[DeviceArray, Event]:
         """Async host→device copy: data lands now, the modelled copy is
         placed on *stream* after *deps*.  Returns (array, done-event)."""
-        darr = self.allocator.to_device(host_array)
+        darr = self.allocator.to_device(host)
         t = self._account_transfer(darr.nbytes, "h2d")
         done = self.timeline.push(stream, name, "h2d", t, deps, darr.nbytes)
         return darr, done
 
     def upload_into_async(
-        self, darr: DeviceArray, host_array, stream: Stream,
+        self, darr: DeviceArray, host, stream: Stream,
         name: str = "H2D", deps: tuple = (),
     ) -> Event:
         """Async host→device copy into an *existing* device buffer (the
         arena-recycling path): same bytes on the bus as
         :meth:`to_device_async`, no allocation."""
-        if darr.data.size != np.asarray(host_array).size:
+        if darr.data.size != np.asarray(host).size:
             raise ValueError(
                 f"upload_into_async size mismatch: device {darr.data.size} "
-                f"vs host {np.asarray(host_array).size}"
+                f"vs host {np.asarray(host).size}"
             )
-        darr.data[...] = host_array
+        darr.data[...] = host
         t = self._account_transfer(darr.nbytes, "h2d")
         if self.sanitizer is not None:
             self.sanitizer.mark_initialized(darr)
@@ -307,22 +285,6 @@ class GpuContext:
 
     # -- launching ----------------------------------------------------------------
 
-    def _parallel(self, n_warps: int) -> bool:
-        """Use the pool?  Needs pool mode, >1 workers/warps, shared buffers.
-
-        Sanitized launches never use the pool: the shadow state cannot be
-        shared across processes, so a sanitizer serialises pool-mode
-        execution in-process (the same slowdown-for-visibility trade
-        compute-sanitizer makes on real hardware).
-        """
-        return (
-            self.engine_mode == "pool"
-            and self.workers > 1
-            and n_warps > 1
-            and self.sanitizer is None
-            and getattr(self.allocator, "shared", False)
-        )
-
     def launch(
         self,
         name: str,
@@ -364,7 +326,7 @@ class GpuContext:
 
         More than one sub-batch requires a registered batched impl and an
         unsanitized context (sanitized runs keep per-batch launches for
-        precise attribution); the interpreter engines run one at a time.
+        precise attribution); the interpreter runs one at a time.
         """
         n_total = int(sum(sub_warps))
         batched = None
@@ -394,23 +356,16 @@ class GpuContext:
         else:
             counters = KernelCounters()
             per_warp: list[int] = []
-            if self._parallel(n_total):
-                for shard_counters, shard_per_warp in self.warp_engine.run(
-                    kernel_fn, n_total, self.device.sector_bytes, args
-                ):
-                    counters.merge(shard_counters)
-                    per_warp.extend(shard_per_warp)
-            else:
-                for warp_id in range(n_total):
-                    before = counters.warp_inst
-                    warp = Warp(
-                        counters,
-                        warp_id=warp_id,
-                        sector_bytes=self.device.sector_bytes,
-                        sanitizer=self.sanitizer,
-                    )
-                    kernel_fn(warp, warp_id, *args)
-                    per_warp.append(counters.warp_inst - before)
+            for warp_id in range(n_total):
+                before = counters.warp_inst
+                warp = Warp(
+                    counters,
+                    warp_id=warp_id,
+                    sector_bytes=self.device.sector_bytes,
+                    sanitizer=self.sanitizer,
+                )
+                kernel_fn(warp, warp_id, *args)
+                per_warp.append(counters.warp_inst - before)
             parts = [(counters, per_warp)]
         dispatch_s = time.perf_counter() - t0
         results = []
@@ -429,32 +384,6 @@ class GpuContext:
             self.launches.append(result)
             results.append(result)
         return results
-
-    # -- engine lifecycle --------------------------------------------------------
-
-    @property
-    def warp_engine(self):
-        """The lazily-created warp engine (pool-mode contexts only)."""
-        if self._engine is None:
-            from repro.gpusim.engine import WarpEngine
-
-            self._engine = WarpEngine(self.workers)
-        return self._engine
-
-    def close(self) -> None:
-        """Stop the worker pool and unlink shared segments."""
-        if self._engine is not None:
-            self._engine.close()
-            self._engine = None
-        release = getattr(self.allocator, "release_shared", None)
-        if release is not None:
-            release()
-
-    def __enter__(self) -> "GpuContext":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- aggregation -----------------------------------------------------------------
 

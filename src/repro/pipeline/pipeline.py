@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import (
     ENGINE_MODES,
+    KERNEL_VERSIONS,
     OVERLAP_MODES,
     RANK_SANITIZE_MODES,
     SANITIZE_MODES,
@@ -74,9 +75,9 @@ class PipelineConfig:
     local_assembly: LocalAssemblyConfig = field(default_factory=LocalAssemblyConfig)
     local_assembly_mode: str = "cpu"  # "cpu" | "gpu"
     gpu_kernel_version: str = "v2"
-    #: worker processes for the GPU simulator's parallel warp engine
+    #: always 1: benchmarks/e2e/trace.py reads it; ROADMAP 1(c) deletes it
     local_assembly_workers: int = 1
-    #: warp execution engine ("auto" | "sequential" | "pool" | "batched")
+    #: warp execution engine ("auto" | "sequential" | "batched")
     local_assembly_engine: str = "auto"
     #: dynamic checker mode ("off" | "memcheck" | "racecheck" |
     #: "initcheck" | "full") for the GPU local-assembly stage
@@ -112,6 +113,15 @@ class PipelineConfig:
             raise ValueError("all k values must be odd")
         if self.local_assembly_mode not in ("cpu", "gpu"):
             raise ValueError("local_assembly_mode must be 'cpu' or 'gpu'")
+        if self.gpu_kernel_version not in KERNEL_VERSIONS:
+            raise ValueError(
+                f"gpu_kernel_version must be one of {KERNEL_VERSIONS}"
+            )
+        if self.local_assembly_workers != 1:
+            raise ValueError(
+                f"local_assembly_workers must be 1, "
+                f"got {self.local_assembly_workers!r}"
+            )
         if self.kmer_ranks < 1:
             raise ValueError("kmer_ranks must be >= 1")
         if self.aln_ranks < 1:
@@ -315,7 +325,6 @@ def run_pipeline(
             config=config.local_assembly,
             mode=config.local_assembly_mode,
             kernel_version=config.gpu_kernel_version,
-            workers=config.local_assembly_workers,
             engine=config.local_assembly_engine,
             sanitize=config.local_assembly_sanitize,
             overlap=config.local_assembly_overlap,

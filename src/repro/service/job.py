@@ -25,10 +25,12 @@ import json
 import os
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Any, Mapping
+
+from repro.pipeline.pipeline import PipelineConfig
 
 __all__ = [
     "JobState",
@@ -72,29 +74,11 @@ _TRANSITIONS: dict[JobState, frozenset[JobState]] = {
 }
 
 #: :class:`~repro.pipeline.pipeline.PipelineConfig` fields a job spec may
-#: override — the JSON-representable knobs; nested/dataclass fields and
-#: the service-owned memory budget stay out.
+#: override — every JSON-representable field; the nested
+#: ``local_assembly`` dataclass and the service-owned memory budget stay out.
 PIPELINE_SPEC_KEYS = frozenset(
-    {
-        "k_series",
-        "min_kmer_count",
-        "min_depth",
-        "min_kmer_qual",
-        "kmer_ranks",
-        "min_contig_len",
-        "local_assembly_mode",
-        "gpu_kernel_version",
-        "local_assembly_workers",
-        "local_assembly_engine",
-        "local_assembly_sanitize",
-        "local_assembly_overlap",
-        "local_assembly_prefetch",
-        "local_assembly_streams",
-        "local_assembly_batch_cap",
-        "local_assembly_profile_host",
-        "run_scaffolding",
-    }
-)
+    f.name for f in fields(PipelineConfig)
+) - {"local_assembly", "local_assembly_mem_budget"}
 
 
 def new_job_id() -> str:
@@ -137,8 +121,6 @@ class JobSpec:
 
     def pipeline_config(self, mem_budget: int | None = None):
         """Materialise the :class:`PipelineConfig` this job runs with."""
-        from repro.pipeline.pipeline import PipelineConfig
-
         kwargs = dict(self.config)
         if "k_series" in kwargs:
             kwargs["k_series"] = tuple(kwargs["k_series"])

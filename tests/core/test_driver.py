@@ -77,6 +77,19 @@ class TestDriver:
         with pytest.raises(ValueError):
             GpuLocalAssembler(kernel_version="v3")
 
+    def test_pool_engine_rejected(self):
+        with pytest.raises(ValueError, match="engine"):
+            GpuLocalAssembler(engine="pool")
+
+    def test_bin_attribution_uses_structured_fields(self, binned_tasks):
+        report = GpuLocalAssembler(LocalAssemblyConfig()).run(binned_tasks)
+        assert {l.bin for l in report.launches} == {"bin2", "bin3"}
+        assert all(l.kernel == "v2" for l in report.launches)
+        total = report.bin_kernel_time_s("bin2") + report.bin_kernel_time_s("bin3")
+        assert total == pytest.approx(report.kernel_time_s)
+        # an unknown bin attributes nothing, even as a substring of a name
+        assert report.bin_kernel_time_s("bin") == 0.0
+
     def test_memory_freed_between_batches(self, rng):
         from repro.gpusim.device import DeviceSpec
 

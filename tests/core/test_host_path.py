@@ -32,7 +32,6 @@ from repro.core.ht_sizing import plan_layout
 from repro.core.tasks import LEFT, RIGHT, ExtensionTask, TaskSet
 from repro.gpusim._fastops import run_heads
 from repro.gpusim.kernel import GpuContext
-from repro.gpusim.shmem import shared_memory_available
 from repro.perf import PHASES, HostProfiler
 from repro.pipeline.aln_kernel import segment_match_counts
 from repro.sequence.dna import encode, random_dna
@@ -216,13 +215,10 @@ class TestArenaUpload:
 
 
 class TestEngineIdentityWithArenas:
-    @pytest.mark.parametrize("engine", ["sequential", "batched", "pool"])
+    @pytest.mark.parametrize("engine", ["sequential", "batched"])
     def test_extensions_match_cpu_reference(self, workload, config, engine):
-        if engine == "pool" and not shared_memory_available():
-            pytest.skip("POSIX shared memory unavailable")
         cpu, _ = run_local_assembly_cpu(workload, config)
-        kw = {"workers": 2} if engine == "pool" else {}
-        report = GpuLocalAssembler(config, engine=engine, **kw).run(workload)
+        report = GpuLocalAssembler(config, engine=engine).run(workload)
         assert report.extensions == cpu
 
 

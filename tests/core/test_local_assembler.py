@@ -68,6 +68,13 @@ class TestExtendTasks:
         exts, report = extend_tasks(TaskSet([]), mode="cpu")
         assert exts == {} and report.n_tasks == 0
 
+    @pytest.mark.parametrize("mode", ["cpu", "gpu"])
+    def test_workers_other_than_one_rejected(self, mode):
+        with pytest.raises(ValueError, match="workers"):
+            extend_tasks(TaskSet([]), mode=mode, workers=2)
+        exts, _ = extend_tasks(TaskSet([]), mode=mode, workers=1)
+        assert exts == {}
+
     def test_report_counts(self, rng):
         genome = random_dna(300, rng)
         reads = tuple(encode(genome[i : i + 70]) for i in range(60, 200, 8))

@@ -38,7 +38,7 @@ from repro.distributed.rank import (
     partition_reads,
     spectrum_from_records,
 )
-from repro.gpusim.shmem import (
+from repro.distributed.shmem import (
     cleanup_launch_segments,
     create_named_shared_array,
     launch_token,

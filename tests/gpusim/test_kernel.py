@@ -52,6 +52,10 @@ class TestLaunch:
         assert ctx.transfer_bytes == 16000
         assert ctx.transfer_time_s > 0
 
+    def test_pool_engine_rejected(self):
+        with pytest.raises(ValueError, match="engine"):
+            GpuContext(engine="pool")
+
     def test_kernel_args_passed(self):
         ctx = GpuContext()
         d = ctx.to_device(np.zeros(4096, dtype=np.int32))

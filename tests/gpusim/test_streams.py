@@ -142,50 +142,50 @@ def _noop_kernel(warp, warp_id, out):
 
 class TestContextAsyncApi:
     def test_auto_engine_resolves_to_batched(self):
-        with GpuContext() as ctx:
-            assert ctx.engine == "auto" and ctx.engine_mode == "batched"
+        ctx = GpuContext()
+        assert ctx.engine == "auto" and ctx.engine_mode == "batched"
 
     def test_to_device_async_accounts_and_places(self):
-        with GpuContext(overlap="on") as ctx:
-            host = np.arange(1024, dtype=np.int64)
-            darr, ev = ctx.to_device_async(host, ctx.stream("copy0"))
-            assert np.array_equal(darr.data, host)
-            assert ctx.h2d_bytes == host.nbytes == ctx.transfer_bytes
-            assert ev.recorded and ev.time_s == ctx.synchronize()
-            (op,) = ctx.timeline.ops
-            assert op.cat == "h2d" and op.nbytes == host.nbytes
+        ctx = GpuContext(overlap="on")
+        host = np.arange(1024, dtype=np.int64)
+        darr, ev = ctx.to_device_async(host, ctx.stream("copy0"))
+        assert np.array_equal(darr.data, host)
+        assert ctx.h2d_bytes == host.nbytes == ctx.transfer_bytes
+        assert ev.recorded and ev.time_s == ctx.synchronize()
+        (op,) = ctx.timeline.ops
+        assert op.cat == "h2d" and op.nbytes == host.nbytes
 
     def test_from_device_regions_async_charges_only_spans(self):
-        with GpuContext(overlap="on") as ctx:
-            darr = ctx.to_device(np.arange(1000, dtype=np.int32))
-            spans, ev = ctx.from_device_regions_async(
-                darr, [(0, 10), (500, 520)], ctx.stream("copy0")
-            )
-            assert [s.tolist() for s in spans] == [
-                list(range(10)), list(range(500, 520))
-            ]
-            assert ctx.d2h_bytes == 30 * 4  # span bytes only, not 4000
-            assert ev.recorded
+        ctx = GpuContext(overlap="on")
+        darr = ctx.to_device(np.arange(1000, dtype=np.int32))
+        spans, ev = ctx.from_device_regions_async(
+            darr, [(0, 10), (500, 520)], ctx.stream("copy0")
+        )
+        assert [s.tolist() for s in spans] == [
+            list(range(10)), list(range(500, 520))
+        ]
+        assert ctx.d2h_bytes == 30 * 4  # span bytes only, not 4000
+        assert ev.recorded
 
     def test_launch_async_places_modelled_kernel_time(self):
-        with GpuContext(engine="sequential", overlap="on") as ctx:
-            out = ctx.alloc(4, np.int64)
-            upl = ctx.stream("copy0").record()
-            result, ev = ctx.launch_async(
-                "k", _noop_kernel, 4, out, stream=ctx.stream("compute"),
-                deps=(upl,),
-            )
-            assert result.time_s > 0
-            op = ctx.timeline.ops[-1]
-            assert op.cat == "kernel" and op.dur_s == result.time_s
-            assert ctx.synchronize() == pytest.approx(op.end_s)
+        ctx = GpuContext(engine="sequential", overlap="on")
+        out = ctx.alloc(4, np.int64)
+        upl = ctx.stream("copy0").record()
+        result, ev = ctx.launch_async(
+            "k", _noop_kernel, 4, out, stream=ctx.stream("compute"),
+            deps=(upl,),
+        )
+        assert result.time_s > 0
+        op = ctx.timeline.ops[-1]
+        assert op.cat == "kernel" and op.dur_s == result.time_s
+        assert ctx.synchronize() == pytest.approx(op.end_s)
 
     def test_export_trace(self, tmp_path):
-        with GpuContext(overlap="on") as ctx:
-            ctx.to_device_async(np.zeros(8), ctx.stream("copy0"))
-            path = tmp_path / "t.json"
-            ctx.export_trace(path)
-            assert "traceEvents" in json.loads(path.read_text())
+        ctx = GpuContext(overlap="on")
+        ctx.to_device_async(np.zeros(8), ctx.stream("copy0"))
+        path = tmp_path / "t.json"
+        ctx.export_trace(path)
+        assert "traceEvents" in json.loads(path.read_text())
 
     def test_overlap_validation(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -194,10 +194,10 @@ class TestContextAsyncApi:
             GpuContext(n_streams=0)
 
     def test_overlap_off_context_serializes_timeline(self):
-        with GpuContext(overlap="off") as ctx:
-            ctx.to_device_async(np.zeros(1 << 20, dtype=np.uint8),
-                                ctx.stream("copy0"))
-            ctx.to_device_async(np.zeros(1 << 20, dtype=np.uint8),
-                                ctx.stream("copy1"))
-            total = sum(op.dur_s for op in ctx.timeline.ops)
-            assert ctx.synchronize() == pytest.approx(total)
+        ctx = GpuContext(overlap="off")
+        ctx.to_device_async(np.zeros(1 << 20, dtype=np.uint8),
+                            ctx.stream("copy0"))
+        ctx.to_device_async(np.zeros(1 << 20, dtype=np.uint8),
+                            ctx.stream("copy1"))
+        total = sum(op.dur_s for op in ctx.timeline.ops)
+        assert ctx.synchronize() == pytest.approx(total)

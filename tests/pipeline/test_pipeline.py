@@ -114,6 +114,21 @@ class TestConfig:
         with pytest.raises(ValueError, match=field):
             PipelineConfig(local_assembly_mode="cpu", **{field: "bogus"})
 
+    @pytest.mark.parametrize("mode", ["cpu", "gpu"])
+    def test_bad_kernel_version_rejected_in_every_mode(self, mode):
+        # checked with the config, not after three stages have run
+        with pytest.raises(ValueError, match="gpu_kernel_version"):
+            PipelineConfig(local_assembly_mode=mode, gpu_kernel_version="v3")
+
+    def test_pool_engine_rejected(self):
+        with pytest.raises(ValueError, match="local_assembly_engine"):
+            PipelineConfig(local_assembly_engine="pool")
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_workers_other_than_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="local_assembly_workers"):
+            PipelineConfig(local_assembly_workers=workers)
+
     def test_multi_round_runs(self):
         rng = np.random.default_rng(5)
         design = CommunityDesign(

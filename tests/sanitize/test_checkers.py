@@ -58,9 +58,7 @@ def _clean_kernel(warp, warp_id, darr):
 
 @pytest.fixture
 def ctx():
-    context = GpuContext(sanitize="full")
-    yield context
-    context.close()
+    return GpuContext(sanitize="full")
 
 
 def _launch(ctx, kernel, n_warps=1, *, name="fixture", bin_name="bin2", size=64):
@@ -167,19 +165,12 @@ class TestModes:
         # the OOB fixture under racecheck-only: suppression is memcheck's
         # job, so strict validation raises instead
         ctx = GpuContext(sanitize="racecheck")
-        try:
-            darr = ctx.to_device(np.zeros(64, dtype=np.int64))
-            with pytest.raises(IndexError):
-                ctx.launch("oob", _oob_store_kernel, 1, darr)
-        finally:
-            ctx.close()
+        darr = ctx.to_device(np.zeros(64, dtype=np.int64))
+        with pytest.raises(IndexError):
+            ctx.launch("oob", _oob_store_kernel, 1, darr)
 
     def test_off_mode_has_no_report(self):
-        ctx = GpuContext()
-        try:
-            assert ctx.sanitizer_report() is None
-        finally:
-            ctx.close()
+        assert GpuContext().sanitizer_report() is None
 
     def test_invalid_mode_rejected(self):
         with pytest.raises(ValueError, match="sanitize"):

@@ -227,7 +227,6 @@ class TestRealTree:
     def test_concurrency_surface_is_clean(self):
         paths = [
             _PKG / "distributed",
-            _PKG / "gpusim" / "shmem.py",
             _PKG / "locking.py",
             _PKG / "service",
         ]

@@ -201,7 +201,7 @@ class TestReport:
 from repro.distributed import harness  # noqa: E402
 from repro.distributed.harness import run_ranks  # noqa: E402
 from repro.distributed.procrank import distributed_count_proc  # noqa: E402
-from repro.gpusim.shmem import shared_memory_available  # noqa: E402
+from repro.distributed.shmem import shared_memory_available  # noqa: E402
 
 
 @pytest.fixture(scope="module")

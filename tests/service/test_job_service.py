@@ -25,6 +25,7 @@ from repro.service import (
     QueueFullError,
     ServiceConfig,
 )
+from repro.service.job import PIPELINE_SPEC_KEYS
 
 GB = 1 << 30
 
@@ -82,8 +83,29 @@ class TestJobModel:
             job.transition(JobState.STAGING)
 
     def test_unknown_spec_key_rejected(self):
-        with pytest.raises(ValueError, match="unknown pipeline config keys"):
-            JobSpec(reads="r", config={"insert_mean": 5.0})
+        # the nested config is not JSON and the service owns the budget
+        for key in ("no_such_knob", "local_assembly", "local_assembly_mem_budget"):
+            with pytest.raises(ValueError, match="unknown pipeline config keys"):
+                JobSpec(reads="r", config={key: 1})
+
+    def test_every_spec_key_round_trips(self):
+        """Each key a spec accepts survives job.json and reaches the run."""
+        reference = PipelineConfig()
+        config = {k: getattr(reference, k) for k in PIPELINE_SPEC_KEYS}
+        spec = JobSpec(reads="r", config=config)
+        back = JobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert set(back.config) == PIPELINE_SPEC_KEYS
+        assert back.pipeline_config() == reference
+
+    def test_ranked_alignment_spec_accepted(self):
+        spec = JobSpec(reads="r", config={"aln_ranks": 2, "kmer_sanitize": "rankcheck"})
+        config = spec.pipeline_config()
+        assert config.aln_ranks == 2 and config.kmer_sanitize == "rankcheck"
+
+    def test_bad_kernel_version_fails_before_the_run(self):
+        spec = JobSpec(reads="r", config={"gpu_kernel_version": "v3"})
+        with pytest.raises(ValueError, match="gpu_kernel_version"):
+            spec.pipeline_config()
 
     def test_recovery_edge(self):
         job = Job(job_id="j", spec=JobSpec(reads="r"))

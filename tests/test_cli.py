@@ -21,6 +21,19 @@ class TestParser:
         )
         assert args.k == [21, 33]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["assemble", "r.fastq", "--out", "o", "--engine", "pool"],
+            ["localassm", "d.npz", "--engine", "pool"],
+            ["assemble", "r.fastq", "--out", "o", "--workers", "2"],
+            ["localassm", "d.npz", "--workers", "2"],
+        ],
+    )
+    def test_removed_engine_knobs_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
+
 
 class TestWorkflow:
     @pytest.fixture(scope="class")

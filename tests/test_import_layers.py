@@ -130,11 +130,8 @@ class TestRunLoadsWhatItRuns:
         assert "repro.distributed.procrank" in report["run"]
         everything = report["setup"] + report["run"]
         assert _loaded(everything, _NEVER_IN_RANKED_RUN + ("repro.service",)) == []
-        # ranks reach gpusim for its shared-memory segments, not a simulator
-        assert set(_loaded(everything, _GPU_STACK)) == {
-            "repro.gpusim",
-            "repro.gpusim.shmem",
-        }
+        # the rank segments live in repro.distributed: no simulator module
+        assert _loaded(everything, _GPU_STACK) == []
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
