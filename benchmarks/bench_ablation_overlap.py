@@ -22,7 +22,7 @@ as context.  Two quantities per configuration, deliberately kept apart:
 
 * **wall clock** — host seconds to run the simulator (best of 3).
   Pre-PR this regressed to 0.34x because Python staging and
-  per-batch allocation dominated; the vectorised staging + arenas + fused
+  per-batch allocation dominated; the vectorised staging + fused
   dispatch make the overlapped driver faster in wall clock too.
 * **critical path** — the measured makespan over the stream timelines:
   modelled device ops + thread-CPU-measured host ops, placed by their
@@ -75,7 +75,7 @@ REPEATS = 3
 MIN_CP_SPEEDUP = 1.15
 MIN_WALL_SPEEDUP = 1.0
 #: pre-PR stage+upload host cost per batch at quantum 20, as recorded on
-#: this box before the vectorised staging / arena / fusion work.  Kept
+#: this box before the vectorised staging / fusion work.  Kept
 #: for the report; the *gate* compares against a same-run re-measurement
 #: of the pre-PR path (``_naive_host_path``) so that background load on
 #: a shared box inflates both sides of the ratio equally.
@@ -252,9 +252,8 @@ def _naive_host_path(tasks):
 def _profiled_pair(tasks):
     """The host-path gate: serial vs. best overlapped at the baseline's
     quantum, profiler attached.  Best of ``REPEATS`` on the per-batch
-    stage+upload figure (same protocol as the wall-clock columns — each
-    run pays its own cold-arena batch, and scheduler noise on a shared
-    box should not decide the gate).  Returns (serial report, overlapped
+    stage+upload figure (same protocol as the wall-clock columns:
+    scheduler noise on a shared box should not decide the gate).  Returns (serial report, overlapped
     report, overlapped per-batch stage+upload seconds)."""
 
     def best_of(overlap, prefetch):

@@ -129,8 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "kernels on streams")
     asm.add_argument("--prefetch", type=_positive_int, default=1,
                      help="staging depth of the overlapped driver")
-    asm.add_argument("--streams", type=_positive_int, default=2,
-                     help="copy streams for the overlapped driver")
     asm.add_argument("--batch-cap", type=_positive_int, default=None,
                      help="cap tasks per GPU batch (default: memory-budget "
                           "batching only)")
@@ -183,8 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "batch N executes, overlap transfers with kernels")
     la.add_argument("--prefetch", type=_positive_int, default=1,
                     help="staging depth of the overlapped driver")
-    la.add_argument("--streams", type=_positive_int, default=2,
-                    help="copy streams for the overlapped driver")
     la.add_argument("--batch-cap", type=_positive_int, default=None,
                     help="cap tasks per GPU batch (default: memory-budget "
                          "batching only)")
@@ -332,7 +328,6 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
         local_assembly_sanitize="off" if rankcheck else args.sanitize,
         local_assembly_overlap=args.overlap,
         local_assembly_prefetch=args.prefetch,
-        local_assembly_streams=args.streams,
         local_assembly_batch_cap=args.batch_cap,
         local_assembly_mem_budget=args.mem_budget,
         local_assembly_profile_host=args.profile_host,
@@ -471,7 +466,6 @@ def _cmd_localassm(args: argparse.Namespace) -> int:
         sanitize=args.sanitize,
         overlap=args.overlap,
         prefetch=args.prefetch,
-        streams=args.streams,
         batch_cap=args.batch_cap,
         mem_budget=args.mem_budget,
         profile_host=args.profile_host,

@@ -2,7 +2,7 @@
 
 Public entry points:
 
-* :func:`repro.core.local_assembler.extend_contigs` — pipeline-facing API;
+* :func:`repro.core.local_assembler.extend_tasks` — pipeline-facing API;
 * :class:`repro.core.driver.GpuLocalAssembler` — the GPU driver (§4.3),
   imported from its own module: it pulls in the whole simulator, which a
   CPU run never loads;
@@ -35,7 +35,7 @@ from repro.core.ht_sizing import (
     worst_case_load_factor,
 )
 from repro.core.dump import load_tasks, save_tasks
-from repro.core.local_assembler import LocalAssemblyReport, extend_contigs, extend_tasks
+from repro.core.local_assembler import LocalAssemblyReport, extend_tasks
 from repro.core.tasks import (
     LEFT,
     RIGHT,
@@ -66,7 +66,6 @@ __all__ = [
     "plan_layout",
     "worst_case_load_factor",
     "LocalAssemblyReport",
-    "extend_contigs",
     "extend_tasks",
     "load_tasks",
     "save_tasks",

@@ -25,10 +25,11 @@ declared dependencies, never the host thread that issued an op):
 The host path is engineered to stay small next to the engine sweep it
 drives (staging + unpacking are ~0.1% of a run, BENCH_overlap.json):
 
-* staging is bulk NumPy into recycled :class:`~repro.core.gpu_batch.
-  StagingArena` buffers; device buffers recycle through a
-  :class:`~repro.core.gpu_batch.DeviceArena` (both skipped under a
-  sanitizer, which wants precise per-allocation attribution);
+* every run, sanitized or not, follows one discipline: each batch stages
+  into fresh host arrays with bulk NumPy, uploads into exactly sized
+  device allocations on one of ``COPY_STREAMS`` copy streams, and the
+  allocator resets once per wave after unpacking — so the device holds
+  one wave at a time and ``high_water_bytes`` is the largest wave;
 * on the batched engine, an overlapped run *fuses* each wave of up to
   ``prefetch + 1`` same-bin batches into one SoA sweep
   (:meth:`~repro.gpusim.kernel.GpuContext.launch_fused`), paying the
@@ -68,15 +69,7 @@ from repro.core.extension_kernel import (
     extension_task_kernel_v2,
 )
 import repro.core.extension_kernel_batched  # noqa: F401  (registers the batched v2 impl)
-from repro.core.gpu_batch import (
-    DeviceArena,
-    StagingArena,
-    TaskListView,
-    free_batch,
-    fuse_staged,
-    stage_batch,
-    upload_batch,
-)
+from repro.core.gpu_batch import fuse_staged, stage_batch, upload_batch
 from repro.core.ht_sizing import plan_batches
 from repro.core.tasks import TaskSet
 from repro.gpusim.batched import batched_impl
@@ -97,6 +90,10 @@ _KERNELS = {
 #: timeline lane names used by the driver.
 _STAGE_LANE = "host.stage"
 _DRIVE_LANE = "host.drive"
+
+#: copy streams the waves round-robin across (the compute stream is
+#: always one — one device).
+COPY_STREAMS = 2
 
 
 @dataclass
@@ -199,8 +196,8 @@ class GpuLocalAssembler:
         :class:`~repro.sanitize.Sanitizer` to the context and stores its
         report on :attr:`GpuLocalAssemblyReport.sanitizer`.  A sanitized
         run serialises the timeline (``overlap`` reports ``"off"``) and
-        disables buffer arenas + fused dispatch, so every allocation and
-        launch stays individually attributable.
+        disables fused dispatch, so every launch stays individually
+        attributable.
     overlap:
         ``"off"`` (default) — the synchronous driver; ``"on"`` — the
         double-buffered pipeline on the modelled stream timeline: batch
@@ -213,9 +210,6 @@ class GpuLocalAssembler:
         ``prefetch + 1`` ways so the modelled residency is honest; on the
         batched engine, each wave of up to ``prefetch + 1`` same-bin
         batches dispatches as one fused SoA sweep.
-    streams:
-        Number of copy streams batches round-robin across (the compute
-        stream is always one — one device).
     batch_cap:
         Optional cap on tasks per batch (a batching quantum).  Applied on
         top of the memory-budget batching in *both* overlap modes, so
@@ -241,7 +235,6 @@ class GpuLocalAssembler:
         sanitize: str = "off",
         overlap: str = "off",
         prefetch: int = 1,
-        streams: int = 2,
         batch_cap: int | None = None,
         mem_budget: int | None = None,
         profile_host: bool = False,
@@ -254,8 +247,6 @@ class GpuLocalAssembler:
             raise ValueError(f"overlap must be one of {OVERLAP_MODES}")
         if prefetch < 1:
             raise ValueError("prefetch must be >= 1")
-        if streams < 1:
-            raise ValueError("streams must be >= 1")
         if batch_cap is not None and batch_cap < 1:
             raise ValueError("batch_cap must be >= 1 (or None)")
         if mem_budget is not None and mem_budget < 1:
@@ -269,7 +260,6 @@ class GpuLocalAssembler:
         self.sanitize = sanitize
         self.overlap = overlap
         self.prefetch = prefetch
-        self.streams = streams
         self.batch_cap = batch_cap
         self.mem_budget = mem_budget
         self.profile_host = profile_host
@@ -296,7 +286,6 @@ class GpuLocalAssembler:
             engine=self.engine,
             sanitize=self.sanitize,
             overlap="on" if overlap_on else "off",
-            n_streams=self.streams,
         )
         prof = HostProfiler(enabled=self.profile_host)
         report = GpuLocalAssemblyReport(
@@ -346,7 +335,7 @@ class GpuLocalAssembler:
             bin_tasks = [tasks[i] for cid in cids for i in tasks_by_cid[cid]]
             if not bin_tasks:
                 continue
-            planned = plan_batches(TaskListView(bin_tasks), budget)
+            planned = plan_batches(bin_tasks, budget)
             if self.batch_cap is not None:
                 cap = self.batch_cap
                 planned = [
@@ -379,27 +368,20 @@ class GpuLocalAssembler:
         fuse into one SoA sweep.  Every op lands on the context's
         timeline with its dependencies declared; whether the run reads as
         the synchronous driver or the §3.1 pipeline is the timeline's
-        ``serialize`` flag, not this loop.  Unsanitized runs recycle host
-        and device buffers through arenas; sanitized runs keep the
-        reset-per-batch allocator discipline so every allocation stays
-        individually attributable.
+        ``serialize`` flag, not this loop.  Each wave's device buffers
+        live from its upload to the allocator reset after its unpack.
         """
         kernel = _KERNELS[self.kernel_version]
         compute = ctx.stream("compute")
-        pooled = ctx.sanitizer is None
-        darena = DeviceArena(ctx) if pooled else None
         # Fused dispatch needs the batched engine (and its BatchCounters
         # row-local accounting); anything else keeps per-batch launches.
+        # An overlapped context is never sanitized (run() serialises those).
         fused_ok = (
             ctx.overlap == "on"
-            and pooled
             and ctx.engine_mode == "batched"
             and batched_impl(kernel) is not None
         )
         wave_size = self.prefetch + 1 if fused_ok else 1
-        # One staging arena per batch a wave holds, reused across waves
-        # (fusing and uploading copy out of them).
-        sarenas = [StagingArena() if pooled else None for _ in range(wave_size)]
         for w, wave in enumerate(_plan_waves(work, wave_size)):
             bin_name = wave[0][0]
             labels = [label for _, _, label in wave]
@@ -407,24 +389,20 @@ class GpuLocalAssembler:
             wave_label = labels[0]
             if len(wave) > 1:
                 wave_label += f"+{len(wave) - 1}"
-            copy = ctx.stream(f"copy{w % ctx.n_streams}")
+            copy = ctx.stream(f"copy{w % COPY_STREAMS}")
             parts, staged_evs = [], []
-            for (_, batch_tasks, label), sarena in zip(wave, sarenas):
+            for _, batch_tasks, label in wave:
                 with ctx.timeline.host_slice(f"stage {label}", _STAGE_LANE) as st:
                     with prof.phase("stage", label):
-                        part = stage_batch(batch_tasks, self.config, arena=sarena)
+                        part = stage_batch(batch_tasks, self.config)
                 parts.append(part)
                 staged_evs.append(st.event)
             staged = parts[0]
             if len(parts) > 1:
                 with prof.phase("stage", f"fuse {wave_label}"):
                     staged = fuse_staged(parts)
-            if darena is None:
-                ctx.allocator.reset()
             with prof.phase("upload", wave_label):
-                batch, ev_h2d = upload_batch(
-                    ctx, staged, stream=copy, deps=tuple(staged_evs), arena=darena
-                )
+                batch, ev_h2d = upload_batch(ctx, staged, copy, tuple(staged_evs))
             with prof.phase("dispatch", wave_label):
                 results = ctx.launch_fused(
                     f"extension_{bin_name}_{self.kernel_version}",
@@ -450,9 +428,8 @@ class GpuLocalAssembler:
                         label, lo, lo + n_sub,
                     )
                 lo += n_sub
-            if darena is not None:
-                with prof.phase("free", labels[-1]):
-                    free_batch(ctx, batch, arena=darena)
+            with prof.phase("free", labels[-1]):
+                ctx.allocator.reset()
             report.n_batches += len(wave)
 
     # -- unpacking ---------------------------------------------------------------

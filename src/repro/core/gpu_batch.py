@@ -13,21 +13,12 @@ The driver packs a batch of extension tasks into flat device buffers
   single allocations, located through the ``ht_sizes`` prefix offsets;
 * ``vis_ptr`` — the per-task visited tables used for loop detection.
 
-Two host-path mechanisms keep the per-batch cost flat (the pinned-buffer
-discipline MetaCache-GPU style batching lives on):
-
-* a :class:`StagingArena` recycles the host staging arrays across batches
-  (grow-only, keyed by buffer role), so staging batch N+1 reuses batch
-  N-1's memory instead of reallocating;
-* a :class:`DeviceArena` recycles same-shape-class *device* allocations
-  across batches, so upload N+1 pays one memcpy instead of
-  alloc + memset + copy.  Buffers recycled through the arena skip the
-  host-side ``EMPTY_PTR`` memsets entirely: every kernel clears each
-  task's table/visited region at the start of every k-round
-  (``_clear_tables`` / ``_clear_group``), so the upload-time fill never
-  survives to a read.  The arena path is therefore reserved for
-  unsanitized runs; sanitized contexts keep the fill + ``mark_initialized``
-  contract so initcheck stays precise.
+Every run, sanitized or not, takes the one host path of §3.2/§4.3:
+:func:`stage_batch` packs a batch into fresh host arrays,
+:func:`upload_batch` sizes it into exact device allocations on a copy
+stream (the ``EMPTY_PTR`` fills included), and the driver resets the
+allocator once per wave after unpacking, so the device holds one wave's
+buffers at a time.
 """
 
 from __future__ import annotations
@@ -40,13 +31,12 @@ from repro.core.config import LocalAssemblyConfig
 from repro.core.ht_sizing import HashTableLayout
 from repro.core.tasks import ExtensionTask
 from repro.gpusim.kernel import GpuContext
-from repro.gpusim.memory import DeviceArray, DeviceOutOfMemory
+from repro.gpusim.memory import DeviceArray
+from repro.gpusim.streams import Event, Stream
 
 __all__ = [
     "DeviceBatch",
     "StagedBatch",
-    "StagingArena",
-    "DeviceArena",
     "LRUDict",
     "WIN_CACHE_CAP",
     "max_rounds",
@@ -55,7 +45,6 @@ __all__ = [
     "fuse_staged",
     "upload_batch",
     "pack_batch",
-    "free_batch",
     "EMPTY_PTR",
 ]
 
@@ -180,13 +169,7 @@ class StagedBatch:
     needs, built by pure NumPy work with no device/context access.
 
     This is the unit the driver stages per batch (the pinned-host-buffer
-    analogue) and the timeline's ``host.stage`` lane accounts for.  When
-    built through a :class:`StagingArena`, the upload-consumed arrays
-    (``reads_host``/``quals_host``/``seq_host``) are views into the
-    arena's recycled buffers — valid until the arena is staged into
-    again (the driver fuses/uploads a wave before staging the next).  The
-    metadata arrays (offsets, ``seq_len_host``) are always fresh: they
-    outlive staging inside the :class:`DeviceBatch`.
+    analogue) and the timeline's ``host.stage`` lane accounts for.
     """
 
     tasks: list[ExtensionTask]
@@ -209,32 +192,6 @@ class StagedBatch:
         return len(self.tasks)
 
 
-class StagingArena:
-    """Reusable host staging buffers, grow-only per buffer role.
-
-    ``take`` hands out a view of a persistent backing buffer instead of a
-    fresh allocation; the caller owns the view until it asks for the same
-    role again.  The driver keeps one arena per batch a wave holds, so a
-    staged batch's arrays stay valid until its wave is fused and uploaded,
-    and reuses them for the next wave.
-    """
-
-    def __init__(self) -> None:
-        self._bufs: dict[tuple, np.ndarray] = {}
-
-    def take(self, role: str, n: int, dtype, zero: bool = False) -> np.ndarray:
-        key = (role, np.dtype(dtype).str)
-        buf = self._bufs.get(key)
-        if buf is None or buf.size < n:
-            grown = 0 if buf is None else buf.size * 2
-            buf = np.empty(max(int(n), grown, 64), dtype=dtype)
-            self._bufs[key] = buf
-        out = buf[: int(n)]
-        if zero:
-            out.fill(0)
-        return out
-
-
 def _fused_layout(task_bases: np.ndarray) -> HashTableLayout:
     """A :class:`HashTableLayout` from precomputed per-task read bases —
     same values as :func:`~repro.core.ht_sizing.plan_layout`, without the
@@ -248,7 +205,6 @@ def _fused_layout(task_bases: np.ndarray) -> HashTableLayout:
 def stage_batch(
     tasks: list[ExtensionTask],
     config: LocalAssemblyConfig,
-    arena: StagingArena | None = None,
 ) -> StagedBatch:
     """Pack *tasks* into flat host staging arrays (no device traffic).
 
@@ -256,8 +212,7 @@ def stage_batch(
     the tasks' pack-once caches (:meth:`ExtensionTask.packed_reads`) and
     concatenate in one pass, and the contig tails land in ``seq_host``
     through one precomputed gather/scatter instead of a per-task copy
-    loop.  With *arena* given, every output array is a view into the
-    arena's recycled buffers.
+    loop.
     """
     n = len(tasks)
     packed = [t.packed_reads() for t in tasks]
@@ -266,31 +221,18 @@ def stage_batch(
     )
     n_reads = int(n_reads_per_task.sum())
 
-    def _take(role, size, dtype, zero=False):
-        if arena is not None:
-            return arena.take(role, size, dtype, zero=zero)
-        return np.zeros(size, dtype=dtype) if zero else np.empty(size, dtype=dtype)
-
-    # Lifetime rule: the arena only backs arrays *consumed* by the upload
-    # (reads/quals/seq copies) or purely scratch (read_lengths).  The
-    # metadata arrays below are retained inside the DeviceBatch and read
-    # during kernel execution and unpacking — long after the arena slot
-    # may have been recycled for a later batch — so they are always fresh
-    # allocations (a few KB per batch).
     task_read_start = np.empty(n + 1, dtype=np.int64)
     task_read_start[0] = 0
     np.cumsum(n_reads_per_task, out=task_read_start[1:])
 
-    read_lengths = _take("read_lengths", n_reads, np.int64)
-    for i, p in enumerate(packed):
-        read_lengths[task_read_start[i] : task_read_start[i + 1]] = p[2]
     read_offsets = np.empty(n_reads + 1, dtype=np.int64)
     read_offsets[0] = 0
-    np.cumsum(read_lengths, out=read_offsets[1:])
+    if n_reads:
+        np.cumsum(np.concatenate([p[2] for p in packed]), out=read_offsets[1:])
     total_bases = int(read_offsets[-1])
 
-    reads_host = _take("reads", total_bases, np.uint8)
-    quals_host = _take("quals", total_bases, np.uint8)
+    reads_host = np.empty(total_bases, dtype=np.uint8)
+    quals_host = np.empty(total_bases, dtype=np.uint8)
     if total_bases:
         np.concatenate([p[0] for p in packed], out=reads_host)
         np.concatenate([p[1] for p in packed], out=quals_host)
@@ -302,7 +244,7 @@ def stage_batch(
     e_cap = ext_capacity(config)
     per_task_seq = tail_cap + e_cap
     seq_offsets = np.arange(n + 1, dtype=np.int64) * per_task_seq
-    seq_host = _take("seq", n * per_task_seq, np.uint8, zero=True)
+    seq_host = np.zeros(n * per_task_seq, dtype=np.uint8)
     clen = np.fromiter((t.contig.size for t in tasks), dtype=np.int64, count=n)
     tlen = np.minimum(clen, tail_cap)
     seq_len_host = tlen.copy()
@@ -345,8 +287,7 @@ def fuse_staged(staged_list: list[StagedBatch]) -> StagedBatch:
     region is located through offsets, fusing is pure rebasing: read and
     base offsets shift by the running totals, sequence regions are
     already fixed-stride, and the hash-table layout re-chains from the
-    concatenated sizes.  The outputs are fresh arrays (``concatenate``
-    copies), so the inputs' arena slots are free to recycle afterwards.
+    concatenated sizes.
     """
     if len(staged_list) == 1:
         return staged_list[0]
@@ -382,141 +323,33 @@ def fuse_staged(staged_list: list[StagedBatch]) -> StagedBatch:
     )
 
 
-class DeviceArena:
-    """Recycles same-shape-class device allocations across batches.
-
-    The pinned-buffer-pool analogue on the device side: ``free_batch``
-    parks a finished batch's buffers here instead of returning them to the
-    allocator, and the next batch's upload reuses any buffer whose role,
-    element count and dtype match exactly (so transfer accounting stays
-    byte-exact).  On a capacity miss the pool drains back to the
-    allocator and the allocation retries — recycling is an optimisation,
-    never a reason to OOM.
-    """
-
-    def __init__(self, ctx: GpuContext) -> None:
-        self.ctx = ctx
-        self._free: dict[tuple, list[DeviceArray]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @staticmethod
-    def _key(role: str, n: int, dtype) -> tuple:
-        return (role, int(n), np.dtype(dtype).str)
-
-    def alloc(self, role: str, n: int, dtype) -> DeviceArray:
-        pool = self._free.get(self._key(role, n, dtype))
-        if pool:
-            self.hits += 1
-            return pool.pop()
-        self.misses += 1
-        try:
-            return self.ctx.alloc(int(n), dtype)
-        except DeviceOutOfMemory:
-            self.drain()
-            return self.ctx.alloc(int(n), dtype)
-
-    def to_device_async(self, role, host, stream, name, deps):
-        """H2D into a recycled buffer when one fits, else a fresh upload."""
-        pool = self._free.get(self._key(role, host.size, host.dtype))
-        if pool:
-            self.hits += 1
-            darr = pool.pop()
-            done = self.ctx.upload_into_async(darr, host, stream, name, deps)
-            return darr, done
-        self.misses += 1
-        try:
-            return self.ctx.to_device_async(host, stream, name, deps)
-        except DeviceOutOfMemory:
-            self.drain()
-            return self.ctx.to_device_async(host, stream, name, deps)
-
-    def release(self, role: str, darr: DeviceArray) -> None:
-        self._free.setdefault(
-            self._key(role, darr.data.size, darr.data.dtype), []
-        ).append(darr)
-
-    def drain(self) -> None:
-        """Return every pooled buffer to the allocator."""
-        for pool in self._free.values():
-            for darr in pool:
-                self.ctx.allocator.free(darr)
-        self._free.clear()
-
-
 def upload_batch(
     ctx: GpuContext,
     staged: StagedBatch,
-    stream=None,
+    stream: Stream,
     deps: tuple = (),
-    arena: DeviceArena | None = None,
-):
-    """Create device buffers for *staged* and copy the host data in.
+) -> tuple[DeviceBatch, Event]:
+    """Create exactly sized device buffers for *staged* and copy it in.
 
-    With *stream* given, the copies go through the async API and the
-    return value is ``(DeviceBatch, done_event)`` — the event marks the
-    completion of the batch's H2D traffic on that stream.  Without one,
-    the copies are the classic synchronous ``to_device`` calls and the
-    return is just the :class:`DeviceBatch`.
-
-    With *arena* given (requires *stream*; unsanitized contexts only),
-    allocations recycle through the :class:`DeviceArena` and the
-    redundant ``EMPTY_PTR`` memsets of ``ht_ptr``/``vis_ptr`` are
-    skipped: every kernel re-clears each task's regions at the start of
-    every k-round, so the fill is never observable.  Data buffers and
-    outputs stay byte-identical to the non-arena path.
+    The copies are placed on *stream* after *deps*; the returned event
+    marks the completion of the batch's H2D traffic.  The hash and
+    visited tables are filled with ``EMPTY_PTR`` on the host (a
+    ``cudaMemset`` analogue) and marked initialised for initcheck.
     """
     tasks = staged.tasks
     total_slots = staged.layout.total_slots
-
-    if arena is not None:
-        if stream is None:
-            raise ValueError("arena-backed upload_batch requires a stream")
-        reads_buf, _ = arena.to_device_async(
-            "reads", staged.reads_host, stream, "H2D reads", deps
-        )
-        quals_buf, _ = arena.to_device_async(
-            "quals", staged.quals_host, stream, "H2D quals", deps
-        )
-        seq_buf, done = arena.to_device_async(
-            "seq", staged.seq_host, stream, "H2D seq", deps
-        )
-    elif stream is not None:
-        reads_buf, _ = ctx.to_device_async(
-            staged.reads_host, stream, "H2D reads", deps
-        )
-        quals_buf, _ = ctx.to_device_async(
-            staged.quals_host, stream, "H2D quals", deps
-        )
-        seq_buf, done = ctx.to_device_async(
-            staged.seq_host, stream, "H2D seq", deps
-        )
-    else:
-        reads_buf = ctx.to_device(staged.reads_host)
-        quals_buf = ctx.to_device(staged.quals_host)
-        seq_buf = ctx.to_device(staged.seq_host)
-        done = None
-    # Kernels update the per-task length in place, so copy: the staged
-    # initial lengths stay untouched for unpacking.
-    seq_len = np.array(staged.seq_len_host, dtype=np.int64)
-    if arena is not None:
-        ht_ptr = arena.alloc("ht_ptr", total_slots, np.int64)
-        ht_hi = arena.alloc("ht_hi", total_slots * 4, np.uint32)
-        ht_total = arena.alloc("ht_total", total_slots * 4, np.uint32)
-        vis_ptr = arena.alloc("vis_ptr", len(tasks) * staged.vis_slots, np.int64)
-        out_ext_len = arena.alloc("out_ext_len", max(len(tasks), 1), np.int32)
-        out_ext_len.data.fill(0)  # deterministic output buffer
-    else:
-        ht_ptr = ctx.alloc(total_slots, np.int64)
-        ht_ptr.data[...] = EMPTY_PTR
-        ctx.mark_initialized(ht_ptr)  # host-side memset (a cudaMemset analogue)
-        ht_hi = ctx.alloc(total_slots * 4, np.uint32)
-        ht_total = ctx.alloc(total_slots * 4, np.uint32)
-        vis_ptr = ctx.alloc(len(tasks) * staged.vis_slots, np.int64)
-        vis_ptr.data[...] = EMPTY_PTR
-        ctx.mark_initialized(vis_ptr)
-        out_ext_len = ctx.alloc(max(len(tasks), 1), np.int32)
-
+    reads_buf, _ = ctx.to_device_async(staged.reads_host, stream, "H2D reads", deps)
+    quals_buf, _ = ctx.to_device_async(staged.quals_host, stream, "H2D quals", deps)
+    seq_buf, done = ctx.to_device_async(staged.seq_host, stream, "H2D seq", deps)
+    ht_ptr = ctx.alloc(total_slots, np.int64)
+    ht_ptr.data[...] = EMPTY_PTR
+    ctx.mark_initialized(ht_ptr)
+    ht_hi = ctx.alloc(total_slots * 4, np.uint32)
+    ht_total = ctx.alloc(total_slots * 4, np.uint32)
+    vis_ptr = ctx.alloc(len(tasks) * staged.vis_slots, np.int64)
+    vis_ptr.data[...] = EMPTY_PTR
+    ctx.mark_initialized(vis_ptr)
+    out_ext_len = ctx.alloc(max(len(tasks), 1), np.int32)
     batch = DeviceBatch(
         tasks=tasks,
         config=staged.config,
@@ -527,7 +360,9 @@ def upload_batch(
         task_read_start=staged.task_read_start,
         seq_buf=seq_buf,
         seq_offsets=staged.seq_offsets,
-        seq_len=seq_len,
+        # kernels update the per-task length in place, so copy: the
+        # staged initial lengths stay untouched for unpacking
+        seq_len=np.array(staged.seq_len_host, dtype=np.int64),
         tail_cap=staged.tail_cap,
         ext_cap=staged.ext_cap,
         ht_ptr=ht_ptr,
@@ -537,9 +372,7 @@ def upload_batch(
         vis_slots=staged.vis_slots,
         out_ext_len=out_ext_len,
     )
-    if stream is not None:
-        return batch, done
-    return batch
+    return batch, done
 
 
 def pack_batch(
@@ -547,53 +380,6 @@ def pack_batch(
     tasks: list[ExtensionTask],
     config: LocalAssemblyConfig,
 ) -> DeviceBatch:
-    """Pack *tasks* into device buffers on *ctx* (counts transfer cost).
-
-    The synchronous composition of :func:`stage_batch` +
-    :func:`upload_batch`, kept for callers that don't pipeline.
-    """
-    return upload_batch(ctx, stage_batch(tasks, config))
-
-
-#: (attribute, arena role) pairs of a batch's device buffers.
-_BATCH_BUFFERS = (
-    ("reads_buf", "reads"),
-    ("quals_buf", "quals"),
-    ("seq_buf", "seq"),
-    ("ht_ptr", "ht_ptr"),
-    ("ht_hi", "ht_hi"),
-    ("ht_total", "ht_total"),
-    ("vis_ptr", "vis_ptr"),
-    ("out_ext_len", "out_ext_len"),
-)
-
-
-def free_batch(
-    ctx: GpuContext, batch: DeviceBatch, arena: DeviceArena | None = None
-) -> None:
-    """Release all of *batch*'s device allocations.
-
-    The driver frees a wave this way once its extensions are unpacked
-    (sanitized runs ``reset`` the whole allocator per batch instead).
-    With *arena* given the buffers park in the recycling pool instead of
-    going back to the allocator.
-    """
-    for attr, role in _BATCH_BUFFERS:
-        darr = getattr(batch, attr)
-        if arena is not None:
-            arena.release(role, darr)
-        else:
-            ctx.allocator.free(darr)
-
-
-class TaskListView:
-    """Minimal TaskSet-shaped view over a plain task list (for layout)."""
-
-    def __init__(self, tasks: list) -> None:
-        self._tasks = tasks
-
-    def __iter__(self):
-        return iter(self._tasks)
-
-    def __len__(self) -> int:
-        return len(self._tasks)
+    """:func:`stage_batch` + :func:`upload_batch` on the ``copy0`` stream."""
+    batch, _ = upload_batch(ctx, stage_batch(tasks, config), ctx.stream("copy0"))
+    return batch

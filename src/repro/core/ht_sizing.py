@@ -19,6 +19,7 @@ device memory budget.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -116,7 +117,7 @@ __all__.append("SLOT_BYTES")
 
 
 def plan_batches(
-    tasks: TaskSet,
+    tasks: Sequence[ExtensionTask],
     device_mem_bytes: int,
     slot_bytes: int = SLOT_BYTES,
     reserve_fraction: float = 0.25,

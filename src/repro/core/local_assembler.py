@@ -1,19 +1,21 @@
 """High-level local-assembly API used by the pipeline orchestrator.
 
-``extend_contigs`` takes contigs + per-end candidate reads, runs either the
-CPU reference or the (simulated) GPU implementation, and returns the
-extended contig set along with a mode-appropriate report.
+``extend_tasks`` takes a prepared task set (one task per contig end with
+its candidate reads, :func:`repro.core.tasks.tasks_from_candidates`), runs
+either the CPU reference or the (simulated) GPU implementation, and
+returns the per-end extensions along with a mode-appropriate report;
+:func:`repro.core.tasks.apply_extensions` appends them to the contigs.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING
 
 from repro.core.config import LocalAssemblyConfig
 from repro.core.cpu_local_assembly import CpuAssemblyStats, run_local_assembly_cpu
-from repro.core.tasks import TaskSet, apply_extensions, tasks_from_candidates
+from repro.core.tasks import TaskSet
 
 if TYPE_CHECKING:
     # the GPU driver and the simulator load in the ``mode == "gpu"``
@@ -21,10 +23,7 @@ if TYPE_CHECKING:
     from repro.core.driver import GpuLocalAssemblyReport
     from repro.gpusim.device import DeviceSpec
 
-    # avoid a circular import: pipeline.pipeline imports us
-    from repro.pipeline.contigs import ContigSet
-
-__all__ = ["LocalAssemblyReport", "extend_contigs", "extend_tasks"]
+__all__ = ["LocalAssemblyReport", "extend_tasks"]
 
 
 @dataclass
@@ -52,6 +51,7 @@ def extend_tasks(
     sanitize: str = "off",
     overlap: str = "off",
     prefetch: int = 1,
+    # always 2: benchmarks/e2e/trace.py passes it; ROADMAP 1(c) deletes it
     streams: int = 2,
     batch_cap: int | None = None,
     mem_budget: int | None = None,
@@ -61,10 +61,13 @@ def extend_tasks(
 
     Returns ``({(cid, side): extension}, report)``.  GPU and CPU modes
     produce identical extensions by construction.  *device* (GPU mode
-    only) defaults to the V100.  *workers* accepts only 1.
+    only) defaults to the V100.  *workers* accepts only 1 and *streams*
+    only 2.
     """
     if workers != 1:
         raise ValueError(f"workers must be 1, got {workers!r}")
+    if streams != 2:
+        raise ValueError(f"streams must be 2, got {streams!r}")
     config = config or LocalAssemblyConfig()
     t0 = time.perf_counter()
     if mode == "cpu":
@@ -91,7 +94,6 @@ def extend_tasks(
             sanitize=sanitize,
             overlap=overlap,
             prefetch=prefetch,
-            streams=streams,
             batch_cap=batch_cap,
             mem_budget=mem_budget,
             profile_host=profile_host,
@@ -109,52 +111,3 @@ def extend_tasks(
         return gpu.extensions, report
     raise ValueError(f"mode must be 'cpu' or 'gpu', got {mode!r}")
 
-
-def extend_contigs(
-    contigs: "ContigSet",
-    candidates: Mapping[int, object] | Iterable,
-    config: LocalAssemblyConfig | None = None,
-    mode: str = "cpu",
-    device: DeviceSpec | None = None,
-    kernel_version: str = "v2",
-    engine: str = "auto",
-    sanitize: str = "off",
-    overlap: str = "off",
-    prefetch: int = 1,
-    streams: int = 2,
-    batch_cap: int | None = None,
-    mem_budget: int | None = None,
-    profile_host: bool = False,
-) -> tuple["ContigSet", LocalAssemblyReport]:
-    """Extend a contig set using per-contig candidate reads.
-
-    *candidates* is a mapping cid -> candidate container (or an iterable of
-    containers) with ``cid``/``left``/``right`` attributes, as produced by
-    :func:`repro.pipeline.alignment.align_reads`.
-    """
-    from repro.pipeline.contigs import Contig, ContigSet
-
-    cand_iter = candidates.values() if isinstance(candidates, Mapping) else candidates
-    contig_seqs = {c.cid: c.seq for c in contigs}
-    depth = {c.cid: c.depth for c in contigs}
-    tasks = tasks_from_candidates(contig_seqs, cand_iter)
-    extensions, report = extend_tasks(
-        tasks,
-        config=config,
-        mode=mode,
-        device=device,
-        kernel_version=kernel_version,
-        engine=engine,
-        sanitize=sanitize,
-        overlap=overlap,
-        prefetch=prefetch,
-        streams=streams,
-        batch_cap=batch_cap,
-        mem_budget=mem_budget,
-        profile_host=profile_host,
-    )
-    final = apply_extensions(contig_seqs, extensions)
-    out = ContigSet(
-        [Contig(cid=cid, seq=seq, depth=depth.get(cid, 1.0)) for cid, seq in sorted(final.items())]
-    )
-    return out, report

@@ -108,7 +108,6 @@ class GpuContext:
     engine: str = "auto"
     sanitize: str = "off"
     overlap: str = "off"
-    n_streams: int = 2
     timeline: StreamTimeline = field(default=None, repr=False)  # type: ignore[assignment]
     sanitizer: "object" = field(default=None, init=False, repr=False)
 
@@ -121,8 +120,6 @@ class GpuContext:
             raise ValueError(
                 f"overlap must be one of {OVERLAP_MODES}, got {self.overlap!r}"
             )
-        if self.n_streams < 1:
-            raise ValueError("n_streams must be >= 1")
         self.engine_mode = "batched" if self.engine == "auto" else self.engine
         if self.timeline is None:
             self.timeline = StreamTimeline(serialize=self.overlap != "on")
@@ -202,24 +199,6 @@ class GpuContext:
         t = self._account_transfer(darr.nbytes, "h2d")
         done = self.timeline.push(stream, name, "h2d", t, deps, darr.nbytes)
         return darr, done
-
-    def upload_into_async(
-        self, darr: DeviceArray, host, stream: Stream,
-        name: str = "H2D", deps: tuple = (),
-    ) -> Event:
-        """Async host→device copy into an *existing* device buffer (the
-        arena-recycling path): same bytes on the bus as
-        :meth:`to_device_async`, no allocation."""
-        if darr.data.size != np.asarray(host).size:
-            raise ValueError(
-                f"upload_into_async size mismatch: device {darr.data.size} "
-                f"vs host {np.asarray(host).size}"
-            )
-        darr.data[...] = host
-        t = self._account_transfer(darr.nbytes, "h2d")
-        if self.sanitizer is not None:
-            self.sanitizer.mark_initialized(darr)
-        return self.timeline.push(stream, name, "h2d", t, deps, darr.nbytes)
 
     def from_device_async(
         self, darr: DeviceArray, stream: Stream, name: str = "D2H",

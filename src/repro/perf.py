@@ -23,7 +23,7 @@ Phases (one record per ``(phase, batch label)`` pair):
 ``unpack``
     D2H span copies + extension decoding.
 ``free``
-    Releasing (or arena-recycling) a batch's device buffers.
+    The allocator reset that releases a wave's device buffers.
 
 The profiler is pure bookkeeping: it never touches the stream timeline,
 so enabling it cannot change the modelled critical path.  Its records

@@ -26,9 +26,10 @@ from repro.core.config import (
     SANITIZE_MODES,
     LocalAssemblyConfig,
 )
-from repro.core.local_assembler import LocalAssemblyReport, extend_contigs
+from repro.core.local_assembler import LocalAssemblyReport, extend_tasks
+from repro.core.tasks import apply_extensions, tasks_from_candidates
 from repro.pipeline.alignment import AlignmentResult, align_reads
-from repro.pipeline.contigs import ContigSet
+from repro.pipeline.contigs import Contig, ContigSet
 from repro.pipeline.contig_generation import generate_contigs
 from repro.pipeline.insert_size import estimate_insert_size
 from repro.pipeline.kmer_analysis import analyze_kmers, classify_spectrum
@@ -88,7 +89,7 @@ class PipelineConfig:
     #: depth of the overlapped driver's pipeline (the memory budget
     #: splits prefetch + 1 ways; that many batches fuse per launch wave)
     local_assembly_prefetch: int = 1
-    #: copy streams the overlapped driver round-robins batches across
+    #: always 2: benchmarks/e2e/trace.py reads it; ROADMAP 1(c) deletes it
     local_assembly_streams: int = 2
     #: optional cap on tasks per GPU batch (None = memory-budget batching)
     local_assembly_batch_cap: int | None = None
@@ -144,8 +145,11 @@ class PipelineConfig:
             )
         if self.local_assembly_prefetch < 1:
             raise ValueError("local_assembly_prefetch must be >= 1")
-        if self.local_assembly_streams < 1:
-            raise ValueError("local_assembly_streams must be >= 1")
+        if self.local_assembly_streams != 2:
+            raise ValueError(
+                f"local_assembly_streams must be 2, "
+                f"got {self.local_assembly_streams!r}"
+            )
         if (
             self.local_assembly_batch_cap is not None
             and self.local_assembly_batch_cap < 1
@@ -319,9 +323,10 @@ def run_pipeline(
         aln = _align_stage(contigs, reads, config)
 
     with times.stage("local assembly"):
-        extended, la_report = extend_contigs(
-            contigs,
-            aln.candidates,
+        contig_seqs = {c.cid: c.seq for c in contigs}
+        tasks = tasks_from_candidates(contig_seqs, aln.candidates.values())
+        extensions, la_report = extend_tasks(
+            tasks,
             config=config.local_assembly,
             mode=config.local_assembly_mode,
             kernel_version=config.gpu_kernel_version,
@@ -329,10 +334,17 @@ def run_pipeline(
             sanitize=config.local_assembly_sanitize,
             overlap=config.local_assembly_overlap,
             prefetch=config.local_assembly_prefetch,
-            streams=config.local_assembly_streams,
             batch_cap=config.local_assembly_batch_cap,
             mem_budget=config.local_assembly_mem_budget,
             profile_host=config.local_assembly_profile_host,
+        )
+        depth = {c.cid: c.depth for c in contigs}
+        final = apply_extensions(contig_seqs, extensions)
+        extended = ContigSet(
+            [
+                Contig(cid=cid, seq=seq, depth=depth[cid])
+                for cid, seq in sorted(final.items())
+            ]
         )
 
     scaffolds: ScaffoldingResult | None = None

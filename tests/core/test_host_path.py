@@ -1,9 +1,10 @@
-"""The host path: vectorised staging, buffer arenas, fusion, profiling.
+"""The host path: vectorised staging, one upload discipline, fusion,
+profiling.
 
-The PR's contract is that every host-path optimisation is *unobservable*
-in the results: the vectorised ``stage_batch`` and the arena-backed
-``upload_batch`` are byte-identical to the straightforward per-task
-reference, fused dispatch reports the exact per-batch launches the
+Every host-path optimisation must be *unobservable* in the results: the
+vectorised ``stage_batch`` is byte-identical to the straightforward
+per-task reference, sanitized and unsanitized runs report the same device
+footprint, fused dispatch reports the exact per-batch launches the
 unfused schedule would, and the profiler is measurement only.
 """
 
@@ -17,16 +18,15 @@ import pytest
 
 from repro.core.config import LocalAssemblyConfig
 from repro.core.cpu_local_assembly import run_local_assembly_cpu
+import repro.core.driver as driver_mod
 from repro.core.driver import GpuLocalAssembler
 from repro.core.gpu_batch import (
-    DeviceArena,
     LRUDict,
-    StagingArena,
     WIN_CACHE_CAP,
     ext_capacity,
     fuse_staged,
+    pack_batch,
     stage_batch,
-    upload_batch,
 )
 from repro.core.ht_sizing import plan_layout
 from repro.core.tasks import LEFT, RIGHT, ExtensionTask, TaskSet
@@ -76,7 +76,7 @@ def config():
 
 
 def _reference_stage(tasks, config):
-    """The pre-PR staging logic: per-task Python loops, no arenas.
+    """The naive staging logic: per-task Python loops.
 
     Deliberately the naive transcription of the layout contract — the
     vectorised ``stage_batch`` must reproduce it byte for byte.
@@ -138,83 +138,49 @@ class TestStagingBitIdentity:
             assert have.dtype == want.dtype, name
             assert np.array_equal(have, want), name
 
-    def test_matches_reference_with_recycled_arena(self, workload, config):
-        ref = _reference_stage(list(workload), config)
-        arena = StagingArena()
-        # three passes: cold, warm, and warm-after-a-different-shape so
-        # recycled (grown) buffers are actually exercised
-        stage_batch(list(workload)[:3], config, arena=arena)
-        for _ in range(2):
-            got = _staged_arrays(stage_batch(list(workload), config, arena=arena))
-            for name, want in ref.items():
-                assert np.array_equal(got[name], want), name
 
-    def test_metadata_survives_arena_reuse(self, workload, config):
-        # Offsets/lengths are retained inside DeviceBatch past staging;
-        # restaging into the same arena must not corrupt them.
-        arena = StagingArena()
-        a = stage_batch(list(workload), config, arena=arena)
-        kept = {
-            k: v.copy()
-            for k, v in _staged_arrays(a).items()
-            if k not in ("reads_host", "quals_host", "seq_host")
-        }
-        stage_batch(list(workload)[:4], config, arena=arena)  # reuse the slot
-        for name, want in kept.items():
-            assert np.array_equal(_staged_arrays(a)[name], want), name
+class TestOneHostPath:
+    """Sanitized and unsanitized runs take the same host path: fresh
+    staging, exactly sized uploads, one allocator reset per wave."""
 
+    def test_sanitize_off_and_memcheck_report_one_footprint(
+        self, workload, config, monkeypatch
+    ):
+        contexts, batches = [], []
+        real_ctx, real_stage = driver_mod.GpuContext, driver_mod.stage_batch
 
-class TestArenaUpload:
-    def test_device_buffers_byte_identical(self, workload, config):
-        """Arena-recycled uploads carry the same bytes as fresh ones for
-        every buffer the kernel *reads before writing* (reads/quals/seq/
-        out_ext_len).  ht/vis skip the upload-time fill by design — the
-        kernels clear each region at the start of every k-round."""
-        tasks = list(workload)
-        plain_ctx = GpuContext()
-        plain = upload_batch(plain_ctx, stage_batch(tasks, config))
+        def make_ctx(**kwargs):
+            contexts.append(real_ctx(**kwargs))
+            return contexts[-1]
 
-        ctx = GpuContext()
-        arena = DeviceArena(ctx)
-        stream = ctx.stream("copy0")
-        # Round-trip through the arena so the second upload is recycled.
-        first, _ = upload_batch(
-            ctx, stage_batch(tasks, config), stream=stream, arena=arena
+        def stage(batch_tasks, cfg):
+            batches.append(batch_tasks)
+            return real_stage(batch_tasks, cfg)
+
+        monkeypatch.setattr(driver_mod, "GpuContext", make_ctx)
+        monkeypatch.setattr(driver_mod, "stage_batch", stage)
+        off = GpuLocalAssembler(config, batch_cap=2).run(workload)
+        off_batches = list(batches)
+        checked = GpuLocalAssembler(config, batch_cap=2, sanitize="memcheck").run(
+            workload
         )
-        from repro.core.gpu_batch import free_batch
+        assert off.n_batches >= 2
+        assert checked.sanitizer is not None and checked.sanitizer.clean
+        assert checked.extensions == off.extensions
+        for attr in ("n_batches", "h2d_bytes", "d2h_bytes", "high_water_bytes"):
+            assert getattr(checked, attr) == getattr(off, attr), attr
 
-        free_batch(ctx, first, arena=arena)
-        batch, _ = upload_batch(
-            ctx, stage_batch(tasks, config), stream=stream, arena=arena
-        )
-        assert arena.hits > 0
-        for attr in ("reads_buf", "quals_buf", "seq_buf", "out_ext_len"):
-            assert np.array_equal(
-                getattr(batch, attr).data, getattr(plain, attr).data
-            ), attr
-        for arr in (
-            "read_offsets", "task_read_start", "seq_offsets", "seq_len",
-        ):
-            assert np.array_equal(getattr(batch, arr), getattr(plain, arr)), arr
+        def padded_bytes(batch_tasks):
+            ctx = GpuContext()
+            pack_batch(ctx, batch_tasks, config)
+            return ctx.allocator.bytes_in_use
 
-    def test_device_arena_recycles_and_drains(self):
-        ctx = GpuContext()
-        arena = DeviceArena(ctx)
-        a = arena.alloc("scratch", 128, np.int64)
-        arena.release("scratch", a)
-        b = arena.alloc("scratch", 128, np.int64)
-        assert b is a and arena.hits == 1
-        # different shape class -> fresh allocation
-        c = arena.alloc("scratch", 256, np.int64)
-        assert c is not a
-        in_use = ctx.allocator.bytes_in_use
-        arena.release("scratch", b)
-        arena.release("scratch", c)
-        arena.drain()
-        assert ctx.allocator.bytes_in_use < in_use
+        # the device holds one batch at a time, never the sum of them
+        assert off.high_water_bytes == max(map(padded_bytes, off_batches))
+        assert [c.allocator.bytes_in_use for c in contexts] == [0, 0]
 
 
-class TestEngineIdentityWithArenas:
+class TestEngineIdentity:
     @pytest.mark.parametrize("engine", ["sequential", "batched"])
     def test_extensions_match_cpu_reference(self, workload, config, engine):
         cpu, _ = run_local_assembly_cpu(workload, config)
@@ -419,8 +385,8 @@ def test_overlapped_wall_clock_beats_serial_bench_smoke():
     schedule — quantum 5, batched engine), the best overlapped
     configuration must win *wall clock*, not just the modelled critical
     path.  The win is wave fusion — up to ``prefetch + 1`` batches per
-    engine sweep, so 20 sweeps become 4 — on top of vectorised staging
-    and arenas; the driver is single-threaded, so nothing here is hidden
+    engine sweep, so 20 sweeps become 4 — on top of vectorised staging;
+    the driver is single-threaded, so nothing here is hidden
     behind a second thread, and this smoke keeps fusion profitable."""
     import time
 

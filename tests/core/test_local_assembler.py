@@ -1,13 +1,19 @@
-"""Tests for the high-level extend_contigs / extend_tasks API."""
+"""Tests for the local-assembly API: ``extend_tasks`` over the tasks
+``tasks_from_candidates`` builds, then ``apply_extensions``."""
 
 import numpy as np
 import pytest
 
 from repro.core.config import LocalAssemblyConfig
-from repro.core.local_assembler import extend_contigs, extend_tasks
-from repro.core.tasks import RIGHT, ExtensionTask, TaskSet
+from repro.core.local_assembler import extend_tasks
+from repro.core.tasks import (
+    RIGHT,
+    ExtensionTask,
+    TaskSet,
+    apply_extensions,
+    tasks_from_candidates,
+)
 from repro.pipeline.alignment import ContigCandidates
-from repro.pipeline.contigs import Contig, ContigSet
 from repro.sequence.dna import encode, random_dna
 
 
@@ -15,51 +21,51 @@ from repro.sequence.dna import encode, random_dna
 def scenario(rng):
     """A contig + right-end candidates that extend it along the genome."""
     genome = random_dna(400, rng)
-    contig = Contig(cid=0, seq=genome[:150], depth=12.0)
     cand = ContigCandidates(cid=0)
     for start in range(100, 300, 10):
         seq = encode(genome[start : start + 80])
         cand.right.add(seq, np.full(80, 40, dtype=np.uint8))
-    return genome, ContigSet([contig]), {0: cand}
+    return genome, {0: genome[:150]}, {0: cand}
+
+
+def _extend(contig_seqs, candidates, mode):
+    tasks = tasks_from_candidates(contig_seqs, candidates)
+    extensions, report = extend_tasks(tasks, mode=mode)
+    return apply_extensions(contig_seqs, extensions), report
 
 
 class TestExtendContigs:
     def test_cpu_extends_along_genome(self, scenario):
-        genome, contigs, cands = scenario
-        out, report = extend_contigs(contigs, cands, mode="cpu")
+        genome, seqs, cands = scenario
+        out, report = _extend(seqs, cands.values(), "cpu")
         assert report.mode == "cpu"
         assert report.n_extended == 1
-        seq = out[0].seq
+        seq = out[0]
         assert len(seq) > 150
         assert seq == genome[: len(seq)]
 
     def test_gpu_matches_cpu(self, scenario):
-        _, contigs, cands = scenario
-        cpu_out, _ = extend_contigs(contigs, cands, mode="cpu")
-        gpu_out, report = extend_contigs(contigs, cands, mode="gpu")
-        assert [c.seq for c in cpu_out] == [c.seq for c in gpu_out]
+        _, seqs, cands = scenario
+        cpu_out, _ = _extend(seqs, cands.values(), "cpu")
+        gpu_out, report = _extend(seqs, cands.values(), "gpu")
+        assert cpu_out == gpu_out
         assert report.gpu_report is not None
         assert report.gpu_report.kernel_time_s > 0
 
-    def test_depth_preserved(self, scenario):
-        _, contigs, cands = scenario
-        out, _ = extend_contigs(contigs, cands, mode="cpu")
-        assert out[0].depth == 12.0
-
     def test_accepts_iterable_candidates(self, scenario):
-        _, contigs, cands = scenario
-        out_map, _ = extend_contigs(contigs, cands, mode="cpu")
-        out_iter, _ = extend_contigs(contigs, list(cands.values()), mode="cpu")
-        assert [c.seq for c in out_map] == [c.seq for c in out_iter]
+        _, seqs, cands = scenario
+        out_map, _ = _extend(seqs, cands.values(), "cpu")
+        out_iter, _ = _extend(seqs, iter(list(cands.values())), "cpu")
+        assert out_map == out_iter
 
     def test_invalid_mode(self, scenario):
-        _, contigs, cands = scenario
-        with pytest.raises(ValueError):
-            extend_contigs(contigs, cands, mode="quantum")
+        _, seqs, cands = scenario
+        with pytest.raises(ValueError, match="mode"):
+            _extend(seqs, cands.values(), "quantum")
 
     def test_wall_time_recorded(self, scenario):
-        _, contigs, cands = scenario
-        _, report = extend_contigs(contigs, cands, mode="cpu")
+        _, seqs, cands = scenario
+        _, report = _extend(seqs, cands.values(), "cpu")
         assert report.wall_time_s > 0
 
 
@@ -73,6 +79,13 @@ class TestExtendTasks:
         with pytest.raises(ValueError, match="workers"):
             extend_tasks(TaskSet([]), mode=mode, workers=2)
         exts, _ = extend_tasks(TaskSet([]), mode=mode, workers=1)
+        assert exts == {}
+
+    @pytest.mark.parametrize("mode", ["cpu", "gpu"])
+    def test_streams_other_than_two_rejected(self, mode):
+        with pytest.raises(ValueError, match="streams"):
+            extend_tasks(TaskSet([]), mode=mode, streams=3)
+        exts, _ = extend_tasks(TaskSet([]), mode=mode, streams=2)
         assert exts == {}
 
     def test_report_counts(self, rng):

@@ -234,11 +234,11 @@ class TestSingleThreadedLoop:
         held, release = threading.Event(), threading.Event()
         real_stage = driver_mod.stage_batch
 
-        def stage(batch_tasks, cfg, arena=None):
+        def stage(batch_tasks, cfg):
             if id(batch_tasks[0]) in a_ids:
                 held.set()
                 assert release.wait(60)
-            return real_stage(batch_tasks, cfg, arena=arena)
+            return real_stage(batch_tasks, cfg)
 
         monkeypatch.setattr(driver_mod, "stage_batch", stage)
         results = {}
@@ -275,11 +275,11 @@ class TestSingleThreadedLoop:
         real_stage = driver_mod.stage_batch
         calls = []
 
-        def stage(batch_tasks, cfg, arena=None):
+        def stage(batch_tasks, cfg):
             calls.append(len(batch_tasks))
             if len(calls) == 2:
                 raise boom
-            return real_stage(batch_tasks, cfg, arena=arena)
+            return real_stage(batch_tasks, cfg)
 
         assembler = GpuLocalAssembler(config, overlap=overlap, batch_cap=batch_cap)
         with monkeypatch.context() as patch:
@@ -337,10 +337,6 @@ class TestValidation:
     def test_prefetch_validation(self, config):
         with pytest.raises(ValueError, match="prefetch"):
             GpuLocalAssembler(config, prefetch=0)
-
-    def test_streams_validation(self, config):
-        with pytest.raises(ValueError, match="streams"):
-            GpuLocalAssembler(config, streams=0)
 
 
 @pytest.mark.bench_smoke

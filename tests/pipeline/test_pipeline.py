@@ -129,6 +129,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="local_assembly_workers"):
             PipelineConfig(local_assembly_workers=workers)
 
+    @pytest.mark.parametrize("streams", [1, 3])
+    def test_streams_other_than_two_rejected(self, streams):
+        with pytest.raises(ValueError, match="local_assembly_streams"):
+            PipelineConfig(local_assembly_streams=streams)
+
     def test_multi_round_runs(self):
         rng = np.random.default_rng(5)
         design = CommunityDesign(

@@ -97,6 +97,16 @@ class TestJobModel:
         assert set(back.config) == PIPELINE_SPEC_KEYS
         assert back.pipeline_config() == reference
 
+    def test_streams_key_round_trips_and_accepts_only_two(self):
+        # a spec key while the benchmark replay still names the field
+        spec = JobSpec(reads="r", config={"local_assembly_streams": 2})
+        back = JobSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert back.config == {"local_assembly_streams": 2}
+        assert back.pipeline_config().local_assembly_streams == 2
+        spec = JobSpec(reads="r", config={"local_assembly_streams": 3})
+        with pytest.raises(ValueError, match="local_assembly_streams"):
+            spec.pipeline_config()
+
     def test_ranked_alignment_spec_accepted(self):
         spec = JobSpec(reads="r", config={"aln_ranks": 2, "kmer_sanitize": "rankcheck"})
         config = spec.pipeline_config()

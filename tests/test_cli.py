@@ -28,6 +28,8 @@ class TestParser:
             ["localassm", "d.npz", "--engine", "pool"],
             ["assemble", "r.fastq", "--out", "o", "--workers", "2"],
             ["localassm", "d.npz", "--workers", "2"],
+            ["assemble", "r.fastq", "--out", "o", "--streams", "2"],
+            ["localassm", "d.npz", "--streams", "2"],
         ],
     )
     def test_removed_engine_knobs_rejected(self, argv):
