@@ -45,7 +45,7 @@ def _ground_truth_tasks(n_tasks=40, seed=99):
             reads.append(encode("".join(r)))
             quals.append(q)
         tasks.append(
-            ExtensionTask(cid=cid, side=RIGHT, contig=encode(genome[:contig_end]),
+            ExtensionTask.from_reads(cid=cid, side=RIGHT, contig=encode(genome[:contig_end]),
                           reads=tuple(reads), quals=tuple(quals))
         )
         truths[cid] = genome[contig_end:]

@@ -144,7 +144,7 @@ def _uniform_workload(n_warps: int = 100) -> TaskSet:
             reads.append(encode(genome[i : i + 70]))
             quals.append(np.full(70, 40, dtype=np.uint8))
         tasks.append(
-            ExtensionTask(
+            ExtensionTask.from_reads(
                 cid=cid, side=RIGHT, contig=encode(genome[:120]),
                 reads=tuple(reads), quals=tuple(quals),
             )

@@ -112,7 +112,7 @@ def kernel_workload(workload):
 
     tasks = sorted(workload["tasks"], key=lambda t: -t.n_reads)[:8]
     capped = [
-        ExtensionTask(
+        ExtensionTask.from_reads(
             cid=t.cid, side=t.side, contig=t.contig,
             reads=t.reads[:40], quals=t.quals[:40],
         )

@@ -48,7 +48,7 @@ def main(seed: int = 7) -> None:
     busiest = sorted(tasks, key=lambda t: -t.n_reads)[:6]
     dump = TaskSet(
         [
-            ExtensionTask(cid=t.cid, side=t.side, contig=t.contig,
+            ExtensionTask.from_reads(cid=t.cid, side=t.side, contig=t.contig,
                           reads=t.reads[:30], quals=t.quals[:30])
             for t in busiest
         ]

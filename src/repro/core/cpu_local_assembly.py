@@ -12,7 +12,7 @@ is ever a Python object.  All tasks of a block advance together:
   wave groups them by their current k (the round structure of
   ``run_extension_v2_batched``): one build and one set of walks per
   distinct k, ``kshift_next`` once per task per wave.
-* **One sort per group.**  The group's cached ``packed_reads()`` are
+* **One sort per group.**  The group's ``packed_reads()`` are
   concatenated, valid windows (k-mer plus following base inside one read,
   no N) masked in one pass and packed with ``pack_kmers``; one ``argsort``
   of a composite ``(task, k-mer)`` key brings equal k-mers of a task

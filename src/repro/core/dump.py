@@ -24,50 +24,36 @@ __all__ = ["save_tasks", "load_tasks", "DUMP_FORMAT_VERSION"]
 DUMP_FORMAT_VERSION = 1
 
 
+def _cat(arrays, dtype) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype)
+
+
 def save_tasks(path: str | Path, tasks: TaskSet) -> None:
     """Serialise a task set to a compressed ``.npz`` dump."""
-    cids = np.array([t.cid for t in tasks], dtype=np.int64)
-    sides = np.array([t.side for t in tasks], dtype=np.int8)
+    tasks = list(tasks)
+    read_lens = _cat([t.read_lengths for t in tasks], np.int64)
     contig_lens = np.array([t.contig.size for t in tasks], dtype=np.int64)
-    contig_offsets = np.zeros(len(tasks) + 1, dtype=np.int64)
-    np.cumsum(contig_lens, out=contig_offsets[1:])
-    contigs = (
-        np.concatenate([t.contig for t in tasks])
-        if len(tasks)
-        else np.empty(0, dtype=np.uint8)
-    )
-
     n_reads = np.array([t.n_reads for t in tasks], dtype=np.int64)
-    task_read_start = np.zeros(len(tasks) + 1, dtype=np.int64)
-    np.cumsum(n_reads, out=task_read_start[1:])
-    all_reads = [r for t in tasks for r in t.reads]
-    all_quals = [q for t in tasks for q in t.quals]
-    read_lens = np.array([r.size for r in all_reads], dtype=np.int64)
-    read_offsets = np.zeros(len(all_reads) + 1, dtype=np.int64)
-    np.cumsum(read_lens, out=read_offsets[1:])
-    reads = (
-        np.concatenate(all_reads) if all_reads else np.empty(0, dtype=np.uint8)
+    contig_offsets, task_read_start, read_offsets = (
+        np.concatenate(([0], np.cumsum(x))) for x in (contig_lens, n_reads, read_lens)
     )
-    quals = (
-        np.concatenate(all_quals) if all_quals else np.empty(0, dtype=np.uint8)
-    )
-
     np.savez_compressed(
         path,
         version=np.int64(DUMP_FORMAT_VERSION),
-        cids=cids,
-        sides=sides,
+        cids=np.array([t.cid for t in tasks], dtype=np.int64),
+        sides=np.array([t.side for t in tasks], dtype=np.int8),
         contig_offsets=contig_offsets,
-        contigs=contigs,
+        contigs=_cat([t.contig for t in tasks], np.uint8),
         task_read_start=task_read_start,
         read_offsets=read_offsets,
-        reads=reads,
-        quals=quals,
+        reads=_cat([t.read_bases for t in tasks], np.uint8),
+        quals=_cat([t.read_quals for t in tasks], np.uint8),
     )
 
 
 def load_tasks(path: str | Path) -> TaskSet:
-    """Load a task set saved by :func:`save_tasks`."""
+    """Load a task set saved by :func:`save_tasks`; every task's arrays
+    are slices of the dump's flat arrays."""
     with np.load(path) as data:
         version = int(data["version"])
         if version != DUMP_FORMAT_VERSION:
@@ -75,34 +61,27 @@ def load_tasks(path: str | Path) -> TaskSet:
                 f"unsupported dump version {version} "
                 f"(expected {DUMP_FORMAT_VERSION})"
             )
-        cids = data["cids"]
-        sides = data["sides"]
-        contig_offsets = data["contig_offsets"]
+        cids = data["cids"].tolist()
+        sides = data["sides"].tolist()
+        contig_offsets = data["contig_offsets"].tolist()
         contigs = data["contigs"]
-        task_read_start = data["task_read_start"]
+        task_read_start = data["task_read_start"].tolist()
         read_offsets = data["read_offsets"]
         reads = data["reads"]
         quals = data["quals"]
 
-    tasks: list[ExtensionTask] = []
-    for i in range(cids.size):
-        contig = contigs[contig_offsets[i] : contig_offsets[i + 1]].copy()
-        r0, r1 = int(task_read_start[i]), int(task_read_start[i + 1])
-        t_reads = tuple(
-            reads[read_offsets[j] : read_offsets[j + 1]].copy()
-            for j in range(r0, r1)
-        )
-        t_quals = tuple(
-            quals[read_offsets[j] : read_offsets[j + 1]].copy()
-            for j in range(r0, r1)
-        )
-        tasks.append(
+    read_lens = np.diff(read_offsets)
+    base_at = read_offsets[task_read_start].tolist()
+    return TaskSet(
+        [
             ExtensionTask(
-                cid=int(cids[i]),
-                side=int(sides[i]),
-                contig=contig,
-                reads=t_reads,
-                quals=t_quals,
+                cid,
+                side,
+                contigs[contig_offsets[i] : contig_offsets[i + 1]],
+                reads[base_at[i] : base_at[i + 1]],
+                quals[base_at[i] : base_at[i + 1]],
+                read_lens[task_read_start[i] : task_read_start[i + 1]],
             )
-        )
-    return TaskSet(tasks)
+            for i, (cid, side) in enumerate(zip(cids, sides))
+        ]
+    )

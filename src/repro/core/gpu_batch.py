@@ -208,8 +208,8 @@ def stage_batch(
 ) -> StagedBatch:
     """Pack *tasks* into flat host staging arrays (no device traffic).
 
-    The packing is bulk NumPy end to end: per-task read blocks come from
-    the tasks' pack-once caches (:meth:`ExtensionTask.packed_reads`) and
+    The packing is bulk NumPy end to end: per-task read blocks are the
+    tasks' packed arrays (:meth:`ExtensionTask.packed_reads`) and
     concatenate in one pass, and the contig tails land in ``seq_host``
     through one precomputed gather/scatter instead of a per-task copy
     loop.

@@ -36,69 +36,95 @@ LEFT = 0
 RIGHT = 1
 
 
-@dataclass(frozen=True)
+def _concat(arrays) -> np.ndarray:
+    return np.concatenate(arrays) if len(arrays) else np.empty(0, dtype=np.uint8)
+
+
+@dataclass(eq=False, slots=True)
 class ExtensionTask:
-    """One contig-end extension problem (already oriented rightward)."""
+    """One contig-end extension problem (already oriented rightward).
+
+    The candidate reads are packed: read *i* is the next
+    ``read_lengths[i]`` entries of ``read_bases``/``read_quals`` — the
+    flat layout device batches stage.  The alignment stage hands every
+    task its slices as they are; :meth:`from_reads` packs per-read arrays.
+    No engine writes to a task or its arrays.
+    """
 
     cid: int
     side: int  # LEFT or RIGHT
     contig: np.ndarray  # uint8 codes, oriented
-    reads: tuple[np.ndarray, ...]  # candidate reads, oriented
-    quals: tuple[np.ndarray, ...]
+    read_bases: np.ndarray  # candidate reads, oriented, concatenated
+    read_quals: np.ndarray
+    read_lengths: np.ndarray  # int64, one per read
 
     def __post_init__(self) -> None:
         if self.side not in (LEFT, RIGHT):
             raise ValueError(f"side must be LEFT/RIGHT, got {self.side}")
-        if len(self.reads) != len(self.quals):
-            raise ValueError("reads and quals must pair up")
         # Reads of many tasks are concatenated and indexed by one offset
-        # table; one short quality array would shift every later task's.
-        for i, (read, qual) in enumerate(zip(self.reads, self.quals)):
-            if read.size != qual.size:
-                raise ValueError(
-                    f"task (cid={self.cid}, side={self.side}): read {i} has "
-                    f"{read.size} bases but {qual.size} quals"
-                )
+        # table, so the lengths must cover the bases and quals exactly.  A
+        # Python sum: for a task's few reads NumPy's reduction costs more.
+        n = sum(self.read_lengths.tolist())
+        if not self.read_bases.size == self.read_quals.size == n:
+            raise ValueError(
+                f"task (cid={self.cid}, side={self.side}): {n} read bases by "
+                f"length, {self.read_bases.size} bases, "
+                f"{self.read_quals.size} quals"
+            )
+
+    @classmethod
+    def from_reads(
+        cls,
+        cid: int,
+        side: int,
+        contig: np.ndarray,
+        reads: Sequence[np.ndarray],
+        quals: Sequence[np.ndarray],
+    ) -> "ExtensionTask":
+        """A task from per-read code and quality arrays."""
+        if len(reads) != len(quals):
+            raise ValueError("reads and quals must pair up")
+        lengths = np.fromiter((r.size for r in reads), np.int64, count=len(reads))
+        qlens = np.fromiter((q.size for q in quals), np.int64, count=len(quals))
+        bad = np.nonzero(lengths != qlens)[0]
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(
+                f"task (cid={cid}, side={side}): read {i} has "
+                f"{lengths[i]} bases but {qlens[i]} quals"
+            )
+        return cls(cid, side, contig, _concat(reads), _concat(quals), lengths)
 
     @property
     def n_reads(self) -> int:
-        return len(self.reads)
+        return int(self.read_lengths.size)
 
     def packed_reads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(reads_cat, quals_cat, lengths)`` — the task's candidate reads
-        flattened into contiguous arrays, computed once and cached.
+        """``(read_bases, read_quals, read_lengths)``: staging a batch is a
+        concatenation of per-*task* blocks, not per-*read* arrays (the
+        MHM2-style pack-once layout)."""
+        return self.read_bases, self.read_quals, self.read_lengths
 
-        Staging a batch is then a concatenation of per-*task* blocks
-        instead of per-*read* arrays (the MHM2-style pack-once layout);
-        the cache is sound because tasks are frozen and their read arrays
-        are never mutated.
-        """
-        cached = self.__dict__.get("_packed_reads")
-        if cached is None:
-            lengths = np.fromiter(
-                (r.size for r in self.reads), np.int64, count=len(self.reads)
-            )
-            reads_cat = (
-                np.concatenate(self.reads)
-                if self.reads
-                else np.empty(0, dtype=np.uint8)
-            )
-            quals_cat = (
-                np.concatenate(self.quals)
-                if self.quals
-                else np.empty(0, dtype=np.uint8)
-            )
-            cached = (reads_cat, quals_cat, lengths)
-            object.__setattr__(self, "_packed_reads", cached)
-        return cached
+    def _split(self, flat: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(np.split(flat, np.cumsum(self.read_lengths)[:-1]))
+
+    @property
+    def reads(self) -> tuple[np.ndarray, ...]:
+        """Per-read views of ``read_bases``."""
+        return self._split(self.read_bases) if self.n_reads else ()
+
+    @property
+    def quals(self) -> tuple[np.ndarray, ...]:
+        """Per-read views of ``read_quals``."""
+        return self._split(self.read_quals) if self.n_reads else ()
 
     @property
     def total_read_bases(self) -> int:
-        return int(sum(r.size for r in self.reads))
+        return int(self.read_bases.size)
 
     @property
     def max_read_length(self) -> int:
-        return max((r.size for r in self.reads), default=0)
+        return int(self.read_lengths.max(initial=0))
 
 
 class TaskSet:
@@ -141,30 +167,32 @@ def tasks_from_candidates(
     """Build oriented tasks from per-contig candidate containers.
 
     *candidates* is any iterable of objects with ``cid``, ``left`` and
-    ``right`` attributes, where each side exposes ``seqs``/``quals`` lists
-    of code/quality arrays already oriented by the alignment stage
-    (:class:`repro.pipeline.alignment.ContigCandidates` fits).
+    ``right`` attributes, where each side exposes packed ``bases``,
+    ``quals`` and ``lengths`` arrays already oriented by the alignment
+    stage (:class:`repro.pipeline.alignment.ContigCandidates` fits).  Each
+    task takes its side's arrays as they are.
     """
+    cands = list(candidates)
+    seqs = [contig_seqs[c.cid] for c in cands]
+    # one encode and one reverse complement for the whole contig set; the
+    # revcomp of the concatenation holds contig i at the mirrored offsets
+    codes = encode("".join(seqs))
+    rc = revcomp_codes(codes)
+    end = np.cumsum([len(s) for s in seqs]).tolist()
+    total = end[-1] if end else 0
     tasks: list[ExtensionTask] = []
-    for cand in candidates:
-        seq = contig_seqs[cand.cid]
-        codes = encode(seq)
+    for cand, start, stop in zip(cands, [0] + end, end):
+        left, right = cand.left, cand.right
         tasks.append(
             ExtensionTask(
-                cid=cand.cid,
-                side=LEFT,
-                contig=revcomp_codes(codes),
-                reads=tuple(cand.left.seqs),
-                quals=tuple(cand.left.quals),
+                cand.cid, LEFT, rc[total - stop : total - start],
+                left.bases, left.quals, left.lengths,
             )
         )
         tasks.append(
             ExtensionTask(
-                cid=cand.cid,
-                side=RIGHT,
-                contig=codes,
-                reads=tuple(cand.right.seqs),
-                quals=tuple(cand.right.quals),
+                cand.cid, RIGHT, codes[start:stop],
+                right.bases, right.quals, right.lengths,
             )
         )
     return TaskSet(tasks)

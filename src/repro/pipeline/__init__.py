@@ -8,6 +8,7 @@ loads it only when ``checkpoint_dir`` is set.
 from repro.pipeline.insert_size import InsertSizeEstimate, estimate_insert_size
 from repro.pipeline.alignment import (
     AlignmentResult,
+    BestPlacements,
     CandidateReads,
     ContigCandidates,
     ReadAlignment,
@@ -35,6 +36,7 @@ __all__ = [
     "InsertSizeEstimate",
     "estimate_insert_size",
     "AlignmentResult",
+    "BestPlacements",
     "CandidateReads",
     "ContigCandidates",
     "ReadAlignment",

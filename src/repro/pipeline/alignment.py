@@ -28,11 +28,19 @@ Method (seed-and-extend, as in MHM2's klign) — fully batched:
 Each end keeps at most ``max_reads_per_end`` candidates — the paper's
 empirical cap of 3000 (§3.1).
 
+The result stays arrays from seed index to extension task
+(:class:`AlignmentResult`): the winner rows, a per-(contig, end) CSR of
+recruited oriented reads and one gather of their bases and quals, which
+each end's :class:`CandidateReads` slices as the packed triple local
+assembly stages.  No step builds an object per alignment row.
+
 The per-read scalar aligner this replaced (``align_reads_scalar`` with its
-dict ``SeedIndex``) lives in ``tests/pipeline/reference.py``: the batched
-path must match it **bit for bit** — same alignments, same
-``n_seed_hits``, same candidate reads in the same order — which the
-property suite in ``tests/pipeline/test_alignment_batched.py`` enforces.
+dict ``SeedIndex``) and the per-row object path after it live in
+``tests/pipeline/reference.py``: the batched path must match them **bit for
+bit** — same alignments, same ``n_seed_hits``, same candidate reads in the
+same order, same best placements — which
+``tests/pipeline/test_alignment_batched.py`` and
+``tests/pipeline/test_alignment_arrays.py`` enforce.
 """
 
 from __future__ import annotations
@@ -53,6 +61,7 @@ __all__ = [
     "CandidateReads",
     "ContigCandidates",
     "AlignmentResult",
+    "BestPlacements",
     "PackedSeedIndex",
     "AlnRows",
     "align_reads",
@@ -70,7 +79,8 @@ _NULL_PROFILER = HostProfiler(enabled=False)
 
 @dataclass(frozen=True)
 class ReadAlignment:
-    """Best placement of one read on one contig."""
+    """One alignment row as an object, as the lazy
+    :attr:`AlignmentResult.alignments` view lists them."""
 
     read_idx: int
     cid: int
@@ -87,51 +97,165 @@ class ReadAlignment:
         return self.matches / self.ov_len if self.ov_len else 0.0
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class CandidateReads:
-    """Candidate reads for one contig end, pre-oriented for extension."""
+    """Candidate reads of one contig end, pre-oriented for extension.
 
-    seqs: list[np.ndarray] = field(default_factory=list)
-    quals: list[np.ndarray] = field(default_factory=list)
+    Packed as ``(bases, quals, lengths)`` — the triple
+    :meth:`~repro.core.tasks.ExtensionTask.packed_reads` returns: read *i*
+    is the next ``lengths[i]`` entries of ``bases``/``quals``.
+    """
+
+    bases: np.ndarray
+    quals: np.ndarray
+    lengths: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.seqs)
-
-    def add(self, seq: np.ndarray, qual: np.ndarray) -> None:
-        self.seqs.append(seq)
-        self.quals.append(qual)
+        return int(self.lengths.size)
 
 
-@dataclass
+@dataclass(eq=False, slots=True)
 class ContigCandidates:
     """Per-contig recruitment for local assembly."""
 
     cid: int
-    left: CandidateReads = field(default_factory=CandidateReads)
-    right: CandidateReads = field(default_factory=CandidateReads)
+    left: CandidateReads
+    right: CandidateReads
 
     @property
     def n_reads(self) -> int:
         return len(self.left) + len(self.right)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class BestPlacements:
+    """Each read's best placement, as per-read columns.
+
+    The best row of a read has the highest ``matches``, ties going to the
+    first row in emission order.  ``row`` is its index in the source rows;
+    a read that did not align has ``row`` and ``cid`` -1.  The consumers
+    (:func:`~repro.pipeline.insert_size.estimate_insert_size`,
+    :func:`~repro.pipeline.scaffolding.build_scaffolds`) read mate pairs
+    ``(2p, 2p+1)`` through :meth:`mates`.
+    """
+
+    row: np.ndarray
+    cid: np.ndarray
+    offset: np.ndarray
+    is_rc: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.row.size)
+
+    @classmethod
+    def from_rows(cls, rows: "AlnRows", n_reads: int) -> "BestPlacements":
+        """Per-read winners of emission-ordered *rows*, one reduction pass."""
+        row = np.full(n_reads, -1, dtype=np.int64)
+        if len(rows):
+            head = np.ones(len(rows), dtype=bool)
+            head[1:] = rows.read[1:] != rows.read[:-1]
+            start = np.nonzero(head)[0]
+            run_len = np.diff(np.append(start, head.size))
+            at_max = rows.matches == np.repeat(
+                np.maximum.reduceat(rows.matches, start), run_len
+            )
+            idx = np.arange(head.size, dtype=np.int64)
+            row[rows.read[start]] = np.minimum.reduceat(
+                np.where(at_max, idx, head.size), start
+            )
+        placed = row >= 0
+        at = row[placed]
+        cid = np.full(n_reads, -1, dtype=np.int64)
+        offset = np.zeros(n_reads, dtype=np.int64)
+        is_rc = np.zeros(n_reads, dtype=bool)
+        cid[placed] = rows.cid[at]
+        offset[placed] = rows.offset[at]
+        is_rc[placed] = rows.is_rc[at]
+        return cls(row, cid, offset, is_rc)
+
+    def mates(self, n_pairs: int) -> tuple[np.ndarray, ...]:
+        """``(cid_a, cid_b, offset_a, offset_b, rc_a, rc_b)`` of the mates
+        ``2p`` (a) and ``2p + 1`` (b) of every pair ``p < n_pairs``."""
+        out: list[np.ndarray] = []
+        for col in (self.cid, self.offset, self.is_rc):
+            pairs = col[: 2 * n_pairs].reshape(n_pairs, 2)
+            out += [pairs[:, 0], pairs[:, 1]]
+        return tuple(out)
+
+
+@dataclass(eq=False)
 class AlignmentResult:
-    """Everything the downstream stages need."""
+    """The alignment stage's output as flat arrays.
 
-    alignments: list[ReadAlignment]
-    candidates: dict[int, ContigCandidates]
-    n_reads_aligned: int
-    n_seed_hits: int
+    * ``rows`` — every winner alignment, in emission order;
+    * ``end_start`` — a CSR over contig ends: end ``e = 2 * s + side`` of
+      contig slot *s* (``cids[s]``; side 0 = left, 1 = right) owns
+      candidates ``end_start[e] : end_start[e + 1]``, in row order;
+    * ``cand_read`` — each candidate's oriented read id, ``2 * read +
+      flip`` (``flip`` = stored reverse-complemented);
+    * ``cand_bases`` / ``cand_quals`` / ``cand_lengths`` — one gather of
+      every candidate's oriented bases and quals, in CSR order.
 
-    def best_by_read(self) -> dict[int, ReadAlignment]:
-        """Best alignment per read (highest matches)."""
-        best: dict[int, ReadAlignment] = {}
-        for a in self.alignments:
-            cur = best.get(a.read_idx)
-            if cur is None or a.matches > cur.matches:
-                best[a.read_idx] = a
-        return best
+    ``candidates`` views the CSR one contig at a time, which is what local
+    assembly consumes; ``alignments`` is a per-row object list for tests.
+    """
+
+    rows: "AlnRows"
+    n_reads: int
+    cids: np.ndarray
+    end_start: np.ndarray
+    cand_read: np.ndarray
+    cand_bases: np.ndarray
+    cand_quals: np.ndarray
+    cand_lengths: np.ndarray
+    candidates: dict[int, ContigCandidates] = field(init=False)
+
+    def __post_init__(self) -> None:
+        bstart = np.zeros(self.cand_lengths.size + 1, dtype=np.int64)
+        np.cumsum(self.cand_lengths, out=bstart[1:])
+        e = self.end_start.tolist()
+        b = bstart[self.end_start].tolist()
+
+        def end(i: int) -> CandidateReads:
+            return CandidateReads(
+                self.cand_bases[b[i] : b[i + 1]],
+                self.cand_quals[b[i] : b[i + 1]],
+                self.cand_lengths[e[i] : e[i + 1]],
+            )
+
+        self.candidates = {
+            cid: ContigCandidates(cid, end(2 * s), end(2 * s + 1))
+            for s, cid in enumerate(self.cids.tolist())
+        }
+
+    @property
+    def n_reads_aligned(self) -> int:
+        return self.rows.n_reads_aligned
+
+    @property
+    def n_seed_hits(self) -> int:
+        return self.rows.n_seed_hits
+
+    @property
+    def alignments(self) -> list[ReadAlignment]:
+        """Every row as a :class:`ReadAlignment`, built on each access."""
+        r = self.rows
+        return [
+            ReadAlignment(*t)
+            for t in zip(
+                r.read.tolist(),
+                r.cid.tolist(),
+                r.offset.tolist(),
+                r.is_rc.tolist(),
+                r.matches.tolist(),
+                r.mismatches.tolist(),
+                r.ov_len.tolist(),
+            )
+        ]
+
+    def best_by_read(self) -> BestPlacements:
+        """Best placement per read (highest matches, ties to the first row)."""
+        return BestPlacements.from_rows(self.rows, self.n_reads)
 
 
 #: Bits of the seed key used for the direct-address bucket table.
@@ -168,37 +292,21 @@ class PackedSeedIndex:
     parent's copy.
     """
 
-    def __init__(
-        self, contigs: ContigSet, seed_len: int = 17, stride: int = 1
-    ) -> None:
+    def __init__(self, contigs: ContigSet, seed_len: int = 17) -> None:
         if seed_len < 8:
             raise ValueError("seed_len must be >= 8")
         codes = [encode(c.seq) for c in contigs]
-        cids = np.array([c.cid for c in contigs], dtype=np.int64)
-        cbases = (
+        self.seed_len = seed_len
+        self.cids = np.array([c.cid for c in contigs], dtype=np.int64)
+        self.cbases = (
             np.concatenate(codes) if codes else np.empty(0, dtype=np.uint8)
         )
-        coff = np.zeros(len(codes) + 1, dtype=np.int64)
+        self.coff = np.zeros(len(codes) + 1, dtype=np.int64)
         if codes:
-            np.cumsum([c.size for c in codes], out=coff[1:])
-        self._init_from_arrays(seed_len, stride, cids, cbases, coff)
-
-    def _init_from_arrays(
-        self,
-        seed_len: int,
-        stride: int,
-        cids: np.ndarray,
-        cbases: np.ndarray,
-        coff: np.ndarray,
-    ) -> None:
-        self.seed_len = seed_len
-        self.stride = stride
-        self.cids = cids
-        self.cbases = cbases
-        self.coff = coff
+            np.cumsum([c.size for c in codes], out=self.coff[1:])
         nw = words_per_kmer(seed_len)
-        n_win = cbases.size - seed_len + 1
-        if n_win <= 0 or cids.size == 0:
+        n_win = self.cbases.size - seed_len + 1
+        if n_win <= 0 or self.cids.size == 0:
             self.words = np.empty((0, nw), dtype=np.uint64)
             self.slot = np.empty(0, dtype=np.int32)
             self.pos = np.empty(0, dtype=np.int32)
@@ -206,20 +314,17 @@ class PackedSeedIndex:
             self._run_end = np.empty(0, dtype=np.int64)
             self._build_buckets()
             return
-        words, no_n = pack_kmers(cbases, seed_len)
+        words, no_n = pack_kmers(self.cbases, seed_len)
         slot_of_base = np.repeat(
-            np.arange(cids.size, dtype=np.int64), np.diff(coff)
+            np.arange(self.cids.size, dtype=np.int64), np.diff(self.coff)
         )
         win_slot = slot_of_base[:n_win]
         same = win_slot == slot_of_base[seed_len - 1 :]
-        pos = np.arange(n_win, dtype=np.int64) - coff[win_slot]
-        valid = no_n & same
-        if stride > 1:
-            valid &= pos % stride == 0
-        sel = np.nonzero(valid)[0]
-        keys = rows_as_keys(words[sel])
-        order = np.lexsort((pos[sel], win_slot[sel], keys))
-        picked = sel[order]
+        pos = np.arange(n_win, dtype=np.int64) - self.coff[win_slot]
+        sel = np.nonzero(no_n & same)[0]
+        # Windows arrive in (slot, pos) order, so one stable sort on the
+        # seed alone leaves every run of equal seeds in (slot, pos) order.
+        picked = sel[np.argsort(rows_as_keys(words[sel]), kind="stable")]
         self.words = np.ascontiguousarray(words[picked])
         # int32 columns: seed hits gather these per hit, and the narrower
         # rows halve the expansion phase's memory traffic.
@@ -268,11 +373,11 @@ class PackedSeedIndex:
         while bits < _BUCKET_BITS_MAX and (1 << bits) < 8 * dkeys.size:
             bits += 1
         self._bucket_bits = bits
-        shift = np.uint64(64 - bits)
-        bounds = np.arange(1 << bits, dtype=np.uint64) << shift
-        bstart = np.searchsorted(dkeys, bounds, side="left")
-        self._bstart = np.append(bstart, dkeys.size).astype(np.int32)
-        widths = self._bstart[1:] - self._bstart[:-1]
+        # bucket b starts after every distinct key whose top bits are < b
+        top = (dkeys >> np.uint64(64 - bits)).astype(np.int64)
+        widths = np.bincount(top, minlength=1 << bits)
+        self._bstart = np.zeros(widths.size + 1, dtype=np.int32)
+        np.cumsum(widths, out=self._bstart[1:])
         self._bucket_width = int(widths.max(initial=0))
         self._bucket_rounds = max(self._bucket_width, 1).bit_length()
 
@@ -397,23 +502,20 @@ class AlnRows:
         return AlnRows(z, z, z, z, z.astype(bool), z, z, z, n_seed_hits, 0)
 
 
-def _oriented_layout(
-    reads: ReadBatch,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated oriented bases/quals plus per-unit offsets.
+def _oriented_layout(reads: ReadBatch) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated oriented bases plus per-unit offsets.
 
     Unit ``u < n`` is read *u* forward; the reverse-complement section is
     one global ``revcomp_codes`` of the whole base array, which reverses
     read order — unit ``n + j`` is the rc of read ``n - 1 - j``, i.e. the
-    rc of read *i* is unit ``2n - 1 - i``.  ``big_quals`` mirrors the
-    layout (global reversal), so unit views give oriented quals too.
+    rc of read *i* is unit ``2n - 1 - i``.  The same global reversal of
+    the quals gives every unit its oriented quals.
     """
     off = reads.offsets.astype(np.int64)
     nb = int(off[-1])
     big = np.concatenate([reads.bases, revcomp_codes(reads.bases)])
-    big_quals = np.concatenate([reads.quals, reads.quals[::-1]])
     uoff = np.concatenate([off[:-1], nb + nb - off[::-1]])
-    return big, big_quals, uoff
+    return big, uoff
 
 
 def align_core(
@@ -423,21 +525,19 @@ def align_core(
     min_identity: float = 0.9,
     min_overlap: int = 30,
     read_base: int = 0,
-    layout: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     profile: "HostProfiler | None" = None,
 ) -> AlnRows:
     """Seed, dedup, score and select winners — all as array passes.
 
     *read_base* is added to every emitted read index, so a rank holding a
-    contiguous shard of a larger batch reports global read ids.  *layout*
-    lets the caller share one :func:`_oriented_layout` with
-    :func:`materialise_alignment`.  *profile*, if given, records the
-    :data:`repro.perf.ALN_PHASES` phase breakdown.
+    contiguous shard of a larger batch reports global read ids.
+    *profile*, if given, records the :data:`repro.perf.ALN_PHASES` phase
+    breakdown.
     """
     prof = profile if profile is not None else _NULL_PROFILER
     n = len(reads)
     seed_len = index.seed_len
-    big, _, uoff = layout if layout is not None else _oriented_layout(reads)
+    big, uoff = _oriented_layout(reads)
     if n == 0 or big.size < seed_len or len(index) == 0:
         return AlnRows.empty()
 
@@ -660,6 +760,33 @@ def _contig_len_of(contigs: ContigSet) -> np.ndarray:
     return out
 
 
+def _gather_oriented(
+    reads: ReadBatch, read: np.ndarray, flip: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bases, quals and lengths of reads *read*, concatenated in order;
+    where *flip* is set a read is reverse-complemented (quals reversed).
+
+    Each is one unit of the oriented layout, so the gather is whole rows
+    when every read has one length, and one index pass otherwise.
+    """
+    n = len(reads)
+    big, uoff = _oriented_layout(reads)
+    big_quals = np.concatenate([reads.quals, reads.quals[::-1]])
+    unit = np.where(flip, 2 * n - 1 - read, read)
+    ulen = np.diff(uoff)
+    lengths = ulen[unit]
+    if n and (ulen == ulen[0]).all():
+        shape = (2 * n, int(ulen[0]))
+        return (
+            big.reshape(shape)[unit].ravel(),
+            big_quals.reshape(shape)[unit].ravel(),
+            lengths,
+        )
+    idx = np.repeat(uoff[unit] - (np.cumsum(lengths) - lengths), lengths)
+    idx += np.arange(idx.size, dtype=np.int64)
+    return big[idx], big_quals[idx], lengths
+
+
 def materialise_alignment(
     rows: AlnRows,
     contigs: ContigSet,
@@ -667,65 +794,45 @@ def materialise_alignment(
     max_reads_per_end: int = MAX_READS_PER_END,
     recruit_left: np.ndarray | None = None,
     recruit_right: np.ndarray | None = None,
-    layout: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> AlignmentResult:
     """Turn emission-ordered winner rows into an :class:`AlignmentResult`.
 
-    Candidate sequences/quals are O(1) views into the oriented layout —
-    the forward and reverse-complement copy of every read both exist in
-    ``big``, so "revcomp of the oriented read" is just the partner unit's
-    view.  When *recruit_left*/*recruit_right* are given (the ranked
-    path, where owner ranks applied the caps), they are used as-is.
+    Recruited rows are filed under their contig end in row order, and every
+    candidate's oriented bases and quals come out of one gather from
+    *reads*: a right-end candidate is the read as aligned, a left-end one
+    its reverse complement.  When *recruit_left*/*recruit_right* are given
+    (the ranked path, where owner ranks applied the caps), they are used
+    as-is.
     """
-    candidates = {c.cid: ContigCandidates(cid=c.cid) for c in contigs}
+    cids = np.array([c.cid for c in contigs], dtype=np.int64)
     if recruit_left is None or recruit_right is None:
         recruit_left, recruit_right = recruit_flags(
             rows, reads.lengths(), _contig_len_of(contigs), max_reads_per_end
         )
-    big, big_quals, uoff = (
-        layout if layout is not None else _oriented_layout(reads)
-    )
-    n = len(reads)
-    uoff_l = uoff.tolist()
-    alignments = [
-        ReadAlignment(
-            read_idx=ridx,
-            cid=cid,
-            offset=off,
-            is_rc=is_rc,
-            matches=mt,
-            mismatches=mm,
-            ov_len=ov,
-        )
-        for ridx, cid, off, is_rc, mt, mm, ov in zip(
-            rows.read.tolist(),
-            rows.cid.tolist(),
-            rows.offset.tolist(),
-            rows.is_rc.tolist(),
-            rows.matches.tolist(),
-            rows.mismatches.tolist(),
-            rows.ov_len.tolist(),
-        )
-    ]
-    for i in np.nonzero(recruit_left | recruit_right)[0].tolist():
-        a = alignments[i]
-        u = 2 * n - 1 - a.read_idx if a.is_rc else a.read_idx
-        pu = 2 * n - 1 - u  # the unit holding revcomp(oriented read)
-        if recruit_left[i]:
-            candidates[a.cid].left.add(
-                big[uoff_l[pu] : uoff_l[pu + 1]],
-                big_quals[uoff_l[pu] : uoff_l[pu + 1]],
-            )
-        if recruit_right[i]:
-            candidates[a.cid].right.add(
-                big[uoff_l[u] : uoff_l[u + 1]],
-                big_quals[uoff_l[u] : uoff_l[u + 1]],
-            )
+    slot_of = np.zeros(int(cids.max(initial=-1)) + 1, dtype=np.int64)
+    slot_of[cids] = np.arange(cids.size, dtype=np.int64)
+    left = np.nonzero(recruit_left)[0]
+    right = np.nonzero(recruit_right)[0]
+    row = np.concatenate([left, right])
+    is_left = np.arange(row.size) < left.size
+    end = 2 * slot_of[rows.cid[row]] + ~is_left
+    order = np.argsort(end, kind="stable")
+    row, end, is_left = row[order], end[order], is_left[order]
+    end_start = np.zeros(2 * cids.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(end, minlength=2 * cids.size), out=end_start[1:])
+    read = rows.read[row]
+    # a left-end candidate is the reverse complement of the aligned read
+    flip = rows.is_rc[row] != is_left
+    bases, quals, lengths = _gather_oriented(reads, read, flip)
     return AlignmentResult(
-        alignments=alignments,
-        candidates=candidates,
-        n_reads_aligned=rows.n_reads_aligned,
-        n_seed_hits=rows.n_seed_hits,
+        rows=rows,
+        n_reads=len(reads),
+        cids=cids,
+        end_start=end_start,
+        cand_read=2 * read + flip,
+        cand_bases=bases,
+        cand_quals=quals,
+        cand_lengths=lengths,
     )
 
 
@@ -740,21 +847,17 @@ def align_reads(
 ) -> AlignmentResult:
     """Align every read against the contig set (batched).
 
-    Returns per-read best placements plus per-contig-end candidate reads.
+    Returns per-read placements plus per-contig-end candidate reads.
     Every contig gets a :class:`ContigCandidates` entry (possibly with zero
     reads) — the zero-read population is what the paper's bin 1 holds.
     Output is bit-identical to the scalar reference in the tests tree.
     """
     index = PackedSeedIndex(contigs, seed_len=seed_len)
-    layout = _oriented_layout(reads)
     rows = align_core(
         index,
         reads,
         read_seed_stride=read_seed_stride,
         min_identity=min_identity,
         min_overlap=min_overlap,
-        layout=layout,
     )
-    return materialise_alignment(
-        rows, contigs, reads, max_reads_per_end, layout=layout
-    )
+    return materialise_alignment(rows, contigs, reads, max_reads_per_end)

@@ -5,7 +5,8 @@ whose two reads land on the *same* contig (their separation is directly
 observable) and feeds it to scaffolding, instead of trusting a
 user-supplied value.  Same here: :func:`estimate_insert_size` consumes the
 alignment stage's best placements and returns robust (median/MAD-based)
-statistics; the pipeline uses them for gap estimates when enabled.
+statistics; the pipeline uses them for gap estimates when enabled.  The
+pair scan is one array pass over the best-placement table's mate columns.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pipeline.alignment import ReadAlignment
+from repro.pipeline.alignment import BestPlacements
 
 __all__ = ["InsertSizeEstimate", "estimate_insert_size", "median"]
 
@@ -47,7 +48,7 @@ def median(values) -> float:
 
 
 def estimate_insert_size(
-    best_alignments: dict[int, ReadAlignment],
+    best_alignments: BestPlacements,
     read_lengths: np.ndarray,
     max_insert: int = 5000,
 ) -> InsertSizeEstimate:
@@ -61,23 +62,16 @@ def estimate_insert_size(
     mean over the inlier window reported as ``mean``.
     """
     n_pairs = int(read_lengths.size) // 2
-    inserts: list[int] = []
-    for p in range(n_pairs):
-        a = best_alignments.get(2 * p)
-        b = best_alignments.get(2 * p + 1)
-        if a is None or b is None or a.cid != b.cid:
-            continue
-        if a.is_rc == b.is_rc:
-            continue  # discordant orientation
-        fwd, rev = (a, b) if not a.is_rc else (b, a)
-        rev_read_len = int(read_lengths[rev.read_idx])
-        insert = (rev.offset + rev_read_len) - fwd.offset
-        if 0 < insert <= max_insert:
-            inserts.append(insert)
+    cid_a, cid_b, off_a, off_b, rc_a, rc_b = best_alignments.mates(n_pairs)
+    len_a, len_b = read_lengths[: 2 * n_pairs].reshape(n_pairs, 2).T
+    # the reverse mate's end minus the forward mate's start
+    insert = np.where(rc_a, off_a + len_a - off_b, off_b + len_b - off_a)
+    proper = (cid_a >= 0) & (cid_a == cid_b) & (rc_a != rc_b)
+    inserts = insert[proper & (insert > 0) & (insert <= max_insert)]
 
-    if not inserts:
+    if not inserts.size:
         return InsertSizeEstimate(n_pairs_used=0, mean=0.0, sd=0.0, median=0.0)
-    arr = np.asarray(inserts, dtype=np.float64)
+    arr = inserts.astype(np.float64)
     mid = median(arr)
     mad = median(np.abs(arr - mid))
     sd = 1.4826 * mad

@@ -17,18 +17,19 @@ Conventions:
 * Gap size is the median of per-pair estimates
   ``insert - overhang_a - overhang_b``; non-positive gaps join with a
   single ``N`` (the true overlap is unknown without another alignment).
+
+Link collection is array passes over the best-placement table's mate
+columns; only the chain walk visits edges one at a time.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.pipeline.alignment import ReadAlignment
+from repro.pipeline.alignment import BestPlacements
 from repro.pipeline.contigs import ContigSet
-from repro.pipeline.insert_size import median
 from repro.sequence.dna import revcomp
 
 __all__ = ["Scaffold", "ScaffoldingResult", "build_scaffolds", "LEFT", "RIGHT"]
@@ -63,21 +64,9 @@ class ScaffoldingResult:
         return sum(len(s) for s in self.scaffolds)
 
 
-def _link_end(aln: ReadAlignment) -> int:
-    """Which end of the contig the aligned read's mate lies beyond."""
-    return RIGHT if not aln.is_rc else LEFT
-
-
-def _overhang(aln: ReadAlignment, contig_len: int, read_len: int) -> int:
-    """Distance from the read's leading edge to the linked contig end."""
-    if _link_end(aln) == RIGHT:
-        return max(contig_len - aln.offset, 0)
-    return max(aln.offset + read_len, 0)
-
-
 def build_scaffolds(
     contigs: ContigSet,
-    best_alignments: dict[int, ReadAlignment],
+    best_alignments: BestPlacements,
     read_lengths: np.ndarray,
     insert_mean: float = 350.0,
     min_support: int = 2,
@@ -89,7 +78,9 @@ def build_scaffolds(
     contigs:
         Input contigs (post local assembly).
     best_alignments:
-        Best placement per *original* (paired, interleaved) read index.
+        Best placement per *original* (paired, interleaved) read index
+        (:meth:`AlignmentResult.best_by_read
+        <repro.pipeline.alignment.AlignmentResult.best_by_read>`).
     read_lengths:
         Lengths of the original reads (for overhang estimates).
     insert_mean:
@@ -98,47 +89,58 @@ def build_scaffolds(
         Minimum independent pairs to keep an edge.
     """
     by_id = contigs.by_id()
-    contig_len = {cid: len(c.seq) for cid, c in by_id.items()}
-
-    # -- collect edges -------------------------------------------------------
-    support: dict[tuple[End, End], list[int]] = defaultdict(list)
-    n_links = 0
     n_pairs = int(read_lengths.size) // 2
-    for p in range(n_pairs):
-        a = best_alignments.get(2 * p)
-        b = best_alignments.get(2 * p + 1)
-        if a is None or b is None or a.cid == b.cid:
-            continue
-        n_links += 1
-        end_a: End = (a.cid, _link_end(a))
-        end_b: End = (b.cid, _link_end(b))
-        key = (end_a, end_b) if end_a <= end_b else (end_b, end_a)
-        gap = int(
-            insert_mean
-            - _overhang(a, contig_len[a.cid], int(read_lengths[2 * p]))
-            - _overhang(b, contig_len[b.cid], int(read_lengths[2 * p + 1]))
-        )
-        support[key].append(gap)
+    cid_a, cid_b, off_a, off_b, rc_a, rc_b = best_alignments.mates(n_pairs)
+    len_a, len_b = read_lengths[: 2 * n_pairs].reshape(n_pairs, 2).T
 
-    edges = {k: v for k, v in support.items() if len(v) >= min_support}
+    # -- collect links: one per pair whose mates sit on different contigs ----
+    link = (cid_a >= 0) & (cid_b >= 0) & (cid_a != cid_b)
+    n_links = int(np.count_nonzero(link))
+    contig_len = np.zeros(max(by_id, default=-1) + 1, dtype=np.int64)
+    for cid, c in by_id.items():
+        contig_len[cid] = len(c.seq)
 
-    # -- drop ambiguous ends -----------------------------------------------------
-    end_degree: dict[End, int] = defaultdict(int)
-    for (ea, eb) in edges:
-        end_degree[ea] += 1
-        end_degree[eb] += 1
-    ambiguous = {e for e, d in end_degree.items() if d > 1}
-    kept = {
-        k: int(median(v))
-        for k, v in edges.items()
-        if k[0] not in ambiguous and k[1] not in ambiguous
-    }
+    def node_and_overhang(cid, off, rc, rlen):
+        """Linked end as node ``2 * cid + end`` (a forward read links the
+        right end, a reverse one the left), and the distance from the
+        read's leading edge to that end."""
+        cid, off, rc, rlen = cid[link], off[link], rc[link], rlen[link]
+        overhang = np.where(rc, off + rlen, contig_len[cid] - off)
+        return 2 * cid + np.where(rc, LEFT, RIGHT), np.maximum(overhang, 0)
+
+    node_a, oh_a = node_and_overhang(cid_a, off_a, rc_a, len_a)
+    node_b, oh_b = node_and_overhang(cid_b, off_b, rc_b, len_b)
+    lo, hi = np.minimum(node_a, node_b), np.maximum(node_a, node_b)
+    # int() of the float estimate truncates toward zero, as astype does
+    gaps = (insert_mean - oh_a - oh_b).astype(np.int64)
+
+    # -- edges: node pairs with min_support links; gap = median estimate ----
+    order = np.lexsort((gaps, hi, lo))
+    lo, hi, gaps = lo[order], hi[order], gaps[order]
+    head = np.ones(lo.size, dtype=bool)
+    head[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    start = np.nonzero(head)[0]
+    count = np.diff(np.append(start, lo.size))
+    edge = count >= min_support
+    e_start, e_count = start[edge], count[edge]
+    e_lo, e_hi = lo[e_start], hi[e_start]
+    e_gap = (
+        (gaps[e_start + (e_count - 1) // 2] + gaps[e_start + e_count // 2]) / 2
+    ).astype(np.int64)
+
+    # -- drop ambiguous ends: any end on two different edges ----------------
+    ends, degree = np.unique(np.concatenate([e_lo, e_hi]), return_counts=True)
+    ambiguous = ends[degree > 1]
+    keep = ~(np.isin(e_lo, ambiguous) | np.isin(e_hi, ambiguous))
 
     # -- walk chains -------------------------------------------------------------
     neighbor: dict[End, tuple[End, int]] = {}
-    for (ea, eb), gap in kept.items():
-        neighbor[ea] = (eb, gap)
-        neighbor[eb] = (ea, gap)
+    for a, b, g in zip(
+        e_lo[keep].tolist(), e_hi[keep].tolist(), e_gap[keep].tolist()
+    ):
+        ea, eb = divmod(a, 2), divmod(b, 2)
+        neighbor[ea] = (eb, g)
+        neighbor[eb] = (ea, g)
 
     scaffolds: list[Scaffold] = []
     visited: set[int] = set()
@@ -183,6 +185,6 @@ def build_scaffolds(
     return ScaffoldingResult(
         scaffolds=scaffolds,
         n_links_considered=n_links,
-        n_edges_kept=len(kept),
-        n_ambiguous_ends=len(ambiguous),
+        n_edges_kept=int(np.count_nonzero(keep)),
+        n_ambiguous_ends=int(ambiguous.size),
     )

@@ -92,16 +92,16 @@ def revcomp(seq: str) -> str:
     return decode(revcomp_codes(encode(seq)))
 
 
+#: complement of each base code, indexed by code
+_COMPLEMENT_CODES = np.array([3, 2, 1, 0, N_CODE], dtype=np.uint8)
+
+
 def revcomp_codes(codes: np.ndarray) -> np.ndarray:
     """Reverse complement of a code array (vectorised).
 
     ``complement(c) == 3 - c`` for A/C/G/T; N (code 4) maps to itself.
     """
-    codes = np.asarray(codes, dtype=np.uint8)
-    out = (3 - codes[::-1]).astype(np.uint8)
-    # 3 - 4 underflows to 255 for N; restore N_CODE.
-    out[codes[::-1] == N_CODE] = N_CODE
-    return out
+    return np.take(_COMPLEMENT_CODES, np.asarray(codes, dtype=np.uint8)[::-1])
 
 
 def is_valid_dna(seq: str, allow_n: bool = True) -> bool:

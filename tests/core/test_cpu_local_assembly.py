@@ -40,7 +40,7 @@ def _mk_task(contig, reads, quals=None, cid=0, side=RIGHT):
         quals_c = tuple(np.full(len(r), 40, dtype=np.uint8) for r in reads)
     else:
         quals_c = tuple(np.asarray(q, dtype=np.uint8) for q in quals)
-    return ExtensionTask(cid=cid, side=side, contig=encode(contig), reads=reads_c, quals=quals_c)
+    return ExtensionTask.from_reads(cid=cid, side=side, contig=encode(contig), reads=reads_c, quals=quals_c)
 
 
 def _tiling_task(genome, contig_end, rng, read_len=80, stride=7, start=0):
@@ -592,7 +592,8 @@ class TestAgainstReference:
         for t in tasks:
             perm = rng.permutation(t.n_reads)
             reads = tuple(t.reads[i] for i in perm)
-            shuffled.append(replace(t, reads=reads, quals=tuple(t.quals[i] for i in perm)))
+            quals = tuple(t.quals[i] for i in perm)
+            shuffled.append(ExtensionTask.from_reads(t.cid, t.side, t.contig, reads, quals))
         cfg = LocalAssemblyConfig(k_init=13, k_min=5)
         assert _assert_matches_reference(shuffled, cfg) == _assert_matches_reference(tasks, cfg)
 

@@ -16,7 +16,7 @@ def _task(cid, side, n_reads, rng, glen=250, contig_end=100):
         start = (i * 13) % (glen - 60)
         reads.append(encode(genome[start : start + 60]))
         quals.append(np.full(60, 40, dtype=np.uint8))
-    return ExtensionTask(
+    return ExtensionTask.from_reads(
         cid=cid, side=side, contig=encode(genome[:contig_end]),
         reads=tuple(reads), quals=tuple(quals),
     )

@@ -7,7 +7,7 @@ from repro.core.config import LocalAssemblyConfig
 from repro.core.cpu_local_assembly import run_local_assembly_cpu
 from repro.core.dump import DUMP_FORMAT_VERSION, load_tasks, save_tasks
 from repro.core.tasks import LEFT, RIGHT, ExtensionTask, TaskSet
-from repro.sequence.dna import encode, random_dna
+from repro.sequence.dna import encode, random_dna, revcomp_codes
 
 
 @pytest.fixture
@@ -21,7 +21,7 @@ def tasks(rng):
             rng.integers(2, 42, size=50).astype(np.uint8) for _ in range(n)
         )
         out.append(
-            ExtensionTask(
+            ExtensionTask.from_reads(
                 cid=cid, side=LEFT if cid % 2 else RIGHT,
                 contig=encode(genome[:90]), reads=reads, quals=quals,
             )
@@ -52,6 +52,33 @@ class TestRoundtrip:
         before, _ = run_local_assembly_cpu(tasks, cfg)
         after, _ = run_local_assembly_cpu(load_tasks(p), cfg)
         assert before == after
+
+    def test_packed_roundtrip_edge_cases(self, rng, tmp_path):
+        """Zero tasks, tasks without reads and a contig with reads on one
+        side only come back array for array, dtypes included."""
+        genome = random_dna(300, rng)
+        contig = encode(genome[:120])
+        reads = tuple(encode(genome[100 + 9 * i : 160 + 9 * i]) for i in range(5))
+        quals = tuple(rng.integers(2, 42, 60).astype(np.uint8) for _ in reads)
+        one_side = [
+            ExtensionTask.from_reads(0, LEFT, revcomp_codes(contig), (), ()),
+            ExtensionTask.from_reads(0, RIGHT, contig, reads, quals),
+        ]
+        no_reads = [
+            ExtensionTask.from_reads(3, LEFT, revcomp_codes(contig[:50]), (), ()),
+            ExtensionTask.from_reads(3, RIGHT, contig[:50], (), ()),
+        ]
+        for tasks in ([], no_reads, one_side + no_reads, no_reads + one_side):
+            p = tmp_path / "dump.npz"
+            save_tasks(p, TaskSet(tasks))
+            back = load_tasks(p)
+            assert len(back) == len(tasks)
+            for a, b in zip(tasks, back):
+                assert (a.cid, a.side, a.n_reads) == (b.cid, b.side, b.n_reads)
+                for x, y in zip(
+                    (a.contig, *a.packed_reads()), (b.contig, *b.packed_reads())
+                ):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
 
     def test_empty_taskset(self, tmp_path):
         p = tmp_path / "empty.npz"

@@ -26,7 +26,7 @@ def _task(rng, cid=0, n_reads=8, read_len=60, contig_len=80):
         for i in range(n_reads)
     )
     quals = tuple(np.full(read_len, 40, dtype=np.uint8) for _ in range(n_reads))
-    return ExtensionTask(
+    return ExtensionTask.from_reads(
         cid=cid, side=RIGHT, contig=encode(genome[:contig_len]),
         reads=reads, quals=quals,
     )

@@ -29,7 +29,7 @@ def _tiling_task(genome, contig_end, read_len=70, stride=6, cid=0, side=RIGHT, r
                     q[j] = 8
         reads.append(encode("".join(r)))
         quals.append(q)
-    return ExtensionTask(
+    return ExtensionTask.from_reads(
         cid=cid, side=side, contig=encode(genome[:contig_end]),
         reads=tuple(reads), quals=tuple(quals),
     )
@@ -47,7 +47,7 @@ def mixed_tasks(rng):
     tasks.append(_tiling_task(g1, 100, cid=1, stride=40))
     # bin 1: no reads
     tasks.append(
-        ExtensionTask(cid=2, side=RIGHT, contig=encode(random_dna(80, rng)), reads=(), quals=())
+        ExtensionTask.from_reads(cid=2, side=RIGHT, contig=encode(random_dna(80, rng)), reads=(), quals=())
     )
     # noisy reads (exercises quality thresholds)
     g3 = random_dna(300, rng)
@@ -60,7 +60,7 @@ def mixed_tasks(rng):
     for locus in (stem + rep + t1, random_dna(100, rng) + rep + t2):
         fork_reads += [locus[i : i + 60] for i in range(0, len(locus) - 60 + 1, 5)]
     tasks.append(
-        ExtensionTask(
+        ExtensionTask.from_reads(
             cid=4, side=LEFT, contig=encode(stem),
             reads=tuple(encode(r) for r in fork_reads),
             quals=tuple(np.full(len(r), 40, dtype=np.uint8) for r in fork_reads),
@@ -130,7 +130,7 @@ class TestWalkEquivalenceDetails:
     def test_loop_case(self, rng):
         unit = "ACGTTGCACTGGATCCA"
         reads = [(unit * 6)[i : i + 40] for i in range(0, len(unit) * 6 - 40, 3)]
-        task = ExtensionTask(
+        task = ExtensionTask.from_reads(
             cid=0, side=RIGHT, contig=encode(unit * 2),
             reads=tuple(encode(r) for r in reads),
             quals=tuple(np.full(len(r), 40, dtype=np.uint8) for r in reads),
@@ -142,7 +142,7 @@ class TestWalkEquivalenceDetails:
         assert gpu.extensions == cpu
 
     def test_contig_shorter_than_k(self, rng):
-        task = ExtensionTask(
+        task = ExtensionTask.from_reads(
             cid=0, side=RIGHT, contig=encode("ACGTACG"),  # 7 < k_init
             reads=(encode(random_dna(50, rng)),),
             quals=(np.full(50, 40, dtype=np.uint8),),

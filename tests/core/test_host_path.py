@@ -42,7 +42,7 @@ def _tiling_task(genome, contig_end, read_len=70, stride=6, cid=0, side=RIGHT):
     for i in range(0, len(genome) - read_len + 1, stride):
         reads.append(encode(genome[i : i + read_len]))
         quals.append(np.full(read_len, 40, dtype=np.uint8))
-    return ExtensionTask(
+    return ExtensionTask.from_reads(
         cid=cid, side=side, contig=encode(genome[:contig_end]),
         reads=tuple(reads), quals=tuple(quals),
     )
@@ -64,7 +64,7 @@ def workload():
     # contig shorter than k_max: the tail is the whole contig
     tasks.append(_tiling_task(random_dna(150, rng), 20, cid=8, stride=20))
     tasks.append(
-        ExtensionTask(cid=9, side=RIGHT, contig=encode(random_dna(80, rng)),
+        ExtensionTask.from_reads(cid=9, side=RIGHT, contig=encode(random_dna(80, rng)),
                       reads=(), quals=())
     )
     return TaskSet(tasks)
@@ -400,7 +400,7 @@ def test_overlapped_wall_clock_beats_serial_bench_smoke():
         ]
         quals = [np.full(70, 40, dtype=np.uint8) for _ in reads]
         tasks.append(
-            ExtensionTask(cid=cid, side=RIGHT, contig=encode(genome[:120]),
+            ExtensionTask.from_reads(cid=cid, side=RIGHT, contig=encode(genome[:120]),
                           reads=tuple(reads), quals=tuple(quals))
         )
     tasks = TaskSet(tasks)

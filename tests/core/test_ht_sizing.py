@@ -23,7 +23,7 @@ from repro.sequence.dna import encode
 def _task(cid, read_lens):
     reads = tuple(encode("A" * l) for l in read_lens)
     quals = tuple(np.full(l, 40, dtype=np.uint8) for l in read_lens)
-    return ExtensionTask(cid=cid, side=0, contig=encode("ACGT" * 10), reads=reads, quals=quals)
+    return ExtensionTask.from_reads(cid=cid, side=0, contig=encode("ACGT" * 10), reads=reads, quals=quals)
 
 
 class TestLoadFactor:
@@ -51,7 +51,7 @@ class TestLoadFactor:
 
         reads = tuple(encode(random_dna(150, rng)) for _ in range(20))
         quals = tuple(np.full(150, 40, dtype=np.uint8) for _ in range(20))
-        task = ExtensionTask(cid=0, side=0, contig=encode("ACGT" * 10), reads=reads, quals=quals)
+        task = ExtensionTask.from_reads(cid=0, side=0, contig=encode("ACGT" * 10), reads=reads, quals=quals)
         table = build_kmer_table(task, 21, 20)
         assert len(table) <= table_slots(task) * load_factor_bound(150, 21)
         assert KmerTables.build([task], 21, 20).sizes.tolist() == [len(table)]

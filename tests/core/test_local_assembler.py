@@ -13,7 +13,7 @@ from repro.core.tasks import (
     apply_extensions,
     tasks_from_candidates,
 )
-from repro.pipeline.alignment import ContigCandidates
+from repro.pipeline.alignment import CandidateReads, ContigCandidates
 from repro.sequence.dna import encode, random_dna
 
 
@@ -21,10 +21,14 @@ from repro.sequence.dna import encode, random_dna
 def scenario(rng):
     """A contig + right-end candidates that extend it along the genome."""
     genome = random_dna(400, rng)
-    cand = ContigCandidates(cid=0)
-    for start in range(100, 300, 10):
-        seq = encode(genome[start : start + 80])
-        cand.right.add(seq, np.full(80, 40, dtype=np.uint8))
+    seqs = [encode(genome[start : start + 80]) for start in range(100, 300, 10)]
+    right = CandidateReads(
+        np.concatenate(seqs),
+        np.full(80 * len(seqs), 40, dtype=np.uint8),
+        np.full(len(seqs), 80, dtype=np.int64),
+    )
+    none = np.empty(0, dtype=np.uint8)
+    cand = ContigCandidates(0, CandidateReads(none, none, np.empty(0, np.int64)), right)
     return genome, {0: genome[:150]}, {0: cand}
 
 
@@ -92,9 +96,9 @@ class TestExtendTasks:
         genome = random_dna(300, rng)
         reads = tuple(encode(genome[i : i + 70]) for i in range(60, 200, 8))
         quals = tuple(np.full(70, 40, dtype=np.uint8) for _ in reads)
-        t_live = ExtensionTask(cid=0, side=RIGHT, contig=encode(genome[:100]),
+        t_live = ExtensionTask.from_reads(cid=0, side=RIGHT, contig=encode(genome[:100]),
                                reads=reads, quals=quals)
-        t_dead = ExtensionTask(cid=1, side=RIGHT, contig=encode(genome[:100]),
+        t_dead = ExtensionTask.from_reads(cid=1, side=RIGHT, contig=encode(genome[:100]),
                                reads=(), quals=())
         exts, report = extend_tasks(TaskSet([t_live, t_dead]), mode="cpu")
         assert report.n_tasks == 2
@@ -105,7 +109,7 @@ class TestExtendTasks:
         genome = random_dna(500, rng)
         reads = tuple(encode(genome[i : i + 70]) for i in range(60, 400, 6))
         quals = tuple(np.full(70, 40, dtype=np.uint8) for _ in reads)
-        task = ExtensionTask(cid=0, side=RIGHT, contig=encode(genome[:100]),
+        task = ExtensionTask.from_reads(cid=0, side=RIGHT, contig=encode(genome[:100]),
                              reads=reads, quals=quals)
         short_cfg = LocalAssemblyConfig(max_walk_len=5)
         exts, _ = extend_tasks(TaskSet([task]), config=short_cfg, mode="cpu")

@@ -25,7 +25,7 @@ def _task_with_ns(rng, n_frac=0.02):
                 r[j] = "N"
         reads.append(encode("".join(r)))
         quals.append(np.full(70, 40, dtype=np.uint8))
-    return ExtensionTask(
+    return ExtensionTask.from_reads(
         cid=0, side=RIGHT, contig=encode(genome[:120]),
         reads=tuple(reads), quals=tuple(quals),
     )
@@ -54,7 +54,7 @@ class TestNBases:
         contig[10] = "N"  # far from the extension end
         reads = tuple(encode(genome[i : i + 70]) for i in range(60, 330, 6))
         quals = tuple(np.full(70, 40, dtype=np.uint8) for _ in reads)
-        task = ExtensionTask(cid=0, side=RIGHT, contig=encode("".join(contig)),
+        task = ExtensionTask.from_reads(cid=0, side=RIGHT, contig=encode("".join(contig)),
                              reads=reads, quals=quals)
         cfg = LocalAssemblyConfig(k_init=21, max_walk_len=120)
         cpu, _ = run_local_assembly_cpu(TaskSet([task]), cfg)
@@ -63,7 +63,7 @@ class TestNBases:
         assert len(cpu[(0, RIGHT)]) > 0
 
     def test_all_n_reads_no_extension(self, rng):
-        task = ExtensionTask(
+        task = ExtensionTask.from_reads(
             cid=0, side=RIGHT, contig=encode(random_dna(100, rng)),
             reads=(encode("N" * 60),),
             quals=(np.full(60, 40, dtype=np.uint8),),

@@ -31,7 +31,7 @@ def _tiling_task(genome, contig_end, read_len=70, stride=6, cid=0, side=RIGHT):
     for i in range(0, len(genome) - read_len + 1, stride):
         reads.append(encode(genome[i : i + read_len]))
         quals.append(np.full(read_len, 40, dtype=np.uint8))
-    return ExtensionTask(
+    return ExtensionTask.from_reads(
         cid=cid, side=side, contig=encode(genome[:contig_end]),
         reads=tuple(reads), quals=tuple(quals),
     )
@@ -50,7 +50,7 @@ def workload():
             _tiling_task(random_dna(220, rng), 90, cid=cid, stride=30, side=side)
         )
     tasks.append(
-        ExtensionTask(cid=7, side=RIGHT, contig=encode(random_dna(80, rng)),
+        ExtensionTask.from_reads(cid=7, side=RIGHT, contig=encode(random_dna(80, rng)),
                       reads=(), quals=())
     )
     for cid in (8, 9):
@@ -116,7 +116,7 @@ class TestEdgeWorkloads:
     def test_bin1_only_workload_never_launches(self, config, overlap):
         rng = np.random.default_rng(3)
         tasks = TaskSet([
-            ExtensionTask(cid=c, side=RIGHT, contig=encode(random_dna(90, rng)),
+            ExtensionTask.from_reads(cid=c, side=RIGHT, contig=encode(random_dna(90, rng)),
                           reads=(), quals=())
             for c in range(3)
         ])

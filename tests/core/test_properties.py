@@ -42,7 +42,7 @@ def extension_tasks(draw):
         reads[ri] = "".join(r)
         quals[ri] = quals[ri].copy()
         quals[ri][pos] = 5
-    return ExtensionTask(
+    return ExtensionTask.from_reads(
         cid=0,
         side=RIGHT,
         contig=encode(genome[:contig_end]),

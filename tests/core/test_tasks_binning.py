@@ -19,15 +19,15 @@ from repro.sequence.dna import encode, revcomp
 def _task(cid, side, n_reads, contig="ACGTACGTACGTACGTACGTACGT"):
     reads = tuple(encode("ACGTACGT") for _ in range(n_reads))
     quals = tuple(np.full(8, 40, dtype=np.uint8) for _ in range(n_reads))
-    return ExtensionTask(cid=cid, side=side, contig=encode(contig), reads=reads, quals=quals)
+    return ExtensionTask.from_reads(cid=cid, side=side, contig=encode(contig), reads=reads, quals=quals)
 
 
 class TestTasks:
     def test_validation(self):
         with pytest.raises(ValueError):
-            ExtensionTask(cid=0, side=7, contig=encode("ACGT"), reads=(), quals=())
+            ExtensionTask.from_reads(cid=0, side=7, contig=encode("ACGT"), reads=(), quals=())
         with pytest.raises(ValueError):
-            ExtensionTask(
+            ExtensionTask.from_reads(
                 cid=0, side=LEFT, contig=encode("ACGT"),
                 reads=(encode("AC"),), quals=(),
             )
@@ -38,7 +38,28 @@ class TestTasks:
         reads = (encode("ACGT"), encode("ACGTA"))
         quals = (np.full(4, 40, dtype=np.uint8), np.full(4, 40, dtype=np.uint8))
         with pytest.raises(ValueError, match=r"cid=5, side=1.*read 1 has 5 bases but 4 quals"):
-            ExtensionTask(cid=5, side=RIGHT, contig=encode("ACGT"), reads=reads, quals=quals)
+            ExtensionTask.from_reads(cid=5, side=RIGHT, contig=encode("ACGT"), reads=reads, quals=quals)
+
+    def test_rejects_packed_arrays_that_disagree(self):
+        """A packed task's lengths must cover its bases and quals exactly."""
+        bases = encode("ACGTACGT")
+        quals = np.full(8, 40, dtype=np.uint8)
+        ExtensionTask(0, RIGHT, bases, bases, quals, np.array([3, 5]))
+        with pytest.raises(ValueError, match=r"cid=0, side=1\): 7 read bases"):
+            ExtensionTask(0, RIGHT, bases, bases, quals, np.array([3, 4]))
+        with pytest.raises(ValueError, match="8 bases, 7 quals"):
+            ExtensionTask(0, RIGHT, bases, bases, quals[:7], np.array([3, 5]))
+
+    def test_per_read_views(self):
+        t = ExtensionTask.from_reads(
+            cid=0, side=LEFT, contig=encode("ACGT"),
+            reads=(encode("AC"), encode("GTA")),
+            quals=(np.full(2, 9, dtype=np.uint8), np.full(3, 7, dtype=np.uint8)),
+        )
+        assert [r.tolist() for r in t.reads] == [[0, 1], [2, 3, 0]]
+        assert [q.tolist() for q in t.quals] == [[9, 9], [7, 7, 7]]
+        assert t.read_lengths.tolist() == [2, 3]
+        assert _task(0, RIGHT, 0).reads == () == _task(0, RIGHT, 0).quals
 
     def test_read_stats(self):
         t = _task(0, RIGHT, 3)
@@ -56,14 +77,15 @@ class TestTasks:
 class TestOrientation:
     def test_tasks_from_candidates_orients_left(self):
         class Side:
-            def __init__(self, seqs):
-                self.seqs = seqs
-                self.quals = [np.full(len(s), 40, dtype=np.uint8) for s in seqs]
+            def __init__(self, seq):
+                self.bases = encode(seq)
+                self.quals = np.full(len(seq), 40, dtype=np.uint8)
+                self.lengths = np.array([len(seq)])
 
         class Cand:
             cid = 5
-            left = Side([encode("AACC")])
-            right = Side([encode("GGTT")])
+            left = Side("AACC")
+            right = Side("GGTT")
 
         seqs = {5: "ACGTACGT"}
         ts = tasks_from_candidates(seqs, [Cand()])
@@ -73,6 +95,9 @@ class TestOrientation:
         # left task's contig is the reverse complement
         assert left_task.contig.tolist() == encode(revcomp("ACGTACGT")).tolist()
         assert right_task.contig.tolist() == encode("ACGTACGT").tolist()
+        # each task takes its side's packed arrays as they are
+        assert left_task.packed_reads()[0] is Cand.left.bases
+        assert right_task.packed_reads()[2] is Cand.right.lengths
 
     def test_apply_extensions_math(self):
         seqs = {0: "CCCGGG"}

@@ -19,7 +19,7 @@ def _fat_task(rng, n_reads=64, read_len=150):
         for i in range(n_reads)
     )
     quals = tuple(np.full(read_len, 40, dtype=np.uint8) for _ in range(n_reads))
-    return ExtensionTask(cid=0, side=RIGHT, contig=encode(genome[:200]),
+    return ExtensionTask.from_reads(cid=0, side=RIGHT, contig=encode(genome[:200]),
                          reads=reads, quals=quals)
 
 

@@ -11,22 +11,33 @@ The per-read aligner (``SeedIndex``, ``ungapped_align``, ``_recruit``,
 ``align_reads_scalar``) followed once no entry point reached it: the
 batched ``align_reads`` must reproduce its alignments, ``n_seed_hits`` and
 candidate reads in the same order.
+
+Then the per-row object path downstream of ``align_core``: one
+``ReadAlignment`` per row, per-read candidate lists
+(``materialise_alignment_reference``), the dict ``best_by_read``, the
+per-read task builder and the per-pair insert-size and scaffold-link
+loops.  The array result must reproduce each of them exactly.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.tasks import LEFT, RIGHT
 from repro.pipeline.alignment import (
     MAX_READS_PER_END,
-    AlignmentResult,
-    ContigCandidates,
+    AlnRows,
+    BestPlacements,
     ReadAlignment,
+    _contig_len_of,
+    recruit_flags,
 )
 from repro.pipeline.contigs import Contig, ContigSet
+from repro.pipeline.insert_size import InsertSizeEstimate, median
+from repro.pipeline.scaffolding import Scaffold, ScaffoldingResult
 from repro.pipeline.kmer_analysis import ClassifiedKmers, ExtVerdict
 from repro.pipeline.merge_reads import MergeStats, find_overlap
 from repro.sequence.dna import BASES, encode, revcomp, revcomp_codes
@@ -41,6 +52,14 @@ __all__ = [
     "ungapped_align",
     "SeedIndex",
     "align_reads_scalar",
+    "CandidateReads",
+    "ContigCandidates",
+    "AlignmentResult",
+    "materialise_alignment_reference",
+    "tasks_from_candidates_reference",
+    "estimate_insert_size_reference",
+    "build_scaffolds_reference",
+    "best_placements",
 ]
 
 _COMP = {"A": "T", "C": "G", "G": "C", "T": "A"}
@@ -367,6 +386,64 @@ class SeedIndex:
         return len(self._index)
 
 
+class CandidateReads:
+    """Candidate reads of one contig end as per-read lists."""
+
+    def __init__(self) -> None:
+        self.seqs: list[np.ndarray] = []
+        self.qual_seqs: list[np.ndarray] = []
+
+    def __len__(self) -> int:
+        return len(self.seqs)
+
+    def add(self, seq: np.ndarray, qual: np.ndarray) -> None:
+        self.seqs.append(seq)
+        self.qual_seqs.append(qual)
+
+    # the packed view, to compare with the array result's ends
+    @property
+    def bases(self) -> np.ndarray:
+        return np.concatenate(self.seqs) if self.seqs else np.empty(0, np.uint8)
+
+    @property
+    def quals(self) -> np.ndarray:
+        return (
+            np.concatenate(self.qual_seqs) if self.qual_seqs else np.empty(0, np.uint8)
+        )
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.array([s.size for s in self.seqs], dtype=np.int64)
+
+
+@dataclass
+class ContigCandidates:
+    cid: int
+    left: CandidateReads = field(default_factory=CandidateReads)
+    right: CandidateReads = field(default_factory=CandidateReads)
+
+    @property
+    def n_reads(self) -> int:
+        return len(self.left) + len(self.right)
+
+
+@dataclass
+class AlignmentResult:
+    alignments: list[ReadAlignment]
+    candidates: dict[int, ContigCandidates]
+    n_reads_aligned: int
+    n_seed_hits: int
+
+    def best_by_read(self) -> dict[int, ReadAlignment]:
+        """Best alignment per read (highest matches)."""
+        best: dict[int, ReadAlignment] = {}
+        for a in self.alignments:
+            cur = best.get(a.read_idx)
+            if cur is None or a.matches > cur.matches:
+                best[a.read_idx] = a
+        return best
+
+
 def _recruit(
     cand: ContigCandidates,
     aln: AlnScore,
@@ -460,3 +537,288 @@ def align_reads_scalar(
         n_reads_aligned=n_aligned,
         n_seed_hits=n_seed_hits,
     )
+
+
+# -- the per-row object path ---------------------------------------------------
+
+
+def materialise_alignment_reference(
+    rows: AlnRows,
+    contigs: ContigSet,
+    reads: ReadBatch,
+    max_reads_per_end: int = MAX_READS_PER_END,
+    recruit_left: np.ndarray | None = None,
+    recruit_right: np.ndarray | None = None,
+) -> AlignmentResult:
+    """One ``ReadAlignment`` per row and one ``add`` per recruited read;
+    candidate arrays are views into the oriented layout."""
+    candidates = {c.cid: ContigCandidates(cid=c.cid) for c in contigs}
+    if recruit_left is None or recruit_right is None:
+        recruit_left, recruit_right = recruit_flags(
+            rows, reads.lengths(), _contig_len_of(contigs), max_reads_per_end
+        )
+    off = reads.offsets.astype(np.int64)
+    nb = int(off[-1])
+    big = np.concatenate([reads.bases, revcomp_codes(reads.bases)])
+    big_quals = np.concatenate([reads.quals, reads.quals[::-1]])
+    uoff = np.concatenate([off[:-1], nb + nb - off[::-1]])
+    n = len(reads)
+    uoff_l = uoff.tolist()
+    alignments = [
+        ReadAlignment(
+            read_idx=ridx,
+            cid=cid,
+            offset=o,
+            is_rc=is_rc,
+            matches=mt,
+            mismatches=mm,
+            ov_len=ov,
+        )
+        for ridx, cid, o, is_rc, mt, mm, ov in zip(
+            rows.read.tolist(),
+            rows.cid.tolist(),
+            rows.offset.tolist(),
+            rows.is_rc.tolist(),
+            rows.matches.tolist(),
+            rows.mismatches.tolist(),
+            rows.ov_len.tolist(),
+        )
+    ]
+    for i in np.nonzero(recruit_left | recruit_right)[0].tolist():
+        a = alignments[i]
+        u = 2 * n - 1 - a.read_idx if a.is_rc else a.read_idx
+        pu = 2 * n - 1 - u  # the unit holding revcomp(oriented read)
+        if recruit_left[i]:
+            candidates[a.cid].left.add(
+                big[uoff_l[pu] : uoff_l[pu + 1]],
+                big_quals[uoff_l[pu] : uoff_l[pu + 1]],
+            )
+        if recruit_right[i]:
+            candidates[a.cid].right.add(
+                big[uoff_l[u] : uoff_l[u + 1]],
+                big_quals[uoff_l[u] : uoff_l[u + 1]],
+            )
+    return AlignmentResult(
+        alignments=alignments,
+        candidates=candidates,
+        n_reads_aligned=rows.n_reads_aligned,
+        n_seed_hits=rows.n_seed_hits,
+    )
+
+
+@dataclass(frozen=True)
+class ExtensionTaskReference:
+    """The per-read extension task: tuples of read arrays, validated read
+    by read, packed on first use."""
+
+    cid: int
+    side: int
+    contig: np.ndarray
+    reads: tuple[np.ndarray, ...]
+    quals: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        if self.side not in (LEFT, RIGHT):
+            raise ValueError(f"side must be LEFT/RIGHT, got {self.side}")
+        if len(self.reads) != len(self.quals):
+            raise ValueError("reads and quals must pair up")
+        for i, (read, qual) in enumerate(zip(self.reads, self.quals)):
+            if read.size != qual.size:
+                raise ValueError(
+                    f"task (cid={self.cid}, side={self.side}): read {i} has "
+                    f"{read.size} bases but {qual.size} quals"
+                )
+
+    @property
+    def n_reads(self) -> int:
+        return len(self.reads)
+
+    def packed_reads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        cached = self.__dict__.get("_packed_reads")
+        if cached is None:
+            lengths = np.fromiter(
+                (r.size for r in self.reads), np.int64, count=len(self.reads)
+            )
+            empty = np.empty(0, dtype=np.uint8)
+            cached = (
+                np.concatenate(self.reads) if self.reads else empty,
+                np.concatenate(self.quals) if self.quals else empty,
+                lengths,
+            )
+            object.__setattr__(self, "_packed_reads", cached)
+        return cached
+
+
+def tasks_from_candidates_reference(
+    contig_seqs, candidates
+) -> list[ExtensionTaskReference]:
+    """Per-read task building: every candidate read passed on its own."""
+    tasks: list[ExtensionTaskReference] = []
+    for cand in candidates:
+        codes = encode(contig_seqs[cand.cid])
+        tasks.append(
+            ExtensionTaskReference(
+                cid=cand.cid,
+                side=LEFT,
+                contig=revcomp_codes(codes),
+                reads=tuple(cand.left.seqs),
+                quals=tuple(cand.left.qual_seqs),
+            )
+        )
+        tasks.append(
+            ExtensionTaskReference(
+                cid=cand.cid,
+                side=RIGHT,
+                contig=codes,
+                reads=tuple(cand.right.seqs),
+                quals=tuple(cand.right.qual_seqs),
+            )
+        )
+    return tasks
+
+
+def estimate_insert_size_reference(
+    best_alignments: dict[int, ReadAlignment],
+    read_lengths: np.ndarray,
+    max_insert: int = 5000,
+) -> InsertSizeEstimate:
+    """Per-pair insert scan over the dict of best placements."""
+    n_pairs = int(read_lengths.size) // 2
+    inserts: list[int] = []
+    for p in range(n_pairs):
+        a = best_alignments.get(2 * p)
+        b = best_alignments.get(2 * p + 1)
+        if a is None or b is None or a.cid != b.cid:
+            continue
+        if a.is_rc == b.is_rc:
+            continue  # discordant orientation
+        fwd, rev = (a, b) if not a.is_rc else (b, a)
+        rev_read_len = int(read_lengths[rev.read_idx])
+        insert = (rev.offset + rev_read_len) - fwd.offset
+        if 0 < insert <= max_insert:
+            inserts.append(insert)
+
+    if not inserts:
+        return InsertSizeEstimate(n_pairs_used=0, mean=0.0, sd=0.0, median=0.0)
+    arr = np.asarray(inserts, dtype=np.float64)
+    mid = median(arr)
+    mad = median(np.abs(arr - mid))
+    sd = 1.4826 * mad
+    window = 3 * sd if sd > 0 else 0.5
+    inliers = arr[np.abs(arr - mid) <= window]
+    return InsertSizeEstimate(
+        n_pairs_used=int(arr.size),
+        mean=float(inliers.mean()),
+        sd=sd if sd > 0 else float(inliers.std()),
+        median=mid,
+    )
+
+
+def build_scaffolds_reference(
+    contigs: ContigSet,
+    best_alignments: dict[int, ReadAlignment],
+    read_lengths: np.ndarray,
+    insert_mean: float = 350.0,
+    min_support: int = 2,
+) -> ScaffoldingResult:
+    """Per-pair link collection into dicts, then the same chain walk."""
+    by_id = contigs.by_id()
+    contig_len = {cid: len(c.seq) for cid, c in by_id.items()}
+
+    def link_end(aln: ReadAlignment) -> int:
+        return RIGHT if not aln.is_rc else LEFT
+
+    def overhang(aln: ReadAlignment, clen: int, read_len: int) -> int:
+        if link_end(aln) == RIGHT:
+            return max(clen - aln.offset, 0)
+        return max(aln.offset + read_len, 0)
+
+    support: dict = defaultdict(list)
+    n_links = 0
+    n_pairs = int(read_lengths.size) // 2
+    for p in range(n_pairs):
+        a = best_alignments.get(2 * p)
+        b = best_alignments.get(2 * p + 1)
+        if a is None or b is None or a.cid == b.cid:
+            continue
+        n_links += 1
+        end_a = (a.cid, link_end(a))
+        end_b = (b.cid, link_end(b))
+        key = (end_a, end_b) if end_a <= end_b else (end_b, end_a)
+        gap = int(
+            insert_mean
+            - overhang(a, contig_len[a.cid], int(read_lengths[2 * p]))
+            - overhang(b, contig_len[b.cid], int(read_lengths[2 * p + 1]))
+        )
+        support[key].append(gap)
+
+    edges = {k: v for k, v in support.items() if len(v) >= min_support}
+    end_degree: dict = defaultdict(int)
+    for (ea, eb) in edges:
+        end_degree[ea] += 1
+        end_degree[eb] += 1
+    ambiguous = {e for e, d in end_degree.items() if d > 1}
+    kept = {
+        k: int(median(v))
+        for k, v in edges.items()
+        if k[0] not in ambiguous and k[1] not in ambiguous
+    }
+
+    neighbor: dict = {}
+    for (ea, eb), gap in kept.items():
+        neighbor[ea] = (eb, gap)
+        neighbor[eb] = (ea, gap)
+
+    scaffolds: list[Scaffold] = []
+    visited: set[int] = set()
+    for start_cid in sorted(by_id):
+        if start_cid in visited:
+            continue
+        cid, entry = start_cid, LEFT
+        seen: set[int] = {cid}
+        while (cid, entry) in neighbor:
+            (ncid, nend), _ = neighbor[(cid, entry)]
+            if ncid in seen:
+                break
+            seen.add(ncid)
+            cid, entry = ncid, 1 - nend
+        parts: list[str] = []
+        ids: list[int] = []
+        while True:
+            visited.add(cid)
+            seq = by_id[cid].seq
+            parts.append(seq if entry == LEFT else revcomp(seq))
+            ids.append(cid)
+            nxt = neighbor.get((cid, 1 - entry))
+            if nxt is None:
+                break
+            (ncid, nend), gap = nxt
+            if ncid in visited:
+                break
+            parts.append("N" * max(gap, 1))
+            cid, entry = ncid, nend
+        scaffolds.append(
+            Scaffold(sid=len(scaffolds), seq="".join(parts), contig_ids=tuple(ids))
+        )
+    return ScaffoldingResult(
+        scaffolds=scaffolds,
+        n_links_considered=n_links,
+        n_edges_kept=len(kept),
+        n_ambiguous_ends=len(ambiguous),
+    )
+
+
+def best_placements(best: dict[int, ReadAlignment], n_reads: int) -> BestPlacements:
+    """A ``{read: ReadAlignment}`` dict as the per-read table the consumers
+    take; reads at or past *n_reads* are dropped, as the pair loops did."""
+    alns = [a for a in best.values() if 0 <= a.read_idx < n_reads]
+    at = np.array([a.read_idx for a in alns], dtype=np.int64)
+    row = np.full(n_reads, -1, dtype=np.int64)
+    cid = np.full(n_reads, -1, dtype=np.int64)
+    offset = np.zeros(n_reads, dtype=np.int64)
+    is_rc = np.zeros(n_reads, dtype=bool)
+    row[at] = np.arange(at.size)
+    cid[at] = [a.cid for a in alns]
+    offset[at] = [a.offset for a in alns]
+    is_rc[at] = [a.is_rc for a in alns]
+    return BestPlacements(row, cid, offset, is_rc)

@@ -77,7 +77,7 @@ class TestAlignment:
         read = genome[210:310]
         res = align_reads(contigs, _batch([read]))
         best = res.best_by_read()
-        assert best[0].cid == 0  # longer overlap wins
+        assert best.cid[0] == 0  # longer overlap wins
 
 
 class TestRecruitment:
@@ -87,14 +87,14 @@ class TestRecruitment:
         res = align_reads(contig_set, _batch([read]))
         cand = res.candidates[0]
         assert len(cand.right) == 1 and len(cand.left) == 0
-        assert decode(cand.right.seqs[0]) == read
+        assert decode(cand.right.bases) == read
 
     def test_right_end_rc_read_flipped(self, genome, contig_set):
         read = revcomp(genome[350:450])
         res = align_reads(contig_set, _batch([read]))
         cand = res.candidates[0]
         assert len(cand.right) == 1
-        assert decode(cand.right.seqs[0]) == genome[350:450]
+        assert decode(cand.right.bases) == genome[350:450]
 
     def test_left_end_candidate_revcomped(self, genome, contig_set):
         """A read hanging off the left end is stored reverse-complemented
@@ -103,7 +103,7 @@ class TestRecruitment:
         res = align_reads(contig_set, _batch([read]))
         cand = res.candidates[0]
         assert len(cand.left) == 1 and len(cand.right) == 0
-        assert decode(cand.left.seqs[0]) == revcomp(read)
+        assert decode(cand.left.bases) == revcomp(read)
 
     def test_left_candidate_quals_reversed(self, genome, contig_set):
         read = genome[150:250]
@@ -113,7 +113,7 @@ class TestRecruitment:
         batch = ReadBatch.from_reads([Read("r", read, tuple(int(q) for q in quals))])
         res = align_reads(contig_set, batch)
         cand = res.candidates[0]
-        assert cand.left.quals[0].tolist() == quals[::-1].tolist()
+        assert cand.left.quals.tolist() == quals[::-1].tolist()
 
     def test_interior_read_not_recruited(self, genome, contig_set):
         read = genome[250:330]

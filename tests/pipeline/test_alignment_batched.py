@@ -42,10 +42,8 @@ def assert_same_result(a, b) -> None:
         for side in ("left", "right"):
             sa, sb = getattr(ca, side), getattr(cb, side)
             assert len(sa) == len(sb), (cid, side)
-            for x, y in zip(sa.seqs, sb.seqs):
-                assert np.array_equal(x, y), (cid, side, "seq")
-            for x, y in zip(sa.quals, sb.quals):
-                assert np.array_equal(x, y), (cid, side, "qual")
+            for f in ("bases", "quals", "lengths"):
+                assert np.array_equal(getattr(sa, f), getattr(sb, f)), (cid, side, f)
 
 
 @pytest.fixture(scope="module")

@@ -56,11 +56,11 @@ class TestRecruitmentProperty:
         if hangs_right and not hangs_left:
             assert len(cand.right) == 1
             # stored read is oriented to the contig strand
-            assert decode(cand.right.seqs[0]) == read
+            assert decode(cand.right.bases) == read
         if hangs_left and not hangs_right:
             assert len(cand.left) == 1
             # stored reverse-complemented for the rc(contig) walk
-            assert decode(cand.left.seqs[0]) == revcomp(read)
+            assert decode(cand.left.bases) == revcomp(read)
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference import best_placements
 
 from repro.pipeline.alignment import ReadAlignment, align_reads
 from repro.pipeline.contigs import Contig, ContigSet
@@ -14,6 +15,10 @@ from repro.sequence.genomes import GenomeSpec
 def _aln(read_idx, cid, offset, is_rc):
     return ReadAlignment(read_idx=read_idx, cid=cid, offset=offset, is_rc=is_rc,
                          matches=100, mismatches=0, ov_len=100)
+
+
+def _estimate(best, lengths, **kw):
+    return estimate_insert_size(best_placements(best, lengths.size), lengths, **kw)
 
 
 class TestMedian:
@@ -44,7 +49,7 @@ class TestSyntheticPlacements:
             insert = 350 + (p % 11) - 5
             best[2 * p] = _aln(2 * p, 0, 50, False)
             best[2 * p + 1] = _aln(2 * p + 1, 0, 50 + insert - 100, True)
-        est = estimate_insert_size(best, lengths)
+        est = _estimate(best, lengths)
         assert est.n_pairs_used == 100
         assert est.reliable
         assert est.mean == pytest.approx(350, abs=6)
@@ -56,7 +61,7 @@ class TestSyntheticPlacements:
             0: _aln(0, 0, 50, False), 1: _aln(1, 0, 300, False),  # same strand
             2: _aln(2, 0, 50, False), 3: _aln(3, 1, 300, True),  # diff contig
         }
-        est = estimate_insert_size(best, lengths)
+        est = _estimate(best, lengths)
         assert est.n_pairs_used == 0
         assert not est.reliable
 
@@ -69,14 +74,14 @@ class TestSyntheticPlacements:
         # one chimeric pair with absurd-but-allowed separation
         best[58] = _aln(58, 0, 0, False)
         best[59] = _aln(59, 0, 4000, True)
-        est = estimate_insert_size(best, lengths)
+        est = _estimate(best, lengths)
         assert est.median == pytest.approx(350, abs=1)
         assert est.mean == pytest.approx(350, abs=5)
 
     def test_max_insert_filter(self):
         lengths = np.full(2, 100, dtype=np.int64)
         best = {0: _aln(0, 0, 0, False), 1: _aln(1, 0, 9900, True)}
-        est = estimate_insert_size(best, lengths, max_insert=5000)
+        est = _estimate(best, lengths, max_insert=5000)
         assert est.n_pairs_used == 0
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from reference import best_placements
 
 from repro.pipeline.alignment import ReadAlignment
 from repro.pipeline.contigs import Contig, ContigSet
@@ -14,6 +15,10 @@ def _aln(read_idx, cid, offset, is_rc, matches=100):
         read_idx=read_idx, cid=cid, offset=offset, is_rc=is_rc,
         matches=matches, mismatches=0, ov_len=matches,
     )
+
+
+def _scaffolds(contigs, best, lengths, **kw):
+    return build_scaffolds(contigs, best_placements(best, lengths.size), lengths, **kw)
 
 
 @pytest.fixture
@@ -36,7 +41,7 @@ class TestLinks:
     def test_simple_join(self, two_contigs):
         best = _link_pairs(3)
         lengths = np.full(6, 100, dtype=np.int64)
-        res = build_scaffolds(two_contigs, best, lengths, insert_mean=350, min_support=2)
+        res = _scaffolds(two_contigs, best, lengths, insert_mean=350, min_support=2)
         assert res.n_edges_kept == 1
         assert len(res.scaffolds) == 1
         s = res.scaffolds[0]
@@ -48,23 +53,23 @@ class TestLinks:
 
     def test_min_support(self, two_contigs):
         best = _link_pairs(1)
-        res = build_scaffolds(two_contigs, best, np.full(2, 100), min_support=2)
+        res = _scaffolds(two_contigs, best, np.full(2, 100), min_support=2)
         assert res.n_edges_kept == 0
         assert len(res.scaffolds) == 2  # singletons
 
     def test_same_contig_pairs_ignored(self, two_contigs):
         best = {0: _aln(0, 0, 10, False), 1: _aln(1, 0, 150, True)}
-        res = build_scaffolds(two_contigs, best, np.full(2, 100), min_support=1)
+        res = _scaffolds(two_contigs, best, np.full(2, 100), min_support=1)
         assert res.n_links_considered == 0
 
     def test_unaligned_mate_ignored(self, two_contigs):
         best = {0: _aln(0, 0, 180, False)}  # mate missing
-        res = build_scaffolds(two_contigs, best, np.full(2, 100), min_support=1)
+        res = _scaffolds(two_contigs, best, np.full(2, 100), min_support=1)
         assert res.n_links_considered == 0
 
     def test_gap_estimate_reasonable(self, two_contigs):
         best = _link_pairs(4)
-        res = build_scaffolds(two_contigs, best, np.full(8, 100), insert_mean=400)
+        res = _scaffolds(two_contigs, best, np.full(8, 100), insert_mean=400)
         s = res.scaffolds[0]
         n_run = s.seq.count("N")
         # overhangs: A right: 300-180=120; B left: 30+100=130 -> gap ~150
@@ -76,7 +81,7 @@ class TestLinks:
         best.update(_link_pairs(2, cid_a=0, cid_b=1, start_read=0))
         best.update(_link_pairs(2, cid_a=0, cid_b=2, start_read=100))
         lengths = np.full(200, 100, dtype=np.int64)
-        res = build_scaffolds(contigs, best, lengths, min_support=2)
+        res = _scaffolds(contigs, best, lengths, min_support=2)
         # contig 0's right end links to both 1 and 2 -> ambiguous -> dropped
         assert res.n_ambiguous_ends >= 1
         assert len(res.scaffolds) == 3
@@ -91,13 +96,13 @@ class TestLinks:
             best[r1] = _aln(r1, 1, offset=180, is_rc=False)
             best[r1 + 1] = _aln(r1 + 1, 2, offset=30, is_rc=True)
         lengths = np.full(200, 100, dtype=np.int64)
-        res = build_scaffolds(contigs, best, lengths, min_support=2)
+        res = _scaffolds(contigs, best, lengths, min_support=2)
         assert len(res.scaffolds) == 1
         assert len(res.scaffolds[0].contig_ids) == 3
 
     def test_every_contig_in_exactly_one_scaffold(self, rng):
         contigs = ContigSet([Contig(i, random_dna(200, rng)) for i in range(5)])
         best = _link_pairs(2, cid_a=1, cid_b=3)
-        res = build_scaffolds(contigs, best, np.full(100, 100), min_support=2)
+        res = _scaffolds(contigs, best, np.full(100, 100), min_support=2)
         all_ids = [cid for s in res.scaffolds for cid in s.contig_ids]
         assert sorted(all_ids) == [0, 1, 2, 3, 4]

@@ -30,7 +30,7 @@ def workload():
             reads.append(genome[s : s + 70].copy())
             quals.append(np.full(70, 40, dtype=np.uint8))
         tasks.append(
-            ExtensionTask(cid=i, side=1, contig=contig, reads=reads, quals=quals)
+            ExtensionTask.from_reads(cid=i, side=1, contig=contig, reads=reads, quals=quals)
         )
     return TaskSet(tasks)
 
