@@ -17,21 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.tasks import ExtensionTask, TaskSet
+from repro.core.tasks import ExtensionTask, TaskSet, _concat
 
 __all__ = ["save_tasks", "load_tasks", "DUMP_FORMAT_VERSION"]
 
 DUMP_FORMAT_VERSION = 1
 
 
-def _cat(arrays, dtype) -> np.ndarray:
-    return np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype)
-
-
 def save_tasks(path: str | Path, tasks: TaskSet) -> None:
     """Serialise a task set to a compressed ``.npz`` dump."""
     tasks = list(tasks)
-    read_lens = _cat([t.read_lengths for t in tasks], np.int64)
+    read_lens = _concat([t.read_lengths for t in tasks], np.int64)
     contig_lens = np.array([t.contig.size for t in tasks], dtype=np.int64)
     n_reads = np.array([t.n_reads for t in tasks], dtype=np.int64)
     contig_offsets, task_read_start, read_offsets = (
@@ -43,17 +39,17 @@ def save_tasks(path: str | Path, tasks: TaskSet) -> None:
         cids=np.array([t.cid for t in tasks], dtype=np.int64),
         sides=np.array([t.side for t in tasks], dtype=np.int8),
         contig_offsets=contig_offsets,
-        contigs=_cat([t.contig for t in tasks], np.uint8),
+        contigs=_concat([t.contig for t in tasks]),
         task_read_start=task_read_start,
         read_offsets=read_offsets,
-        reads=_cat([t.read_bases for t in tasks], np.uint8),
-        quals=_cat([t.read_quals for t in tasks], np.uint8),
+        reads=_concat([t.read_bases for t in tasks]),
+        quals=_concat([t.read_quals for t in tasks]),
     )
 
 
 def load_tasks(path: str | Path) -> TaskSet:
     """Load a task set saved by :func:`save_tasks`; every task's arrays
-    are slices of the dump's flat arrays."""
+    are read-only slices of the dump's flat arrays."""
     with np.load(path) as data:
         version = int(data["version"])
         if version != DUMP_FORMAT_VERSION:
@@ -71,6 +67,8 @@ def load_tasks(path: str | Path) -> TaskSet:
         quals = data["quals"]
 
     read_lens = np.diff(read_offsets)
+    for a in (contigs, reads, quals, read_lens):
+        a.setflags(write=False)
     base_at = read_offsets[task_read_start].tolist()
     return TaskSet(
         [

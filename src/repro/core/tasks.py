@@ -36,8 +36,8 @@ LEFT = 0
 RIGHT = 1
 
 
-def _concat(arrays) -> np.ndarray:
-    return np.concatenate(arrays) if len(arrays) else np.empty(0, dtype=np.uint8)
+def _concat(arrays, dtype=np.uint8) -> np.ndarray:
+    return np.concatenate(arrays) if len(arrays) else np.empty(0, dtype=dtype)
 
 
 @dataclass(eq=False, slots=True)
@@ -48,7 +48,8 @@ class ExtensionTask:
     ``read_lengths[i]`` entries of ``read_bases``/``read_quals`` — the
     flat layout device batches stage.  The alignment stage hands every
     task its slices as they are; :meth:`from_reads` packs per-read arrays.
-    No engine writes to a task or its arrays.
+    Tasks built by :func:`tasks_from_candidates` or loaded from a dump
+    share read-only buffers, so a write into one raises.
     """
 
     cid: int
@@ -178,6 +179,8 @@ def tasks_from_candidates(
     # revcomp of the concatenation holds contig i at the mirrored offsets
     codes = encode("".join(seqs))
     rc = revcomp_codes(codes)
+    codes.setflags(write=False)
+    rc.setflags(write=False)
     end = np.cumsum([len(s) for s in seqs]).tolist()
     total = end[-1] if end else 0
     tasks: list[ExtensionTask] = []

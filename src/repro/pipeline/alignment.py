@@ -766,8 +766,11 @@ def _gather_oriented(
     """Bases, quals and lengths of reads *read*, concatenated in order;
     where *flip* is set a read is reverse-complemented (quals reversed).
 
-    Each is one unit of the oriented layout, so the gather is whole rows
-    when every read has one length, and one index pass otherwise.
+    Each is one unit of the oriented layout, so the gather is one index
+    pass.  When every read has one length — true of every fixed-length
+    sequencing run, so of every benchmark workload — the layout is a 2-D
+    array and the gather copies whole rows instead: on the seed-7
+    ``arctic_cpu`` run that halves ``materialise`` (see EXPERIMENTS.md).
     """
     n = len(reads)
     big, uoff = _oriented_layout(reads)
@@ -824,6 +827,10 @@ def materialise_alignment(
     # a left-end candidate is the reverse complement of the aligned read
     flip = rows.is_rc[row] != is_left
     bases, quals, lengths = _gather_oriented(reads, read, flip)
+    # every end's candidates, and every task built from them, are views of
+    # these buffers: a stray write must raise, not corrupt a neighbour
+    for a in (bases, quals, lengths):
+        a.setflags(write=False)
     return AlignmentResult(
         rows=rows,
         n_reads=len(reads),

@@ -80,6 +80,15 @@ class TestRoundtrip:
                 ):
                     assert x.dtype == y.dtype and np.array_equal(x, y)
 
+    def test_loaded_tasks_are_read_only(self, tasks, tmp_path):
+        """Loaded tasks slice shared flat arrays: a write must raise."""
+        p = tmp_path / "dump.npz"
+        save_tasks(p, tasks)
+        t = load_tasks(p)[-1]
+        for a in (t.contig, *t.packed_reads()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
     def test_empty_taskset(self, tmp_path):
         p = tmp_path / "empty.npz"
         save_tasks(p, TaskSet([]))

@@ -248,6 +248,20 @@ def test_ranked_align_matches_object_path(
     assert aln.alignments == single.alignments
 
 
+def test_pipeline_tasks_are_read_only(community_reads):
+    """Tasks are views of buffers shared with their neighbours and the
+    alignment result, so a write into one must raise."""
+    contigs, reads = community_reads
+    aln = align_reads(contigs, reads)
+    seqs = {c.cid: c.seq for c in contigs}
+    tasks = tasks_from_candidates(seqs, aln.candidates.values())
+    for side in (0, 1):
+        t = next(t for t in tasks if t.side == side and t.n_reads)
+        for a in (t.contig, *t.packed_reads()):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+
 def _objects_made(contigs, reads) -> int:
     """gc-tracked objects alive after ``align_reads`` + task building."""
     seqs = {c.cid: c.seq for c in contigs}
