@@ -14,17 +14,13 @@ is ever a Python object.  All tasks of a block advance together:
   distinct k, ``kshift_next`` once per task per wave.
 * **One sort per group.**  The group's ``packed_reads()`` are
   concatenated, valid windows (k-mer plus following base inside one read,
-  no N) masked in one pass and packed with ``pack_kmers``; one ``argsort``
-  of a composite ``(task, k-mer)`` key brings equal k-mers of a task
-  together.  The key is always ONE ``uint64`` — a multi-key ``lexsort`` is
-  an order of magnitude slower than a single-word ``argsort`` here.  While
-  ``task_bits + 2k <= 64`` the task id sits above the k-mer bits; past
-  that (k >= 29 with hundreds of tasks, every two-word k >= 33) each key
-  word that does not fit is first replaced by its dense rank among the
-  group's values (argsort + diff + cumsum), which needs only
-  ``log2(windows)`` bits, and the ranks are packed instead.  Nothing reads
-  the order of equal keys.
-* **Offset-prefix tables.**  The sorted run boundaries are the distinct
+  no N) masked in one pass and packed with ``pack_kmers``; one
+  :class:`~repro.sequence.kmer.SortedKmers` over the ``(task, k-mer)``
+  rows brings equal k-mers of a task together — the same sorted-k-mer
+  type that counts, merges and looks up the global spectrum: one folded
+  ``uint64`` key per row and one ``argsort``.  Nothing reads the order of
+  equal keys.
+* **Offset-prefix tables.**  The sorted runs are the distinct
   entries; task *j*'s table is the slice ``offsets[j]:offsets[j + 1]`` of
   one flat allocation — §3.2's ``ht_sizes`` prefix, in host form.  Tallies
   ``[hi x4, total x4]`` come from ``np.bincount``.
@@ -64,7 +60,7 @@ from repro.core.extension import (
 )
 from repro.core.tasks import ExtensionTask, TaskSet
 from repro.sequence.dna import N_CODE, decode
-from repro.sequence.kmer import pack_kmers, successor_kmers, valid_kmer_mask
+from repro.sequence.kmer import SortedKmers, pack_kmers, successor_kmers, valid_kmer_mask
 
 __all__ = [
     "WalkRound",
@@ -121,80 +117,6 @@ class CpuAssemblyStats:
         return float(np.mean(self.walk_lengths)) if self.walk_lengths else 0.0
 
 
-class _Ranks:
-    """Dense ranks of a ``uint64`` column among its own distinct values.
-
-    Order-preserving and at most ``log2(len)`` bits wide (``np.unique`` is
-    argsort + diff + cumsum); equal values share a rank whatever order the
-    sort leaves them in.
-    """
-
-    def __init__(self, col: np.ndarray) -> None:
-        self.distinct, ranks = np.unique(col, return_inverse=True)
-        self.ranks = ranks.astype(np.uint64)
-        self.bits = max(1, int(self.distinct.size - 1).bit_length())
-
-    def of(self, col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(rank, present)`` of query values; absent values get a junk rank."""
-        pos = np.minimum(np.searchsorted(self.distinct, col), self.distinct.size - 1)
-        return pos.astype(np.uint64), self.distinct[pos] == col
-
-
-class _CompositeKey:
-    """Order-preserving packing of ``(task, k-mer)`` rows into one ``uint64``.
-
-    Columns are folded most-significant first: the task id (omitted for a
-    single task), then each k-mer word right-justified to its used bits.
-    A column that no longer fits is replaced by its :class:`_Ranks`; if the
-    pair still does not fit the key folded so far is ranked too, which
-    always suffices (two ranks need ``2 * log2(rows)`` bits).  The rankers
-    are kept so query rows can be packed into the same key space.
-    """
-
-    def __init__(self, task: np.ndarray, words: np.ndarray, n_tasks: int, k: int) -> None:
-        self._task_bits = int(n_tasks - 1).bit_length()
-        self._k = k
-        self._rankers: dict[tuple[str, int], _Ranks] = {}
-        self.keys = self._fold(task, words, learn=True)[0]
-
-    def _columns(self, task: np.ndarray, words: np.ndarray):
-        if self._task_bits:
-            yield task.astype(np.uint64), self._task_bits
-        for w in range(words.shape[1]):
-            bits = min(64, 2 * self._k - 64 * w)
-            yield words[:, w] >> np.uint64(64 - bits), bits
-
-    def _fold(
-        self, task: np.ndarray, words: np.ndarray, learn: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        present = np.ones(task.size, dtype=bool)
-
-        def squeeze(slot: tuple[str, int], col: np.ndarray) -> tuple[np.ndarray, int]:
-            if learn:
-                ranker = self._rankers[slot] = _Ranks(col)
-                return ranker.ranks, ranker.bits
-            ranker = self._rankers[slot]
-            ranks, hit = ranker.of(col)
-            np.logical_and(present, hit, out=present)
-            return ranks, ranker.bits
-
-        columns = self._columns(task, words)
-        key, key_bits = next(columns)
-        for i, (col, bits) in enumerate(columns):
-            if key_bits + bits > 64:
-                col, bits = squeeze(("word", i), col)
-            if key_bits + bits > 64:
-                key, key_bits = squeeze(("prefix", i), key)
-            key = (key << np.uint64(bits)) | col
-            key_bits += bits
-        return key, present
-
-    def of(self, task: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(key, present)`` of query rows; a row holding a word value the
-        build never saw cannot equal any built row and is marked absent."""
-        return self._fold(task, words)
-
-
 @dataclass(frozen=True)
 class KmerTables:
     """The k-mer tables of a group of tasks at one k, as one allocation.
@@ -208,8 +130,7 @@ class KmerTables:
     words: np.ndarray  # (n_entries, words_per_kmer(k)) packed k-mers
     tallies: np.ndarray  # (n_entries, 8): [hiA..hiT, totA..totT] of the next base
     n_inserts: int  # valid windows over all tasks (Algorithm 1's inserts)
-    _key: _CompositeKey
-    _entry_keys: np.ndarray  # (n_entries,) sorted composite keys
+    index: SortedKmers  # the sorted (task, k-mer) windows; run j is entry j
 
     @property
     def sizes(self) -> np.ndarray:
@@ -243,38 +164,19 @@ class KmerTables:
         nxt = bases[starts + k].astype(np.int64)
         hi = quals[starts + k] >= hi_q_thresh
 
-        key = _CompositeKey(task, words, n_tasks, k)
-        order = np.argsort(key.keys)
-        sorted_keys = key.keys[order]
-        first = np.ones(sorted_keys.size, dtype=bool)  # starts of equal-key runs
-        first[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        lead = order[first]  # one window per distinct entry
-        n_entries = lead.size
-        slot = (np.cumsum(first) - 1) * 8 + nxt[order]
+        index = SortedKmers(words, k, task, n_tasks)
+        n_entries = len(index)
+        slot = index.run * 8 + nxt[index.order]
         tallies = np.bincount(slot + 4, minlength=8 * n_entries)
-        tallies += np.bincount(slot[hi[order]], minlength=8 * n_entries)
-        offsets = np.zeros(n_tasks + 1, dtype=np.int64)
-        np.cumsum(np.bincount(task[lead], minlength=n_tasks), out=offsets[1:])
+        tallies += np.bincount(slot[hi[index.order]], minlength=8 * n_entries)
         return cls(
             k=k,
-            offsets=offsets,
-            words=words[lead],
+            offsets=index.offsets,
+            words=words[index.first],
             tallies=tallies.reshape(n_entries, 8),
             n_inserts=int(starts.size),
-            _key=key,
-            _entry_keys=sorted_keys[first],
+            index=index,
         )
-
-    def find(self, task: np.ndarray, words: np.ndarray) -> np.ndarray:
-        """Entry index of every ``(task, k-mer)`` row; -1 where the task's
-        table does not hold the k-mer."""
-        if self._entry_keys.size == 0:
-            return np.full(task.size, -1, dtype=np.int64)
-        keys, present = self._key.of(task, words)
-        pos = np.minimum(
-            np.searchsorted(self._entry_keys, keys), self._entry_keys.size - 1
-        )
-        return np.where(present & (self._entry_keys[pos] == keys), pos, -1)
 
 
 def _walk_steps(tables: KmerTables, config: LocalAssemblyConfig) -> np.ndarray:
@@ -292,7 +194,7 @@ def _walk_steps(tables: KmerTables, config: LocalAssemblyConfig) -> np.ndarray:
     ext = np.flatnonzero(verdict < 0)
     sizes = tables.sizes
     task = np.repeat(np.arange(sizes.size), sizes)[ext]
-    succ = tables.find(task, successor_kmers(tables.words[ext], tables.k, base[ext]))
+    succ = tables.index.find(successor_kmers(tables.words[ext], tables.k, base[ext]), task)
     step[ext] = (succ + 1) * 4 + base[ext]
     return step
 
@@ -310,7 +212,7 @@ def _start_entries(
         if tail.size == k:
             row[:] = tail
     words, valid = pack_kmers(codes.ravel(), k)
-    found = tables.find(np.arange(len(seqs)), words[::k])
+    found = tables.index.find(words[::k], np.arange(len(seqs)))
     return np.where(valid[::k], found, -1)
 
 

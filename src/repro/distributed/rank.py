@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.distributed.comm import CommCostModel
 from repro.pipeline.kmer_counts import KmerSpectrum
+from repro.sequence.kmer import SortedKmers, words_per_kmer
 from repro.sequence.read import ReadBatch
 
 __all__ = [
@@ -84,8 +85,6 @@ def pack_records(spec: KmerSpectrum) -> np.ndarray:
 
 def spectrum_from_records(rows: np.ndarray, k: int) -> KmerSpectrum:
     """Inverse of :func:`pack_records` (rows need not be sorted/unique)."""
-    from repro.sequence.kmer import words_per_kmer
-
     nw = words_per_kmer(k)
     rows = np.ascontiguousarray(rows, dtype=np.uint64)
     if rows.size and rows.shape[1] != record_width(nw):
@@ -167,36 +166,20 @@ def merge_spectra(shards: list[KmerSpectrum], k: int) -> KmerSpectrum:
     """Merge per-rank spectra (disjoint or overlapping) into one.
 
     Overlapping keys have their counts and extension tallies summed — the
-    reduction MHM2's distributed hash table performs on insert.
+    reduction MHM2's distributed hash table performs on insert: one
+    :class:`~repro.sequence.kmer.SortedKmers` sort over the concatenated
+    rows, then one ``np.add.reduceat`` per column over its runs.
     """
-    non_empty = [s for s in shards if len(s)]
-    if not non_empty:
-        import numpy as _np
+    shards = [s for s in shards if len(s)]
+    if not shards:
+        return KmerSpectrum.empty(k)
+    words = np.concatenate([s.words for s in shards])
+    index = SortedKmers(words, k)
 
-        from repro.sequence.kmer import words_per_kmer
+    def total(column: str) -> np.ndarray:
+        rows = np.concatenate([getattr(s, column) for s in shards])
+        return np.add.reduceat(rows[index.order], index.starts)
 
-        nw = words_per_kmer(k)
-        e = _np.zeros((0, 5), dtype=_np.int64)
-        return KmerSpectrum(
-            k, _np.empty((0, nw), dtype=_np.uint64), _np.zeros(0, dtype=_np.int64), e, e
-        )
-    words = np.concatenate([s.words for s in non_empty])
-    counts = np.concatenate([s.counts for s in non_empty])
-    left = np.concatenate([s.left_ext for s in non_empty])
-    right = np.concatenate([s.right_ext for s in non_empty])
-    nw = words.shape[1]
-    order = np.lexsort(tuple(words[:, w] for w in range(nw - 1, -1, -1)))
-    words, counts, left, right = words[order], counts[order], left[order], right[order]
-    new_group = np.ones(words.shape[0], dtype=bool)
-    new_group[1:] = np.any(words[1:] != words[:-1], axis=1)
-    gid = np.cumsum(new_group) - 1
-    n_groups = int(gid[-1]) + 1
-    m_counts = np.zeros(n_groups, dtype=np.int64)
-    np.add.at(m_counts, gid, counts)
-    m_left = np.zeros((n_groups, 5), dtype=np.int64)
-    m_right = np.zeros((n_groups, 5), dtype=np.int64)
-    np.add.at(m_left, gid, left)
-    np.add.at(m_right, gid, right)
     return KmerSpectrum(
-        k=k, words=words[new_group], counts=m_counts, left_ext=m_left, right_ext=m_right
+        k, words[index.first], total("counts"), total("left_ext"), total("right_ext")
     )

@@ -58,9 +58,8 @@ from repro.pipeline.kmer_analysis import ClassifiedKmers, ExtVerdict
 from repro.sequence.dna import decode
 from repro.sequence.kmer import (
     base_at,
+    canonical_rows,
     predecessor_kmers,
-    revcomp_packed,
-    rows_less,
     successor_kmers,
     unpack_kmers,
 )
@@ -89,10 +88,8 @@ def _uu_successors(classified: ClassifiedKmers, uu: np.ndarray) -> np.ndarray:
     words = spec.words[uu]
     succ = successor_kmers(words, k, classified.right_base[uu])
     pred = predecessor_kmers(words, k, classified.left_base[uu])
-    both = np.concatenate([succ, pred])
-    both_rc = revcomp_packed(both, k)
-    is_rc = rows_less(both_rc, both)
-    rows = spec.lookup_many(np.where(is_rc[:, None], both_rc, both))
+    canon, is_rc = canonical_rows(np.concatenate([succ, pred]), k)
+    rows = spec.lookup_many(canon)
 
     local = np.full(len(spec) + 1, -1, dtype=np.int64)  # slot -1: absent
     local[uu] = np.arange(m, dtype=np.int64)

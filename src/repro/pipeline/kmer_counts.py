@@ -1,12 +1,14 @@
 """Vectorised k-mer counting over packed read batches.
 
-This is the engine behind the *k-mer analysis* stage (and the host-side
-sizing pass of the GPU local-assembly driver).  It never loops over
-individual k-mers in Python: every k-mer window of the **entire
+This is the engine behind the *k-mer analysis* stage.  It never loops
+over individual k-mers in Python: every k-mer window of the **entire
 concatenated** base array is packed into 2-bit uint64 words in one
 vectorised pass, windows that cross read boundaries or contain ``N`` are
-masked out, canonicalisation is done by packing the reverse-complemented
-array, and aggregation uses a single ``lexsort`` + group-reduce.
+masked out, the valid windows are canonicalised in word space
+(:func:`~repro.sequence.kmer.canonical_rows`), and one
+:class:`~repro.sequence.kmer.SortedKmers` sort groups them into distinct
+k-mers.  Runs below ``min_count`` are dropped before the extension tallies
+are built, each with one ``np.bincount``.
 
 The output (:class:`KmerSpectrum`) records, per distinct canonical k-mer:
 
@@ -21,14 +23,15 @@ MetaHipMer's contig generation consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from repro.sequence.dna import N_CODE, revcomp_codes
+from repro.sequence.dna import N_CODE
 from repro.sequence.kmer import (
+    SortedKmers,
+    canonical_rows,
     pack_kmers,
-    rows_less,
-    searchsorted_rows,
     unpack_kmer,
     words_per_kmer,
 )
@@ -38,6 +41,9 @@ __all__ = ["KmerSpectrum", "count_kmers", "NO_EXT"]
 
 #: Extension-slot index meaning "no neighbouring base" (read boundary).
 NO_EXT = 4
+
+#: Extension slot of the complementary base (NO_EXT stays NO_EXT).
+_COMP_EXT = np.array([3, 2, 1, 0, NO_EXT], dtype=np.uint8)
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,13 @@ class KmerSpectrum:
     left_ext: np.ndarray
     right_ext: np.ndarray
 
+    @classmethod
+    def empty(cls, k: int) -> "KmerSpectrum":
+        """The spectrum holding no k-mer."""
+        ext = np.zeros((0, 5), dtype=np.int64)
+        words = np.empty((0, words_per_kmer(k)), dtype=np.uint64)
+        return cls(k, words, np.zeros(0, dtype=np.int64), ext, ext)
+
     def __len__(self) -> int:
         return int(self.counts.size)
 
@@ -88,28 +101,19 @@ class KmerSpectrum:
         words = np.asarray(words, dtype=np.uint64).ravel()
         return int(self.lookup_many(words[None, :])[0])
 
-    def lookup_many(self, words: np.ndarray) -> np.ndarray:
-        """Row indices of ``(n, nw)`` packed k-mers, -1 where absent.
+    @cached_property
+    def _index(self) -> SortedKmers:
+        # built on first lookup, once per spectrum; the rows are sorted and
+        # distinct, so run i is row i
+        return SortedKmers(self.words, self.k)
 
-        One vectorised ``searchsorted`` over the whole query block
-        (multi-word rows compared via big-endian byte keys) instead of a
-        Python-loop binary search per query.
-        """
+    def lookup_many(self, words: np.ndarray) -> np.ndarray:
+        """Row indices of ``(n, words_per_kmer(k))`` packed k-mers, -1 where
+        absent; rows of another width raise ``ValueError``."""
         words = np.asarray(words, dtype=np.uint64)
         if words.ndim == 1:
             words = words[None, :]
-        if len(self) == 0 or words.shape[0] == 0:
-            return np.full(words.shape[0], -1, dtype=np.int64)
-        idx = searchsorted_rows(self.words, words)
-        idx = np.minimum(idx, len(self) - 1)
-        hit = np.all(self.words[idx] == words, axis=1)
-        return np.where(hit, idx, -1).astype(np.int64)
-
-
-def _read_ids(batch: ReadBatch) -> np.ndarray:
-    """Read index of every base position in the concatenated array."""
-    lengths = batch.lengths()
-    return np.repeat(np.arange(len(batch), dtype=np.int64), lengths)
+        return self._index.find(words)
 
 
 def count_kmers(
@@ -122,87 +126,46 @@ def count_kmers(
     batch:
         Packed reads.
     k:
-        k-mer length (odd — required for unambiguous canonicalisation).
+        k-mer length (odd and >= 1 — odd for unambiguous canonicalisation).
     min_count:
-        Post-filter threshold; ``min_count=2`` drops singletons as the
-        paper's pipeline does.
+        Threshold applied before the tallies; ``min_count=2`` drops
+        singletons as the paper's pipeline does.
     min_qual:
         Bases below this Phred score are masked to N before windowing
         (MetaHipMer's quality-aware counting): k-mers containing them are
         never counted, and they never vote as extensions.  0 disables.
     """
-    if k % 2 == 0:
-        raise ValueError(f"k must be odd for canonical k-mers, got {k}")
+    if k < 1 or k % 2 == 0:
+        raise ValueError(f"k must be odd and >= 1 for canonical k-mers, got {k}")
     bases = batch.bases
     if min_qual > 0:
         bases = np.where(batch.quals < min_qual, N_CODE, bases)
-    n = bases.size
-    nw = words_per_kmer(k)
-    if n < k:
-        empty_w = np.empty((0, nw), dtype=np.uint64)
-        z = np.zeros(0, dtype=np.int64)
-        e = np.zeros((0, 5), dtype=np.int64)
-        return KmerSpectrum(k, empty_w, z, e, e)
+    words, no_n = pack_kmers(bases, k)
+    # a window counts when it holds no N and ends inside its read
+    read_end = np.repeat(batch.offsets[1:], batch.lengths())[: no_n.size]
+    starts = np.flatnonzero(no_n & (np.arange(no_n.size) + k <= read_end))
+    canon, is_rc = canonical_rows(words[starts], k)
 
-    fwd_words, no_n = pack_kmers(bases, k)
-    rid = _read_ids(batch)
-    same_read = rid[: n - k + 1] == rid[k - 1 :]
-    valid = no_n & same_read
-    starts = np.nonzero(valid)[0]
-    if starts.size == 0:
-        empty_w = np.empty((0, nw), dtype=np.uint64)
-        z = np.zeros(0, dtype=np.int64)
-        e = np.zeros((0, 5), dtype=np.int64)
-        return KmerSpectrum(k, empty_w, z, e, e)
-
-    fwd = fwd_words[starts]
-
-    # Reverse complements: packing the revcomp of the whole array gives the
-    # rc of window i at reversed position n-k-i.
-    rc_bases = revcomp_codes(bases)
-    rc_all, _ = pack_kmers(rc_bases, k)
-    rc = rc_all[n - k - starts]
-
-    # Lexicographic choice between fwd and rc (row-wise, word-major).
-    use_rc = rows_less(rc, fwd)
-    canon = np.where(use_rc[:, None], rc, fwd)
-
-    # Extensions in read orientation.
-    left_pos = starts - 1
-    right_pos = starts + k
-    has_left = np.zeros(starts.size, dtype=bool)
-    np.greater_equal(left_pos, 0, out=has_left)
-    has_left &= rid[np.maximum(left_pos, 0)] == rid[starts]
-    has_right = right_pos < n
-    has_right &= rid[np.minimum(right_pos, n - 1)] == rid[starts]
-    left_base = np.where(has_left, bases[np.maximum(left_pos, 0)], N_CODE)
-    right_base = np.where(has_right, bases[np.minimum(right_pos, n - 1)], N_CODE)
-    left_base = np.minimum(left_base, NO_EXT).astype(np.int64)
-    right_base = np.minimum(right_base, NO_EXT).astype(np.int64)
-
+    # Extensions in read orientation; NO_EXT across a read boundary (an N
+    # is NO_EXT already).  before[p] is base p - 1, after[p] base p, each
+    # unless p starts a read (or is the end).
+    before = np.concatenate([[NO_EXT], bases])
+    after = np.append(bases, NO_EXT)
+    before[batch.offsets] = after[batch.offsets] = NO_EXT
+    left, right = before[starts], after[starts + k]
     # When the canonical form is the rc, left/right swap and complement.
-    def _comp(b: np.ndarray) -> np.ndarray:
-        out = 3 - b
-        out[b >= NO_EXT] = NO_EXT
-        return out
+    canon_left = np.where(is_rc, _COMP_EXT[right], left)
+    canon_right = np.where(is_rc, _COMP_EXT[left], right)
 
-    canon_left = np.where(use_rc, _comp(right_base), left_base)
-    canon_right = np.where(use_rc, _comp(left_base), right_base)
-
-    # Group identical canonical k-mers.
-    order = np.lexsort(tuple(canon[:, w] for w in range(nw - 1, -1, -1)))
-    sorted_w = canon[order]
-    new_group = np.ones(order.size, dtype=bool)
-    new_group[1:] = np.any(sorted_w[1:] != sorted_w[:-1], axis=1)
-    group_id = np.cumsum(new_group) - 1
-    n_groups = int(group_id[-1]) + 1
-
-    counts = np.bincount(group_id, minlength=n_groups).astype(np.int64)
-    left_ext = np.zeros((n_groups, 5), dtype=np.int64)
-    right_ext = np.zeros((n_groups, 5), dtype=np.int64)
-    np.add.at(left_ext, (group_id, canon_left[order]), 1)
-    np.add.at(right_ext, (group_id, canon_right[order]), 1)
-    words = sorted_w[new_group]
-
-    spec = KmerSpectrum(k=k, words=words, counts=counts, left_ext=left_ext, right_ext=right_ext)
-    return spec.filtered(min_count) if min_count > 1 else spec
+    index = SortedKmers(canon, k)
+    run, order, first, counts = index.run, index.order, index.first, index.counts
+    if min_count > 1:
+        keep = counts >= min_count
+        rows = keep[run]
+        run = (np.cumsum(keep) - 1)[run[rows]]
+        order, first, counts = order[rows], first[keep], counts[keep]
+    slot = run * 5
+    size = 5 * counts.size
+    left_ext = np.bincount(slot + canon_left[order], minlength=size).reshape(-1, 5)
+    right_ext = np.bincount(slot + canon_right[order], minlength=size).reshape(-1, 5)
+    return KmerSpectrum(k, canon[first], counts, left_ext, right_ext)

@@ -8,14 +8,18 @@ Three forms are provided:
 
 * **string k-mers** — convenience API for tests and small examples;
 * **windowed code views** — ``sliding_window_view`` over a ``uint8`` code
-  array, giving an ``(n_kmers, k)`` *view* (no copy) used by the CPU
-  reference implementation;
+  array, giving an ``(n_kmers, k)`` *view* (no copy);
 * **packed words** — each k-mer packed into ``ceil(k/32)`` ``uint64`` words
   (2 bits per base, first base in the most-significant position of word 0),
-  used as hash-table keys.  Packing is fully vectorised, and de Bruijn
+  used as sort and hash-table keys.  Packing is fully vectorised, and de Bruijn
   neighbours and reverse complements are formed in word space
   (:func:`successor_kmers`, :func:`predecessor_kmers`,
   :func:`revcomp_packed`) without unpacking.
+
+Every stage that groups packed k-mers — counting, merging per-rank
+spectra, spectrum lookup and the local-assembly tables — sorts them
+through one type, :class:`SortedKmers`: one ``argsort`` of one folded
+``uint64`` key per row, runs of equal rows, and ``find`` by binary search.
 
 MetaHipMer iterates k through {21, 33, 55, 77, 99}; all helpers here accept
 any odd k ≥ 1 (odd k makes a k-mer never equal to its own reverse
@@ -48,8 +52,9 @@ __all__ = [
     "predecessor_kmers",
     "revcomp_packed",
     "rows_less",
+    "canonical_rows",
     "rows_as_keys",
-    "searchsorted_rows",
+    "SortedKmers",
     "count_distinct_kmers",
 ]
 
@@ -137,62 +142,29 @@ def pack_kmers(codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     ``[62 - 2*(j mod 32), 63 - 2*(j mod 32)]`` of word ``j // 32`` — i.e.
     bases fill each word from the most-significant end, so packed words sort
     in the same order as the underlying strings.
+
+    Packing is by length doubling: ``run[i]``, the 32 bases from position
+    *i* (zeros past the end), is built from runs of 1, 2, 4, 8 and 16
+    bases by OR-combining shifted neighbours, so word *w* of window *i* is
+    ``run[i + 32 * w]`` with the slots past base *k* cleared — five array
+    passes whatever k is, not k.  N codes are sanitised to 0 so shifts
+    stay in range; ``valid`` filters those windows out.
     """
     codes = np.ascontiguousarray(codes, dtype=np.uint8)
     n_win = codes.size - k + 1
     nw = words_per_kmer(k)
     if n_win <= 0:
         return np.empty((0, nw), dtype=np.uint64), np.zeros(0, dtype=bool)
-    if nw == 1:
-        return _pack_windows_1w(codes, k)[:, None], valid_kmer_mask(codes, k)
-    win = kmer_window(codes, k)  # (n_win, k) view
-    words = np.zeros((n_win, nw), dtype=np.uint64)
-    # Column-at-a-time packing: one small temp per base position instead of
-    # materialising an (n_win, k) uint64 matrix.  N codes are sanitised to
-    # 0 so shifts stay in range; `valid` filters those windows out.
-    for j in range(k):
-        w = j // 32
-        shift = np.uint64(62 - 2 * (j % 32))
-        col = win[:, j].astype(np.uint64)
-        np.minimum(col, 3, out=col)
-        words[:, w] |= col << shift
-    return words, valid_kmer_mask(codes, k)
-
-
-def _pack_windows_1w(codes: np.ndarray, k: int) -> np.ndarray:
-    """Single-word (k ≤ 32) window packing by length doubling.
-
-    Builds packed windows of length 1, 2, 4, … by OR-combining shifted
-    neighbours, then assembles length *k* from its binary decomposition —
-    O(log k) array passes instead of the k column passes of the generic
-    path.  Output matches the generic layout exactly (base 0 in the most
-    significant bits); N codes are sanitised to 0, as in the generic path.
-    """
-    n_win = codes.size - k + 1
-    v = np.minimum(codes, 3).astype(np.uint64)
-    powers: list[tuple[int, np.ndarray]] = [(1, v)]
-    length = 1
-    while length * 2 <= k:
-        nxt = v[: v.size - length] << np.uint64(2 * length)
-        nxt |= v[length:]
-        v = nxt
-        length *= 2
-        powers.append((length, v))
-    res: np.ndarray | None = None
-    covered = 0
-    for length, arr in reversed(powers):
-        if covered + length > k:
-            continue
-        chunk = arr[covered : covered + n_win]
-        if res is None:
-            res = chunk.copy()
-        else:
-            res <<= np.uint64(2 * length)
-            res |= chunk
-        covered += length
-    assert res is not None and covered == k
-    res <<= np.uint64(64 - 2 * k)
-    return res
+    valid = valid_kmer_mask(codes, k)
+    run = np.concatenate([np.minimum(codes, 3), np.zeros(31, dtype=np.uint8)])
+    run = run.astype(np.uint64)
+    for half in (1, 2, 4, 8, 16):
+        nxt = run[: run.size - half] << np.uint64(2 * half)
+        nxt |= run[half:]
+        run = nxt
+    keep = np.full(nw, ~np.uint64(0))
+    keep[-1] <<= np.uint64(64 * nw - 2 * k)
+    return sliding_window_view(run, 32 * nw - 31)[:n_win, ::32] & keep, valid
 
 
 def pack_kmer(kmer: str) -> np.ndarray:
@@ -309,6 +281,14 @@ def rows_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return less
 
 
+def canonical_rows(words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical form of ``(n, nw)`` packed k-mers: the lesser of each row
+    and its reverse complement, and whether that is the reverse complement."""
+    rc = revcomp_packed(words, k)
+    is_rc = rows_less(rc, words)
+    return np.where(is_rc[:, None], rc, words), is_rc
+
+
 def rows_as_keys(words: np.ndarray) -> np.ndarray:
     """Collapse ``(n, nw)`` uint64 rows into one sortable key per row.
 
@@ -329,10 +309,123 @@ def rows_as_keys(words: np.ndarray) -> np.ndarray:
     return be.view(f"S{8 * nw}").ravel()
 
 
-def searchsorted_rows(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Row-wise ``searchsorted``: left insertion points of *queries* rows
-    into the lexicographically sorted ``(n, nw)`` *table* rows."""
-    return np.searchsorted(rows_as_keys(table), rows_as_keys(queries))
+def _check_width(words: np.ndarray, k: int) -> None:
+    if words.ndim != 2 or words.shape[1] != words_per_kmer(k):
+        raise ValueError(
+            f"packed k-mer rows must have shape (n, {words_per_kmer(k)}) for k={k}, "
+            f"got {words.shape}"
+        )
+
+
+class SortedKmers:
+    """``(n, words_per_kmer(k))`` packed k-mer rows, optionally tagged with a
+    group id, sorted once into runs of equal rows.
+
+    Each ``(group, k-mer)`` row is folded into ONE order-preserving
+    ``uint64`` key and the keys are sorted by one ``argsort`` (a multi-key
+    ``lexsort`` over word columns is an order of magnitude slower).  Columns
+    fold most-significant first: the group id (omitted when ``n_groups`` is
+    1), then each k-mer word right-justified to its used bits.  A column
+    that no longer fits, and is wider than a rank can be, is replaced by its
+    dense rank among the built rows' distinct values (``np.unique``: at
+    most ``log2(rows)`` bits); if the pair still does not fit, the key
+    folded so far is ranked too, which always suffices (two columns of at
+    most ``log2(rows)`` bits each).  The distinct values are kept so that
+    :meth:`find` folds query rows into the same key space.  Runs come in
+    ``(group, k-mer string)`` order; nothing here depends on the order
+    ``argsort`` leaves equal keys in.
+
+    Attributes
+    ----------
+    order:
+        ``(n,)`` input row at each sorted position.
+    run:
+        ``(n,)`` run index of each sorted row.
+    starts:
+        ``(n_runs,)`` sorted position of each run's first row.
+    first:
+        ``(n_runs,)`` input row of each run's first sorted row.
+    counts:
+        ``(n_runs,)`` rows per run.
+    offsets:
+        ``(n_groups + 1,)`` run offset prefix: group *g* owns runs
+        ``offsets[g]:offsets[g + 1]``.
+    """
+
+    def __init__(
+        self, words: np.ndarray, k: int, group: np.ndarray | None = None, n_groups: int = 1
+    ) -> None:
+        words = np.asarray(words, dtype=np.uint64)
+        _check_width(words, k)
+        n = words.shape[0]
+        self.k = k
+        self._group_bits = int(n_groups - 1).bit_length()
+        self._distinct: dict[tuple[str, int], np.ndarray] = {}
+        self._rank_bits = max(1, int(n - 1).bit_length())  # widest possible rank
+        keys = self._fold(words, group, learn=True)[0]
+        self.order = np.argsort(keys)
+        sorted_keys = keys[self.order]
+        is_start = np.ones(n, dtype=bool)
+        is_start[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        self.run = np.cumsum(is_start) - 1
+        self.starts = np.flatnonzero(is_start)
+        self.first = self.order[self.starts]
+        self.counts = np.diff(self.starts, append=n)
+        per_group = [len(self)]
+        if self._group_bits:
+            per_group = np.bincount(group[self.first], minlength=n_groups)
+        self.offsets = np.concatenate([[0], np.cumsum(per_group)])
+        self._run_keys = sorted_keys[self.starts]
+
+    def __len__(self) -> int:
+        """Number of runs (distinct rows)."""
+        return int(self.starts.size)
+
+    def _columns(self, words: np.ndarray, group: np.ndarray | None):
+        if self._group_bits:
+            yield np.asarray(group).astype(np.uint64), self._group_bits
+        for w in range(words.shape[1]):
+            bits = min(64, 2 * self.k - 64 * w)
+            yield words[:, w] >> np.uint64(64 - bits), bits
+
+    def _fold(
+        self, words: np.ndarray, group: np.ndarray | None, learn: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(key, present)`` of every row; a query row holding a ranked
+        value the build never saw cannot equal a built row: not present."""
+        present = np.ones(words.shape[0], dtype=bool)
+
+        def squeeze(slot: tuple[str, int], col: np.ndarray) -> tuple[np.ndarray, int]:
+            if learn:
+                distinct, ranks = np.unique(col, return_inverse=True)
+                self._distinct[slot] = distinct
+            else:
+                distinct = self._distinct[slot]
+                ranks = np.minimum(np.searchsorted(distinct, col), distinct.size - 1)
+                np.logical_and(present, distinct[ranks] == col, out=present)
+            return ranks.astype(np.uint64), max(1, int(distinct.size - 1).bit_length())
+
+        columns = self._columns(words, group)
+        key, key_bits = next(columns)
+        for i, (col, bits) in enumerate(columns):
+            if key_bits + bits > 64 and bits > self._rank_bits:
+                col, bits = squeeze(("word", i), col)
+            if key_bits + bits > 64:
+                key, key_bits = squeeze(("prefix", i), key)
+            key = (key << np.uint64(bits)) | col
+            key_bits += bits
+        return key, present
+
+    def find(self, words: np.ndarray, group: np.ndarray | None = None) -> np.ndarray:
+        """Run index of every query row (``(group, k-mer)`` when sorted with
+        groups); -1 where no built row equals it."""
+        words = np.asarray(words, dtype=np.uint64)
+        _check_width(words, self.k)
+        if not len(self):
+            return np.full(words.shape[0], -1, dtype=np.int64)
+        keys, present = self._fold(words, group)
+        pos = np.minimum(np.searchsorted(self._run_keys, keys), len(self) - 1)
+        return np.where(present & (self._run_keys[pos] == keys), pos, -1)
 
 
 def count_distinct_kmers(seq: str, k: int, canonicalise: bool = False) -> int:

@@ -31,6 +31,7 @@ from repro.core.cpu_local_assembly import (
 from repro.core.extension import WalkStatus
 from repro.core.tasks import LEFT, RIGHT, ExtensionTask, TaskSet
 from repro.sequence.dna import decode, encode, random_dna
+from repro.sequence import kmer as kmer_module
 from repro.sequence.kmer import unpack_kmers
 
 
@@ -464,45 +465,9 @@ class TestContract:
         ties = np.array([3, 1, 3, 1], dtype=np.uint64)
         assert np.argsort(ties, kind="stable").tolist() == [1, 3, 0, 2]
         assert ReversedTies.argsort(ties).tolist() == [3, 1, 2, 0]
-        monkeypatch.setattr(engine, "np", ReversedTies())
+        # the tables sort through the shared sorted-k-mer type
+        monkeypatch.setattr(kmer_module, "np", ReversedTies())
         _assert_matches_reference(tasks, cfg)
-
-
-class TestCompositeKey:
-    @pytest.mark.parametrize("n_tasks", [1, 2, 70, 300])
-    @pytest.mark.parametrize("k", [3, 27, 28, 29, 32, 33, 45, 61, 64, 65, 99])
-    def test_orders_like_the_rows_and_finds_only_what_was_built(self, rng, n_tasks, k):
-        """One uint64 per ``(task, k-mer)`` row whose order and equality are
-        the rows' own, whichever of the shifted / ranked-word /
-        ranked-prefix packings the widths call for; query rows map into the
-        same key space and unseen rows are reported absent."""
-        n = 400
-        nw = (k + 31) // 32
-        # few distinct values per word, so rows collide and order matters
-        pool = rng.integers(0, 1 << 62, size=(6, nw), dtype=np.uint64) << np.uint64(2)
-        pool[:, -1] &= ~np.uint64(0) << np.uint64(64 * nw - 2 * k)  # zero pad bits
-        words = np.stack([pool[rng.integers(6, size=n), w] for w in range(nw)], axis=1)
-        task = rng.integers(n_tasks, size=n)
-        key = engine._CompositeKey(task, words, n_tasks, k)
-
-        rows = np.column_stack([task.astype(np.uint64), words])
-        by_rows = np.lexsort(rows.T[::-1])
-        in_order = key.keys[by_rows]
-        same_row = (rows[by_rows][1:] == rows[by_rows][:-1]).all(axis=1)
-        assert (in_order[1:] >= in_order[:-1]).all()
-        assert ((in_order[1:] == in_order[:-1]) == same_row).all()
-
-        again, present = key.of(task, words)
-        assert present.all() and (again == key.keys).all()
-        fresh = words.copy()
-        fresh[:, 0] ^= np.uint64(1) << np.uint64(63)  # another first base
-        built = {r.tobytes() for r in rows}
-        fresh_rows = np.column_stack([task.astype(np.uint64), fresh])
-        unseen = np.array([r.tobytes() not in built for r in fresh_rows])
-        assert unseen.any()
-        keys, present = key.of(task, fresh)
-        found = present & np.isin(keys, key.keys)
-        assert not (found & unseen).any() and found[~unseen].all()
 
 
 class TestAgainstReference:

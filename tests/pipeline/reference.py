@@ -17,6 +17,12 @@ Then the per-row object path downstream of ``align_core``: one
 (``materialise_alignment_reference``), the dict ``best_by_read``, the
 per-read task builder and the per-pair insert-size and scaffold-link
 loops.  The array result must reproduce each of them exactly.
+
+Last, the k-mer counter and the spectrum merge as they were before both
+moved onto ``SortedKmers`` (``count_kmers_reference``: two packing passes,
+a ``lexsort`` over word columns and ``np.add.at`` tallies;
+``merge_spectra_reference``: the same grouping over concatenated shards).
+The spectra must be equal array for array.
 """
 
 from __future__ import annotations
@@ -39,9 +45,16 @@ from repro.pipeline.contigs import Contig, ContigSet
 from repro.pipeline.insert_size import InsertSizeEstimate, median
 from repro.pipeline.scaffolding import Scaffold, ScaffoldingResult
 from repro.pipeline.kmer_analysis import ClassifiedKmers, ExtVerdict
+from repro.pipeline.kmer_counts import NO_EXT, KmerSpectrum
 from repro.pipeline.merge_reads import MergeStats, find_overlap
-from repro.sequence.dna import BASES, encode, revcomp, revcomp_codes
-from repro.sequence.kmer import unpack_kmers, valid_kmer_mask
+from repro.sequence.dna import BASES, N_CODE, encode, revcomp, revcomp_codes
+from repro.sequence.kmer import (
+    pack_kmers,
+    rows_less,
+    unpack_kmers,
+    valid_kmer_mask,
+    words_per_kmer,
+)
 from repro.sequence.read import ReadBatch
 
 __all__ = [
@@ -60,6 +73,8 @@ __all__ = [
     "estimate_insert_size_reference",
     "build_scaffolds_reference",
     "best_placements",
+    "count_kmers_reference",
+    "merge_spectra_reference",
 ]
 
 _COMP = {"A": "T", "C": "G", "G": "C", "T": "A"}
@@ -822,3 +837,129 @@ def best_placements(best: dict[int, ReadAlignment], n_reads: int) -> BestPlaceme
     offset[at] = [a.offset for a in alns]
     is_rc[at] = [a.is_rc for a in alns]
     return BestPlacements(row, cid, offset, is_rc)
+
+
+def _read_ids(batch: ReadBatch) -> np.ndarray:
+    """Read index of every base position in the concatenated array."""
+    lengths = batch.lengths()
+    return np.repeat(np.arange(len(batch), dtype=np.int64), lengths)
+
+
+def count_kmers_reference(
+    batch: ReadBatch, k: int, min_count: int = 1, min_qual: int = 0
+) -> KmerSpectrum:
+    """Count canonical k-mers (with extensions) across a read batch."""
+    if k % 2 == 0:
+        raise ValueError(f"k must be odd for canonical k-mers, got {k}")
+    bases = batch.bases
+    if min_qual > 0:
+        bases = np.where(batch.quals < min_qual, N_CODE, bases)
+    n = bases.size
+    nw = words_per_kmer(k)
+    if n < k:
+        empty_w = np.empty((0, nw), dtype=np.uint64)
+        z = np.zeros(0, dtype=np.int64)
+        e = np.zeros((0, 5), dtype=np.int64)
+        return KmerSpectrum(k, empty_w, z, e, e)
+
+    fwd_words, no_n = pack_kmers(bases, k)
+    rid = _read_ids(batch)
+    same_read = rid[: n - k + 1] == rid[k - 1 :]
+    valid = no_n & same_read
+    starts = np.nonzero(valid)[0]
+    if starts.size == 0:
+        empty_w = np.empty((0, nw), dtype=np.uint64)
+        z = np.zeros(0, dtype=np.int64)
+        e = np.zeros((0, 5), dtype=np.int64)
+        return KmerSpectrum(k, empty_w, z, e, e)
+
+    fwd = fwd_words[starts]
+
+    # Reverse complements: packing the revcomp of the whole array gives the
+    # rc of window i at reversed position n-k-i.
+    rc_bases = revcomp_codes(bases)
+    rc_all, _ = pack_kmers(rc_bases, k)
+    rc = rc_all[n - k - starts]
+
+    # Lexicographic choice between fwd and rc (row-wise, word-major).
+    use_rc = rows_less(rc, fwd)
+    canon = np.where(use_rc[:, None], rc, fwd)
+
+    # Extensions in read orientation.
+    left_pos = starts - 1
+    right_pos = starts + k
+    has_left = np.zeros(starts.size, dtype=bool)
+    np.greater_equal(left_pos, 0, out=has_left)
+    has_left &= rid[np.maximum(left_pos, 0)] == rid[starts]
+    has_right = right_pos < n
+    has_right &= rid[np.minimum(right_pos, n - 1)] == rid[starts]
+    left_base = np.where(has_left, bases[np.maximum(left_pos, 0)], N_CODE)
+    right_base = np.where(has_right, bases[np.minimum(right_pos, n - 1)], N_CODE)
+    left_base = np.minimum(left_base, NO_EXT).astype(np.int64)
+    right_base = np.minimum(right_base, NO_EXT).astype(np.int64)
+
+    # When the canonical form is the rc, left/right swap and complement.
+    def _comp(b: np.ndarray) -> np.ndarray:
+        out = 3 - b
+        out[b >= NO_EXT] = NO_EXT
+        return out
+
+    canon_left = np.where(use_rc, _comp(right_base), left_base)
+    canon_right = np.where(use_rc, _comp(left_base), right_base)
+
+    # Group identical canonical k-mers.
+    order = np.lexsort(tuple(canon[:, w] for w in range(nw - 1, -1, -1)))
+    sorted_w = canon[order]
+    new_group = np.ones(order.size, dtype=bool)
+    new_group[1:] = np.any(sorted_w[1:] != sorted_w[:-1], axis=1)
+    group_id = np.cumsum(new_group) - 1
+    n_groups = int(group_id[-1]) + 1
+
+    counts = np.bincount(group_id, minlength=n_groups).astype(np.int64)
+    left_ext = np.zeros((n_groups, 5), dtype=np.int64)
+    right_ext = np.zeros((n_groups, 5), dtype=np.int64)
+    np.add.at(left_ext, (group_id, canon_left[order]), 1)
+    np.add.at(right_ext, (group_id, canon_right[order]), 1)
+    words = sorted_w[new_group]
+
+    spec = KmerSpectrum(k=k, words=words, counts=counts, left_ext=left_ext, right_ext=right_ext)
+    return spec.filtered(min_count) if min_count > 1 else spec
+
+
+def merge_spectra_reference(shards: list[KmerSpectrum], k: int) -> KmerSpectrum:
+    """Merge per-rank spectra (disjoint or overlapping) into one.
+
+    Overlapping keys have their counts and extension tallies summed — the
+    reduction MHM2's distributed hash table performs on insert.
+    """
+    non_empty = [s for s in shards if len(s)]
+    if not non_empty:
+        import numpy as _np
+
+        from repro.sequence.kmer import words_per_kmer
+
+        nw = words_per_kmer(k)
+        e = _np.zeros((0, 5), dtype=_np.int64)
+        return KmerSpectrum(
+            k, _np.empty((0, nw), dtype=_np.uint64), _np.zeros(0, dtype=_np.int64), e, e
+        )
+    words = np.concatenate([s.words for s in non_empty])
+    counts = np.concatenate([s.counts for s in non_empty])
+    left = np.concatenate([s.left_ext for s in non_empty])
+    right = np.concatenate([s.right_ext for s in non_empty])
+    nw = words.shape[1]
+    order = np.lexsort(tuple(words[:, w] for w in range(nw - 1, -1, -1)))
+    words, counts, left, right = words[order], counts[order], left[order], right[order]
+    new_group = np.ones(words.shape[0], dtype=bool)
+    new_group[1:] = np.any(words[1:] != words[:-1], axis=1)
+    gid = np.cumsum(new_group) - 1
+    n_groups = int(gid[-1]) + 1
+    m_counts = np.zeros(n_groups, dtype=np.int64)
+    np.add.at(m_counts, gid, counts)
+    m_left = np.zeros((n_groups, 5), dtype=np.int64)
+    m_right = np.zeros((n_groups, 5), dtype=np.int64)
+    np.add.at(m_left, gid, left)
+    np.add.at(m_right, gid, right)
+    return KmerSpectrum(
+        k=k, words=words[new_group], counts=m_counts, left_ext=m_left, right_ext=m_right
+    )

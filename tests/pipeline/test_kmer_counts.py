@@ -62,6 +62,13 @@ class TestCounting:
         with pytest.raises(ValueError):
             count_kmers(ReadBatch.from_strings(["ACGT"]), 4)
 
+    @pytest.mark.parametrize("k", [-1, 0, -3])
+    def test_k_below_one_rejected(self, k):
+        """A negative odd k used to pass the parity check and fail inside
+        numpy's window view."""
+        with pytest.raises(ValueError, match="k must be odd and >= 1"):
+            count_kmers(ReadBatch.from_strings(["ACGTACGT"]), k)
+
     def test_short_reads_empty(self):
         spec = count_kmers(ReadBatch.from_strings(["AC"]), 21)
         assert len(spec) == 0
@@ -136,6 +143,16 @@ class TestLookupMany:
         assert spec.words.shape[1] == 2
         got = spec.lookup_many(spec.words)
         assert np.array_equal(got, np.arange(len(spec), dtype=np.int64))
+
+    def test_rows_of_the_wrong_width_are_rejected(self):
+        """Two-word rows against a one-word spectrum used to report false
+        hits (rows 0 and 6 here)."""
+        spec = count_kmers(ReadBatch.from_strings(["ACGTACGTAC", "GGGGGTTTAC"]), 3)
+        w = spec.words[:, 0]
+        with pytest.raises(ValueError, match="shape"):
+            spec.lookup_many(np.stack([w, w], 1))
+        with pytest.raises(ValueError, match="shape"):
+            spec.lookup(np.array([w[0], w[0]]))
 
     def test_one_dim_input_promoted(self):
         spec = count_kmers(ReadBatch.from_strings(["ACGTACGGT"]), 5)

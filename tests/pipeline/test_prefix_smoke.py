@@ -6,19 +6,28 @@ silent fall back to per-k-mer or per-pair work from passing CI.
 
 import numpy as np
 import pytest
-from reference import generate_contigs_reference, merge_read_pairs_reference
+from reference import (
+    count_kmers_reference,
+    generate_contigs_reference,
+    merge_read_pairs_reference,
+)
 
+from repro.pipeline import kmer_counts
 from repro.pipeline.contig_generation import generate_contigs
 from repro.pipeline.kmer_analysis import analyze_kmers
 from repro.pipeline.merge_reads import merge_read_pairs
 from repro.sequence.community import arcticsynth_like, sample_paired_reads
 
 
-@pytest.mark.bench_smoke
-def test_array_prefix_matches_references_and_is_3x_cheaper(paired_cpu_ratio):
+def _smoke_reads():
     rng = np.random.default_rng(2021)
     community = arcticsynth_like(rng, n_genomes=3, genome_length=5000)
-    reads = sample_paired_reads(community, 500, rng)
+    return sample_paired_reads(community, 500, rng)
+
+
+@pytest.mark.bench_smoke
+def test_array_prefix_matches_references_and_is_3x_cheaper(paired_cpu_ratio):
+    reads = _smoke_reads()
 
     want, want_stats = merge_read_pairs_reference(reads)
     merged, stats = merge_read_pairs(reads)
@@ -44,3 +53,25 @@ def test_array_prefix_matches_references_and_is_3x_cheaper(paired_cpu_ratio):
     )
     assert merge_ratio >= 3.0, f"merge_read_pairs only {merge_ratio:.1f}x its reference"
     assert contig_ratio >= 3.0, f"generate_contigs only {contig_ratio:.1f}x its reference"
+
+
+@pytest.mark.bench_smoke
+@pytest.mark.parametrize("k", [21, 33])
+def test_count_kmers_packs_once(monkeypatch, k):
+    """Counting packs the bases once and canonicalises in word space; a
+    second ``pack_kmers`` over the reverse-complemented bases (the
+    reference's way) fails this pin, whatever the box's timing."""
+    merged, _ = merge_read_pairs(_smoke_reads())
+    want = count_kmers_reference(merged, k, min_count=2)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return pack_kmers(*args, **kwargs)
+
+    pack_kmers = kmer_counts.pack_kmers
+    monkeypatch.setattr(kmer_counts, "pack_kmers", counted)
+    got = kmer_counts.count_kmers(merged, k, min_count=2)
+    assert calls == [k]
+    for name in ("words", "counts", "left_ext", "right_ext"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
