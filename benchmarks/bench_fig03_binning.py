@@ -39,9 +39,7 @@ def bench_fig03_bin_distribution(benchmark, fig3_workload):
                 out[k] = None
                 continue
             aln = align_reads(contigs, reads, min_overlap=min_overlap)
-            tasks = tasks_from_candidates(
-                {c.cid: c.seq for c in contigs}, aln.candidates.values()
-            )
+            tasks = tasks_from_candidates(contigs, aln.candidates.values())
             out[k] = bin_contigs(tasks).fractions()
         return out
 

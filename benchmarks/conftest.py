@@ -49,9 +49,7 @@ def workload():
     classified = analyze_kmers(merged, 21, min_count=2, min_depth=2)
     contigs = generate_contigs(classified)
     aln = align_reads(contigs, reads)
-    tasks = tasks_from_candidates(
-        {c.cid: c.seq for c in contigs}, aln.candidates.values()
-    )
+    tasks = tasks_from_candidates(contigs, aln.candidates.values())
     return {
         "rng_seed": 2021,
         "community": community,

@@ -36,9 +36,7 @@ def main(seed: int = 7) -> None:
     classified = analyze_kmers(merged, 21, min_count=2, min_depth=2)
     contigs = generate_contigs(classified)
     aln = align_reads(contigs, reads)
-    tasks = tasks_from_candidates(
-        {c.cid: c.seq for c in contigs}, aln.candidates.values()
-    )
+    tasks = tasks_from_candidates(contigs, aln.candidates.values())
     print(f"  {len(contigs)} contigs, {len(tasks)} extension tasks")
 
     config = LocalAssemblyConfig(k_init=21, max_walk_len=200)

@@ -41,9 +41,7 @@ def main(seed: int = 7) -> None:
     merged, _ = merge_read_pairs(reads)
     contigs = generate_contigs(analyze_kmers(merged, 21, 2, 2))
     aln = align_reads(contigs, reads)
-    tasks = tasks_from_candidates(
-        {c.cid: c.seq for c in contigs}, aln.candidates.values()
-    )
+    tasks = tasks_from_candidates(contigs, aln.candidates.values())
     # busiest tasks, read counts capped (v1 simulates one insert per step)
     busiest = sorted(tasks, key=lambda t: -t.n_reads)[:6]
     dump = TaskSet(

@@ -102,7 +102,7 @@ def evaluate_against_references(
     ----------
     contigs:
         Iterable of objects with ``cid`` and ``seq`` attributes
-        (:class:`repro.pipeline.contigs.ContigSet` fits) or ``(cid, seq)``
+        (:class:`repro.sequence.contigs.ContigSet` fits) or ``(cid, seq)``
         tuples.
     genome_seqs:
         The reference sequences (index = genome id in the report).

@@ -303,7 +303,7 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
     from repro.core.config import LocalAssemblyConfig
     from repro.pipeline.pipeline import PipelineConfig, run_pipeline
     from repro.pipeline.stages import StageTimes
-    from repro.sequence.fastq import load_read_batch, write_fasta
+    from repro.sequence.fastq import load_read_batch
 
     times = StageTimes()
     try:
@@ -338,15 +338,7 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
     result = run_pipeline(reads, config, times=times, checkpoint_dir=ckpt)
 
     with times.stage("file IO"):
-        write_fasta(
-            args.out / "contigs.fasta",
-            ((f"contig_{c.cid} depth={c.depth:.1f}", c.seq) for c in result.contigs),
-        )
-        if result.scaffolds is not None:
-            write_fasta(
-                args.out / "scaffolds.fasta",
-                ((f"scaffold_{s.sid}", s.seq) for s in result.scaffolds.scaffolds),
-            )
+        result.write_fasta(args.out)
     report = result.summary()
     (args.out / "report.txt").write_text(report + "\n")
     print(report)
@@ -435,9 +427,7 @@ def _cmd_dump_localassm(args: argparse.Namespace) -> int:
     classified = analyze_kmers(merged, args.k, min_count=2, min_depth=2)
     contigs = generate_contigs(classified)
     aln = align_reads(contigs, reads)
-    tasks = tasks_from_candidates(
-        {c.cid: c.seq for c in contigs}, aln.candidates.values()
-    )
+    tasks = tasks_from_candidates(contigs, aln.candidates.values())
     args.out.parent.mkdir(parents=True, exist_ok=True)
     save_tasks(args.out, tasks)
     print(f"dumped {len(tasks)} extension tasks "

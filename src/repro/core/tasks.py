@@ -11,7 +11,8 @@ candidate reads, *pre-oriented* so that every task is "extend rightward":
 Tasks are deliberately independent of the pipeline's alignment types so
 ``repro.core`` has no dependency on ``repro.pipeline``; the orchestrator
 converts via :func:`tasks_from_candidates` (duck-typed on the candidate
-container's ``left``/``right``/``cid`` attributes).
+container's ``left``/``right``/``cid`` attributes).  Contigs come and go
+as one packed :class:`~repro.sequence.contigs.ContigSet`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro.sequence.dna import encode, revcomp, revcomp_codes
+from repro.sequence.contigs import Contig, ContigSet
+from repro.sequence.dna import encode, revcomp_codes
 
 __all__ = [
     "LEFT",
@@ -161,30 +163,35 @@ class TaskSet:
         return seen
 
 
-def tasks_from_candidates(
-    contig_seqs: Mapping[int, str],
-    candidates: Iterable,
-) -> TaskSet:
+def _as_contig_set(contigs: ContigSet | Mapping[int, str]) -> ContigSet:
+    """benchmarks/e2e/trace.py passes ``{cid: seq}`` dicts (packed here at
+    depth 1.0) to both functions below; ROADMAP 1(c) deletes it."""
+    if isinstance(contigs, ContigSet):
+        return contigs
+    return ContigSet(Contig(cid, seq) for cid, seq in contigs.items())
+
+
+def tasks_from_candidates(contigs: ContigSet, candidates: Iterable) -> TaskSet:
     """Build oriented tasks from per-contig candidate containers.
 
     *candidates* is any iterable of objects with ``cid``, ``left`` and
     ``right`` attributes, where each side exposes packed ``bases``,
     ``quals`` and ``lengths`` arrays already oriented by the alignment
     stage (:class:`repro.pipeline.alignment.ContigCandidates` fits).  Each
-    task takes its side's arrays as they are.
+    task takes its side's arrays as they are, and a read-only slice of the
+    contig codes (right) or of their reverse complement (left; contig *i*
+    at the mirrored offsets).
     """
-    cands = list(candidates)
-    seqs = [contig_seqs[c.cid] for c in cands]
-    # one encode and one reverse complement for the whole contig set; the
-    # revcomp of the concatenation holds contig i at the mirrored offsets
-    codes = encode("".join(seqs))
+    contigs = _as_contig_set(contigs)
+    codes = contigs.codes.view()
     rc = revcomp_codes(codes)
     codes.setflags(write=False)
     rc.setflags(write=False)
-    end = np.cumsum([len(s) for s in seqs]).tolist()
-    total = end[-1] if end else 0
+    total, bounds = codes.size, contigs.offsets.tolist()
+    slot = dict(zip(contigs.cids.tolist(), range(len(contigs))))
     tasks: list[ExtensionTask] = []
-    for cand, start, stop in zip(cands, [0] + end, end):
+    for cand in candidates:
+        start, stop = bounds[slot[cand.cid]], bounds[slot[cand.cid] + 1]
         left, right = cand.left, cand.right
         tasks.append(
             ExtensionTask(
@@ -202,19 +209,36 @@ def tasks_from_candidates(
 
 
 def apply_extensions(
-    contig_seqs: Mapping[int, str],
+    contigs: ContigSet,
     extensions: Mapping[tuple[int, int], str],
-) -> dict[int, str]:
-    """Assemble final sequences from per-(cid, side) extension strings.
+) -> ContigSet:
+    """The extended contigs, in *contigs*' order with their cids and depths.
 
     A left-side extension was produced walking right on rc(contig), so it
     is reverse-complemented and prepended::
 
         final = revcomp(ext_left) + contig + ext_right
+
+    The extensions are encoded once, and the new codes are one gather of
+    those three pieces per contig.
     """
-    out: dict[int, str] = {}
-    for cid, seq in contig_seqs.items():
-        ext_l = extensions.get((cid, LEFT), "")
-        ext_r = extensions.get((cid, RIGHT), "")
-        out[cid] = revcomp(ext_l) + seq + ext_r
-    return out
+    contigs = _as_contig_set(contigs)
+    cids = contigs.cids.tolist()
+    exts = [extensions.get((cid, side), "") for side in (LEFT, RIGHT) for cid in cids]
+    lens = np.fromiter(map(len, exts), np.int64, len(exts)).reshape(2, -1)
+    codes = encode("".join(exts))
+    n_left = int(lens[0].sum())
+    # the pieces' source: the contig codes, the reverse complement of the
+    # joined lefts (left i at the mirrored offsets), the rights
+    src = np.concatenate([contigs.codes, revcomp_codes(codes[:n_left]), codes[n_left:]])
+    at = contigs.codes.size + n_left
+    ends = np.cumsum(lens, axis=1)
+    piece_start = np.stack([at - ends[0], contigs.offsets[:-1], at + ends[1] - lens[1]])
+    piece_len = np.stack([lens[0], contigs.lengths(), lens[1]])
+    offsets = np.zeros(len(cids) + 1, dtype=np.int64)
+    np.cumsum(piece_len.sum(axis=0), out=offsets[1:])
+    # contig by contig, piece by piece
+    piece_start, piece_len = piece_start.T.ravel(), piece_len.T.ravel()
+    idx = np.repeat(piece_start - (np.cumsum(piece_len) - piece_len), piece_len)
+    idx += np.arange(idx.size, dtype=np.int64)
+    return ContigSet.from_arrays(src[idx], offsets, contigs.cids, contigs.depths)

@@ -321,7 +321,6 @@ def align_stage(
     from repro.pipeline.alignment import (
         MAX_READS_PER_END,
         PackedSeedIndex,
-        _contig_len_of,
         align_core,
         materialise_alignment,
         recruit_flags,
@@ -330,7 +329,7 @@ def align_stage(
     if max_reads_per_end is None:
         max_reads_per_end = MAX_READS_PER_END
     index = PackedSeedIndex(contigs, seed_len=seed_len)
-    contig_len_of = _contig_len_of(contigs)
+    contig_len_of = contigs.lengths_by_cid()
     read_lengths = reads.lengths()
     bounds = _partition_bounds(reads, n_ranks)
 

@@ -89,9 +89,6 @@ class KernelCounters:
         t = self.global_transactions
         return (self.global_mem_inst) / t if t else float("inf")
 
-    def bytes_moved(self, sector_bytes: int = 32) -> int:
-        return self.total_transactions * sector_bytes
-
     # -- combination ---------------------------------------------------------
 
     def merge(self, other: "KernelCounters") -> None:

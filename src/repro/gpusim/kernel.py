@@ -69,10 +69,6 @@ class LaunchResult:
     def time_s(self) -> float:
         return self.timing.time_s
 
-    @property
-    def warp_gips(self) -> float:
-        return self.counters.warp_inst / self.timing.time_s / 1e9 if self.timing.time_s else 0.0
-
 
 @dataclass
 class GpuContext:
@@ -368,10 +364,6 @@ class GpuContext:
 
     def total_kernel_time(self) -> float:
         return sum(l.time_s for l in self.launches)
-
-    def total_time(self) -> float:
-        """Kernel + transfer time for everything this context has done."""
-        return self.total_kernel_time() + self.transfer_time_s
 
     def merged_counters(self, name_prefix: str = "") -> KernelCounters:
         """Merge counters across launches (optionally filtered by name)."""

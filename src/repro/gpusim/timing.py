@@ -65,10 +65,6 @@ class TimingModel:
     def kernel_time(self, counters: KernelCounters, n_warps: int) -> float:
         return self.kernel_timing(counters, n_warps).time_s
 
-    def achieved_warp_gips(self, counters: KernelCounters, time_s: float) -> float:
-        """Warp GIPS of a launch given its modelled time."""
-        return counters.warp_inst / time_s / 1e9 if time_s > 0 else 0.0
-
     def transfer_time(self, nbytes: int) -> float:
         """Host<->device copy time (one direction)."""
         return nbytes / self.device.h2d_bandwidth_bytes + 5e-6

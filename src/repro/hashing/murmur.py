@@ -23,10 +23,6 @@ _M64 = np.uint64(0xC6A4A7935BD1E995)
 _R64 = np.uint64(47)
 
 
-def _u32(x: int | np.integer) -> np.uint32:
-    return np.uint32(np.uint64(x) & np.uint64(0xFFFFFFFF))
-
-
 def murmurhash2_32(data: bytes | np.ndarray, seed: int = 0x9747B28C) -> int:
     """Reference scalar MurmurHash2 (32-bit) of a byte string.
 

@@ -15,7 +15,6 @@ from repro.pipeline.alignment import (
     align_reads,
 )
 from repro.pipeline.contig_generation import generate_contigs
-from repro.pipeline.contigs import Contig, ContigSet
 from repro.pipeline.kmer_analysis import (
     ClassifiedKmers,
     ExtVerdict,
@@ -42,8 +41,6 @@ __all__ = [
     "ReadAlignment",
     "align_reads",
     "generate_contigs",
-    "Contig",
-    "ContigSet",
     "ClassifiedKmers",
     "ExtVerdict",
     "analyze_kmers",

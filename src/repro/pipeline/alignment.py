@@ -51,8 +51,8 @@ import numpy as np
 
 from repro.perf import HostProfiler
 from repro.pipeline.aln_kernel import ungapped_align_batch
-from repro.pipeline.contigs import ContigSet
-from repro.sequence.dna import encode, revcomp_codes
+from repro.sequence.contigs import ContigSet
+from repro.sequence.dna import revcomp_codes
 from repro.sequence.kmer import pack_kmers, rows_as_keys, words_per_kmer
 from repro.sequence.read import ReadBatch
 
@@ -287,23 +287,19 @@ class PackedSeedIndex:
     ascending) — exactly the order the legacy dict produced.
 
     The index is five flat arrays (``words``, ``slot``, ``pos``,
-    ``cbases``, ``coff``) plus the slot→cid map.  Alignment ranks never
-    rebuild or receive it: they are forked after it is built and read the
-    parent's copy.
+    ``cbases``, ``coff``) plus the slot→cid map; the last two and the map
+    are the contig set's own ``codes``, ``offsets`` and ``cids``.
+    Alignment ranks never rebuild or receive it: they are forked after it
+    is built and read the parent's copy.
     """
 
     def __init__(self, contigs: ContigSet, seed_len: int = 17) -> None:
         if seed_len < 8:
             raise ValueError("seed_len must be >= 8")
-        codes = [encode(c.seq) for c in contigs]
         self.seed_len = seed_len
-        self.cids = np.array([c.cid for c in contigs], dtype=np.int64)
-        self.cbases = (
-            np.concatenate(codes) if codes else np.empty(0, dtype=np.uint8)
-        )
-        self.coff = np.zeros(len(codes) + 1, dtype=np.int64)
-        if codes:
-            np.cumsum([c.size for c in codes], out=self.coff[1:])
+        self.cids = contigs.cids
+        self.cbases = contigs.codes
+        self.coff = contigs.offsets
         nw = words_per_kmer(seed_len)
         n_win = self.cbases.size - seed_len + 1
         if n_win <= 0 or self.cids.size == 0:
@@ -751,15 +747,6 @@ def recruit_flags(
     )
 
 
-def _contig_len_of(contigs: ContigSet) -> np.ndarray:
-    """Dense cid→length array (cids are small non-negative ints)."""
-    cids = [c.cid for c in contigs]
-    out = np.zeros((max(cids) + 1 if cids else 0) + 1, dtype=np.int64)
-    for c in contigs:
-        out[c.cid] = len(c.seq)
-    return out
-
-
 def _gather_oriented(
     reads: ReadBatch, read: np.ndarray, flip: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -807,10 +794,10 @@ def materialise_alignment(
     (the ranked path, where owner ranks applied the caps), they are used
     as-is.
     """
-    cids = np.array([c.cid for c in contigs], dtype=np.int64)
+    cids = contigs.cids
     if recruit_left is None or recruit_right is None:
         recruit_left, recruit_right = recruit_flags(
-            rows, reads.lengths(), _contig_len_of(contigs), max_reads_per_end
+            rows, reads.lengths(), contigs.lengths_by_cid(), max_reads_per_end
         )
     slot_of = np.zeros(int(cids.max(initial=-1)) + 1, dtype=np.int64)
     slot_of[cids] = np.arange(cids.size, dtype=np.int64)

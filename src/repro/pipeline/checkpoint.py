@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.pipeline.contigs import Contig, ContigSet
+from repro.sequence.contigs import ContigSet
 from repro.sequence.read import ReadBatch
 
 if TYPE_CHECKING:
@@ -126,18 +126,6 @@ def save_contigs_checkpoint(
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    from repro.sequence.dna import encode
-
-    cids = np.array([c.cid for c in contigs], dtype=np.int64)
-    depths = np.array([c.depth for c in contigs], dtype=np.float64)
-    lens = np.array([len(c.seq) for c in contigs], dtype=np.int64)
-    offsets = np.zeros(len(contigs) + 1, dtype=np.int64)
-    np.cumsum(lens, out=offsets[1:])
-    bases = (
-        np.concatenate([encode(c.seq) for c in contigs])
-        if len(contigs)
-        else np.empty(0, dtype=np.uint8)
-    )
     # np.savez appends ".npz" unless the name already ends with it, so the
     # temp names keep the suffix.  The token is unique per call, not per
     # process: concurrent jobs saving the same cache entry must not share
@@ -160,10 +148,10 @@ def save_contigs_checkpoint(
         with open(data_tmp, "wb") as fh:
             np.savez_compressed(
                 fh,
-                cids=cids,
-                depths=depths,
-                offsets=offsets,
-                bases=bases,
+                cids=contigs.cids,
+                depths=contigs.depths,
+                offsets=contigs.offsets,
+                bases=contigs.codes,
                 # embedded copy of the validity key: lets the loader detect
                 # a crash-interleaved (new data, old meta) pair
                 key=np.frombuffer(key.encode("ascii"), dtype=np.uint8),
@@ -195,9 +183,10 @@ def load_contigs_checkpoint(
     """Load a checkpoint if present, intact *and* matching *key*; else None.
 
     A truncated archive, garbage meta, version or key mismatch, or any
-    internal inconsistency (e.g. offsets that do not cover the base
-    array) is treated as a missing checkpoint: logged and recomputed,
-    never raised.
+    layout :meth:`ContigSet.from_arrays` rejects (offsets that do not
+    cover the base array or run backwards, a code above ``N``, duplicate
+    cids) is treated as a missing checkpoint: logged and recomputed, never
+    raised.
     """
     directory = Path(directory)
     meta_path = directory / _META
@@ -212,32 +201,15 @@ def load_contigs_checkpoint(
             return None
         if meta.get("key") != key:
             return None
-        from repro.sequence.dna import decode
-
         with np.load(data_path) as data:
             embedded = bytes(data["key"]).decode("ascii")
-            cids = data["cids"]
-            depths = data["depths"]
-            offsets = data["offsets"]
-            bases = data["bases"]
+            contigs = ContigSet.from_arrays(
+                data["bases"], data["offsets"], data["cids"], data["depths"]
+            )
         if embedded != key:
             raise ValueError(
                 "archive/meta key mismatch (crash-interleaved save?)"
             )
-        if offsets.size != cids.size + 1 or cids.size != depths.size:
-            raise ValueError("inconsistent checkpoint arrays")
-        if cids.size and (offsets[0] != 0 or offsets[-1] != bases.size):
-            raise ValueError("offsets do not cover the base array")
-        contigs = ContigSet(
-            [
-                Contig(
-                    cid=int(cids[i]),
-                    seq=decode(bases[offsets[i] : offsets[i + 1]]),
-                    depth=float(depths[i]),
-                )
-                for i in range(cids.size)
-            ]
-        )
         return contigs, int(meta.get("n_distinct_kmers", 0))
     except _CORRUPT_ERRORS as exc:
         _LOG.warning(

@@ -36,8 +36,9 @@ packed spectrum (linear-chain contig generation as array operations, after
    gather — head k-mer plus the last base of every later node — and depths
    one ``np.add.reduceat`` of counts.
 
-Python touches a contig once (to slice its string and pick
-``min(seq, revcomp(seq))``) and never a k-mer.
+5. **Orientation.**  Each contig takes the smaller of its two
+   orientations, chosen in code space; the result is a packed
+   :class:`~repro.sequence.contigs.ContigSet`.  Python touches no contig.
 
 Invariants (checked by tests, against the scalar walker kept in
 ``tests/pipeline/reference.py``):
@@ -53,9 +54,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.pipeline.contigs import Contig, ContigSet
 from repro.pipeline.kmer_analysis import ClassifiedKmers, ExtVerdict
-from repro.sequence.dna import decode
+from repro.sequence.contigs import ContigSet
 from repro.sequence.kmer import (
     base_at,
     canonical_rows,
@@ -242,15 +242,29 @@ def generate_contigs(
     codes, offsets = _contig_codes(
         spec.words[uu[nodes >> 1]], nodes & 1, rank[nodes], n_kmers, k
     )
-    # Reverse complement of every contig in the same flat layout.
-    mirrored = np.repeat(offsets[:-1] + offsets[1:] - 1, np.diff(offsets)) - np.arange(codes.size)
-    fwd_text, rc_text = decode(codes), decode(3 - codes[mirrored])
+    return _canonical_contigs(codes, offsets, depth)
 
-    contigs = ContigSet()
-    bounds = offsets.tolist()
-    for cid, d in enumerate(depth.tolist()):
-        a, b = bounds[cid], bounds[cid + 1]
-        seq, rc_seq = fwd_text[a:b], rc_text[a:b]
-        # Canonical orientation: deterministic output regardless of strand.
-        contigs.add(Contig(cid=cid, seq=min(seq, rc_seq), depth=d))
-    return contigs
+
+def _canonical_contigs(
+    codes: np.ndarray, offsets: np.ndarray, depth: np.ndarray
+) -> ContigSet:
+    """Contigs over ACGT *codes*, numbered from 0, each as
+    ``min(seq, revcomp(seq))``: A<C<G<T orders codes as it orders letters,
+    so the first position where the two strands differ decides."""
+    lengths = np.diff(offsets)
+    # Reverse complement of every contig in the same flat layout.
+    mirrored = np.repeat(offsets[:-1] + offsets[1:] - 1, lengths) - np.arange(codes.size)
+    rc = 3 - codes[mirrored]
+    differ = np.flatnonzero(codes != rc)
+    contig_of = np.searchsorted(offsets, differ, side="right") - 1
+    first = np.ones(differ.size, dtype=bool)
+    first[1:] = contig_of[1:] != contig_of[:-1]
+    at = differ[first]
+    flip = np.zeros(lengths.size, dtype=bool)
+    flip[contig_of[first]] = rc[at] < codes[at]
+    return ContigSet.from_arrays(
+        np.where(np.repeat(flip, lengths), rc, codes),
+        offsets,
+        np.arange(lengths.size, dtype=np.int64),
+        depth,
+    )

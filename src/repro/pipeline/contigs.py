@@ -1,67 +1,4 @@
-"""Contig containers shared by the pipeline stages."""
+"""Re-export of :mod:`repro.sequence.contigs`: benchmarks/e2e/trace.py
+imports ``Contig`` and ``ContigSet`` from here; ROADMAP 1(c) deletes it."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Iterator, Sequence
-
-import numpy as np
-
-__all__ = ["Contig", "ContigSet"]
-
-
-@dataclass(frozen=True)
-class Contig:
-    """A contiguous assembled sequence.
-
-    Attributes
-    ----------
-    cid:
-        Stable integer id (preserved across local-assembly extension so
-        results can be joined back to inputs).
-    seq:
-        Base string.
-    depth:
-        Mean k-mer depth (coverage estimate) from contig generation.
-    """
-
-    cid: int
-    seq: str
-    depth: float = 1.0
-
-    def __len__(self) -> int:
-        return len(self.seq)
-
-
-class ContigSet:
-    """An ordered collection of contigs."""
-
-    def __init__(self, contigs: Sequence[Contig] = ()) -> None:
-        self._contigs = list(contigs)
-
-    def __len__(self) -> int:
-        return len(self._contigs)
-
-    def __iter__(self) -> Iterator[Contig]:
-        return iter(self._contigs)
-
-    def __getitem__(self, i: int) -> Contig:
-        return self._contigs[i]
-
-    def add(self, contig: Contig) -> None:
-        self._contigs.append(contig)
-
-    def lengths(self) -> np.ndarray:
-        return np.array([len(c) for c in self._contigs], dtype=np.int64)
-
-    def total_bases(self) -> int:
-        return int(self.lengths().sum()) if self._contigs else 0
-
-    def by_id(self) -> dict[int, Contig]:
-        return {c.cid: c for c in self._contigs}
-
-    def sequences(self) -> list[str]:
-        return [c.seq for c in self._contigs]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ContigSet(n={len(self)}, bases={self.total_bases()})"
+from repro.sequence.contigs import Contig, ContigSet  # noqa: F401

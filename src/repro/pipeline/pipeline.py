@@ -17,6 +17,9 @@ Every stage's wall time is recorded under the paper's Fig 2 category names.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
 
 from repro.core.config import (
     ENGINE_MODES,
@@ -29,14 +32,14 @@ from repro.core.config import (
 from repro.core.local_assembler import LocalAssemblyReport, extend_tasks
 from repro.core.tasks import apply_extensions, tasks_from_candidates
 from repro.pipeline.alignment import AlignmentResult, align_reads
-from repro.pipeline.contigs import Contig, ContigSet
 from repro.pipeline.contig_generation import generate_contigs
 from repro.pipeline.insert_size import estimate_insert_size
 from repro.pipeline.kmer_analysis import analyze_kmers, classify_spectrum
 from repro.pipeline.merge_reads import MergeStats, merge_read_pairs
 from repro.pipeline.scaffolding import ScaffoldingResult, build_scaffolds
 from repro.pipeline.stages import StageTimes
-from repro.sequence.read import Read, ReadBatch
+from repro.sequence.contigs import ContigSet
+from repro.sequence.read import ReadBatch
 
 __all__ = ["PipelineConfig", "AssemblyResult", "run_pipeline"]
 
@@ -195,6 +198,16 @@ class AssemblyResult:
         lines.append(str(self.times))
         return "\n".join(lines)
 
+    def write_fasta(self, directory: Path) -> None:
+        """``contigs.fasta`` and, if scaffolding ran, ``scaffolds.fasta``."""
+        from repro.sequence.fastq import write_fasta
+
+        contigs = ((f"contig_{c.cid} depth={c.depth:.1f}", c.seq) for c in self.contigs)
+        write_fasta(directory / "contigs.fasta", contigs)
+        if self.scaffolds is not None:
+            scaffolds = ((f"scaffold_{s.sid}", s.seq) for s in self.scaffolds.scaffolds)
+            write_fasta(directory / "scaffolds.fasta", scaffolds)
+
 
 def _align_stage(
     contigs: ContigSet, reads: ReadBatch, config: PipelineConfig
@@ -223,13 +236,6 @@ def _align_stage(
         min_identity=config.min_identity,
         min_overlap=config.min_overlap,
         max_reads_per_end=config.local_assembly.max_reads_per_end,
-    )
-
-
-def _contigs_as_pseudo_reads(contigs: ContigSet) -> ReadBatch:
-    """Round-(i) contigs as high-quality pseudo-reads for round i+1."""
-    return ReadBatch.from_reads(
-        Read(f"contig_{c.cid}", c.seq, (41,) * len(c.seq)) for c in contigs
     )
 
 
@@ -310,9 +316,10 @@ def run_pipeline(
             with times.stage("contig generation"):
                 contigs = generate_contigs(classified, config.min_contig_len)
             if round_idx + 1 < len(config.k_series) and len(contigs):
-                counting_input = ReadBatch.concat(
-                    [merged, _contigs_as_pseudo_reads(contigs)]
-                )
+                # round-i contigs as high-quality pseudo-reads for round i+1
+                q41 = np.full(contigs.codes.size, 41, dtype=np.uint8)
+                pseudo = ReadBatch(contigs.codes, q41, contigs.offsets)
+                counting_input = ReadBatch.concat([merged, pseudo])
         if checkpoint_dir is not None:
             from repro.pipeline.checkpoint import save_contigs_checkpoint
 
@@ -323,8 +330,7 @@ def run_pipeline(
         aln = _align_stage(contigs, reads, config)
 
     with times.stage("local assembly"):
-        contig_seqs = {c.cid: c.seq for c in contigs}
-        tasks = tasks_from_candidates(contig_seqs, aln.candidates.values())
+        tasks = tasks_from_candidates(contigs, aln.candidates.values())
         extensions, la_report = extend_tasks(
             tasks,
             config=config.local_assembly,
@@ -338,14 +344,7 @@ def run_pipeline(
             mem_budget=config.local_assembly_mem_budget,
             profile_host=config.local_assembly_profile_host,
         )
-        depth = {c.cid: c.depth for c in contigs}
-        final = apply_extensions(contig_seqs, extensions)
-        extended = ContigSet(
-            [
-                Contig(cid=cid, seq=seq, depth=depth[cid])
-                for cid, seq in sorted(final.items())
-            ]
-        )
+        extended = apply_extensions(contigs, extensions)
 
     scaffolds: ScaffoldingResult | None = None
     if config.run_scaffolding and len(extended):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.pipeline.alignment import BestPlacements
-from repro.pipeline.contigs import ContigSet
+from repro.sequence.contigs import ContigSet
 from repro.sequence.dna import revcomp
 
 __all__ = ["Scaffold", "ScaffoldingResult", "build_scaffolds", "LEFT", "RIGHT"]
@@ -88,7 +88,6 @@ def build_scaffolds(
     min_support:
         Minimum independent pairs to keep an edge.
     """
-    by_id = contigs.by_id()
     n_pairs = int(read_lengths.size) // 2
     cid_a, cid_b, off_a, off_b, rc_a, rc_b = best_alignments.mates(n_pairs)
     len_a, len_b = read_lengths[: 2 * n_pairs].reshape(n_pairs, 2).T
@@ -96,9 +95,7 @@ def build_scaffolds(
     # -- collect links: one per pair whose mates sit on different contigs ----
     link = (cid_a >= 0) & (cid_b >= 0) & (cid_a != cid_b)
     n_links = int(np.count_nonzero(link))
-    contig_len = np.zeros(max(by_id, default=-1) + 1, dtype=np.int64)
-    for cid, c in by_id.items():
-        contig_len[cid] = len(c.seq)
+    contig_len = contigs.lengths_by_cid()
 
     def node_and_overhang(cid, off, rc, rlen):
         """Linked end as node ``2 * cid + end`` (a forward read links the
@@ -146,12 +143,15 @@ def build_scaffolds(
     visited: set[int] = set()
     sid = 0
 
+    # scaffold text: slices of the buffer, decoded once
+    seqs = dict(zip(contigs.cids.tolist(), contigs.sequences()))
+
     def oriented_seq(cid: int, entry_end: int) -> str:
         """Contig sequence as traversed entering at *entry_end*."""
-        seq = by_id[cid].seq
+        seq = seqs[cid]
         return seq if entry_end == LEFT else revcomp(seq)
 
-    for start_cid in sorted(by_id):
+    for start_cid in sorted(seqs):
         if start_cid in visited:
             continue
         # Find the chain start: walk "left" until a free end or a cycle.

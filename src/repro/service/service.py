@@ -576,7 +576,7 @@ def execute_job(
     from repro.pipeline.checkpoint import checkpoint_key
     from repro.pipeline.pipeline import run_pipeline
     from repro.pipeline.stages import StageTimes
-    from repro.sequence.fastq import load_read_batch, write_fasta
+    from repro.sequence.fastq import load_read_batch
 
     claim = queue.claim(job_id)
     if claim is None:
@@ -615,21 +615,7 @@ def execute_job(
                 checkpoint_dir=str(cache.dir_for(key)),
             )
             with times.stage("file IO"):
-                write_fasta(
-                    job_dir / "contigs.fasta",
-                    (
-                        (f"contig_{c.cid} depth={c.depth:.1f}", c.seq)
-                        for c in result.contigs
-                    ),
-                )
-                if result.scaffolds is not None:
-                    write_fasta(
-                        job_dir / "scaffolds.fasta",
-                        (
-                            (f"scaffold_{s.sid}", s.seq)
-                            for s in result.scaffolds.scaffolds
-                        ),
-                    )
+                result.write_fasta(job_dir)
             job.metrics["stage_seconds"] = dict(times.seconds)
             job.metrics["n_contigs"] = len(result.contigs)
             job.metrics["total_bases"] = result.contigs.total_bases()

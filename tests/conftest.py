@@ -106,7 +106,7 @@ def ranked_stages():
     contigs = generate_contigs(analyze_kmers(merged, 21, min_count=2, min_depth=2))
     candidates = align_reads(contigs, reads).candidates
     tasks = list(
-        tasks_from_candidates({c.cid: c.seq for c in contigs}, candidates.values())
+        tasks_from_candidates(contigs, candidates.values())
     )
 
     def same_spectrum(a, b):

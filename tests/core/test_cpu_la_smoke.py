@@ -26,7 +26,7 @@ def test_array_engine_matches_reference_and_is_2_5x_cheaper(paired_cpu_ratio):
     merged, _ = merge_read_pairs(reads)
     contigs = generate_contigs(analyze_kmers(merged, 21))
     candidates = align_reads(contigs, reads).candidates
-    tasks = tasks_from_candidates({c.cid: c.seq for c in contigs}, candidates.values())
+    tasks = tasks_from_candidates(contigs, candidates.values())
     assert sum(1 for t in tasks if t.n_reads) >= 100
 
     want, want_stats = run_local_assembly_reference(tasks)

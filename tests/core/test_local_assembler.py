@@ -14,6 +14,7 @@ from repro.core.tasks import (
     tasks_from_candidates,
 )
 from repro.pipeline.alignment import CandidateReads, ContigCandidates
+from repro.sequence.contigs import Contig, ContigSet
 from repro.sequence.dna import encode, random_dna
 
 
@@ -29,13 +30,13 @@ def scenario(rng):
     )
     none = np.empty(0, dtype=np.uint8)
     cand = ContigCandidates(0, CandidateReads(none, none, np.empty(0, np.int64)), right)
-    return genome, {0: genome[:150]}, {0: cand}
+    return genome, ContigSet([Contig(0, genome[:150])]), {0: cand}
 
 
-def _extend(contig_seqs, candidates, mode):
-    tasks = tasks_from_candidates(contig_seqs, candidates)
+def _extend(contigs, candidates, mode):
+    tasks = tasks_from_candidates(contigs, candidates)
     extensions, report = extend_tasks(tasks, mode=mode)
-    return apply_extensions(contig_seqs, extensions), report
+    return list(apply_extensions(contigs, extensions)), report
 
 
 class TestExtendContigs:
@@ -44,7 +45,7 @@ class TestExtendContigs:
         out, report = _extend(seqs, cands.values(), "cpu")
         assert report.mode == "cpu"
         assert report.n_extended == 1
-        seq = out[0]
+        seq = out[0].seq
         assert len(seq) > 150
         assert seq == genome[: len(seq)]
 

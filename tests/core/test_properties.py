@@ -11,6 +11,7 @@ from repro.core.driver import GpuLocalAssembler
 from repro.core.extension import classify_extension
 from repro.core.gpu_batch import ext_capacity
 from repro.core.tasks import RIGHT, ExtensionTask, TaskSet, apply_extensions
+from repro.sequence.contigs import Contig, ContigSet
 from repro.sequence.dna import encode, revcomp
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=60)
@@ -115,8 +116,8 @@ class TestOrientationProperties:
     def test_apply_extensions_roundtrip(self, left, mid, right):
         if not mid:
             mid = "A"
-        out = apply_extensions({0: mid}, {(0, 0): left, (0, 1): right})
-        assert out[0] == revcomp(left) + mid + right
+        out = apply_extensions(ContigSet([Contig(0, mid)]), {(0, 0): left, (0, 1): right})
+        assert out[0].seq == revcomp(left) + mid + right
         assert len(out[0]) == len(left) + len(mid) + len(right)
 
     @given(dna.filter(lambda s: len(s) >= 20))
@@ -126,5 +127,5 @@ class TestOrientationProperties:
         missing = genome[:5]
         # if a walk recovered exactly `missing`, apply_extensions restores
         ext_left = revcomp(missing)
-        out = apply_extensions({0: contig}, {(0, 0): ext_left})
-        assert out[0] == genome
+        out = apply_extensions(ContigSet([Contig(0, contig)]), {(0, 0): ext_left})
+        assert out[0].seq == genome

@@ -13,6 +13,7 @@ from repro.core.tasks import (
     apply_extensions,
     tasks_from_candidates,
 )
+from repro.sequence.contigs import Contig, ContigSet
 from repro.sequence.dna import encode, revcomp
 
 
@@ -87,8 +88,7 @@ class TestOrientation:
             left = Side("AACC")
             right = Side("GGTT")
 
-        seqs = {5: "ACGTACGT"}
-        ts = tasks_from_candidates(seqs, [Cand()])
+        ts = tasks_from_candidates(ContigSet([Contig(5, "ACGTACGT")]), [Cand()])
         assert len(ts) == 2
         left_task = next(t for t in ts if t.side == LEFT)
         right_task = next(t for t in ts if t.side == RIGHT)
@@ -100,15 +100,15 @@ class TestOrientation:
         assert right_task.packed_reads()[2] is Cand.right.lengths
 
     def test_apply_extensions_math(self):
-        seqs = {0: "CCCGGG"}
+        contigs = ContigSet([Contig(0, "CCCGGG", 2.5)])
         exts = {(0, LEFT): "AT", (0, RIGHT): "GG"}
-        out = apply_extensions(seqs, exts)
+        out = apply_extensions(contigs, exts)
         # left ext "AT" was walked on rc(contig); prepended as revcomp("AT")="AT"
-        assert out[0] == revcomp("AT") + "CCCGGG" + "GG"
+        assert list(out) == [Contig(0, revcomp("AT") + "CCCGGG" + "GG", 2.5)]
 
     def test_apply_extensions_empty(self):
-        out = apply_extensions({1: "ACGT"}, {})
-        assert out[1] == "ACGT"
+        out = apply_extensions(ContigSet([Contig(1, "ACGT")]), {})
+        assert list(out) == [Contig(1, "ACGT")]
 
     def test_left_extension_roundtrip(self):
         """Extending rc(contig) rightward by X means the original genome
@@ -118,8 +118,8 @@ class TestOrientation:
         missing = genome[:6]  # "TTAACC"
         # walking right on rc(contig) should produce revcomp(missing)
         ext_left = revcomp(missing)
-        out = apply_extensions({0: contig}, {(0, LEFT): ext_left})
-        assert out[0] == genome
+        out = apply_extensions(ContigSet([Contig(0, contig)]), {(0, LEFT): ext_left})
+        assert out[0].seq == genome
 
 
 class TestBinning:

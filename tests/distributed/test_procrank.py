@@ -375,9 +375,7 @@ class TestRankedLocalAssembly:
         merged, _ = merge_read_pairs(reads)
         contigs = generate_contigs(analyze_kmers(merged, 21))
         aln = align_reads(contigs, reads)
-        return tasks_from_candidates(
-            {c.cid: c.seq for c in contigs}, aln.candidates.values()
-        )
+        return tasks_from_candidates(contigs, aln.candidates.values())
 
     def test_extensions_identical_across_rank_counts(self, tasks):
         from repro.core.local_assembler import extend_tasks

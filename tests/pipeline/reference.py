@@ -23,6 +23,13 @@ moved onto ``SortedKmers`` (``count_kmers_reference``: two packing passes,
 a ``lexsort`` over word columns and ``np.add.at`` tallies;
 ``merge_spectra_reference``: the same grouping over concatenated shards).
 The spectra must be equal array for array.
+
+And the string contigs, as they were before ``ContigSet`` became one packed
+store: ``generate_contigs``' tail (decode both strands, ``min(seq,
+rc_seq)`` per contig), ``tasks_from_candidates`` (join + encode the
+contig strings) and ``apply_extensions`` (string concatenation into a
+``{cid: seq}`` dict), verbatim.  Tasks, final sequences and depths must
+be equal.
 """
 
 from __future__ import annotations
@@ -32,22 +39,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.tasks import LEFT, RIGHT
+from repro.core.tasks import LEFT, RIGHT, ExtensionTask, TaskSet
 from repro.pipeline.alignment import (
     MAX_READS_PER_END,
     AlnRows,
     BestPlacements,
     ReadAlignment,
-    _contig_len_of,
     recruit_flags,
 )
-from repro.pipeline.contigs import Contig, ContigSet
+from repro.sequence.contigs import Contig, ContigSet
 from repro.pipeline.insert_size import InsertSizeEstimate, median
 from repro.pipeline.scaffolding import Scaffold, ScaffoldingResult
 from repro.pipeline.kmer_analysis import ClassifiedKmers, ExtVerdict
 from repro.pipeline.kmer_counts import NO_EXT, KmerSpectrum
 from repro.pipeline.merge_reads import MergeStats, find_overlap
-from repro.sequence.dna import BASES, N_CODE, encode, revcomp, revcomp_codes
+from repro.sequence.dna import BASES, N_CODE, decode, encode, revcomp, revcomp_codes
 from repro.sequence.kmer import (
     pack_kmers,
     rows_less,
@@ -75,6 +81,9 @@ __all__ = [
     "best_placements",
     "count_kmers_reference",
     "merge_spectra_reference",
+    "canonical_contigs_reference",
+    "tasks_from_contig_strings_reference",
+    "apply_extensions_reference",
 ]
 
 _COMP = {"A": "T", "C": "G", "G": "C", "T": "A"}
@@ -218,7 +227,7 @@ def generate_contigs_reference(
     spec = classified.spectrum
     n = len(spec)
     visited = np.zeros(n, dtype=bool)
-    contigs = ContigSet()
+    contigs: list[Contig] = []
     cid = 0
 
     uu = np.nonzero(
@@ -243,9 +252,9 @@ def generate_contigs_reference(
         rc_seq = revcomp(seq)
         if rc_seq < seq:
             seq = rc_seq
-        contigs.add(Contig(cid=cid, seq=seq, depth=depth))
+        contigs.append(Contig(cid=cid, seq=seq, depth=depth))
         cid += 1
-    return contigs
+    return ContigSet(contigs)
 
 
 def merge_read_pairs_reference(
@@ -570,7 +579,7 @@ def materialise_alignment_reference(
     candidates = {c.cid: ContigCandidates(cid=c.cid) for c in contigs}
     if recruit_left is None or recruit_right is None:
         recruit_left, recruit_right = recruit_flags(
-            rows, reads.lengths(), _contig_len_of(contigs), max_reads_per_end
+            rows, reads.lengths(), contigs.lengths_by_cid(), max_reads_per_end
         )
     off = reads.offsets.astype(np.int64)
     nb = int(off[-1])
@@ -737,7 +746,7 @@ def build_scaffolds_reference(
     min_support: int = 2,
 ) -> ScaffoldingResult:
     """Per-pair link collection into dicts, then the same chain walk."""
-    by_id = contigs.by_id()
+    by_id = {c.cid: c for c in contigs}
     contig_len = {cid: len(c.seq) for cid, c in by_id.items()}
 
     def link_end(aln: ReadAlignment) -> int:
@@ -963,3 +972,65 @@ def merge_spectra_reference(shards: list[KmerSpectrum], k: int) -> KmerSpectrum:
     return KmerSpectrum(
         k=k, words=words[new_group], counts=m_counts, left_ext=m_left, right_ext=m_right
     )
+
+
+# -- contigs as strings --------------------------------------------------------
+
+
+def canonical_contigs_reference(
+    codes: np.ndarray, offsets: np.ndarray, depth: np.ndarray
+) -> ContigSet:
+    """``generate_contigs``' tail over its flat codes: two full decodes and
+    one ``min(seq, rc_seq)`` per contig."""
+    # Reverse complement of every contig in the same flat layout.
+    mirrored = np.repeat(offsets[:-1] + offsets[1:] - 1, np.diff(offsets)) - np.arange(codes.size)
+    fwd_text, rc_text = decode(codes), decode(3 - codes[mirrored])
+
+    contigs: list[Contig] = []
+    bounds = offsets.tolist()
+    for cid, d in enumerate(depth.tolist()):
+        a, b = bounds[cid], bounds[cid + 1]
+        seq, rc_seq = fwd_text[a:b], rc_text[a:b]
+        # Canonical orientation: deterministic output regardless of strand.
+        contigs.append(Contig(cid=cid, seq=min(seq, rc_seq), depth=d))
+    return ContigSet(contigs)
+
+
+def tasks_from_contig_strings_reference(contig_seqs, candidates) -> TaskSet:
+    """Tasks from a ``{cid: seq}`` dict: one join + encode of the strings."""
+    cands = list(candidates)
+    seqs = [contig_seqs[c.cid] for c in cands]
+    # one encode and one reverse complement for the whole contig set; the
+    # revcomp of the concatenation holds contig i at the mirrored offsets
+    codes = encode("".join(seqs))
+    rc = revcomp_codes(codes)
+    codes.setflags(write=False)
+    rc.setflags(write=False)
+    end = np.cumsum([len(s) for s in seqs]).tolist()
+    total = end[-1] if end else 0
+    tasks: list[ExtensionTask] = []
+    for cand, start, stop in zip(cands, [0] + end, end):
+        left, right = cand.left, cand.right
+        tasks.append(
+            ExtensionTask(
+                cand.cid, LEFT, rc[total - stop : total - start],
+                left.bases, left.quals, left.lengths,
+            )
+        )
+        tasks.append(
+            ExtensionTask(
+                cand.cid, RIGHT, codes[start:stop],
+                right.bases, right.quals, right.lengths,
+            )
+        )
+    return TaskSet(tasks)
+
+
+def apply_extensions_reference(contig_seqs, extensions) -> dict[int, str]:
+    """``revcomp(ext_left) + contig + ext_right`` per cid, as strings."""
+    out: dict[int, str] = {}
+    for cid, seq in contig_seqs.items():
+        ext_l = extensions.get((cid, LEFT), "")
+        ext_r = extensions.get((cid, RIGHT), "")
+        out[cid] = revcomp(ext_l) + seq + ext_r
+    return out

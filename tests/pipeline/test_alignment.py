@@ -10,7 +10,7 @@ import pytest
 from reference import SeedIndex
 
 from repro.pipeline.alignment import align_reads
-from repro.pipeline.contigs import Contig, ContigSet
+from repro.sequence.contigs import Contig, ContigSet
 from repro.sequence.dna import decode, random_dna, revcomp
 from repro.sequence.read import ReadBatch
 

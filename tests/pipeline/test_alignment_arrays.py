@@ -33,7 +33,7 @@ from repro.pipeline.alignment import (
     materialise_alignment,
 )
 from repro.pipeline.contig_generation import generate_contigs
-from repro.pipeline.contigs import Contig, ContigSet
+from repro.sequence.contigs import Contig, ContigSet
 from repro.pipeline.insert_size import estimate_insert_size
 from repro.pipeline.kmer_analysis import analyze_kmers
 from repro.pipeline.merge_reads import merge_read_pairs
@@ -78,7 +78,7 @@ def assert_matches_object_path(rows, contigs, reads, cap=MAX_READS_PER_END):
     # tasks
     seqs = {c.cid: c.seq for c in contigs}
     want_tasks = tasks_from_candidates_reference(seqs, ref.candidates.values())
-    tasks = tasks_from_candidates(seqs, got.candidates.values())
+    tasks = tasks_from_candidates(contigs, got.candidates.values())
     assert len(tasks) == len(want_tasks)
     for t, w in zip(tasks, want_tasks):
         assert (t.cid, t.side, t.n_reads) == (w.cid, w.side, w.n_reads)
@@ -253,8 +253,7 @@ def test_pipeline_tasks_are_read_only(community_reads):
     alignment result, so a write into one must raise."""
     contigs, reads = community_reads
     aln = align_reads(contigs, reads)
-    seqs = {c.cid: c.seq for c in contigs}
-    tasks = tasks_from_candidates(seqs, aln.candidates.values())
+    tasks = tasks_from_candidates(contigs, aln.candidates.values())
     for side in (0, 1):
         t = next(t for t in tasks if t.side == side and t.n_reads)
         for a in (t.contig, *t.packed_reads()):
@@ -264,13 +263,12 @@ def test_pipeline_tasks_are_read_only(community_reads):
 
 def _objects_made(contigs, reads) -> int:
     """gc-tracked objects alive after ``align_reads`` + task building."""
-    seqs = {c.cid: c.seq for c in contigs}
     gc.collect()
     gc.disable()
     try:
         before = len(gc.get_objects())
         aln = align_reads(contigs, reads)
-        tasks = tasks_from_candidates(seqs, aln.candidates.values())
+        tasks = tasks_from_candidates(contigs, aln.candidates.values())
         made = len(gc.get_objects()) - before
     finally:
         gc.enable()
@@ -307,7 +305,7 @@ def test_array_result_matches_object_path_and_is_4x_cheaper(
 
     def arrays():
         aln = materialise_alignment(rows, contigs, reads)
-        for t in tasks_from_candidates(seqs, aln.candidates.values()):
+        for t in tasks_from_candidates(contigs, aln.candidates.values()):
             t.packed_reads()
         aln.best_by_read()
 

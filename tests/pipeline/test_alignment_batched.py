@@ -22,7 +22,7 @@ from repro.pipeline.alignment import (
     align_reads,
 )
 from repro.pipeline.contig_generation import generate_contigs
-from repro.pipeline.contigs import Contig, ContigSet
+from repro.sequence.contigs import Contig, ContigSet
 from repro.pipeline.kmer_analysis import analyze_kmers
 from repro.pipeline.merge_reads import merge_read_pairs
 from repro.sequence.community import arcticsynth_like, sample_paired_reads

@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.pipeline.alignment import align_reads
-from repro.pipeline.contigs import Contig, ContigSet
+from repro.sequence.contigs import Contig, ContigSet
 from repro.sequence.dna import decode, random_dna, revcomp
 from repro.sequence.read import ReadBatch
 

@@ -15,8 +15,9 @@ from repro.pipeline.checkpoint import (
     load_contigs_checkpoint,
     save_contigs_checkpoint,
 )
-from repro.pipeline.contigs import Contig, ContigSet
+from repro.sequence.contigs import Contig, ContigSet
 from repro.sequence.community import arcticsynth_like, sample_paired_reads
+from repro.sequence.dna import encode
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +178,41 @@ class TestCorruptionInjection:
             bases=np.zeros(4, dtype=np.uint8),
             key=key,
         )
+        assert load_contigs_checkpoint(ckpt, "kA") is None
+
+
+class TestCorruptLayoutRecomputes:
+    """A checkpoint whose arrays still load but describe a different
+    assembly — offsets past the bases, a repeated cid, a code above N —
+    is rejected by the packed constructor and recomputed."""
+
+    SAVED = ContigSet([Contig(0, "ACGTACGTAC"), Contig(1, "GGGTTTCCCAAA")])
+
+    def _rewrite(self, directory, **override):
+        path = directory / "contigs_checkpoint.npz"
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays.update(override)
+        np.savez_compressed(path, **arrays)
+
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        save_contigs_checkpoint(tmp_path, self.SAVED, "kA", 3)
+        assert load_contigs_checkpoint(tmp_path, "kA") is not None
+        return tmp_path
+
+    def test_offsets_past_the_bases(self, ckpt):
+        self._rewrite(ckpt, offsets=np.array([0, 25, 22], dtype=np.int64))
+        assert load_contigs_checkpoint(ckpt, "kA") is None
+
+    def test_duplicate_cids(self, ckpt):
+        self._rewrite(ckpt, cids=np.array([0, 0], dtype=np.int64))
+        assert load_contigs_checkpoint(ckpt, "kA") is None
+
+    def test_base_code_above_n(self, ckpt):
+        bases = encode("ACGTACGTACGGGTTTCCCAAA")
+        bases[3] = 9
+        self._rewrite(ckpt, bases=bases)
         assert load_contigs_checkpoint(ckpt, "kA") is None
 
 

@@ -5,7 +5,7 @@ import pytest
 from reference import best_placements
 
 from repro.pipeline.alignment import ReadAlignment, align_reads
-from repro.pipeline.contigs import Contig, ContigSet
+from repro.sequence.contigs import Contig, ContigSet
 from repro.pipeline.insert_size import estimate_insert_size, median
 from repro.sequence.community import Community, CommunityDesign, sample_paired_reads
 from repro.sequence.error_model import PERFECT

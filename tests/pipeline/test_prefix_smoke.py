@@ -1,8 +1,11 @@
 """Tier-1 miniature of the end-to-end claim for the de Bruijn prefix.
 
 The e2e benchmark shows the array stages' gain on whole runs; this keeps a
-silent fall back to per-k-mer or per-pair work from passing CI.
+silent fall back to per-k-mer or per-pair work from passing CI, and a
+fall back to one string per contig inside ``run_pipeline``.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from repro.pipeline import kmer_counts
 from repro.pipeline.contig_generation import generate_contigs
 from repro.pipeline.kmer_analysis import analyze_kmers
 from repro.pipeline.merge_reads import merge_read_pairs
+from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 from repro.sequence.community import arcticsynth_like, sample_paired_reads
+from repro.sequence.contigs import Contig
 
 
 def _smoke_reads():
@@ -75,3 +80,38 @@ def test_count_kmers_packs_once(monkeypatch, k):
     assert calls == [k]
     for name in ("words", "counts", "left_ext", "right_ext"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+#: ``run_pipeline``'s output digest on the smoke reads (the e2e runner's
+#: ``result_digest``), from the string-contig pipeline that built 62 and
+#: 83 ``Contig`` objects on the way
+SMOKE_DIGESTS = {
+    (21,): "075dddd9144678bd09cea6c8738b56afa0e6ec049e445301a247ede5116abc7e",
+    (21, 33): "88497cdd577d961a7d5029179633591400977b7bc49ba15719f320c423df177f",
+}
+
+
+@pytest.mark.bench_smoke
+@pytest.mark.parametrize("k_series", list(SMOKE_DIGESTS))
+def test_pipeline_makes_no_contig_objects(monkeypatch, k_series):
+    """Contigs stay packed from the de Bruijn graph to the result; only
+    output (FASTA, this digest) makes per-contig records."""
+    reads = _smoke_reads()
+    made = []
+    init = Contig.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Contig, "__init__", counted)
+    result = run_pipeline(reads, PipelineConfig(k_series=k_series))
+    assert len(made) == 0
+    monkeypatch.undo()
+
+    h = hashlib.sha256()
+    for c in result.contigs:
+        h.update(f"C{c.cid}\t{c.seq}\t{c.depth!r}\n".encode())
+    for s in result.scaffolds.scaffolds:
+        h.update(f"S{s.sid}\t{s.seq}\t{s.contig_ids}\n".encode())
+    assert h.hexdigest() == SMOKE_DIGESTS[k_series]

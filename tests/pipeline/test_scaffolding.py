@@ -5,7 +5,7 @@ import pytest
 from reference import best_placements
 
 from repro.pipeline.alignment import ReadAlignment
-from repro.pipeline.contigs import Contig, ContigSet
+from repro.sequence.contigs import Contig, ContigSet
 from repro.pipeline.scaffolding import LEFT, RIGHT, build_scaffolds
 from repro.sequence.dna import random_dna, revcomp
 

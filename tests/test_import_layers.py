@@ -161,6 +161,8 @@ _UNWIRED_ON_PURPOSE = {
     "repro._version",  # read by the package root, which the walk does not expand
     "repro.analysis.validation",  # benchmarks/e2e/child.py's quality scorer
     "repro.gpusim.roofline",  # benchmarks/bench_fig08_09_roofline.py (Fig 8-9)
+    # re-export for benchmarks/e2e/trace.py's import; ROADMAP 1(c) deletes it
+    "repro.pipeline.contigs",
 }
 
 
