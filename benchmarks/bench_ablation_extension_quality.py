@@ -65,12 +65,12 @@ def bench_ablation_extension_quality(benchmark):
             exts, _ = run_local_assembly_cpu(tasks, cfg)
             total = 0
             correct = 0
-            for (cid, _side), ext in exts.items():
-                truth = truths[cid]
-                total += len(ext)
-                correct += sum(
-                    1 for a, b in zip(ext, truth) if a == b
-                )
+            bounds = exts.offsets.tolist()
+            for i, cid in enumerate(exts.cids.tolist()):
+                ext = exts.codes[bounds[i] : bounds[i + 1]]
+                truth = encode(truths[cid][: ext.size])
+                total += ext.size
+                correct += int(np.count_nonzero(ext[: truth.size] == truth))
             out[(min_viable, dom)] = (total, correct)
         return out
 

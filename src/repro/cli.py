@@ -316,23 +316,27 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
     print(f"loaded {len(reads):,} reads from {args.reads}")
 
     rankcheck = args.sanitize == "rankcheck"
-    config = PipelineConfig(
-        k_series=tuple(args.k),
-        min_kmer_count=args.min_kmer_count,
-        kmer_ranks=args.ranks,
-        kmer_sanitize="rankcheck" if rankcheck else "off",
-        aln_ranks=args.aln_ranks,
-        local_assembly_mode=args.mode,
-        local_assembly=LocalAssemblyConfig(max_reads_per_end=args.max_reads_per_end),
-        local_assembly_engine=args.engine,
-        local_assembly_sanitize="off" if rankcheck else args.sanitize,
-        local_assembly_overlap=args.overlap,
-        local_assembly_prefetch=args.prefetch,
-        local_assembly_batch_cap=args.batch_cap,
-        local_assembly_mem_budget=args.mem_budget,
-        local_assembly_profile_host=args.profile_host,
-        run_scaffolding=not args.no_scaffold,
-    )
+    try:
+        config = PipelineConfig(
+            k_series=tuple(args.k),
+            min_kmer_count=args.min_kmer_count,
+            kmer_ranks=args.ranks,
+            kmer_sanitize="rankcheck" if rankcheck else "off",
+            aln_ranks=args.aln_ranks,
+            local_assembly_mode=args.mode,
+            local_assembly=LocalAssemblyConfig(max_reads_per_end=args.max_reads_per_end),
+            local_assembly_engine=args.engine,
+            local_assembly_sanitize="off" if rankcheck else args.sanitize,
+            local_assembly_overlap=args.overlap,
+            local_assembly_prefetch=args.prefetch,
+            local_assembly_batch_cap=args.batch_cap,
+            local_assembly_mem_budget=args.mem_budget,
+            local_assembly_profile_host=args.profile_host,
+            run_scaffolding=not args.no_scaffold,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     args.out.mkdir(parents=True, exist_ok=True)
     ckpt = str(args.out) if args.checkpoint else None
     result = run_pipeline(reads, config, times=times, checkpoint_dir=ckpt)
@@ -441,8 +445,12 @@ def _cmd_localassm(args: argparse.Namespace) -> int:
     from repro.core.dump import load_tasks
     from repro.core.local_assembler import extend_tasks
 
-    tasks = load_tasks(args.dump)
-    config = LocalAssemblyConfig(k_init=args.k_init)
+    try:
+        tasks = load_tasks(args.dump)
+        config = LocalAssemblyConfig(k_init=args.k_init)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     bins = bin_contigs(tasks, config)
     f1, f2, f3 = bins.fractions()
     print(f"{len(tasks)} tasks; bins: {100*f1:.1f}% / {100*f2:.1f}% / {100*f3:.2f}%")
@@ -575,6 +583,9 @@ def _cmd_submit(args: argparse.Namespace) -> int:
         except AdmissionError as exc:
             print(f"rejected: {exc}", file=sys.stderr)
             return 3
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     print(job.job_id)
     return 0
 

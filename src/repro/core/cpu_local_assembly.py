@@ -38,15 +38,18 @@ is ever a Python object.  All tasks of a block advance together:
 This is also the *oracle* for the GPU path: the differential tests require
 ``gpu_extension == cpu_extension`` for every task.  Its own oracle is the
 scalar dict/bytearray implementation it replaced, kept in
-``tests/core/la_reference.py``; extensions (and their dict order), every
-``CpuAssemblyStats`` field and every ``WalkRound`` are bit-identical.
+``tests/core/la_reference.py``; extensions (one packed
+:class:`~repro.core.tasks.ExtensionSet` in task order, never a string),
+every ``CpuAssemblyStats`` field and every ``WalkRound`` are
+bit-identical.
 Workload statistics (inserts, walk steps, rounds) are collected because
 the Summit-scale model consumes them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -58,7 +61,7 @@ from repro.core.extension import (
     classify_extensions,
     kshift_next,
 )
-from repro.core.tasks import ExtensionTask, TaskSet
+from repro.core.tasks import ExtensionSet, ExtensionTask, TaskSet
 from repro.sequence.dna import N_CODE, decode
 from repro.sequence.kmer import SortedKmers, pack_kmers, successor_kmers, valid_kmer_mask
 
@@ -109,12 +112,6 @@ class CpuAssemblyStats:
     n_inserts: int = 0
     n_walk_steps: int = 0
     n_rounds: int = 0
-    n_extended: int = 0
-    total_extension_bases: int = 0
-    walk_lengths: list[int] = field(default_factory=list)
-
-    def mean_walk_length(self) -> float:
-        return float(np.mean(self.walk_lengths)) if self.walk_lengths else 0.0
 
 
 @dataclass(frozen=True)
@@ -240,8 +237,9 @@ def _extend_block(
     tasks: Sequence[ExtensionTask],
     config: LocalAssemblyConfig,
     stats: CpuAssemblyStats | None = None,
-) -> list[TaskResult]:
-    """Run the k-shift machine for every task of one block, wave by wave."""
+) -> tuple[list[list[int]], list[list[WalkRound]]]:
+    """Run the k-shift machine for every task of one block, wave by wave;
+    returns every task's extension codes and rounds."""
     if stats is None:
         stats = CpuAssemblyStats()
     ext: list[list[int]] = [[] for _ in tasks]
@@ -272,15 +270,7 @@ def _extend_block(
                     del states[i]
                 else:
                     states[i] = state
-    return [
-        TaskResult(
-            cid=t.cid,
-            side=t.side,
-            extension=decode(np.array(e, dtype=np.uint8)) if e else "",
-            rounds=tuple(r),
-        )
-        for t, e, r in zip(tasks, ext, rounds)
-    ]
+    return ext, rounds
 
 
 def _blocks(tasks: TaskSet) -> Iterator[list[ExtensionTask]]:
@@ -305,23 +295,21 @@ def extend_task_cpu(
     stats: CpuAssemblyStats | None = None,
 ) -> TaskResult:
     """Run the full k-shift loop for one task (a block of one)."""
-    return _extend_block([task], config, stats)[0]
+    (ext,), (rounds,) = _extend_block([task], config, stats)
+    return TaskResult(task.cid, task.side, decode(np.array(ext, np.uint8)), tuple(rounds))
 
 
 def run_local_assembly_cpu(
     tasks: TaskSet, config: LocalAssemblyConfig | None = None
-) -> tuple[dict[tuple[int, int], str], CpuAssemblyStats]:
-    """Extend every task; returns ``{(cid, side): extension}`` + stats."""
+) -> tuple[ExtensionSet, CpuAssemblyStats]:
+    """Extend every task; returns the extensions (row *i* is task *i*) and
+    the workload statistics."""
     config = config or LocalAssemblyConfig()
     stats = CpuAssemblyStats(n_tasks=len(tasks))
-    extensions: dict[tuple[int, int], str] = {}
+    walks: list[list[int]] = []
     for block in _blocks(tasks):
-        for task, result in zip(block, _extend_block(block, config, stats)):
-            extensions[(task.cid, task.side)] = result.extension
-            if task.n_reads:
-                stats.n_tasks_with_reads += 1
-            if result.extension:
-                stats.n_extended += 1
-                stats.total_extension_bases += len(result.extension)
-                stats.walk_lengths.append(len(result.extension))
-    return extensions, stats
+        walks += _extend_block(block, config, stats)[0]
+    stats.n_tasks_with_reads = sum(1 for t in tasks if t.n_reads)
+    lengths = np.fromiter(map(len, walks), np.int64, len(walks))
+    codes = np.fromiter(chain.from_iterable(walks), np.uint8, int(lengths.sum()))
+    return ExtensionSet.of(tasks, codes, lengths), stats

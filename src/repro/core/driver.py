@@ -4,7 +4,8 @@ The driver owns everything outside the kernels: contig binning, exact
 hash-table sizing, batching under the device memory budget, packing tasks
 into flat device buffers, launching per-bin kernels (bin 3 — the few
 contigs with the most reads — first, so the GPU always has its largest
-work set available), and unpacking extension results.
+work set available), and unpacking extension results into one packed
+:class:`~repro.core.tasks.ExtensionSet` in task order.
 
 One single-threaded batch loop runs every mode; ``overlap`` decides what
 the *modelled* stream timeline makes of it (placement there follows the
@@ -71,13 +72,12 @@ from repro.core.extension_kernel import (
 import repro.core.extension_kernel_batched  # noqa: F401  (registers the batched v2 impl)
 from repro.core.gpu_batch import fuse_staged, stage_batch, upload_batch
 from repro.core.ht_sizing import plan_batches
-from repro.core.tasks import TaskSet
+from repro.core.tasks import ExtensionSet, TaskSet, _concat
 from repro.gpusim.batched import batched_impl
 from repro.gpusim.counters import KernelCounters
 from repro.gpusim.device import V100, DeviceSpec
 from repro.gpusim.kernel import GpuContext, LaunchResult
 from repro.perf import HostProfiler
-from repro.sequence.dna import decode
 
 __all__ = ["GpuLocalAssemblyReport", "GpuLocalAssembler"]
 
@@ -100,7 +100,7 @@ COPY_STREAMS = 2
 class GpuLocalAssemblyReport:
     """Everything measured during one GPU local-assembly run."""
 
-    extensions: dict[tuple[int, int], str]
+    extensions: ExtensionSet
     bins: ContigBins
     launches: list[LaunchResult] = field(default_factory=list)
     n_batches: int = 0
@@ -166,9 +166,6 @@ class GpuLocalAssemblyReport:
         for l in self.launches:
             merged.merge(l.counters)
         return merged
-
-    def n_extended(self) -> int:
-        return sum(1 for e in self.extensions.values() if e)
 
 
 class GpuLocalAssembler:
@@ -266,19 +263,10 @@ class GpuLocalAssembler:
 
     def run(self, tasks: TaskSet) -> GpuLocalAssemblyReport:
         """Extend every task; returns the report with all measurements."""
-        cfg = self.config
-        bins = bin_contigs(tasks, cfg)
-        extensions: dict[tuple[int, int], str] = {}
-
-        tasks_by_cid: dict[int, list[int]] = defaultdict(list)
-        for i, t in enumerate(tasks):
-            tasks_by_cid[t.cid].append(i)
-
-        # Bin 1: zero candidate reads — never offloaded (§3.1).
-        for cid in bins.bin1:
-            for i in tasks_by_cid[cid]:
-                extensions[(tasks[i].cid, tasks[i].side)] = ""
-
+        bins = bin_contigs(tasks, self.config)
+        # task i's copied-back extension codes; bin 1 (zero candidate
+        # reads) is never offloaded (§3.1) and keeps its empty one
+        spans = [np.empty(0, dtype=np.uint8)] * len(tasks)
         # A sanitized run keeps every op individually attributable: serialise.
         overlap_on = self.overlap == "on" and self.sanitize == "off"
         ctx = GpuContext(
@@ -288,34 +276,30 @@ class GpuLocalAssembler:
             overlap="on" if overlap_on else "off",
         )
         prof = HostProfiler(enabled=self.profile_host)
-        report = GpuLocalAssemblyReport(
-            extensions=extensions,
+        work = self._plan_work(tasks, bins, overlap_on)
+        n_batches = self._run_batches(ctx, tasks, work, spans, prof)
+        return GpuLocalAssemblyReport(
+            extensions=ExtensionSet.of(tasks, _concat(spans), [s.size for s in spans]),
             bins=bins,
+            launches=list(ctx.launches),
+            n_batches=n_batches,
+            transfer_time_s=ctx.transfer_time_s,
+            transfer_bytes=ctx.transfer_bytes,
+            h2d_bytes=ctx.h2d_bytes,
+            d2h_bytes=ctx.d2h_bytes,
+            high_water_bytes=ctx.allocator.high_water_bytes,
             overlap="on" if overlap_on else "off",
+            critical_path_s=ctx.synchronize(),
+            timeline=ctx.timeline,
+            sanitizer=ctx.sanitizer_report(),
             host_profile=prof if self.profile_host else None,
         )
 
-        work = self._plan_work(tasks, bins, tasks_by_cid, overlap_on)
-        self._run_batches(ctx, work, extensions, report, prof)
-
-        report.launches = list(ctx.launches)
-        report.transfer_time_s = ctx.transfer_time_s
-        report.transfer_bytes = ctx.transfer_bytes
-        report.h2d_bytes = ctx.h2d_bytes
-        report.d2h_bytes = ctx.d2h_bytes
-        report.high_water_bytes = ctx.allocator.high_water_bytes
-        report.critical_path_s = ctx.synchronize()
-        report.timeline = ctx.timeline
-        report.sanitizer = ctx.sanitizer_report()
-        return report
-
     # -- batch planning ----------------------------------------------------------
 
-    def _plan_work(
-        self, tasks, bins, tasks_by_cid, overlap_on: bool
-    ) -> list[tuple[str, list, str]]:
-        """The launch schedule: ``(bin_name, batch_tasks, label)`` rows,
-        bin 3 first (§4.3: the GPU fares best with the most work).
+    def _plan_work(self, tasks, bins, overlap_on: bool) -> list[tuple[str, list[int], str]]:
+        """The launch schedule: ``(bin_name, batch_task_indices, label)``
+        rows, bin 3 first (§4.3: the GPU fares best with the most work).
 
         The overlapped pipeline needs at least two batches in flight to
         hide anything, and at most ``prefetch + 1`` of them resident on
@@ -330,12 +314,15 @@ class GpuLocalAssembler:
         parts = self.prefetch + 1
         if overlap_on:
             budget //= parts
-        work: list[tuple[str, list, str]] = []
+        tasks_by_cid: dict[int, list[int]] = defaultdict(list)
+        for i, t in enumerate(tasks):
+            tasks_by_cid[t.cid].append(i)
+        work: list[tuple[str, list[int], str]] = []
         for bin_name, cids in (("bin3", bins.bin3), ("bin2", bins.bin2)):
-            bin_tasks = [tasks[i] for cid in cids for i in tasks_by_cid[cid]]
-            if not bin_tasks:
+            bin_ids = [i for cid in cids for i in tasks_by_cid[cid]]
+            if not bin_ids:
                 continue
-            planned = plan_batches(bin_tasks, budget)
+            planned = plan_batches([tasks[i] for i in bin_ids], budget)
             if self.batch_cap is not None:
                 cap = self.batch_cap
                 planned = [
@@ -347,7 +334,7 @@ class GpuLocalAssembler:
                 planned = _split_even(planned[0], parts)
             for k, batch_ids in enumerate(planned):
                 work.append(
-                    (bin_name, [bin_tasks[i] for i in batch_ids], f"{bin_name}.{k}")
+                    (bin_name, [bin_ids[i] for i in batch_ids], f"{bin_name}.{k}")
                 )
         return work
 
@@ -360,8 +347,9 @@ class GpuLocalAssembler:
 
     # -- the batch loop ----------------------------------------------------------
 
-    def _run_batches(self, ctx: GpuContext, work, extensions, report, prof) -> None:
-        """Stage, upload, launch, unpack, free — one wave at a time.
+    def _run_batches(self, ctx: GpuContext, tasks, work, spans, prof) -> int:
+        """Stage, upload, launch, unpack, free — one wave at a time;
+        returns the number of batches.
 
         A wave is one batch, except on an overlapped, unsanitized
         batched-engine run, where up to ``prefetch + 1`` same-bin batches
@@ -382,19 +370,21 @@ class GpuLocalAssembler:
             and batched_impl(kernel) is not None
         )
         wave_size = self.prefetch + 1 if fused_ok else 1
+        n_batches = 0
         for w, wave in enumerate(_plan_waves(work, wave_size)):
             bin_name = wave[0][0]
             labels = [label for _, _, label in wave]
-            sub_tasks = [len(batch_tasks) for _, batch_tasks, _ in wave]
+            sub_tasks = [len(ids) for _, ids, _ in wave]
+            wave_ids = [i for _, ids, _ in wave for i in ids]
             wave_label = labels[0]
             if len(wave) > 1:
                 wave_label += f"+{len(wave) - 1}"
             copy = ctx.stream(f"copy{w % COPY_STREAMS}")
             parts, staged_evs = [], []
-            for _, batch_tasks, label in wave:
+            for _, ids, label in wave:
                 with ctx.timeline.host_slice(f"stage {label}", _STAGE_LANE) as st:
                     with prof.phase("stage", label):
-                        part = stage_batch(batch_tasks, self.config)
+                        part = stage_batch([tasks[i] for i in ids], self.config)
                 parts.append(part)
                 staged_evs.append(st.event)
             staged = parts[0]
@@ -424,21 +414,24 @@ class GpuLocalAssembler:
                 deps = (ev_kernel,)
                 with prof.phase("unpack", label):
                     self._unpack(
-                        ctx, batch, staged, extensions, copy, ev_kernel,
+                        ctx, batch, staged, spans, wave_ids, copy, ev_kernel,
                         label, lo, lo + n_sub,
                     )
                 lo += n_sub
             with prof.phase("free", labels[-1]):
                 ctx.allocator.reset()
-            report.n_batches += len(wave)
+            n_batches += len(wave)
+        return n_batches
 
     # -- unpacking ---------------------------------------------------------------
 
     def _unpack(
-        self, ctx, batch, staged, extensions, copy_stream, ev_kernel, label,
-        lo: int, hi: int,
+        self, ctx, batch, staged, spans, wave_ids, copy_stream, ev_kernel,
+        label, lo: int, hi: int,
     ) -> None:
-        """Copy back only the per-task extension spans and decode them.
+        """Copy back only the per-task extension spans, each into its
+        task's slot of *spans* (``wave_ids[j]`` is the task index of the
+        wave's task *j*); the kernel already wrote codes.
 
         The kernel appends the extension at ``[init_len, seq_len)`` of
         each task's region in ``seq_buf``; everything else (the contig
@@ -453,7 +446,7 @@ class GpuLocalAssembler:
             )
             for j in range(lo, hi)
         ]
-        spans, ev_spans = ctx.from_device_regions_async(
+        copied, ev_spans = ctx.from_device_regions_async(
             batch.seq_buf, regions, copy_stream,
             f"D2H ext {label}", (ev_kernel,),
         )
@@ -464,9 +457,8 @@ class GpuLocalAssembler:
         with ctx.timeline.host_slice(
             f"unpack {label}", _DRIVE_LANE, deps=(ev_spans, ev_len)
         ):
-            for j in range(lo, hi):
-                task = batch.tasks[j]
-                extensions[(task.cid, task.side)] = decode(spans[j - lo])
+            for j, span in zip(wave_ids[lo:hi], copied):
+                spans[j] = span
 
 
 def _split_even(ids: list[int], parts: int) -> list[list[int]]:

@@ -18,6 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.tasks import ExtensionTask, TaskSet, _concat
+from repro.sequence.dna import N_CODE
+from repro.sequence.read import check_offsets
 
 __all__ = ["save_tasks", "load_tasks", "DUMP_FORMAT_VERSION"]
 
@@ -49,7 +51,8 @@ def save_tasks(path: str | Path, tasks: TaskSet) -> None:
 
 def load_tasks(path: str | Path) -> TaskSet:
     """Load a task set saved by :func:`save_tasks`; every task's arrays
-    are read-only slices of the dump's flat arrays."""
+    are read-only slices of the dump's flat arrays.  A dump whose arrays
+    do not describe a task set raises ``ValueError`` naming the field."""
     with np.load(path) as data:
         version = int(data["version"])
         if version != DUMP_FORMAT_VERSION:
@@ -57,14 +60,31 @@ def load_tasks(path: str | Path) -> TaskSet:
                 f"unsupported dump version {version} "
                 f"(expected {DUMP_FORMAT_VERSION})"
             )
-        cids = data["cids"].tolist()
-        sides = data["sides"].tolist()
-        contig_offsets = data["contig_offsets"].tolist()
+        cids = data["cids"]
+        sides = data["sides"]
+        contig_offsets = data["contig_offsets"]
         contigs = data["contigs"]
-        task_read_start = data["task_read_start"].tolist()
+        task_read_start = data["task_read_start"]
         read_offsets = data["read_offsets"]
         reads = data["reads"]
         quals = data["quals"]
+
+    n = cids.size
+    if not sides.size == contig_offsets.size - 1 == task_read_start.size - 1 == n:
+        raise ValueError(
+            f"{n} cids need as many sides and n + 1 "
+            "contig_offsets and task_read_start"
+        )
+    check_offsets(contig_offsets, contigs.size, "contig_offsets")
+    check_offsets(read_offsets, reads.size, "read_offsets")
+    check_offsets(task_read_start, read_offsets.size - 1, "task_read_start")
+    if quals.size != reads.size:
+        raise ValueError(f"{quals.size} quals for {reads.size} read bases")
+    for name, codes in (("contigs", contigs), ("reads", reads)):
+        if codes.max(initial=0) > N_CODE:
+            raise ValueError(f"{name} holds base code {codes.max()}")
+    cids, sides = cids.tolist(), sides.tolist()
+    contig_offsets, task_read_start = contig_offsets.tolist(), task_read_start.tolist()
 
     read_lens = np.diff(read_offsets)
     for a in (contigs, reads, quals, read_lens):

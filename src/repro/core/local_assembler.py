@@ -3,7 +3,8 @@
 ``extend_tasks`` takes a prepared task set (one task per contig end with
 its candidate reads, :func:`repro.core.tasks.tasks_from_candidates`), runs
 either the CPU reference or the (simulated) GPU implementation, and
-returns the per-end extensions along with a mode-appropriate report;
+returns the extensions (one packed :class:`~repro.core.tasks.ExtensionSet`,
+row *i* for task *i*) along with a mode-appropriate report;
 :func:`repro.core.tasks.apply_extensions` appends them to the contigs.
 """
 
@@ -15,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro.core.config import LocalAssemblyConfig
 from repro.core.cpu_local_assembly import CpuAssemblyStats, run_local_assembly_cpu
-from repro.core.tasks import TaskSet
+from repro.core.tasks import ExtensionSet, TaskSet
 
 if TYPE_CHECKING:
     # the GPU driver and the simulator load in the ``mode == "gpu"``
@@ -56,10 +57,11 @@ def extend_tasks(
     batch_cap: int | None = None,
     mem_budget: int | None = None,
     profile_host: bool = False,
-) -> tuple[dict[tuple[int, int], str], LocalAssemblyReport]:
+) -> tuple[ExtensionSet, LocalAssemblyReport]:
     """Run local assembly over a prepared task set.
 
-    Returns ``({(cid, side): extension}, report)``.  GPU and CPU modes
+    Returns ``(extensions, report)``; the report's extension counts are
+    read off the set, the same way for both modes.  GPU and CPU modes
     produce identical extensions by construction.  *device* (GPU mode
     only) defaults to the V100.  *workers* accepts only 1 and *streams*
     only 2.
@@ -70,19 +72,10 @@ def extend_tasks(
         raise ValueError(f"streams must be 2, got {streams!r}")
     config = config or LocalAssemblyConfig()
     t0 = time.perf_counter()
+    stats = gpu = None
     if mode == "cpu":
         extensions, stats = run_local_assembly_cpu(tasks, config)
-        wall = time.perf_counter() - t0
-        report = LocalAssemblyReport(
-            mode="cpu",
-            n_tasks=len(tasks),
-            n_extended=stats.n_extended,
-            total_extension_bases=stats.total_extension_bases,
-            wall_time_s=wall,
-            cpu_stats=stats,
-        )
-        return extensions, report
-    if mode == "gpu":
+    elif mode == "gpu":
         from repro.core.driver import GpuLocalAssembler
         from repro.gpusim.device import V100
 
@@ -99,15 +92,16 @@ def extend_tasks(
             profile_host=profile_host,
         )
         gpu = assembler.run(tasks)
-        wall = time.perf_counter() - t0
-        report = LocalAssemblyReport(
-            mode="gpu",
-            n_tasks=len(tasks),
-            n_extended=gpu.n_extended(),
-            total_extension_bases=sum(len(e) for e in gpu.extensions.values()),
-            wall_time_s=wall,
-            gpu_report=gpu,
-        )
-        return gpu.extensions, report
-    raise ValueError(f"mode must be 'cpu' or 'gpu', got {mode!r}")
-
+        extensions = gpu.extensions
+    else:
+        raise ValueError(f"mode must be 'cpu' or 'gpu', got {mode!r}")
+    report = LocalAssemblyReport(
+        mode=mode,
+        n_tasks=len(tasks),
+        n_extended=int((extensions.lengths() > 0).sum()),
+        total_extension_bases=extensions.codes.size,
+        wall_time_s=time.perf_counter() - t0,
+        cpu_stats=stats,
+        gpu_report=gpu,
+    )
+    return extensions, report

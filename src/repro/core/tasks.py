@@ -12,7 +12,8 @@ Tasks are deliberately independent of the pipeline's alignment types so
 ``repro.core`` has no dependency on ``repro.pipeline``; the orchestrator
 converts via :func:`tasks_from_candidates` (duck-typed on the candidate
 container's ``left``/``right``/``cid`` attributes).  Contigs come and go
-as one packed :class:`~repro.sequence.contigs.ContigSet`.
+as one packed :class:`~repro.sequence.contigs.ContigSet`, and the
+extensions both engines return as one packed :class:`ExtensionSet`.
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.sequence.contigs import Contig, ContigSet
-from repro.sequence.dna import encode, revcomp_codes
+from repro.sequence.dna import revcomp_codes
+from repro.sequence.read import check_offsets
 
 __all__ = [
     "LEFT",
     "RIGHT",
     "ExtensionTask",
     "TaskSet",
+    "ExtensionSet",
     "tasks_from_candidates",
     "apply_extensions",
 ]
@@ -154,13 +157,8 @@ class TaskSet:
         return out
 
     def contig_ids(self) -> list[int]:
-        seen: list[int] = []
-        prev: set[int] = set()
-        for t in self.tasks:
-            if t.cid not in prev:
-                prev.add(t.cid)
-                seen.append(t.cid)
-        return seen
+        """Contig ids in order of first appearance."""
+        return list(self.reads_per_contig())
 
 
 def _as_contig_set(contigs: ContigSet | Mapping[int, str]) -> ContigSet:
@@ -208,10 +206,54 @@ def tasks_from_candidates(contigs: ContigSet, candidates: Iterable) -> TaskSet:
     return TaskSet(tasks)
 
 
-def apply_extensions(
-    contigs: ContigSet,
-    extensions: Mapping[tuple[int, int], str],
-) -> ContigSet:
+class ExtensionSet:
+    """Every task's extension in one packed code buffer: row *i*, for task
+    *i* of the :class:`TaskSet` that was run, extends the ``sides[i]`` end
+    of contig ``cids[i]`` by ``codes[offsets[i]:offsets[i + 1]]``, oriented
+    like its task.  Raises ``ValueError`` unless the offsets are a prefix
+    table of ``codes``, every side is LEFT or RIGHT, no ``(cid, side)``
+    repeats and every code is a base."""
+
+    __slots__ = ("cids", "sides", "codes", "offsets")
+
+    def __init__(self, cids, sides, codes, offsets) -> None:
+        cids = np.ascontiguousarray(cids, dtype=np.int64)
+        sides = np.ascontiguousarray(sides, dtype=np.int8)
+        codes = np.ascontiguousarray(codes, dtype=np.uint8)
+        offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+        n = cids.size
+        if (cids.ndim, sides.shape, codes.ndim, offsets.shape) != (1, (n,), 1, (n + 1,)):
+            raise ValueError(f"{n} extensions need n sides, 1-D codes and n + 1 offsets")
+        check_offsets(offsets, codes.size)
+        if np.any((sides != LEFT) & (sides != RIGHT)):
+            raise ValueError("sides must be LEFT or RIGHT")
+        keys = np.sort(2 * cids + sides)
+        if np.any(keys[1:] == keys[:-1]):
+            raise ValueError("(cid, side) pairs must be unique")
+        if codes.max(initial=0) > 3:
+            raise ValueError(f"extension code {codes.max()} is not one of ACGT")
+        self.cids, self.sides, self.codes, self.offsets = cids, sides, codes, offsets
+
+    @classmethod
+    def of(cls, tasks: Sequence[ExtensionTask], codes, lengths) -> "ExtensionSet":
+        """Task *i* of *tasks* extended by the next ``lengths[i]`` codes."""
+        ids = np.array([(t.cid, t.side) for t in tasks], dtype=np.int64).reshape(-1, 2)
+        offsets = np.concatenate(([0], np.cumsum(lengths, dtype=np.int64)))
+        return cls(ids[:, 0], ids[:, 1], codes, offsets)
+
+    def __len__(self) -> int:
+        return self.cids.size
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ExtensionSet) and all(
+            np.array_equal(getattr(self, a), getattr(other, a)) for a in self.__slots__
+        )
+
+
+def apply_extensions(contigs: ContigSet, extensions: ExtensionSet) -> ContigSet:
     """The extended contigs, in *contigs*' order with their cids and depths.
 
     A left-side extension was produced walking right on rc(contig), so it
@@ -219,23 +261,29 @@ def apply_extensions(
 
         final = revcomp(ext_left) + contig + ext_right
 
-    The extensions are encoded once, and the new codes are one gather of
-    those three pieces per contig.
+    Each row finds its contig by cid (a missing row is an empty
+    extension; a cid that is not a contig raises ``ValueError``), and the
+    new codes are one gather of the three pieces per contig.
     """
     contigs = _as_contig_set(contigs)
-    cids = contigs.cids.tolist()
-    exts = [extensions.get((cid, side), "") for side in (LEFT, RIGHT) for cid in cids]
-    lens = np.fromiter(map(len, exts), np.int64, len(exts)).reshape(2, -1)
-    codes = encode("".join(exts))
-    n_left = int(lens[0].sum())
+    by_cid = np.argsort(contigs.cids)
+    at = np.searchsorted(contigs.cids, extensions.cids, sorter=by_cid)
+    slot = by_cid[at[at < len(contigs)]]
+    if slot.size < at.size or np.any(contigs.cids[slot] != extensions.cids):
+        raise ValueError("an extension's cid is not one of the contigs")
+    lens = np.zeros((2, len(contigs)), dtype=np.int64)
+    first = np.zeros_like(lens)
+    lens[extensions.sides, slot] = extensions.lengths()
+    first[extensions.sides, slot] = extensions.offsets[:-1]
     # the pieces' source: the contig codes, the reverse complement of the
-    # joined lefts (left i at the mirrored offsets), the rights
-    src = np.concatenate([contigs.codes, revcomp_codes(codes[:n_left]), codes[n_left:]])
-    at = contigs.codes.size + n_left
-    ends = np.cumsum(lens, axis=1)
-    piece_start = np.stack([at - ends[0], contigs.offsets[:-1], at + ends[1] - lens[1]])
+    # extension codes (row i at the mirrored offsets), the extension codes
+    total, m = contigs.codes.size, extensions.codes.size
+    src = np.concatenate([contigs.codes, revcomp_codes(extensions.codes), extensions.codes])
+    piece_start = np.stack(
+        [total + m - first[0] - lens[0], contigs.offsets[:-1], total + m + first[1]]
+    )
     piece_len = np.stack([lens[0], contigs.lengths(), lens[1]])
-    offsets = np.zeros(len(cids) + 1, dtype=np.int64)
+    offsets = np.zeros(len(contigs) + 1, dtype=np.int64)
     np.cumsum(piece_len.sum(axis=0), out=offsets[1:])
     # contig by contig, piece by piece
     piece_start, piece_len = piece_start.T.ravel(), piece_len.T.ravel()

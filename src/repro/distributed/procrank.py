@@ -18,7 +18,7 @@ cleanup belong to the harness and are the same for all three.
   the winner rows to owner ``cid % n_ranks``; an owner holds every row
   of its contigs, so it applies the per-end recruitment caps exactly.
 * **local assembly** (:func:`ranked_extend_tasks`): no exchange — tasks
-  are dealt to ranks up front and the extensions come back as tables.
+  are dealt to ranks up front and the extensions come back as code tables.
 
 Every result is bit-identical to its single-process counterpart at every
 rank count — the invariant the tests enforce — so
@@ -173,58 +173,58 @@ def distributed_count_proc(
 
 def la_stage(
     tasks, n_ranks: int, **extend_kwargs
-) -> tuple[Stage, Callable[[RankRun], dict[tuple[int, int], str]]]:
+) -> tuple[Stage, Callable[[RankRun], object]]:
     """The local-assembly stage body (no exchange) and its merge.
 
     Tasks are dealt greedily by descending read count (LPT scheduling:
     next-heaviest task to the currently lightest rank) — the task-cost
     distribution is heavy-tailed (§3.1's bin 3), so plain round-robin
     leaves the rank that drew the hot contigs as the straggler.  A rank
-    owns a ``(n, 3)`` ``[cid, side, length]`` table and the extensions'
-    bases as one ASCII blob (a one-column table), in table order.
+    owns an ``(n, 2)`` ``[task_index, length]`` table and its extension
+    codes as a one-column table, in table order; the merge gathers them
+    back into task order, the :class:`~repro.core.tasks.ExtensionSet` of
+    a one-rank run.
     """
     from repro.core.local_assembler import extend_tasks
-    from repro.core.tasks import TaskSet
+    from repro.core.tasks import ExtensionSet, TaskSet
 
     if n_ranks < 1:
         raise ValueError("n_ranks must be >= 1")
-    shards: list[list] = [[] for _ in range(n_ranks)]
+    shards: list[list[int]] = [[] for _ in range(n_ranks)]
     loads = [0] * n_ranks
-    for t in sorted(tasks, key=lambda t: -t.n_reads):
+    for i in sorted(range(len(tasks)), key=lambda i: -tasks[i].n_reads):
         r = loads.index(min(loads))
-        shards[r].append(t)
-        loads[r] += t.n_reads + 1  # +1: empty tasks still cost dispatch
+        shards[r].append(i)
+        loads[r] += tasks[i].n_reads + 1  # +1: empty tasks still cost dispatch
 
     def produce(rank, clock):
-        extensions, _ = extend_tasks(TaskSet(shards[rank]), **extend_kwargs)
-        table = np.array(
-            [(cid, side, len(ext)) for (cid, side), ext in extensions.items()],
-            dtype=np.int64,
-        ).reshape(-1, 3)
-        blob = "".join(extensions.values()).encode("ascii")
-        return table, np.frombuffer(blob, dtype=np.uint8).reshape(-1, 1)
+        ids = shards[rank]
+        extensions, _ = extend_tasks(TaskSet([tasks[i] for i in ids]), **extend_kwargs)
+        table = np.stack([np.array(ids, dtype=np.int64), extensions.lengths()], axis=1)
+        return table, extensions.codes.reshape(-1, 1)
 
-    def finish(run: RankRun) -> dict[tuple[int, int], str]:
-        merged: dict[tuple[int, int], str] = {}
-        for table, blob in run.owned:
-            bases = blob.tobytes().decode("ascii")
-            end = 0
-            for cid, side, length in table.tolist():
-                merged[(cid, side)] = bases[end : end + length]
-                end += length
-        return merged
+    def finish(run: RankRun) -> ExtensionSet:
+        tables, codes = zip(*run.owned)
+        table, codes = np.concatenate(tables), np.concatenate(codes).ravel()
+        order = np.argsort(table[:, 0])
+        lengths = table[order, 1]
+        start = np.cumsum(table[:, 1]) - table[:, 1]  # row's first code
+        idx = np.repeat(start[order] - (np.cumsum(lengths) - lengths), lengths)
+        idx += np.arange(idx.size, dtype=np.int64)
+        return ExtensionSet.of(tasks, codes[idx], lengths)
 
-    owned = ((np.int64, 3), (np.uint8, 1))
+    owned = ((np.int64, 2), (np.uint8, 1))
     return Stage("la", ("extend",), produce, owned=owned), finish
 
 
 def ranked_extend_tasks(
     tasks, n_ranks: int, timeout_s: float = 300.0, **extend_kwargs
-) -> tuple[dict[tuple[int, int], str], RankRunReport]:
-    """Run local assembly across *n_ranks* ranks.
+) -> tuple[object, RankRunReport]:
+    """Run local assembly across *n_ranks* ranks; returns the
+    :class:`~repro.core.tasks.ExtensionSet` and the run report.
 
-    Extension keys ``(cid, side)`` are unique per task, so the merged
-    dict is independent of the partition — bit-identical to a
+    Every task is one row and the merge puts rows back in task order, so
+    the result is independent of the partition — array-equal to a
     single-rank run by construction, which the fig13 bench asserts.
     """
     stage, finish = la_stage(tasks, n_ranks, **extend_kwargs)

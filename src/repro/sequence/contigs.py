@@ -10,6 +10,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from repro.sequence.dna import N_CODE, decode, encode
+from repro.sequence.read import check_offsets
 
 __all__ = ["Contig", "ContigSet"]
 
@@ -61,10 +62,7 @@ class ContigSet:
         n = cids.size
         if (codes.ndim, cids.ndim, offsets.shape, depths.shape) != (1, 1, (n + 1,), (n,)):
             raise ValueError(f"{n} contigs need 1-D codes, n + 1 offsets and n depths")
-        if offsets[0] != 0 or offsets[-1] != codes.size:
-            raise ValueError("offsets must start at 0 and end at len(codes)")
-        if np.any(offsets[1:] < offsets[:-1]):
-            raise ValueError("offsets must be non-decreasing")
+        check_offsets(offsets, codes.size)
         if codes.max(initial=0) > N_CODE:
             raise ValueError(f"base code {codes.max()} is not one of ACGTN")
         ordered = np.sort(cids)

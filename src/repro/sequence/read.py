@@ -20,13 +20,22 @@ import numpy as np
 
 from repro.sequence.dna import decode, encode, revcomp
 
-__all__ = ["Read", "ReadBatch", "PHRED_OFFSET", "DEFAULT_QUAL"]
+__all__ = ["Read", "ReadBatch", "PHRED_OFFSET", "DEFAULT_QUAL", "check_offsets"]
 
 #: FASTQ Phred+33 encoding offset.
 PHRED_OFFSET = 33
 
 #: Quality assigned when a read is constructed without explicit qualities.
 DEFAULT_QUAL = 40
+
+
+def check_offsets(offsets: np.ndarray, end: int, name: str = "offsets") -> None:
+    """Raise ``ValueError`` unless *offsets* is a 1-D prefix table of a
+    packed store: it starts at 0, never decreases and ends at *end*."""
+    if offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0 or offsets[-1] != end:
+        raise ValueError(f"{name} must be 1-D, start at 0 and end at len(data) = {end}")
+    if np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError(f"{name} must be non-decreasing")
 
 
 @dataclass(frozen=True)
@@ -104,12 +113,7 @@ class ReadBatch:
         self.bases = np.ascontiguousarray(bases, dtype=np.uint8)
         self.quals = np.ascontiguousarray(quals, dtype=np.uint8)
         self.offsets = np.ascontiguousarray(offsets, dtype=np.int64)
-        if self.offsets.ndim != 1 or self.offsets.size == 0:
-            raise ValueError("offsets must be a 1-D array of length n_reads+1")
-        if self.offsets[0] != 0 or self.offsets[-1] != self.bases.size:
-            raise ValueError("offsets must start at 0 and end at len(bases)")
-        if np.any(np.diff(self.offsets) < 0):
-            raise ValueError("offsets must be non-decreasing")
+        check_offsets(self.offsets, self.bases.size)
         if self.quals.size != self.bases.size:
             raise ValueError("quals must align with bases")
         if paired and (self.offsets.size - 1) % 2 != 0:

@@ -246,8 +246,11 @@ class JobQueue:
 
         *max_queued* bounds the number of already-QUEUED jobs;
         *tenant_budget*/*mem_demand* reject a job whose demand could
-        never fit its tenant's budget (no point queuing it).
+        never fit its tenant's budget (no point queuing it).  A spec
+        whose pipeline config cannot be built raises ``ValueError``
+        before anything is written.
         """
+        spec.pipeline_config()
         with self._lock:
             if max_queued is not None:
                 n_queued = sum(

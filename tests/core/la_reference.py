@@ -4,8 +4,9 @@ The dict-backed table build, the bytearray mer-walk, the per-task k-shift
 loop and the per-task driver, moved here verbatim from
 ``repro.core.cpu_local_assembly`` when that module was rebuilt as blocked
 array passes.  They define the contract: the array engine must reproduce
-these bit for bit (``extensions`` including key order, every
-``CpuAssemblyStats`` field, every task's ``WalkRound`` tuple).
+these bit for bit (``extensions`` row for row in task order — compare
+through :func:`as_extension_set` — every ``CpuAssemblyStats`` field,
+every task's ``WalkRound`` tuple).
 
 Named ``la_reference`` rather than ``reference``: ``tests/pipeline/
 reference.py`` exists, neither directory is a package, and under pytest's
@@ -26,14 +27,15 @@ from repro.core.extension import (
     classify_extension,
     kshift_next,
 )
-from repro.core.tasks import ExtensionTask, TaskSet
-from repro.sequence.dna import decode
+from repro.core.tasks import ExtensionSet, ExtensionTask, TaskSet
+from repro.sequence.dna import decode, encode
 
 __all__ = [
     "build_kmer_table",
     "mer_walk",
     "extend_task_reference",
     "run_local_assembly_reference",
+    "as_extension_set",
 ]
 
 
@@ -162,8 +164,16 @@ def run_local_assembly_reference(
         extensions[(task.cid, task.side)] = result.extension
         if task.n_reads:
             stats.n_tasks_with_reads += 1
-        if result.extension:
-            stats.n_extended += 1
-            stats.total_extension_bases += len(result.extension)
-            stats.walk_lengths.append(len(result.extension))
     return extensions, stats
+
+
+def as_extension_set(extensions: dict[tuple[int, int], str], keys=None) -> ExtensionSet:
+    """The reference's ``{(cid, side): extension}`` as the engines' packed
+    set, one row per ``(cid, side)`` of *keys* (default: the dict's own, in
+    its order); a key without an entry is extended by ``""``."""
+    keys = list(extensions if keys is None else keys)
+    exts = [extensions.get(key, "") for key in keys]
+    offsets = np.cumsum([0] + [len(e) for e in exts])
+    cids = [cid for cid, _ in keys]
+    sides = [side for _, side in keys]
+    return ExtensionSet(cids, sides, encode("".join(exts)), offsets)

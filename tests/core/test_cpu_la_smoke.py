@@ -6,7 +6,11 @@ silent fall back to per-entry Python from passing CI.
 
 import numpy as np
 import pytest
-from la_reference import extend_task_reference, run_local_assembly_reference
+from la_reference import (
+    as_extension_set,
+    extend_task_reference,
+    run_local_assembly_reference,
+)
 
 from repro.core.config import LocalAssemblyConfig
 from repro.core.cpu_local_assembly import extend_task_cpu, run_local_assembly_cpu
@@ -31,9 +35,9 @@ def test_array_engine_matches_reference_and_is_2_5x_cheaper(paired_cpu_ratio):
 
     want, want_stats = run_local_assembly_reference(tasks)
     got, got_stats = run_local_assembly_cpu(tasks)
-    assert list(got.items()) == list(want.items())
+    assert got == as_extension_set(want, ((t.cid, t.side) for t in tasks))
     assert got_stats == want_stats
-    assert got_stats.n_extended >= 50 and got_stats.n_rounds > got_stats.n_tasks_with_reads
+    assert np.count_nonzero(got.lengths()) >= 50 and got_stats.n_rounds > got_stats.n_tasks_with_reads
     config = LocalAssemblyConfig()
     assert [extend_task_cpu(t, config) for t in tasks] == [
         extend_task_reference(t, config) for t in tasks

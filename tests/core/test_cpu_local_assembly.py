@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from la_reference import (
+    as_extension_set,
     build_kmer_table,
     extend_task_reference,
     mer_walk,
@@ -25,6 +26,7 @@ from repro.core import cpu_local_assembly as engine
 from repro.core.config import LocalAssemblyConfig
 from repro.core.cpu_local_assembly import (
     KmerTables,
+    TaskResult,
     extend_task_cpu,
     run_local_assembly_cpu,
 )
@@ -234,10 +236,9 @@ class TestKShiftIntegration:
         exts, stats = run_local_assembly_cpu(TaskSet([t1, t2]))
         assert stats.n_tasks == 2
         assert stats.n_tasks_with_reads == 1
-        assert stats.n_extended == 1
-        assert exts[(1, RIGHT)] == ""
-        assert len(exts[(0, RIGHT)]) == stats.total_extension_bases
-        assert stats.mean_walk_length() > 0
+        assert exts.cids.tolist() == [0, 1] and exts.sides.tolist() == [RIGHT, RIGHT]
+        assert exts.lengths()[0] > 0 and exts.lengths()[1] == 0
+        assert decode(exts.codes) == extend_task_cpu(t1, LocalAssemblyConfig()).extension
 
     def test_extension_matches_genome(self, rng):
         """End to end: the extension reproduces the true genome sequence."""
@@ -258,19 +259,22 @@ class TestKShiftIntegration:
 def _engine_results(tasks, cfg):
     """Per-task results the way ``run_local_assembly_cpu`` computes them:
     block by block, every block's tasks advancing together."""
-    return [
-        result
-        for block in engine._blocks(TaskSet(tasks))
-        for result in engine._extend_block(block, cfg)
-    ]
+    results = []
+    for block in engine._blocks(TaskSet(tasks)):
+        exts, rounds = engine._extend_block(block, cfg)
+        results += [
+            TaskResult(t.cid, t.side, decode(np.array(e, np.uint8)), tuple(r))
+            for t, e, r in zip(block, exts, rounds)
+        ]
+    return results
 
 
 def _assert_matches_reference(tasks, cfg):
-    """Extensions (values and key order), every stats field (dataclass
-    equality, so ``walk_lengths`` order too) and every task's rounds."""
+    """Extensions (row for row, in task order), every stats field and
+    every task's rounds."""
     want_ext, want_stats = run_local_assembly_reference(TaskSet(tasks), cfg)
     got_ext, got_stats = run_local_assembly_cpu(TaskSet(tasks), cfg)
-    assert list(got_ext.items()) == list(want_ext.items())
+    assert got_ext == as_extension_set(want_ext, ((t.cid, t.side) for t in tasks))
     assert got_stats == want_stats
     results = _engine_results(tasks, cfg)
     assert results == [extend_task_reference(t, cfg) for t in tasks]
@@ -407,19 +411,22 @@ class TestContract:
         assert (only.status, only.n_steps) == (WalkStatus.LOOP, len(unit))
 
     def test_extensions_keyed_in_task_order(self, monkeypatch):
-        """First appearance fixes a key's place, block boundaries or not; a
-        repeated ``(cid, side)`` keeps it and takes the later value."""
+        """Row *i* is task *i*, block boundaries or not; a repeated
+        ``(cid, side)`` is not a task set the engine can answer."""
         cids = (7, 3, 3, 8, 0, 5, 5, 1, 2)
         tasks = [replace(t, cid=cid) for t, cid in zip(_fuzz_tasks(5, 9), cids)]
         tasks[2] = replace(tasks[2], side=1 - tasks[1].side)
-        tasks[6] = replace(tasks[6], side=tasks[5].side)  # the repeated key
-        keys = list(dict.fromkeys((t.cid, t.side) for t in tasks))
-        assert len(keys) == 8
+        tasks[6] = replace(tasks[6], side=1 - tasks[5].side)
         for cap in (1, 1 << 17):
             monkeypatch.setattr(engine, "_BLOCK_BASES", cap)
             ext, _ = run_local_assembly_cpu(TaskSet(tasks))
-            assert list(ext) == keys
+            assert list(zip(ext.cids.tolist(), ext.sides.tolist())) == [
+                (t.cid, t.side) for t in tasks
+            ]
             _assert_matches_reference(tasks, LocalAssemblyConfig())
+        tasks[6] = replace(tasks[6], side=tasks[5].side)
+        with pytest.raises(ValueError, match="unique"):
+            run_local_assembly_cpu(TaskSet(tasks))
 
     @pytest.mark.parametrize("cap", [1, 500])
     def test_block_cap_invariance(self, monkeypatch, cap):
@@ -478,7 +485,7 @@ class TestAgainstReference:
         results, stats = _assert_matches_reference(tasks, LocalAssemblyConfig())
         assert all(r.rounds == () for r in results)
         assert (stats.n_tasks, stats.n_tasks_with_reads, stats.n_rounds) == (3, 0, 0)
-        assert run_local_assembly_cpu(TaskSet([]))[0] == {}
+        assert len(run_local_assembly_cpu(TaskSet([]))[0]) == 0
 
     def test_reads_all_shorter_than_a_window(self):
         """Empty tables at every k: RUNOUT, downshift, RUNOUT ... to k_min."""
@@ -502,7 +509,7 @@ class TestAgainstReference:
 
     def test_max_walk_len_10(self, rng):
         genome = random_dna(400, rng)
-        tasks = [_tiling_task(genome, 100 + 10 * c, rng) for c in range(3)]
+        tasks = [replace(_tiling_task(genome, 100 + 10 * c, rng), cid=c) for c in range(3)]
         results, _ = _assert_matches_reference(tasks, LocalAssemblyConfig(max_walk_len=10))
         for result in results:
             assert [(r.status, r.n_steps) for r in result.rounds] == [(WalkStatus.MAX_LEN, 10)]

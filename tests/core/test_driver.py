@@ -36,8 +36,7 @@ def binned_tasks(rng):
 class TestDriver:
     def test_bin1_never_launched(self, binned_tasks):
         report = GpuLocalAssembler(LocalAssemblyConfig()).run(binned_tasks)
-        assert report.extensions[(0, RIGHT)] == ""
-        assert report.extensions[(0, LEFT)] == ""
+        assert report.extensions.lengths()[:2].tolist() == [0, 0]  # cid 0's ends
         # only bin2 + bin3 kernels were launched
         names = [l.name for l in report.launches]
         assert all("bin2" in n or "bin3" in n for n in names)
@@ -65,13 +64,14 @@ class TestDriver:
         assert report.high_water_bytes > 0
         assert report.n_batches >= 2  # one per non-empty bin
         assert report.bin_kernel_time_s("bin3") > 0
-        assert report.n_extended() >= 2
+        assert np.count_nonzero(report.extensions.lengths()) >= 2
 
     def test_all_tasks_get_extensions(self, binned_tasks):
         report = GpuLocalAssembler(LocalAssemblyConfig()).run(binned_tasks)
-        assert set(report.extensions) == {
+        exts = report.extensions
+        assert list(zip(exts.cids.tolist(), exts.sides.tolist())) == [
             (t.cid, t.side) for t in binned_tasks
-        }
+        ]
 
     def test_invalid_kernel_version(self):
         with pytest.raises(ValueError):
@@ -104,7 +104,7 @@ class TestDriver:
 
     def test_empty_taskset(self):
         report = GpuLocalAssembler(LocalAssemblyConfig()).run(TaskSet([]))
-        assert report.extensions == {}
+        assert len(report.extensions) == 0
         assert report.launches == []
 
     def test_counters_merged(self, binned_tasks):

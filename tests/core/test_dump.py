@@ -105,6 +105,77 @@ class TestRoundtrip:
             load_tasks(p)
 
 
+
+def _corrupt(path, **changes):
+    """Rewrite the dump at *path* with each ``field=fn(array)`` applied."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    for field, fn in changes.items():
+        arrays[field] = fn(arrays[field].copy())
+    np.savez(path, **arrays)
+
+
+def _set(i, value):
+    def fn(a):
+        a[i] = value
+        return a
+
+    return fn
+
+
+class TestCorruptDumpRejected:
+    """Each case loaded at the parent and then crashed inside NumPy or
+    extended as if nothing were wrong."""
+
+    def test_negative_read_length(self, tasks, tmp_path):
+        p = tmp_path / "dump.npz"
+        save_tasks(p, tasks)
+        _corrupt(p, read_offsets=_set(1, -5))
+        with pytest.raises(ValueError, match="read_offsets"):
+            load_tasks(p)
+
+    def test_read_base_code_above_n(self, tasks, tmp_path):
+        p = tmp_path / "dump.npz"
+        save_tasks(p, tasks)
+        _corrupt(p, reads=_set(0, 9))
+        with pytest.raises(ValueError, match="reads holds base code 9"):
+            load_tasks(p)
+
+    def test_contig_code_above_n(self, tasks, tmp_path):
+        p = tmp_path / "dump.npz"
+        save_tasks(p, tasks)
+        _corrupt(p, contigs=_set(3, 7))
+        with pytest.raises(ValueError, match="contigs holds base code 7"):
+            load_tasks(p)
+
+    @pytest.mark.parametrize(
+        "field, fn, match",
+        [
+            ("contig_offsets", lambda a: a[:-1], "cids need"),
+            ("sides", lambda a: a[1:], "cids need"),
+            ("task_read_start", _set(-1, 999), "task_read_start"),
+            ("task_read_start", _set(1, 5), "task_read_start"),
+            ("contig_offsets", _set(0, 1), "contig_offsets"),
+            ("quals", lambda a: a[:-1], "quals"),
+        ],
+    )
+    def test_layout_mismatch(self, tasks, tmp_path, field, fn, match):
+        p = tmp_path / "dump.npz"
+        save_tasks(p, tasks)
+        _corrupt(p, **{field: fn})
+        with pytest.raises(ValueError, match=match):
+            load_tasks(p)
+
+    def test_localassm_reports_and_exits_2(self, tasks, tmp_path, capsys):
+        from repro.cli import main
+
+        p = tmp_path / "dump.npz"
+        save_tasks(p, tasks)
+        _corrupt(p, read_offsets=_set(1, -5))
+        assert main(["localassm", str(p), "--mode", "cpu"]) == 2
+        assert "error: read_offsets must be non-decreasing" in capsys.readouterr().err
+
+
 class TestCliIntegration:
     def test_dump_and_localassm_commands(self, tmp_path):
         from repro.cli import main

@@ -8,6 +8,7 @@ faster).
 
 import numpy as np
 import pytest
+from la_reference import as_extension_set, run_local_assembly_reference
 
 from repro.core.config import LocalAssemblyConfig
 from repro.core.cpu_local_assembly import run_local_assembly_cpu
@@ -69,30 +70,61 @@ def mixed_tasks(rng):
     return TaskSet(tasks)
 
 
+MIXED_CFG = LocalAssemblyConfig(k_init=21, max_walk_len=200)
+FUZZ_CFG = LocalAssemblyConfig(k_init=17, k_min=13, k_max=41, k_step=8, max_walk_len=120)
+
+
+def _fuzz_tasks(rng):
+    tasks = []
+    for cid in range(12):
+        glen = int(rng.integers(120, 320))
+        genome = random_dna(glen, rng)
+        contig_end = int(rng.integers(60, glen - 40))
+        stride = int(rng.integers(3, 25))
+        rl = int(rng.integers(40, 90))
+        side = RIGHT if rng.random() < 0.5 else LEFT
+        tasks.append(
+            _tiling_task(genome, contig_end, read_len=rl, stride=stride,
+                         cid=cid, side=side, rng=rng, err=0.01)
+        )
+    return TaskSet(tasks)
+
+
+class TestOneExtensionSet:
+    """Every producer returns the same packed set, row *i* for task *i*:
+    both engines, both warp interpreters with the overlapped driver on and
+    off, and the rank exchange at one and two ranks."""
+
+    @pytest.mark.parametrize("inputs", ["mixed", "fuzz"])
+    def test_every_producer_equals_the_oracle(self, inputs, mixed_tasks, rng):
+        from repro.distributed.procrank import ranked_extend_tasks
+
+        tasks, cfg = (mixed_tasks, MIXED_CFG) if inputs == "mixed" else (_fuzz_tasks(rng), FUZZ_CFG)
+        oracle, _ = run_local_assembly_reference(tasks, cfg)
+        want = as_extension_set(oracle, ((t.cid, t.side) for t in tasks))
+        assert np.count_nonzero(want.lengths()) >= 3
+        got = {"cpu": run_local_assembly_cpu(tasks, cfg)[0]}
+        for engine in ("batched", "sequential"):
+            for overlap in ("off", "on"):
+                assembler = GpuLocalAssembler(cfg, engine=engine, overlap=overlap)
+                got[f"gpu {engine} overlap {overlap}"] = assembler.run(tasks).extensions
+        for ranks in (1, 2):
+            got[f"{ranks} ranks"] = ranked_extend_tasks(tasks, ranks, config=cfg)[0]
+        for name, extensions in got.items():
+            assert extensions == want, name
+
+
 class TestDifferential:
     @pytest.mark.parametrize("version", ["v2", "v1"])
     def test_gpu_equals_cpu_mixed(self, mixed_tasks, version):
-        cfg = LocalAssemblyConfig(k_init=21, max_walk_len=200)
+        cfg = MIXED_CFG
         cpu, _ = run_local_assembly_cpu(mixed_tasks, cfg)
         gpu = GpuLocalAssembler(cfg, kernel_version=version).run(mixed_tasks)
         assert gpu.extensions == cpu
 
     def test_gpu_equals_cpu_fuzz(self, rng):
         """Randomised fuzz across many small tasks."""
-        tasks = []
-        for cid in range(12):
-            glen = int(rng.integers(120, 320))
-            genome = random_dna(glen, rng)
-            contig_end = int(rng.integers(60, glen - 40))
-            stride = int(rng.integers(3, 25))
-            rl = int(rng.integers(40, 90))
-            side = RIGHT if rng.random() < 0.5 else LEFT
-            tasks.append(
-                _tiling_task(genome, contig_end, read_len=rl, stride=stride,
-                             cid=cid, side=side, rng=rng, err=0.01)
-            )
-        ts = TaskSet(tasks)
-        cfg = LocalAssemblyConfig(k_init=17, k_min=13, k_max=41, k_step=8, max_walk_len=120)
+        ts, cfg = _fuzz_tasks(rng), FUZZ_CFG
         cpu, _ = run_local_assembly_cpu(ts, cfg)
         gpu = GpuLocalAssembler(cfg).run(ts)
         assert gpu.extensions == cpu
@@ -161,4 +193,4 @@ class TestWalkEquivalenceDetails:
         cpu, _ = run_local_assembly_cpu(ts, cfg)
         gpu = GpuLocalAssembler(cfg).run(ts)
         assert gpu.extensions == cpu
-        assert len(next(iter(cpu.values()))) >= 37  # accumulated across rounds
+        assert cpu.lengths()[0] >= 37  # accumulated across rounds

@@ -77,21 +77,21 @@ class TestExtendContigs:
 class TestExtendTasks:
     def test_empty_taskset(self):
         exts, report = extend_tasks(TaskSet([]), mode="cpu")
-        assert exts == {} and report.n_tasks == 0
+        assert len(exts) == 0 and report.n_tasks == 0
 
     @pytest.mark.parametrize("mode", ["cpu", "gpu"])
     def test_workers_other_than_one_rejected(self, mode):
         with pytest.raises(ValueError, match="workers"):
             extend_tasks(TaskSet([]), mode=mode, workers=2)
         exts, _ = extend_tasks(TaskSet([]), mode=mode, workers=1)
-        assert exts == {}
+        assert len(exts) == 0
 
     @pytest.mark.parametrize("mode", ["cpu", "gpu"])
     def test_streams_other_than_two_rejected(self, mode):
         with pytest.raises(ValueError, match="streams"):
             extend_tasks(TaskSet([]), mode=mode, streams=3)
         exts, _ = extend_tasks(TaskSet([]), mode=mode, streams=2)
-        assert exts == {}
+        assert len(exts) == 0
 
     def test_report_counts(self, rng):
         genome = random_dna(300, rng)
@@ -104,7 +104,7 @@ class TestExtendTasks:
         exts, report = extend_tasks(TaskSet([t_live, t_dead]), mode="cpu")
         assert report.n_tasks == 2
         assert report.n_extended == 1
-        assert report.total_extension_bases == len(exts[(0, RIGHT)])
+        assert report.total_extension_bases == exts.lengths()[0] > 0
 
     def test_custom_config_respected(self, rng):
         genome = random_dna(500, rng)
@@ -117,4 +117,4 @@ class TestExtendTasks:
         # each round appends at most 5; round count is bounded
         from repro.core.gpu_batch import max_rounds
 
-        assert len(exts[(0, RIGHT)]) <= 5 * max_rounds(short_cfg)
+        assert exts.lengths()[0] <= 5 * max_rounds(short_cfg)

@@ -15,7 +15,7 @@ from repro.core.tasks import RIGHT, ExtensionTask, TaskSet
 from repro.sequence.dna import encode, random_dna
 
 
-def _task_with_ns(rng, n_frac=0.02):
+def _task_with_ns(rng, n_frac=0.02, cid=0):
     genome = random_dna(400, rng)
     reads, quals = [], []
     for i in range(0, 330, 6):
@@ -26,7 +26,7 @@ def _task_with_ns(rng, n_frac=0.02):
         reads.append(encode("".join(r)))
         quals.append(np.full(70, 40, dtype=np.uint8))
     return ExtensionTask.from_reads(
-        cid=0, side=RIGHT, contig=encode(genome[:120]),
+        cid=cid, side=RIGHT, contig=encode(genome[:120]),
         reads=tuple(reads), quals=tuple(quals),
     )
 
@@ -41,7 +41,7 @@ class TestNBases:
 
     @pytest.mark.parametrize("version", ["v1", "v2"])
     def test_gpu_equals_cpu_with_ns(self, rng, version):
-        tasks = TaskSet([_task_with_ns(rng) for _ in range(3)])
+        tasks = TaskSet([_task_with_ns(rng, cid=c) for c in range(3)])
         cfg = LocalAssemblyConfig(k_init=21, max_walk_len=120)
         cpu, _ = run_local_assembly_cpu(tasks, cfg)
         gpu = GpuLocalAssembler(cfg, kernel_version=version).run(tasks)
@@ -60,7 +60,7 @@ class TestNBases:
         cpu, _ = run_local_assembly_cpu(TaskSet([task]), cfg)
         gpu = GpuLocalAssembler(cfg).run(TaskSet([task]))
         assert gpu.extensions == cpu
-        assert len(cpu[(0, RIGHT)]) > 0
+        assert cpu.lengths()[0] > 0
 
     def test_all_n_reads_no_extension(self, rng):
         task = ExtensionTask.from_reads(
@@ -71,4 +71,4 @@ class TestNBases:
         cfg = LocalAssemblyConfig(k_init=21)
         cpu, _ = run_local_assembly_cpu(TaskSet([task]), cfg)
         gpu = GpuLocalAssembler(cfg).run(TaskSet([task]))
-        assert cpu[(0, RIGHT)] == "" and gpu.extensions == cpu
+        assert cpu.codes.size == 0 and gpu.extensions == cpu

@@ -108,7 +108,7 @@ class TestEdgeWorkloads:
     @pytest.mark.parametrize("overlap", ["off", "on"])
     def test_empty_taskset(self, config, overlap):
         report = GpuLocalAssembler(config, overlap=overlap).run(TaskSet([]))
-        assert report.extensions == {}
+        assert len(report.extensions) == 0
         assert report.n_batches == 0 and report.launches == []
         assert report.critical_path_s == 0.0
 
@@ -121,7 +121,9 @@ class TestEdgeWorkloads:
             for c in range(3)
         ])
         report = GpuLocalAssembler(config, overlap=overlap).run(tasks)
-        assert report.extensions == {(c, RIGHT): "" for c in range(3)}
+        exts = report.extensions
+        assert exts.cids.tolist() == [0, 1, 2] and exts.sides.tolist() == [RIGHT] * 3
+        assert exts.codes.size == 0
         assert report.launches == [] and report.n_batches == 0
         assert report.h2d_bytes == 0 and report.d2h_bytes == 0
 
@@ -307,7 +309,7 @@ class TestShrunkD2H:
         # copy moves only the appended extensions (plus the tiny
         # out_ext_len arrays)
         assert report.d2h_bytes < seq_buf_bytes
-        ext_bytes = sum(len(e) for e in report.extensions.values())
+        ext_bytes = report.extensions.codes.nbytes
         assert report.d2h_bytes >= ext_bytes
 
     def test_transfer_accounting_is_consistent(self, workload, config):

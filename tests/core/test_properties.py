@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from la_reference import as_extension_set
 
 from repro.core.config import LocalAssemblyConfig
 from repro.core.cpu_local_assembly import extend_task_cpu, run_local_assembly_cpu
@@ -116,7 +117,8 @@ class TestOrientationProperties:
     def test_apply_extensions_roundtrip(self, left, mid, right):
         if not mid:
             mid = "A"
-        out = apply_extensions(ContigSet([Contig(0, mid)]), {(0, 0): left, (0, 1): right})
+        exts = as_extension_set({(0, 0): left, (0, 1): right})
+        out = apply_extensions(ContigSet([Contig(0, mid)]), exts)
         assert out[0].seq == revcomp(left) + mid + right
         assert len(out[0]) == len(left) + len(mid) + len(right)
 
@@ -127,5 +129,5 @@ class TestOrientationProperties:
         missing = genome[:5]
         # if a walk recovered exactly `missing`, apply_extensions restores
         ext_left = revcomp(missing)
-        out = apply_extensions(ContigSet([Contig(0, contig)]), {(0, 0): ext_left})
+        out = apply_extensions(ContigSet([Contig(0, contig)]), as_extension_set({(0, 0): ext_left}))
         assert out[0].seq == genome

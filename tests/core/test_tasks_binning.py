@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from la_reference import as_extension_set
 
 from repro.core.binning import bin_contigs, bin_distribution
 from repro.core.config import LocalAssemblyConfig
@@ -102,12 +103,12 @@ class TestOrientation:
     def test_apply_extensions_math(self):
         contigs = ContigSet([Contig(0, "CCCGGG", 2.5)])
         exts = {(0, LEFT): "AT", (0, RIGHT): "GG"}
-        out = apply_extensions(contigs, exts)
+        out = apply_extensions(contigs, as_extension_set(exts))
         # left ext "AT" was walked on rc(contig); prepended as revcomp("AT")="AT"
         assert list(out) == [Contig(0, revcomp("AT") + "CCCGGG" + "GG", 2.5)]
 
     def test_apply_extensions_empty(self):
-        out = apply_extensions(ContigSet([Contig(1, "ACGT")]), {})
+        out = apply_extensions(ContigSet([Contig(1, "ACGT")]), as_extension_set({}))
         assert list(out) == [Contig(1, "ACGT")]
 
     def test_left_extension_roundtrip(self):
@@ -118,7 +119,7 @@ class TestOrientation:
         missing = genome[:6]  # "TTAACC"
         # walking right on rc(contig) should produce revcomp(missing)
         ext_left = revcomp(missing)
-        out = apply_extensions(ContigSet([Contig(0, contig)]), {(0, LEFT): ext_left})
+        out = apply_extensions(ContigSet([Contig(0, contig)]), as_extension_set({(0, LEFT): ext_left}))
         assert out[0].seq == genome
 
 

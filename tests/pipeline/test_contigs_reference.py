@@ -4,7 +4,8 @@
 ``apply_extensions`` now read and write :class:`ContigSet` arrays; the
 string versions are the oracles in ``tests/pipeline/reference.py``.
 Hypothesis drives random contig sets (unsorted, sparse cids; palindromes;
-length-1 contigs; missing extensions) and named cases pin the corners.
+length-1 contigs; missing, empty and shuffled extension rows) and named
+cases pin the corners.
 The round trip ``list[Contig]`` ↔ ``ContigSet`` ↔ checkpoint arrays closes
 the loop.
 """
@@ -19,7 +20,13 @@ from reference import (
     tasks_from_contig_strings_reference,
 )
 
-from repro.core.tasks import LEFT, RIGHT, apply_extensions, tasks_from_candidates
+from repro.core.tasks import (
+    LEFT,
+    RIGHT,
+    ExtensionSet,
+    apply_extensions,
+    tasks_from_candidates,
+)
 from repro.pipeline.alignment import CandidateReads, ContigCandidates
 from repro.pipeline.checkpoint import load_contigs_checkpoint, save_contigs_checkpoint
 from repro.pipeline.contig_generation import _canonical_contigs
@@ -77,13 +84,23 @@ def _candidates(contigs: list[Contig], seed: int) -> list[ContigCandidates]:
 
 @st.composite
 def extension_sets(draw, contigs: list[Contig]) -> dict[tuple[int, int], str]:
-    """Extensions for some ends; the rest are missing (or empty)."""
+    """Extensions for some ends, in a shuffled row order; the rest are
+    missing (or empty)."""
     exts = {}
     for c in contigs:
         for side in (LEFT, RIGHT):
             if draw(st.booleans()):
                 exts[(c.cid, side)] = draw(dna)
-    return exts
+    return {key: exts[key] for key in draw(st.permutations(list(exts)))}
+
+
+def _packed(exts: dict[tuple[int, int], str]) -> ExtensionSet:
+    """``{(cid, side): extension}`` as an :class:`ExtensionSet`, one row
+    per entry in the dict's order."""
+    offsets = np.cumsum([0] + [len(e) for e in exts.values()])
+    cids = [cid for cid, _ in exts]
+    sides = [side for _, side in exts]
+    return ExtensionSet(cids, sides, encode("".join(exts.values())), offsets)
 
 
 def _as_dict(contigs: list[Contig]) -> dict[int, str]:
@@ -106,7 +123,7 @@ def assert_tasks_match(contigs: list[Contig], seed: int) -> None:
 
 def assert_extensions_match(contigs: list[Contig], exts) -> None:
     want = apply_extensions_reference(_as_dict(contigs), exts)
-    got = apply_extensions(ContigSet(contigs), exts)
+    got = apply_extensions(ContigSet(contigs), _packed(exts))
     assert list(got.items()) == list(want.items())
     assert got.cids.tolist() == [c.cid for c in contigs]
     assert got.depths.tolist() == [c.depth for c in contigs]
@@ -191,6 +208,17 @@ def test_named_extensions(name, sides):
     """Every contig extended on *sides* only; the other ends are missing."""
     exts = {(c.cid, s): "ACG"[: 1 + s] for c in NAMED[name] for s in sides}
     assert_extensions_match(NAMED[name], exts)
+    zero = {key: "" for key in exts}
+    assert_extensions_match(NAMED[name], zero)
+
+
+def test_extension_of_an_unknown_contig_is_rejected():
+    """The string path's ``.get`` dropped it silently."""
+    contigs = ContigSet(NAMED["unsorted_sparse_cids"])
+    with pytest.raises(ValueError, match="not one of the contigs"):
+        apply_extensions(contigs, _packed({(2, LEFT): "A", (3, RIGHT): "C"}))
+    with pytest.raises(ValueError, match="not one of the contigs"):
+        apply_extensions(ContigSet(), _packed({(0, LEFT): ""}))
 
 
 @pytest.mark.parametrize("name", list(NAMED))

@@ -1,11 +1,13 @@
 """Tier-1 miniature of the end-to-end claim for the de Bruijn prefix.
 
 The e2e benchmark shows the array stages' gain on whole runs; this keeps a
-silent fall back to per-k-mer or per-pair work from passing CI, and a
-fall back to one string per contig inside ``run_pipeline``.
+silent fall back to per-k-mer or per-pair work from passing CI, a fall
+back to one string per contig inside ``run_pipeline``, and one to one
+string per extension in local assembly.
 """
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from reference import (
     merge_read_pairs_reference,
 )
 
+import repro.core.driver  # noqa: F401  (loaded before encode/decode are wrapped)
 from repro.pipeline import kmer_counts
+from repro.pipeline import pipeline as pipeline_module
 from repro.pipeline.contig_generation import generate_contigs
 from repro.pipeline.kmer_analysis import analyze_kmers
 from repro.pipeline.merge_reads import merge_read_pairs
@@ -108,10 +112,60 @@ def test_pipeline_makes_no_contig_objects(monkeypatch, k_series):
     result = run_pipeline(reads, PipelineConfig(k_series=k_series))
     assert len(made) == 0
     monkeypatch.undo()
+    assert _smoke_digest(result) == SMOKE_DIGESTS[k_series]
 
+
+def _smoke_digest(result) -> str:
     h = hashlib.sha256()
     for c in result.contigs:
         h.update(f"C{c.cid}\t{c.seq}\t{c.depth!r}\n".encode())
     for s in result.scaffolds.scaffolds:
         h.update(f"S{s.sid}\t{s.seq}\t{s.contig_ids}\n".encode())
-    assert h.hexdigest() == SMOKE_DIGESTS[k_series]
+    return h.hexdigest()
+
+
+@pytest.mark.bench_smoke
+@pytest.mark.parametrize("mode", ["cpu", "gpu"])
+def test_local_assembly_makes_no_strings(monkeypatch, mode):
+    """Extensions stay codes from either engine to the contig gather: no
+    ``encode``/``decode`` runs inside ``extend_tasks`` or
+    ``apply_extensions`` (56 decodes and one encode per run when they were
+    strings), and both modes still give the smoke digest."""
+    from repro.sequence import dna
+
+    calls = {"encode": 0, "decode": 0}
+    inside = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            if inside:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def marking(fn):
+        def wrapper(*args, **kwargs):
+            inside.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return wrapper
+
+    for name, fn in (("encode", dna.encode), ("decode", dna.decode)):
+        wrapped = counting(name, fn)
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "repro" and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapped)
+    for name in ("extend_tasks", "apply_extensions"):
+        monkeypatch.setattr(pipeline_module, name, marking(getattr(pipeline_module, name)))
+
+    result = run_pipeline(
+        _smoke_reads(), PipelineConfig(k_series=(21,), local_assembly_mode=mode)
+    )
+    assert result.local_assembly.n_tasks == 62
+    assert calls == {"encode": 0, "decode": 0}
+    monkeypatch.undo()
+    assert _smoke_digest(result) == SMOKE_DIGESTS[(21,)]

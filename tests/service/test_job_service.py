@@ -154,6 +154,18 @@ class TestQueue:
                 mem_demand=2 * GB,
             )
 
+    def test_unbuildable_config_rejected_at_admission(self, tmp_path):
+        """Admitted at the parent, then failed by ``serve``; now nothing is
+        written."""
+        q = JobQueue(tmp_path)
+        for config in ({"k_series": [20]}, {"gpu_kernel_version": "v3"}):
+            with pytest.raises(ValueError):
+                q.submit(JobSpec(reads="r", config=config))
+        assert q.jobs() == [] and not list(q.jobs_dir.iterdir())
+        # a stored spec still loads leniently, so an existing queue lists
+        spec = JobSpec.from_dict({"reads": "r", "config": {"k_series": [20]}})
+        assert spec.config == {"k_series": [20]}
+
     def test_cancel_queued(self, tmp_path):
         q = JobQueue(tmp_path)
         job = q.submit(JobSpec(reads="r"))

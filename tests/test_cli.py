@@ -90,6 +90,23 @@ class TestWorkflow:
         rc = main(["assemble", str(bad), "--out", str(tmp_path / "x")])
         assert rc == 2
 
+    def test_assemble_bad_config_is_an_error_not_a_traceback(self, data_dir, tmp_path, capsys):
+        out = tmp_path / "even_k"
+        rc = main(["assemble", str(data_dir / "reads.fastq"), "--out", str(out), "--k", "20"])
+        assert rc == 2
+        assert "error: all k values must be odd" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_localassm_bad_config_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        from repro.core.dump import save_tasks
+        from repro.core.tasks import TaskSet
+
+        dump = tmp_path / "empty.npz"
+        save_tasks(dump, TaskSet([]))
+        rc = main(["localassm", str(dump), "--k-init", "11"])
+        assert rc == 2
+        assert "error: need k_min <= k_init <= k_max" in capsys.readouterr().err
+
     def test_scale_wa(self, capsys):
         rc = main(["scale", "--dataset", "wa"])
         assert rc == 0
@@ -181,6 +198,13 @@ class TestServiceWorkflow:
         assert reports[0]["state"] == "done"
         assert reports[0]["metrics"]["n_contigs"] > 0
         assert (svc / "jobs" / job_id / "contigs.fasta").exists()
+
+    def test_submit_rejects_a_spec_that_can_never_run(self, data_dir, tmp_path, capsys):
+        svc = tmp_path / "svc"
+        rc = main(["submit", str(data_dir / "reads.fastq"), "--dir", str(svc), "--k", "20"])
+        assert rc == 2
+        assert "error: all k values must be odd" in capsys.readouterr().err
+        assert not list((svc / "jobs").iterdir())
 
     def test_cancel_unknown_job(self, tmp_path, capsys):
         rc = main(["cancel", "job-nope", "--dir", str(tmp_path / "svc")])
