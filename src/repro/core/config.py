@@ -28,7 +28,7 @@ __all__ = [
 # imports neither the simulator nor the sanitizers.
 
 #: valid ``GpuContext(engine=...)`` values.  ``"auto"`` resolves to
-#: ``"batched"`` — the SoA engine is 22-38x faster than the sequential
+#: ``"batched"`` — the SoA engine is 54-92x faster than the sequential
 #: interpreter on every recorded workload (BENCH_engine.json,
 #: BENCH_batched.json).  Kernels without a batched implementation (e.g.
 #: v1) fall back to sequential interpretation per launch.

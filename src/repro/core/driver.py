@@ -183,7 +183,7 @@ class GpuLocalAssembler:
         the §4.2 roofline comparison.
     engine:
         Warp execution mode: ``"auto"`` (the batched SoA engine — it is
-        22-38x faster than sequential interpretation on every recorded
+        54-92x faster than sequential interpretation on every recorded
         workload, see BENCH_engine.json), ``"sequential"`` or
         ``"batched"``.  v1 kernels have no batched twin and fall back to
         sequential interpretation.  All modes are bit-identical.

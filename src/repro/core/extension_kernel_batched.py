@@ -22,10 +22,12 @@ group:
   than stepped — resolve, place, account:
 
   1. *resolve* (pass 1) flattens the valid lanes, accounts each step's
-     window-span loads and row hashes in bulk, and names every warp's
-     distinct k-mers by one sort on ``(warp, murmur)`` confirmed against
-     content, giving one *agent* per distinct k-mer at its first
-     occurrence;
+     window-span loads and row hashes in bulk, packs the block's reads
+     once and names every warp's distinct k-mers by content with one
+     :class:`~repro.sequence.kmer.SortedKmers` sort, giving one *agent*
+     per distinct k-mer at its first occurrence — the only window whose
+     murmur is computed.  The agents form the group's *agent table*
+     (:class:`_Agents`), its one index: build and walk both chase it;
   2. *place* (phase A) runs the step/round lockstep over agents only —
      probe ``home + j``, lowest lane claims each empty slot — recording
      every k-mer's slot and the (step, round) it was claimed in;
@@ -56,9 +58,20 @@ group:
   choice is made by ``wb.sanitizer`` alone — there is no option — and the
   lockstep build doubles as a second oracle for the derivation beside the
   sequential interpreter, which stays the reference;
-* **walk** — single-lane per warp; each walk step (visited-table probe,
-  main-table lookup, fork/dead-end classification, base append) applies
-  to all still-walking rows at once.
+* **walk** — single-lane per warp, and derived too.  Every k-mer a walk
+  looks up is an agent (found at its slot, ``dist + 1`` probes from home)
+  or absent (the walk ends after probing the occupied run from its home),
+  so each agent's verdict, base and successor agent are computed once
+  (:func:`_agent_moves`) and a walk is a chain through the table: its
+  start k-mer is resolved once per round, each step is
+  ``cur = succ[cur]`` over integer arrays, and a revisited agent is a
+  LOOP.  The visited table is replayed insert by insert — its probe
+  lengths depend on the order — and every walk counter comes from the
+  logged steps in one pass per access kind.  Sanitized launches keep the
+  lockstep walk (:func:`_walk_group_lockstep`: each walk step — visited
+  probe, main-table lookup, classification, append — applied to all
+  still-walking rows at once), chosen by ``wb.sanitizer`` exactly as for
+  the build.
 
 Bit-identity with the sequential interpreter holds because counters are
 additive per warp (each :class:`~repro.gpusim.batched.WarpBatch` primitive
@@ -88,7 +101,6 @@ from repro.core.extension import (
 )
 from repro.core.extension_kernel import _hash_cost_ops, extension_task_kernel_v2
 from repro.core.gpu_batch import EMPTY_PTR, DeviceBatch
-from repro.gpusim._fastops import run_heads
 from repro.gpusim.batched import (
     BatchCounters,
     WarpBatch,
@@ -96,6 +108,7 @@ from repro.gpusim.batched import (
     register_batched,
 )
 from repro.hashing.murmur import murmurhash2_rows
+from repro.sequence.kmer import SortedKmers, pack_kmers, successor_kmers
 
 __all__ = ["run_extension_v2_batched"]
 
@@ -275,13 +288,13 @@ def _probe_insert_group(
         off[a] += new_pending
 
 
-def _build_group(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots) -> None:
+def _build_group(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots):
     """Warp-cooperative table build for one k-group: derived in closed
-    form, or in lockstep when a sanitizer needs per-access order."""
+    form, or in lockstep when a sanitizer needs per-access order.
+    Returns the derived build's agent table (None from the lockstep)."""
     if wb.sanitizer is not None:
-        _build_group_lockstep(wb, batch, rows, tasks_g, k, ht_start, slots)
-    else:
-        _build_group_derived(wb, batch, rows, tasks_g, k, ht_start, slots)
+        return _build_group_lockstep(wb, batch, rows, tasks_g, k, ht_start, slots)
+    return _build_group_derived(wb, batch, rows, tasks_g, k, ht_start, slots)
 
 
 def _build_group_lockstep(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots) -> None:
@@ -344,29 +357,40 @@ def _within(counts) -> np.ndarray:
 
 
 class _Agents(NamedTuple):
-    """A k-group's agents: one per distinct (warp, k-mer), numbered
-    block by block, each acting at its k-mer's first occurrence."""
+    """A k-group's agent table: one row per distinct (warp, k-mer),
+    numbered block by block, each acting at its k-mer's first occurrence.
+    The build fills it and the derived walk chases it."""
 
     first: np.ndarray  #: valid-lane index of the first occurrence
+    warp: np.ndarray  #: its warp's row in the group
     base: np.ndarray  #: its warp's table start in ``ht_ptr``
     slots: np.ndarray  #: its warp's table size
-    home: np.ndarray  #: ``murmur % slots``
+    hash: np.ndarray  #: murmur of the k-mer
+    home: np.ndarray  #: ``hash % slots``
     ptr: np.ndarray  #: read pointer of the first lane (the table key)
     step: np.ndarray  #: build step of the first occurrence
+    lanes: np.ndarray  #: its number of valid lanes (its tallies' total)
+    words: np.ndarray  #: the packed k-mer, ``(n, words_per_kmer(k))``
     # filled by phase A
     dist: np.ndarray  #: probe distance from home to the claimed slot
     slot: np.ndarray  #: the claimed slot's index in ``ht_ptr``
+    # set once the build is done
+    after: np.ndarray  #: agent of the valid lane after the first occurrence
 
 
 def _resolve_block(batch: DeviceBatch, k: int, n_before, load_start, n_act, row_warp):
     """Pass 1 for a block of step rows: name each warp's distinct k-mers.
 
-    Flattens the rows' valid lanes (row-major: warp, step, lane) and
-    returns per valid lane its block-local agent id, extension base and
-    hi-quality flag, the valid-lane count of every row, and per agent the
-    block-local lane and row of its first occurrence, its murmur hash and
-    that lane's read pointer.  ``n_before[i]`` counts the ambiguous bases
-    ahead of read byte *i*.  None when the block has no valid lane.
+    Flattens the rows' valid lanes (row-major: warp, step, lane), packs
+    the block's read span once and sorts the lanes' (warp, k-mer) rows
+    with one :class:`~repro.sequence.kmer.SortedKmers`: each run is an
+    agent, acting at its lowest lane.  Returns per valid lane its
+    block-local agent id, extension base and hi-quality flag, the
+    valid-lane count of every row, and per agent the block-local lane and
+    row of its first occurrence, its lane count, its packed words, its
+    murmur hash (the only windows hashed) and that lane's read pointer.
+    ``n_before[i]`` counts the ambiguous bases ahead of read byte *i*.
+    None when the block has no valid lane.
     """
     lane_row = np.repeat(np.arange(n_act.size), n_act)
     starts = load_start[lane_row] + _within(n_act)  # flat k-mer start pointers
@@ -375,30 +399,23 @@ def _resolve_block(batch: DeviceBatch, k: int, n_before, load_start, n_act, row_
     if v.size == 0:
         return None
     starts, lane_row = starts[v], lane_row[v]
-    win = sliding_window_view(batch.reads_buf.data, k)[starts]
-    hashes = murmurhash2_rows(win).astype(np.int64)
-    warp = row_warp[lane_row]
-    # Equal (warp, hash) is equal k-mer unless two of a warp's k-mers
-    # collide in all 32 hash bits; a run holding two contents shows up as
-    # an unequal adjacent pair, and only then is content sorted on.
-    keys = (warp << 32) | hashes
-    order = np.argsort(keys)
-    head = run_heads(keys[order])
-    content = win.view(np.dtype((np.void, k))).ravel()  # one item per k-mer
-    sc = content[order]
-    if ((sc[1:] != sc[:-1]) & ~head[1:]).any():
-        order = np.lexsort((*win.T[::-1], warp))
-        sc, sw = content[order], warp[order]
-        head[1:] = (sc[1:] != sc[:-1]) | (sw[1:] != sw[:-1])
+    rdata = batch.reads_buf.data
+    lo = int(starts.min())
+    words = pack_kmers(rdata[lo : int(starts.max()) + k], k)[0][starts - lo]
+    warp = row_warp[lane_row] - row_warp[0]  # rows are warp-major
+    index = SortedKmers(words, k, warp, int(warp[-1]) + 1)
     agent = np.empty(v.size, dtype=np.int64)
-    agent[order] = np.cumsum(head) - 1
-    first = np.minimum.reduceat(order, np.nonzero(head)[0])
+    agent[index.order] = index.run
+    first = np.minimum.reduceat(index.order, index.starts)
+    a_ptr = starts[first]
     return (
         agent,
-        batch.reads_buf.data[starts + k],
+        rdata[starts + k],
         batch.quals_buf.data[starts + k] >= batch.config.hi_q_thresh,
         np.bincount(lane_row, minlength=n_act.size),
-        first, lane_row[first], hashes[first], starts[first],
+        first, lane_row[first], index.counts, words[first],
+        murmurhash2_rows(sliding_window_view(rdata, k)[a_ptr]).astype(np.int64),
+        a_ptr,
     )
 
 
@@ -527,10 +544,11 @@ def _account_block(
         flat[ag.slot[a0 + (hit >> 2)] * 4 + (hit & 3)] += counts[hit].astype(flat.dtype)
 
 
-def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots) -> None:
+def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots):
     """Closed-form table build — resolve, place, account (module
     docstring).  Leaves the three tables and every counter exactly as
-    :func:`_build_group_lockstep` would."""
+    :func:`_build_group_lockstep` would, and returns the group's agent
+    table (None when no warp has a valid lane)."""
     G = rows.size
     ro = batch.read_offsets
     trs = batch.task_read_start
@@ -582,7 +600,7 @@ def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: in
     lane_ext = np.empty(n_total, dtype=np.uint8)
     lane_hi = np.empty(n_total, dtype=bool)
     row_valid = np.zeros(n_rows, dtype=np.int64)
-    found = []  # per block: agents' first lane, first row, hash, read pointer
+    found = []  # per block: agents' first lane, first row, lanes, words, hash, read pointer
     blocks = []  # (row_lo, row_hi, lane_lo, lane_hi, agent_lo, agent_hi)
     n_lanes = n_agents = 0
     for r0, r1 in zip(row_cuts[:-1].tolist(), row_cuts[1:].tolist()):
@@ -591,24 +609,30 @@ def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: in
         )
         if res is None:
             continue
-        agent, ext, hi, row_valid[r0:r1], first, first_row, a_hash, a_ptr = res
+        agent, ext, hi, row_valid[r0:r1], first, first_row, *per_agent = res
         l1, a1 = n_lanes + agent.size, n_agents + first.size
         lane_agent[n_lanes:l1] = agent + n_agents
         lane_ext[n_lanes:l1] = ext
         lane_hi[n_lanes:l1] = hi
-        found.append((first + n_lanes, first_row + r0, a_hash, a_ptr))
+        found.append((first + n_lanes, first_row + r0, *per_agent))
         blocks.append((r0, r1, n_lanes, l1, n_agents, a1))
         n_lanes, n_agents = l1, a1
     del n_before
+    ag = None
     if blocks:
-        a_first, a_row, a_hash, a_ptr = (np.concatenate(p) for p in zip(*found))
+        a_first, a_row, a_lanes, a_words, a_hash, a_ptr = (
+            np.concatenate(p) for p in zip(*found)
+        )
         a_warp = row_warp[a_row]
         ag = _Agents(
-            first=a_first, base=ht_start[a_warp], slots=slots[a_warp],
-            home=a_hash % slots[a_warp], ptr=a_ptr, step=row_step[a_row],
+            first=a_first, warp=a_warp, base=ht_start[a_warp], slots=slots[a_warp],
+            hash=a_hash, home=a_hash % slots[a_warp], ptr=a_ptr,
+            step=row_step[a_row], lanes=a_lanes, words=a_words,
             dist=np.empty(n_agents, dtype=np.int64),
             slot=np.empty(n_agents, dtype=np.int64),
+            after=None,
         )
+        del found, a_row  # not alive through passes A and 2
         ht = batch.ht_ptr.data
         _place_agents(ht, ag)  # phase A
         for r0, r1, l0, l1, a0, a1 in blocks:  # pass 2
@@ -618,13 +642,259 @@ def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: in
                 l0, lane_agent[l0:l1], lane_ext[l0:l1], lane_hi[l0:l1], a0, a1,
             )
         ht[ag.slot] = ag.ptr
+        ag = ag._replace(after=lane_agent[np.minimum(ag.first + 1, n_lanes - 1)])
     c = wb.counters
     acc["predicated_off"] = acc["warp_inst"] * _LANES - acc["thread_inst"]
     for name, total in acc.items():
         getattr(c, name)[rows] += total
+    return ag
 
 
-def _walk_group(
+def _walk_group(wb: WarpBatch, batch: DeviceBatch, rows, k: int, seq_off, slen, ht_start, slots, vis_start, ag):
+    """Single-lane mer-walks for one k-group: derived from the build's
+    agent table *ag*, or in lockstep when a sanitizer needs per-access
+    order.  Returns ``(appended, status, slen)`` per row."""
+    if wb.sanitizer is not None:
+        return _walk_group_lockstep(wb, batch, rows, k, seq_off, slen, ht_start, slots, vis_start)
+    return _walk_group_derived(wb, batch, rows, k, seq_off, slen, ht_start, slots, vis_start, ag)
+
+
+def _free_run(table, base, home, size) -> np.ndarray:
+    """Linear probing without inserting: for every query, the occupied
+    slots from ``home`` on to the first empty one in its region
+    ``table[base : base + size]`` (``size`` when the region is full)."""
+    size = np.broadcast_to(size, home.shape)
+    run = np.zeros(home.size, dtype=np.int64)
+    pend = np.nonzero(table[base + home] != EMPTY_PTR)[0]
+    while pend.size:
+        run[pend] += 1
+        pend = pend[run[pend] < size[pend]]
+        slot = base[pend] + (home[pend] + run[pend]) % size[pend]
+        pend = pend[table[slot] != EMPTY_PTR]
+    return run
+
+
+def _agent_moves(batch: DeviceBatch, k: int, ag: _Agents, index: SortedKmers) -> np.ndarray:
+    """Algorithm 2's decision at every agent, as one int per agent (the
+    CPU engine's encoding): ``move >= 0`` appends base ``move & 3`` and
+    goes on to agent ``(move >> 2) - 1`` of the same warp (-1: absent);
+    ``move < 0`` stops the walk with status ``-1 - move``."""
+    cfg = batch.config
+    n = ag.slot.size
+    verdict = np.full(n, int(WalkStatus.RUNOUT), dtype=np.int64)
+    base = np.full(n, -1, dtype=np.int64)
+    # Fewer than min_viable lanes: no viable base.  Every lane extending
+    # by the first lane's base: that base, the only viable one.
+    some = np.nonzero(ag.lanes >= cfg.min_viable)[0]
+    ext = batch.reads_buf.data[ag.ptr[some] + k].astype(np.int64)
+    same = batch.ht_total.data[ag.slot[some] * 4 + ext] == ag.lanes[some]
+    verdict[some[same]] = -1
+    base[some[same]] = ext[same]
+    mixed = some[~same]
+    verdict[mixed], base[mixed] = classify_extensions(
+        batch.ht_hi.data.reshape(-1, 4)[ag.slot[mixed]],
+        batch.ht_total.data.reshape(-1, 4)[ag.slot[mixed]],
+        cfg.min_viable, cfg.dominance_ratio,
+    )
+    move = -1 - verdict
+    # The successor is most often the k-mer of the lane after the first
+    # one; the rest are searched for.
+    go = np.nonzero(verdict < 0)[0]
+    words = successor_kmers(ag.words[go], k, base[go])
+    after = ag.after[go]
+    hit = ag.warp[after] == ag.warp[go]
+    for w in range(words.shape[1]):
+        hit &= ag.words[after, w] == words[:, w]
+    succ = np.where(hit, after, -1)
+    miss = np.nonzero(~hit)[0]
+    run = index.find(words[miss], ag.warp[go[miss]])
+    succ[miss] = np.where(run >= 0, index.first[run], -1)
+    move[go] = (succ + 1) * 4 + base[go]
+    return move
+
+
+def _walk_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, k: int, seq_off, slen, ht_start, slots, vis_start, ag):
+    """Closed-form single-lane mer-walks for one k-group.
+
+    A k-mer a walk looks up is either an agent — its main-table probe
+    runs from its home to its slot, ``dist + 1`` loads and key compares —
+    or absent, which ends the walk after probing the occupied run from its
+    home to the first empty slot.  So a walk is a chain through the agent
+    table: the start k-mer is resolved once, each step is one gather of
+    the agent's move (:func:`_agent_moves`), and a revisited agent is a
+    LOOP.  The visited table is replayed insert by insert (its probe
+    lengths depend on the order), logging each step's row, agent and
+    probe length; the absent k-mer that ends a walk is hashed once, after
+    the appended bases are stored.  Every counter then comes from the
+    logs in one pass per access kind.  Leaves ``seq_buf``, ``vis_ptr`` and
+    every counter exactly as :func:`_walk_group_lockstep` would, and
+    returns the same ``(appended, status, slen)``.  The visited table has
+    ``2 * max_walk_len`` slots, so it never fills.
+    """
+    cfg = batch.config
+    R = rows.size
+    V = batch.vis_slots
+    sdata = batch.seq_buf.data
+    kpos0 = seq_off + slen - k  # a walk's k-mer at step s starts at kpos0 + s
+    status = np.full(R, int(WalkStatus.MAX_LEN), dtype=np.int64)
+    short = slen < k  # one branch, no step
+    status[short] = int(WalkStatus.RUNOUT)
+    live = np.nonzero(~short)[0]
+    vis_occ = np.full(R * V, EMPTY_PTR, dtype=np.int64)  # occupant's walk step
+    vis_base = np.arange(R) * V
+
+    # -- chase: one integer step per walking row ------------------------------
+    steps = []  # per step: (rows, agents, visited-table probe length)
+    loops = []  # the same, for walks back on an agent they visited
+    ends = [live]  # rows whose walk meets an absent k-mer
+    if ag is not None and live.size:
+        index = SortedKmers(ag.words, k, ag.warp, R)
+        move = _agent_moves(batch, k, ag, index)
+        vis_home = ag.hash % V
+        vis_len = np.full(move.size, -1, dtype=np.int64)  # -1: not visited
+        words, ok = pack_kmers(sdata[kpos0[live, None] + cached_arange(k)].ravel(), k)
+        run = index.find(words[::k], live)
+        hit = ok[::k] & (run >= 0)
+        ends = [live[~hit]]
+        w, cur = live[hit], index.first[run[hit]]
+        del index
+        for s in range(cfg.max_walk_len):
+            if w.size == 0:
+                break
+            vl = vis_len[cur]
+            back = vl >= 0
+            if back.any():
+                loops.append((w[back], cur[back], vl[back]))
+                status[w[back]] = int(WalkStatus.LOOP)
+                w, cur = w[~back], cur[~back]
+            home = vis_home[cur]
+            vl = _free_run(vis_occ, vis_base[w], home, V)
+            vis_occ[vis_base[w] + (home + vl) % V] = s
+            vis_len[cur] = vl
+            steps.append((w, cur, vl))
+            m = move[cur]
+            stop = m < 0
+            if stop.any():
+                status[w[stop]] = -1 - m[stop]
+                w, m = w[~stop], m[~stop]
+            cur = (m >> 2) - 1
+            if s + 1 < cfg.max_walk_len:
+                ends.append(w[cur < 0])
+            w, cur = w[cur >= 0], cur[cur >= 0]
+
+    # visits: (row, home, probe length, inserted) in the visited table;
+    # lookups: (row, base, home, size, compares, loads, branches) in the
+    # main table — an agent's probe ends on its slot, an absent k-mer's on
+    # the first empty slot (none when its region is full)
+    visits, lookups = [], []
+    appended = np.zeros(R, dtype=np.int64)
+    st_row = cls_slot = app_row = app_idx = np.zeros(0, dtype=np.int64)
+    if steps:
+        st_row, st_ag, st_vl = (np.concatenate(x) for x in zip(*steps))
+        st_step = np.repeat(np.arange(len(steps)), [x[0].size for x in steps])
+        visits.append((st_row, vis_home[st_ag], st_vl, np.ones(st_row.size, dtype=bool)))
+        for lo_row, lo_ag, lo_vl in loops:
+            visits.append((lo_row, vis_home[lo_ag], lo_vl, np.zeros(lo_row.size, dtype=bool)))
+        d = ag.dist[st_ag]
+        lookups.append((st_row, ag.base[st_ag], ag.home[st_ag], ag.slots[st_ag], d + 1, d + 1, d))
+        cls_slot = ag.slot[st_ag]
+        m = move[st_ag]
+        app = np.nonzero(m >= 0)[0]
+        app_row = st_row[app]
+        appended = _fold(app_row, None, R)
+        app_idx = seq_off[app_row] + slen[app_row] + st_step[app]
+        wb._strict_check(batch.seq_buf, app_idx, "store_lane0")
+        sdata[app_idx] = m[app] & 3
+    slen = slen + appended
+
+    # -- the absent k-mers that end walks: hash, visit, probe -----------------
+    e_row = np.concatenate(ends)
+    e_pos = seq_off[e_row] + slen[e_row] - k
+    e_hash = murmurhash2_rows(sdata[e_pos[:, None] + cached_arange(k)]).astype(np.int64)
+    e_vhome = e_hash % V
+    e_vl = _free_run(vis_occ, vis_base[e_row], e_vhome, V)
+    vis_occ[vis_base[e_row] + (e_vhome + e_vl) % V] = appended[e_row]
+    e_home = e_hash % slots[e_row]
+    e_run = _free_run(batch.ht_ptr.data, ht_start[e_row], e_home, slots[e_row])
+    status[e_row] = int(WalkStatus.RUNOUT)
+    visits.append((e_row, e_vhome, e_vl, np.ones(e_row.size, dtype=bool)))
+    lookups.append(
+        (e_row, ht_start[e_row], e_home, slots[e_row], e_run, e_run + (e_run < slots[e_row]), e_run)
+    )
+    taken = np.nonzero(vis_occ != EMPTY_PTR)[0]
+    t_row = taken // V
+    batch.vis_ptr.data[vis_start[t_row] + taken % V] = kpos0[t_row] + vis_occ[taken]
+
+    # -- every counter from the logs, one pass per access kind ----------------
+    def per_row(row_of, values=None):
+        return _fold(row_of, values, R)
+
+    def elem_sectors(darr, row_of, idx):
+        one = wb._single_element_transactions(darr, idx)
+        return per_row(row_of, np.broadcast_to(one, idx.shape))
+
+    # visited table: loads up to the free (insert) or equal (LOOP) slot, and
+    # a key compare against the walk k-mer held by each occupied one
+    v_row, v_home, v_len, v_ins = (np.concatenate(x) for x in zip(*visits))
+    n_load = v_len + 1
+    j = _within(n_load)
+    vl_row = np.repeat(v_row, n_load)
+    vl_pos = (np.repeat(v_home, n_load) + j) % V
+    vl_idx = vis_start[vl_row] + vl_pos
+    vc = np.nonzero(j < np.repeat(v_len + ~v_ins, n_load))[0]
+    vc_kpos = kpos0[vl_row[vc]] + vis_occ[vis_base[vl_row[vc]] + vl_pos[vc]]
+    ins = np.nonzero(v_ins)[0]
+    cas_idx = vis_start[v_row[ins]] + (v_home[ins] + v_len[ins]) % V
+    # main table
+    m_row, m_base, m_home, m_size, m_cmp, n_load, m_branch = (
+        np.concatenate(x) for x in zip(*lookups)
+    )
+    j = _within(n_load)
+    ml_row = np.repeat(m_row, n_load)
+    ml_idx = np.repeat(m_base, n_load) + (np.repeat(m_home, n_load) + j) % np.repeat(m_size, n_load)
+    mc = np.nonzero(j < np.repeat(m_cmp, n_load))[0]
+    wb._strict_check(batch.vis_ptr, vl_idx, "load_lane0")
+    wb._strict_check(batch.vis_ptr, cas_idx, "atomic_cas_lane0")
+    wb._strict_check(batch.ht_ptr, ml_idx, "load_lane0")
+
+    hashes = per_row(v_row)  # one murmur per step
+    loads = per_row(vl_row) + per_row(ml_row)  # each fuses 2 address ops
+    compares = per_row(vl_row[vc]) + per_row(ml_row[mc])  # kw words + kw ops
+    branches = per_row(v_row, v_len) + per_row(m_row, m_branch)
+    cas = per_row(v_row[ins])
+    classified = per_row(st_row)  # two 16-byte tally gathers + 8 ops
+    kw = (k + 7) // 8
+    hops = _hash_cost_ops(k)
+    inst = (
+        hops * hashes + 3 * loads + 2 * kw * compares + branches + cas
+        + 12 * classified + 2 * appended + short
+    )
+    c = wb.counters
+    c.warp_inst[rows] += inst
+    c.thread_inst[rows] += inst  # lane 0 only
+    c.predicated_off[rows] += (_LANES - 1) * inst
+    c.int_inst[rows] += hops * hashes + 2 * loads + kw * compares + 8 * classified
+    c.control_inst[rows] += branches + short
+    c.global_ld_inst[rows] += loads + kw * compares + 4 * classified
+    c.global_ld_transactions[rows] += (
+        elem_sectors(batch.vis_ptr, vl_row, vl_idx)
+        + per_row(vl_row[vc], wb._lane0_span_sectors(batch.seq_buf, vc_kpos, k))
+        + elem_sectors(batch.ht_ptr, ml_row, ml_idx)
+        + per_row(ml_row[mc], wb._lane0_span_sectors(
+            batch.reads_buf, batch.ht_ptr.data[ml_idx[mc]], k))
+        + per_row(st_row, wb._lane0_span_sectors(batch.ht_hi, cls_slot * 16, 16)
+                  + wb._lane0_span_sectors(batch.ht_total, cls_slot * 16, 16))
+    )
+    c.atomic_inst[rows] += cas
+    c.atomic_transactions[rows] += elem_sectors(batch.vis_ptr, v_row[ins], cas_idx)
+    c.global_st_inst[rows] += appended
+    c.global_st_transactions[rows] += elem_sectors(batch.seq_buf, app_row, app_idx)
+    c.local_st_inst[rows] += appended
+    c.local_transactions[rows] += appended
+    return appended, status, slen
+
+
+def _walk_group_lockstep(
     wb: WarpBatch,
     batch: DeviceBatch,
     rows,
@@ -635,8 +905,8 @@ def _walk_group(
     slots,
     vis_start,
 ):
-    """Lockstep single-lane mer-walks for one k-group.
-
+    """Lockstep single-lane mer-walks for one k-group: every access of
+    every walk step is issued through ``wb``, in program order.
     Returns ``(appended, status, slen)`` per row.  Every still-walking row
     advances through the same walk step at once; rows leave the lockstep
     (loop/runout/fork/accept) exactly where the sequential walk breaks.
@@ -828,14 +1098,15 @@ def run_extension_v2_batched(
             g = live[k_live == kv]
             kv = int(kv)
             _clear_group(wb, batch, g, ht_start[g], slots[g], vis_start[g])
-            _build_group(wb, batch, g, t_arr[g], kv, ht_start[g], slots[g])
+            agents = _build_group(wb, batch, g, t_arr[g], kv, ht_start[g], slots[g])
             # Build-to-walk barrier, matching the sequential kernel's
             # warp.sync() between build_fn and mer_walk_gpu.
             wb.sync_op(g, _LANES)
             app, st, new_slen = _walk_group(
                 wb, batch, g, kv, seq_off[g], slen[g], ht_start[g], slots[g],
-                vis_start[g],
+                vis_start[g], agents,
             )
+            del agents  # not alive through the next group's build
             totals[g] += app
             status[g] = st
             slen[g] = new_slen

@@ -616,15 +616,21 @@ class WarpBatch:
                 darr, np.asarray(starts, dtype=np.int64), nbytes,
                 np.asarray(rows), 0, op="gather_span_lane0",
             )
+        self.counters.global_ld_transactions[rows] += self._lane0_span_sectors(
+            darr, starts, nbytes, word_bytes
+        )
+
+    def _lane0_span_sectors(self, darr, starts, nbytes: int, word_bytes: int = 8) -> np.ndarray:
+        """Sector count of each single-lane key-stream gather: every word's
+        {first, last} sectors, summed over the span's words."""
+        n_words = (nbytes + word_bytes - 1) // word_bytes
         addrs = darr.base_addr + np.asarray(starts, dtype=np.int64)
         w = cached_arange(n_words)
         word_addrs = addrs[:, None] + word_bytes * w[None, :]
         word_len = np.minimum(word_bytes, nbytes - word_bytes * w)
         first = word_addrs // self.sector_bytes
         last = (word_addrs + word_len[None, :] - 1) // self.sector_bytes
-        self.counters.global_ld_transactions[rows] += (
-            1 + (first != last)
-        ).sum(axis=1)
+        return (1 + (first != last)).sum(axis=1)
 
     def atomic_cas_lane0(self, darr: DeviceArray, idx, compare, value, rows) -> np.ndarray:
         """Single-lane CAS per row (rows own disjoint regions; no replays)."""

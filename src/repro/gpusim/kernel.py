@@ -81,7 +81,7 @@ class GpuContext:
     * ``"batched"`` — the SoA engine (:mod:`repro.gpusim.batched`): all
       warps advance in lockstep through vectorised kernel steps.  Kernels
       without a registered batched implementation fall back to sequential;
-    * ``"auto"`` (default) — ``"batched"``, which is 22-38x faster than
+    * ``"auto"`` (default) — ``"batched"``, which is 54-92x faster than
       sequential on every recorded workload (BENCH_engine.json,
       BENCH_batched.json).
 

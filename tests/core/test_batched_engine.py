@@ -154,6 +154,16 @@ def _reads_task(cid, reads, rng=None):
     )
 
 
+def _per_warp_fields(per_warp):
+    """Every counter field as a per-warp array, from one
+    :class:`KernelCounters` per sequentially interpreted warp."""
+    return {
+        f: np.array([getattr(c, f, None) if f != "atomic_conflicts"
+                     else c.labels.get(f, 0) for c in per_warp])
+        for f in _FIELDS
+    }
+
+
 def _build(tasks, k, engine, order=None):
     """Clear + build every task's table at mer size *k* on one engine;
     returns (per-warp counter arrays, table bytes, the batch)."""
@@ -170,11 +180,7 @@ def _build(tasks, k, engine, order=None):
             ek._clear_tables(warp, batch, t)
             ek.build_table_v2(warp, batch, t, k)
             per_warp.append(c)
-        counters = {
-            f: np.array([getattr(c, f, None) if f != "atomic_conflicts"
-                         else c.labels.get(f, 0) for c in per_warp])
-            for f in _FIELDS
-        }
+        counters = _per_warp_fields(per_warp)
     else:
         bc = BatchCounters(n)
         wb = WarpBatch(bc, sector)
@@ -277,18 +283,30 @@ class TestDerivedBuild:
         _assert_builds_agree(tasks, 21, order=[3])
         _assert_builds_agree(tasks, 21, order=[4, 0, 2])
 
-    def test_hash_collisions_fall_back_to_content(self, monkeypatch):
-        """A low-entropy murmur in both engines: a warp's k-mers collide
-        in every hash bit, so agents must be told apart by content."""
+    def test_hash_collisions_fall_back_to_content(self, monkeypatch, config):
+        """A low-entropy murmur in both engines, whole launches: a warp's
+        k-mers collide in every hash bit, so agents are told apart by
+        content alone, and every build probe, main-table lookup and
+        visited-table probe of the walks chains through its colliders."""
 
         def weak_hash(rows, seed=0):
             return (rows[:, 0].astype(np.uint32) + rows[:, -1]) % np.uint32(3)
 
+        def weak_hash_32(data, seed=0):
+            return (int(data[0]) + int(data[-1])) % 3
+
         monkeypatch.setattr(ek, "murmurhash2_rows", weak_hash)
+        monkeypatch.setattr(ek, "murmurhash2_32", weak_hash_32)
         monkeypatch.setattr(ekb, "murmurhash2_rows", weak_hash)
         rng = np.random.default_rng(13)
-        tasks = [_reads_task(c, _random_reads(rng, 3, 70) * 2, rng) for c in range(3)]
-        _assert_builds_agree(tasks, 21)
+        tasks = TaskSet(
+            [_tiling_task(random_dna(220, rng), 90, cid=cid, stride=9) for cid in range(3)]
+            + [_reads_task(3, _random_reads(rng, 3, 70) * 2, rng)]
+        )
+        seq = GpuLocalAssembler(config, engine="sequential").run(tasks)
+        bat = GpuLocalAssembler(config, engine="batched").run(tasks)
+        _assert_identical_reports(seq, bat)
+        assert np.count_nonzero(bat.extensions.lengths()) >= 3
 
     @pytest.mark.parametrize("cap", [1, 1 << 62])
     def test_block_cap_changes_nothing(self, monkeypatch, cap):
@@ -310,19 +328,240 @@ class TestDerivedBuild:
 
     def test_sanitized_launches_keep_the_lockstep_build(self, monkeypatch, workload, config):
         """Selection is by ``wb.sanitizer`` alone: a sanitized run never
-        enters the derived build, an unsanitized one never the lockstep."""
+        enters the derived build or walk, an unsanitized one never the
+        lockstep ones."""
         calls = []
-        for name in ("_build_group_lockstep", "_build_group_derived"):
+        for name in ("_build_group_lockstep", "_build_group_derived",
+                     "_walk_group_lockstep", "_walk_group_derived"):
             real = getattr(ekb, name)
             monkeypatch.setattr(
                 ekb, name,
                 lambda *a, _real=real, _name=name: (calls.append(_name), _real(*a))[1],
             )
         GpuLocalAssembler(config, engine="batched").run(workload)
-        assert set(calls) == {"_build_group_derived"}
+        assert set(calls) == {"_build_group_derived", "_walk_group_derived"}
         calls.clear()
         GpuLocalAssembler(config, engine="batched", sanitize="memcheck").run(workload)
-        assert set(calls) == {"_build_group_lockstep"}
+        assert set(calls) == {"_build_group_lockstep", "_walk_group_lockstep"}
+
+
+# ---------------------------------------------------------------------------
+# The derived (closed-form) mer-walk.
+#
+# Unsanitized batched launches chase the build's agent table instead of
+# stepping the probes.  The same two oracles pin it: the lockstep walk a
+# sanitized launch still runs, and the sequential interpreter.  Each path
+# runs clear + build + walk; every counter field is compared per warp,
+# the walk results row by row and the three walk buffers byte for byte.
+# ---------------------------------------------------------------------------
+
+_WALK_BUFFERS = ("seq_buf", "vis_ptr")
+
+
+def _contig_task(cid, contig, reads, rng=None):
+    task = _reads_task(cid, reads, rng)
+    return ExtensionTask.from_reads(
+        cid=cid, side=RIGHT, contig=encode(contig),
+        reads=task.reads, quals=task.quals,
+    )
+
+
+def _walk(tasks, k, engine, order=None, max_walk_len=300):
+    """Clear + build + walk every task at mer size *k* on one engine;
+    returns (per-warp counters, per-warp (appended, status, slen), buffer
+    bytes, the batch)."""
+    ctx = GpuContext()
+    cfg = LocalAssemblyConfig(k_max=95, max_walk_len=max_walk_len)
+    batch = pack_batch(ctx, list(tasks), cfg)
+    sector = ctx.device.sector_bytes
+    task_ids = np.arange(len(tasks)) if order is None else np.asarray(order)
+    n = task_ids.size
+    if engine == "sequential":
+        per_warp, results = [], []
+        for t in task_ids.tolist():
+            c = KernelCounters()
+            warp = Warp(c, warp_id=t, sector_bytes=sector)
+            ek._clear_tables(warp, batch, t)
+            ek.build_table_v2(warp, batch, t, k)
+            appended, status = ek.mer_walk_gpu(warp, batch, t, k)
+            results.append((appended, int(status), int(batch.seq_len[t])))
+            per_warp.append(c)
+        counters = _per_warp_fields(per_warp)
+    else:
+        bc = BatchCounters(n)
+        wb = WarpBatch(bc, sector)
+        rows = np.arange(n)
+        ht_start = batch.layout.offsets[task_ids]
+        slots = batch.layout.sizes[task_ids]
+        vis_start = task_ids * batch.vis_slots
+        seq_off = batch.seq_offsets[task_ids]
+        slen = batch.seq_len[task_ids].copy()
+        ekb._clear_group(wb, batch, rows, ht_start, slots, vis_start)
+        if engine == "derived":
+            ag = ekb._build_group_derived(wb, batch, rows, task_ids, k, ht_start, slots)
+            out = ekb._walk_group_derived(
+                wb, batch, rows, k, seq_off, slen, ht_start, slots, vis_start, ag
+            )
+        else:
+            ekb._build_group_lockstep(wb, batch, rows, task_ids, k, ht_start, slots)
+            out = ekb._walk_group_lockstep(
+                wb, batch, rows, k, seq_off, slen, ht_start, slots, vis_start
+            )
+        batch.seq_len[task_ids] = out[2]
+        results = list(zip(*(a.tolist() for a in out)))
+        counters = {f: getattr(bc, f) for f in _FIELDS}
+    buffers = {name: getattr(batch, name).data.tobytes() for name in _WALK_BUFFERS}
+    buffers["seq_len"] = batch.seq_len.tobytes()
+    return counters, results, buffers, batch
+
+
+def _assert_walks_agree(tasks, k, order=None, max_walk_len=300):
+    derived, d_results, d_buffers, batch = _walk(tasks, k, "derived", order, max_walk_len)
+    for oracle in ("lockstep", "sequential"):
+        counters, results, buffers, _ = _walk(tasks, k, oracle, order, max_walk_len)
+        for f in _FIELDS:
+            np.testing.assert_array_equal(derived[f], counters[f], err_msg=f"{f} vs {oracle}")
+        assert d_results == results, oracle
+        for name, data in buffers.items():
+            assert d_buffers[name] == data, f"{name} vs {oracle}"
+    return d_results, batch
+
+
+def _statuses(results):
+    return {ek.WalkStatus(s) for _, s, _ in results}
+
+
+def _absent_run_wraps(batch, t, k):
+    """True when task *t*'s start k-mer is absent and its main-table
+    probe runs off the end of the table to reach an empty slot."""
+    lo, hi = batch.ht_region(t)
+    pos = int(batch.seq_offsets[t] + batch.seq_len[t]) - k
+    kmer = batch.seq_buf.data[pos : pos + k]
+    ptrs = batch.ht_ptr.data[lo:hi]
+    keys = batch.reads_buf.data[ptrs[ptrs != EMPTY_PTR][:, None] + np.arange(k)]
+    if (keys == kmer).all(axis=1).any():
+        return False
+    home = int(murmurhash2_rows(kmer[None, :])[0]) % (hi - lo)
+    run = 0
+    while run < hi - lo and ptrs[(home + run) % (hi - lo)] != EMPTY_PTR:
+        run += 1
+    return 0 < run < hi - lo and home + run >= hi - lo
+
+
+class TestDerivedWalk:
+    def test_tandem_repeat_loops(self):
+        """A contig ending in a tandem repeat whose reads tile it: the
+        walk comes back to its first agent — LOOP, with the visited-table
+        probe ending on an equal key."""
+        rng = np.random.default_rng(41)
+        unit = random_dna(15, rng)
+        repeat = unit * 20
+        reads = [repeat[i : i + 80] for i in range(0, 200, 7)]
+        tasks = [
+            _contig_task(0, random_dna(40, rng) + unit * 4, reads, rng),
+            _contig_task(1, repeat[:90], reads[::2], rng),
+        ]
+        results, _ = _assert_walks_agree(tasks, 21)
+        assert _statuses(results) == {ek.WalkStatus.LOOP}
+
+    def test_fork_and_runout_on_an_absent_successor(self):
+        """Two genomes share the contig end and then diverge (FORK); reads
+        that all end with the genome make the last extension lead to a
+        k-mer no read extends (RUNOUT on an absent successor)."""
+        rng = np.random.default_rng(43)
+        shared = random_dna(120, rng)
+        a, b = shared + random_dna(100, rng), shared + random_dna(100, rng)
+        fork = [g[i : i + 70] for g in (a, b) for i in range(0, 150, 4)]
+        genome = random_dna(200, rng)
+        ending = [genome[i:] for i in range(60, 130, 5)]
+        tasks = [
+            _contig_task(0, shared[:100], fork, rng),
+            _contig_task(1, genome[:100], ending),
+        ]
+        results, batch = _assert_walks_agree(tasks, 21)
+        assert results[0][1] == ek.WalkStatus.FORK
+        assert results[1][1] == ek.WalkStatus.RUNOUT and results[1][0] > 0
+        # the walk reached the genome end: its last k-mer is every read's
+        # last window, which no read extends, so no table holds it
+        assert results[1][0] == len(genome) - 100
+
+    def test_start_kmer_absent_ambiguous_or_short(self):
+        """A start k-mer no read holds, one holding N, a contig shorter
+        than k, and a task without reads."""
+        rng = np.random.default_rng(47)
+        genome = random_dna(220, rng)
+        reads = [genome[i : i + 90] for i in range(0, 130, 6)]
+        tasks = [
+            _contig_task(0, random_dna(60, rng), reads, rng),
+            _contig_task(1, genome[:70] + "N" + genome[71:80], reads, rng),
+            _contig_task(2, genome[:15], reads, rng),
+            _contig_task(3, genome[:80], []),
+            _contig_task(4, genome[:80], reads, rng),
+        ]
+        results, _ = _assert_walks_agree(tasks, 21)
+        assert [r[:2] for r in results[:4]] == [(0, ek.WalkStatus.RUNOUT)] * 4
+        assert results[4][0] > 0
+
+    @pytest.mark.parametrize("max_walk_len", [1, 5])
+    def test_walks_capped_at_max_len(self, max_walk_len):
+        """The cap stops every walk, including one whose next k-mer would
+        have been absent: the cap comes first, so no absent probe."""
+        rng = np.random.default_rng(53)
+        genome = random_dna(300, rng)
+        reads = [genome[i : i + 100] for i in range(0, 200, 5)]
+        tasks = [_contig_task(c, genome[: 60 + 10 * c], reads, rng) for c in range(3)]
+        ending = random_dna(200, rng)
+        tasks.append(_contig_task(
+            3, ending[: 200 - max_walk_len], [ending[i:] for i in range(60, 130, 5)]
+        ))
+        results, _ = _assert_walks_agree(tasks, 21, max_walk_len=max_walk_len)
+        tails = [60, 70, 80, 95]  # the last contig is cut to the 95-base tail
+        assert results == [(max_walk_len, ek.WalkStatus.MAX_LEN, t + max_walk_len)
+                           for t in tails]
+
+    @pytest.mark.parametrize("k", [33, 61])
+    def test_multi_word_keys(self, k):
+        rng = np.random.default_rng(k)
+        genome = random_dna(400, rng)
+        reads = [genome[i : i + 150] for i in range(0, 250, 8)]
+        tasks = [_contig_task(0, genome[:120], reads, rng),
+                 _contig_task(1, genome[:100], reads[:6], rng)]
+        results, _ = _assert_walks_agree(tasks, k)
+        assert results[0][0] > 0
+
+    def test_one_warp_and_permuted_groups(self):
+        rng = np.random.default_rng(59)
+        tasks = []
+        for c in range(5):
+            genome = random_dna(240, rng)
+            reads = [genome[i : i + 80] for i in range(0, 160, 4 + c)]
+            tasks.append(_contig_task(c, genome[:70], reads, rng))
+        _assert_walks_agree(tasks, 21, order=[3])
+        _assert_walks_agree(tasks, 21, order=[4, 0, 2])
+
+    def test_block_cap_of_one_lane(self, monkeypatch):
+        """One warp per resolve block: agents are numbered block by block,
+        and the walk's index over them must not care."""
+        rng = np.random.default_rng(61)
+        genome = random_dna(260, rng)
+        reads = [genome[i : i + 90] for i in range(0, 170, 5)]
+        tasks = [_contig_task(c, genome[: 70 + 20 * c], reads, rng) for c in range(3)]
+        monkeypatch.setattr(ekb, "_BLOCK_LANES", 1)
+        results, _ = _assert_walks_agree(tasks, 21)
+        assert all(r[0] > 0 for r in results)
+
+    def test_crowded_tables_chain_absent_lookups_and_wrap(self):
+        """All-distinct reads at a short k fill each table to ~90%: an
+        absent start k-mer's probe walks a long occupied run, some off the
+        end of the table, before reaching an empty slot."""
+        rng = np.random.default_rng(61)
+        tasks = [
+            _contig_task(c, random_dna(50, rng), _random_reads(rng, 6, 140), rng)
+            for c in range(8)
+        ]
+        results, batch = _assert_walks_agree(tasks, 13)
+        assert _statuses(results) == {ek.WalkStatus.RUNOUT}
+        assert any(_absent_run_wraps(batch, t, 13) for t in range(8))
 
 
 def test_cached_arange_does_not_grow_with_the_data():
