@@ -406,7 +406,7 @@ def _resolve_block(batch: DeviceBatch, k: int, n_before, load_start, n_act, row_
     index = SortedKmers(words, k, warp, int(warp[-1]) + 1)
     agent = np.empty(v.size, dtype=np.int64)
     agent[index.order] = index.run
-    first = np.minimum.reduceat(index.order, index.starts)
+    first = index.first
     a_ptr = starts[first]
     return (
         agent,

@@ -113,7 +113,8 @@ def kmer_stage(
 
     Returns ``(stage, finish)``: hand *stage* to
     :func:`~repro.distributed.harness.run_ranks` and the run to *finish*
-    for the merged, ``min_count``-filtered global spectrum.
+    for the merged, ``min_count``-filtered global spectrum.  Owners
+    filter; *finish* merges their disjoint survivors.
     """
     width = record_width(words_per_kmer(k))
 
@@ -124,13 +125,15 @@ def kmer_stage(
         return (*pack_for_exchange(local, n_ranks), None)
 
     def consume(rank, inbox, carry):
-        # the owner's reduce: records of one k-mer from every source sum
-        return (pack_records(merge_spectra([spectrum_from_records(inbox, k)], k)),)
+        # the owner's reduce: records of one k-mer from every source sum.
+        # An owner holds each of its k-mers' complete count, so it applies
+        # min_count exactly and ships only the survivors.
+        owned = merge_spectra([spectrum_from_records(inbox, k)], k)
+        return (pack_records(owned.filtered(min_count) if min_count > 1 else owned),)
 
     def finish(run: RankRun) -> KmerSpectrum:
-        shards = [spectrum_from_records(rows, k) for (rows,) in run.owned]
-        merged = merge_spectra(shards, k)
-        return merged.filtered(min_count) if min_count > 1 else merged
+        # disjoint, already-filtered shards: the merge only sorts them
+        return merge_spectra([spectrum_from_records(rows, k) for (rows,) in run.owned], k)
 
     wire = (np.uint64, width)
     return Stage("kmer", RANK_PHASES, produce, consume, wire, (wire,)), finish

@@ -116,15 +116,7 @@ def partition_part(batch: ReadBatch, n_ranks: int, rank: int) -> ReadBatch:
     bounds = _partition_bounds(batch, n_ranks)
     if not 0 <= rank < n_ranks:
         raise ValueError(f"rank {rank} out of range for {n_ranks} ranks")
-    lo, hi = int(bounds[rank]), int(bounds[rank + 1])
-    start, stop = batch.offsets[lo], batch.offsets[hi]
-    return ReadBatch(
-        batch.bases[start:stop],
-        batch.quals[start:stop],
-        batch.offsets[lo : hi + 1] - start,
-        batch.names[lo:hi] if batch.names is not None else None,
-        paired=batch.paired,  # blocks are pair-aligned
-    )
+    return batch.read_range(int(bounds[rank]), int(bounds[rank + 1]))
 
 
 def partition_reads(batch: ReadBatch, n_ranks: int) -> list[ReadBatch]:

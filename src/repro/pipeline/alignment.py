@@ -76,6 +76,12 @@ MAX_READS_PER_END = 3000
 #: shared disabled profiler — `with _NULL_PROFILER.phase(...)` is a no-op.
 _NULL_PROFILER = HostProfiler(enabled=False)
 
+#: Read bases per alignment block: :func:`align_core` runs over blocks of
+#: whole pairs holding at most this many bases, which bounds its
+#: temporaries (tens of MiB on a 400 kbase batch in one pass).  A memory
+#: knob only: no result depends on it.
+_BLOCK_BASES = 1 << 16
+
 
 @dataclass(frozen=True)
 class ReadAlignment:
@@ -497,6 +503,27 @@ class AlnRows:
         z = np.empty(0, dtype=np.int64)
         return AlnRows(z, z, z, z, z.astype(bool), z, z, z, n_seed_hits, 0)
 
+    @staticmethod
+    def concat(parts: list["AlnRows"]) -> "AlnRows":
+        """The rows of consecutive read ranges, in range order: emission
+        order is kept and the two tallies add."""
+        if len(parts) == 1:
+            return parts[0]
+        hits = sum(p.n_seed_hits for p in parts)
+        full = [p for p in parts if len(p)]
+        if not full:
+            return AlnRows.empty(hits)
+        cols = {
+            f: np.concatenate([getattr(p, f) for p in full])
+            for f in ("read", "seq_in_read", "cid", "offset", "is_rc",
+                      "matches", "mismatches", "ov_len")
+        }
+        return AlnRows(
+            **cols,
+            n_seed_hits=hits,
+            n_reads_aligned=sum(p.n_reads_aligned for p in full),
+        )
+
 
 def _oriented_layout(reads: ReadBatch) -> tuple[np.ndarray, np.ndarray]:
     """Concatenated oriented bases plus per-unit offsets.
@@ -514,6 +541,22 @@ def _oriented_layout(reads: ReadBatch) -> tuple[np.ndarray, np.ndarray]:
     return big, uoff
 
 
+def _read_blocks(reads: ReadBatch) -> list[tuple[int, int]]:
+    """``(lo, hi)`` read ranges covering *reads* in order: consecutive
+    whole units (a pair, or one read when unpaired) holding at most
+    :data:`_BLOCK_BASES` bases each; a larger unit is its own block."""
+    n = len(reads)
+    unit = 2 if reads.paired else 1
+    unit_end = reads.offsets[unit::unit]  # base end of every unit
+    blocks, lo = [], 0
+    while lo < n:
+        fit = int(np.searchsorted(unit_end, reads.offsets[lo] + _BLOCK_BASES, "right"))
+        hi = min(max(fit * unit, lo + unit), n)
+        blocks.append((lo, hi))
+        lo = hi
+    return blocks
+
+
 def align_core(
     index: PackedSeedIndex,
     reads: ReadBatch,
@@ -525,20 +568,47 @@ def align_core(
 ) -> AlnRows:
     """Seed, dedup, score and select winners — all as array passes.
 
+    The passes run over contiguous, pair-aligned read blocks of at most
+    :data:`_BLOCK_BASES` bases (:func:`_read_blocks`), so their
+    temporaries are bounded by the block, not the batch.  Every step is
+    per read, so the blocks' rows, concatenated in block order, are the
+    rows of one pass over the batch and the seed-hit and aligned-read
+    tallies add: no result depends on the cap (the argument that makes
+    the ranked aligner's contiguous shards exact).
+
     *read_base* is added to every emitted read index, so a rank holding a
     contiguous shard of a larger batch reports global read ids.
     *profile*, if given, records the :data:`repro.perf.ALN_PHASES` phase
-    breakdown.
+    breakdown (each phase once per block that reaches it).
     """
+    if len(reads) == 0 or len(index) == 0:
+        return AlnRows.empty()
     prof = profile if profile is not None else _NULL_PROFILER
+    params = (read_seed_stride, min_identity, min_overlap)
+    return AlnRows.concat([
+        _align_block(index, reads.read_range(lo, hi), *params, read_base + lo, prof)
+        for lo, hi in _read_blocks(reads)
+    ])
+
+
+def _align_block(
+    index: PackedSeedIndex,
+    reads: ReadBatch,
+    read_seed_stride: int,
+    min_identity: float,
+    min_overlap: int,
+    read_base: int,
+    prof: HostProfiler,
+) -> AlnRows:
+    """:func:`align_core` over one block of reads."""
     n = len(reads)
     seed_len = index.seed_len
-    big, uoff = _oriented_layout(reads)
-    if n == 0 or big.size < seed_len or len(index) == 0:
-        return AlnRows.empty()
 
     # 1) every seed of every read, both strands, one windowing pass
     with prof.phase("aln_seed"):
+        big, uoff = _oriented_layout(reads)
+        if big.size < seed_len:
+            return AlnRows.empty()
         words, no_n = pack_kmers(big, seed_len)
         ulens = np.diff(uoff)
         # int32 unit ids: halves the repeat/compare traffic of the three

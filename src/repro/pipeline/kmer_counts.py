@@ -4,11 +4,16 @@ This is the engine behind the *k-mer analysis* stage.  It never loops
 over individual k-mers in Python: every k-mer window of the **entire
 concatenated** base array is packed into 2-bit uint64 words in one
 vectorised pass, windows that cross read boundaries or contain ``N`` are
-masked out, the valid windows are canonicalised in word space
+masked out, the valid windows are canonicalised in place in word space
 (:func:`~repro.sequence.kmer.canonical_rows`), and one
 :class:`~repro.sequence.kmer.SortedKmers` sort groups them into distinct
-k-mers.  Runs below ``min_count`` are dropped before the extension tallies
-are built, each with one ``np.bincount``.
+k-mers.  Runs below ``min_count`` get no tally row; the extension tallies
+are one ``np.bincount`` each.
+
+The pass is one pass, not blocked, and its memory is kept down instead:
+no per-base read-id array, ``uint8`` extension columns, and every
+per-window array dropped as soon as it is consumed.  Its transient is
+~30 bytes per counted 21-mer window (``bench_smoke`` gates it).
 
 The output (:class:`KmerSpectrum`) records, per distinct canonical k-mer:
 
@@ -134,38 +139,71 @@ def count_kmers(
         Bases below this Phred score are masked to N before windowing
         (MetaHipMer's quality-aware counting): k-mers containing them are
         never counted, and they never vote as extensions.  0 disables.
+
+    The result depends only on the reads, not on how the pass is laid out
+    in memory: a window counts when it holds no N and its k bases lie in
+    one read (:func:`_inside_reads`).
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"k must be odd and >= 1 for canonical k-mers, got {k}")
     bases = batch.bases
     if min_qual > 0:
-        bases = np.where(batch.quals < min_qual, N_CODE, bases)
-    words, no_n = pack_kmers(bases, k)
-    # a window counts when it holds no N and ends inside its read
-    read_end = np.repeat(batch.offsets[1:], batch.lengths())[: no_n.size]
-    starts = np.flatnonzero(no_n & (np.arange(no_n.size) + k <= read_end))
-    canon, is_rc = canonical_rows(words[starts], k)
+        bases = np.where(batch.quals < min_qual, np.uint8(N_CODE), bases)
+    words, valid = pack_kmers(bases, k)
+    valid &= _inside_reads(batch.offsets, k, valid.size)
 
     # Extensions in read orientation; NO_EXT across a read boundary (an N
     # is NO_EXT already).  before[p] is base p - 1, after[p] base p, each
     # unless p starts a read (or is the end).
-    before = np.concatenate([[NO_EXT], bases])
-    after = np.append(bases, NO_EXT)
+    no_ext = np.array([NO_EXT], dtype=np.uint8)
+    before = np.concatenate([no_ext, bases])
+    after = np.concatenate([bases, no_ext])
     before[batch.offsets] = after[batch.offsets] = NO_EXT
-    left, right = before[starts], after[starts + k]
+    left = before[: valid.size][valid]
+    right = after[k : k + valid.size][valid]
+    del before, after
+    canon, is_rc = canonical_rows(words[valid], k)
+    del words, valid
     # When the canonical form is the rc, left/right swap and complement.
-    canon_left = np.where(is_rc, _COMP_EXT[right], left)
-    canon_right = np.where(is_rc, _COMP_EXT[left], right)
+    left, right = (
+        np.where(is_rc, _COMP_EXT[right], left),
+        np.where(is_rc, _COMP_EXT[left], right),
+    )
+    del is_rc
 
     index = SortedKmers(canon, k)
-    run, order, first, counts = index.run, index.order, index.first, index.counts
-    if min_count > 1:
-        keep = counts >= min_count
-        rows = keep[run]
-        run = (np.cumsum(keep) - 1)[run[rows]]
-        order, first, counts = order[rows], first[keep], counts[keep]
-    slot = run * 5
-    size = 5 * counts.size
-    left_ext = np.bincount(slot + canon_left[order], minlength=size).reshape(-1, 5)
-    right_ext = np.bincount(slot + canon_right[order], minlength=size).reshape(-1, 5)
-    return KmerSpectrum(k, canon[first], counts, left_ext, right_ext)
+    counts, order = index.counts, index.order
+    keep = counts >= min_count
+    kept = int(np.count_nonzero(keep))
+    out_words = canon[index.first[keep]]
+    del canon, index
+    # each window's tally row in sorted order; windows of dropped runs
+    # share one spare row, cut off below
+    row = np.where(keep, np.cumsum(keep) - 1, kept)
+    slot = np.repeat(row * 5, counts)
+    size = 5 * (kept + 1)
+    left_ext = np.bincount(slot + left[order], minlength=size)
+    slot += right[order]
+    right_ext = np.bincount(slot, minlength=size)
+    return KmerSpectrum(
+        k,
+        out_words,
+        counts[keep],
+        left_ext.reshape(-1, 5)[:kept],
+        right_ext.reshape(-1, 5)[:kept],
+    )
+
+
+def _inside_reads(offsets: np.ndarray, k: int, n_win: int) -> np.ndarray:
+    """Mask of the *n_win* window starts whose k bases lie inside one read.
+
+    The last ``min(k - 1, length)`` starts of every read cross its end.
+    Those spans are disjoint, so +1/-1 marks at their ends and one
+    ``int8`` running sum find them: O(reads) marks, no per-base read id.
+    """
+    ends = offsets[1:]
+    lo = np.minimum(np.maximum(ends - (k - 1), offsets[:-1]), n_win)
+    edge = np.zeros(n_win + 1, dtype=np.int8)
+    np.add.at(edge, lo, 1)
+    np.add.at(edge, np.minimum(ends, n_win), -1)
+    return np.cumsum(edge[:n_win], dtype=np.int8) == 0

@@ -18,8 +18,9 @@ Three forms are provided:
 
 Every stage that groups packed k-mers — counting, merging per-rank
 spectra, spectrum lookup and the local-assembly tables — sorts them
-through one type, :class:`SortedKmers`: one ``argsort`` of one folded
-``uint64`` key per row, runs of equal rows, and ``find`` by binary search.
+through one type, :class:`SortedKmers`: one sort of one folded ``uint64``
+key per row (with the row index packed in when it fits), runs of equal
+rows, and ``find`` by binary search.
 
 MetaHipMer iterates k through {21, 33, 55, 77, 99}; all helpers here accept
 any odd k ≥ 1 (odd k makes a k-mer never equal to its own reverse
@@ -28,6 +29,7 @@ complement, so canonicalisation is unambiguous).
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -216,12 +218,15 @@ def unpack_kmers(words: np.ndarray, k: int) -> np.ndarray:
 
 def _shift_rows_left(words: np.ndarray, bits: int) -> np.ndarray:
     """Each row, read as one big-endian bit string, shifted left by
-    ``0 <= bits < 64``; zeros enter at the low end of the last word."""
-    if bits == 0:
-        return words.copy()
-    out = words << np.uint64(bits)
-    out[:, :-1] |= words[:, 1:] >> np.uint64(64 - bits)
-    return out
+    ``0 <= bits < 64`` in place, one word column at a time; zeros enter
+    at the low end of the last word.  Returns *words*."""
+    if bits:
+        nw = words.shape[1]
+        for w in range(nw):
+            words[:, w] <<= np.uint64(bits)
+            if w + 1 < nw:
+                words[:, w] |= words[:, w + 1] >> np.uint64(64 - bits)
+    return words
 
 
 def successor_kmers(words: np.ndarray, k: int, base: np.ndarray) -> np.ndarray:
@@ -232,7 +237,7 @@ def successor_kmers(words: np.ndarray, k: int, base: np.ndarray) -> np.ndarray:
     OR-ed into slot ``k - 1`` (which the shift filled from the zero pad).
     """
     words = np.asarray(words, dtype=np.uint64)
-    out = _shift_rows_left(words, 2)
+    out = _shift_rows_left(words.copy(), 2)
     out[:, (k - 1) // 32] |= np.asarray(base).astype(np.uint64) << _base_shift(k - 1)
     return out
 
@@ -262,11 +267,18 @@ def revcomp_packed(words: np.ndarray, k: int) -> np.ndarray:
     (flipped) pad bits.
     """
     words = np.asarray(words, dtype=np.uint64)
-    x = ~words[:, ::-1]
-    m2, m4 = np.uint64(0x3333333333333333), np.uint64(0x0F0F0F0F0F0F0F0F)
-    x = ((x >> np.uint64(2)) & m2) | ((x & m2) << np.uint64(2))
-    x = ((x >> np.uint64(4)) & m4) | ((x & m4) << np.uint64(4))
-    x = x.byteswap()
+    x = np.invert(words[:, ::-1])  # the output; the rest is in place
+    tmp = np.empty(x.shape[0], dtype=np.uint64)  # one column of scratch
+    for w in range(x.shape[1]):
+        col = x[:, w]
+        for shift, mask in ((2, 0x3333333333333333), (4, 0x0F0F0F0F0F0F0F0F)):
+            shift, mask = np.uint64(shift), np.uint64(mask)
+            np.right_shift(col, shift, out=tmp)
+            tmp &= mask
+            col &= mask
+            col <<= shift
+            col |= tmp
+        col.byteswap(inplace=True)
     return _shift_rows_left(x, 64 * words.shape[1] - 2 * k)
 
 
@@ -282,11 +294,13 @@ def rows_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def canonical_rows(words: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Canonical form of ``(n, nw)`` packed k-mers: the lesser of each row
-    and its reverse complement, and whether that is the reverse complement."""
+    """Canonicalise ``(n, nw)`` packed k-mers in place: each row becomes the
+    lesser of itself and its reverse complement.  Returns *words* and
+    whether each row is now the reverse complement."""
     rc = revcomp_packed(words, k)
     is_rc = rows_less(rc, words)
-    return np.where(is_rc[:, None], rc, words), is_rc
+    np.copyto(words, rc, where=is_rc[:, None])
+    return words, is_rc
 
 
 def rows_as_keys(words: np.ndarray) -> np.ndarray:
@@ -332,19 +346,26 @@ class SortedKmers:
     folded so far is ranked too, which always suffices (two columns of at
     most ``log2(rows)`` bits each).  The distinct values are kept so that
     :meth:`find` folds query rows into the same key space.  Runs come in
-    ``(group, k-mer string)`` order; nothing here depends on the order
-    ``argsort`` leaves equal keys in.
+    ``(group, k-mer string)`` order.
+
+    When the folded key leaves room for the row index (key bits plus
+    ``ceil(log2 n)`` at most 64), ``key << b | row`` is sorted in place and
+    ``order`` and the sorted keys are read back from it: no ``argsort``
+    and no gather, and ties break by row, so rows within a run ascend.
+    Otherwise (very wide keys or very many rows) one ``argsort`` sorts the
+    keys and leaves equal keys in no particular order.  Either way
+    ``first`` is each run's lowest input row.
 
     Attributes
     ----------
     order:
         ``(n,)`` input row at each sorted position.
     run:
-        ``(n,)`` run index of each sorted row.
+        ``(n,)`` run index of each sorted row (built on first use).
     starts:
         ``(n_runs,)`` sorted position of each run's first row.
     first:
-        ``(n_runs,)`` input row of each run's first sorted row.
+        ``(n_runs,)`` lowest input row of each run.
     counts:
         ``(n_runs,)`` rows per run.
     offsets:
@@ -362,24 +383,43 @@ class SortedKmers:
         self._group_bits = int(n_groups - 1).bit_length()
         self._distinct: dict[tuple[str, int], np.ndarray] = {}
         self._rank_bits = max(1, int(n - 1).bit_length())  # widest possible rank
-        keys = self._fold(words, group, learn=True)[0]
-        self.order = np.argsort(keys)
-        sorted_keys = keys[self.order]
+        keys, _, key_bits = self._fold(words, group, learn=True)
+        row_bits = int(max(n - 1, 0)).bit_length()
+        packed = key_bits + row_bits <= 64
+        if packed:
+            keys <<= np.uint64(row_bits)
+            keys |= np.arange(n, dtype=np.uint64)
+            keys.sort()
+            sorted_keys = keys >> np.uint64(row_bits)
+            keys &= np.uint64((1 << row_bits) - 1)
+            self.order = keys.view(np.int64)
+        else:
+            self.order = np.argsort(keys)
+            sorted_keys = keys[self.order]
+        del keys
         is_start = np.ones(n, dtype=bool)
-        is_start[1:] = sorted_keys[1:] != sorted_keys[:-1]
-        self.run = np.cumsum(is_start) - 1
+        np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=is_start[1:])
         self.starts = np.flatnonzero(is_start)
-        self.first = self.order[self.starts]
+        self._run_keys = sorted_keys[self.starts]
+        del sorted_keys, is_start
+        if packed or not n:
+            self.first = self.order[self.starts]
+        else:
+            self.first = np.minimum.reduceat(self.order, self.starts)
         self.counts = np.diff(self.starts, append=n)
         per_group = [len(self)]
         if self._group_bits:
             per_group = np.bincount(group[self.first], minlength=n_groups)
         self.offsets = np.concatenate([[0], np.cumsum(per_group)])
-        self._run_keys = sorted_keys[self.starts]
 
     def __len__(self) -> int:
         """Number of runs (distinct rows)."""
         return int(self.starts.size)
+
+    @cached_property
+    def run(self) -> np.ndarray:
+        """``(n,)`` run index of each sorted row."""
+        return np.repeat(np.arange(len(self), dtype=np.int64), self.counts)
 
     def _columns(self, words: np.ndarray, group: np.ndarray | None):
         if self._group_bits:
@@ -390,9 +430,10 @@ class SortedKmers:
 
     def _fold(
         self, words: np.ndarray, group: np.ndarray | None, learn: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(key, present)`` of every row; a query row holding a ranked
-        value the build never saw cannot equal a built row: not present."""
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(key, present, key bits)`` of every row; a query row holding
+        a ranked value the build never saw cannot equal a built row: not
+        present.  The key is a fresh array (the caller may write it)."""
         present = np.ones(words.shape[0], dtype=bool)
 
         def squeeze(slot: tuple[str, int], col: np.ndarray) -> tuple[np.ndarray, int]:
@@ -414,7 +455,7 @@ class SortedKmers:
                 key, key_bits = squeeze(("prefix", i), key)
             key = (key << np.uint64(bits)) | col
             key_bits += bits
-        return key, present
+        return key, present, key_bits
 
     def find(self, words: np.ndarray, group: np.ndarray | None = None) -> np.ndarray:
         """Run index of every query row (``(group, k-mer)`` when sorted with
@@ -423,7 +464,7 @@ class SortedKmers:
         _check_width(words, self.k)
         if not len(self):
             return np.full(words.shape[0], -1, dtype=np.int64)
-        keys, present = self._fold(words, group)
+        keys, present, _ = self._fold(words, group)
         pos = np.minimum(np.searchsorted(self._run_keys, keys), len(self) - 1)
         return np.where(present & (self._run_keys[pos] == keys), pos, -1)
 

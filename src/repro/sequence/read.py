@@ -210,6 +210,19 @@ class ReadBatch:
 
     # -- manipulation -------------------------------------------------------
 
+    def read_range(self, lo: int, hi: int) -> "ReadBatch":
+        """Reads ``lo:hi`` as views of this batch's arrays (no base is
+        copied).  The range stays paired when the batch is and *lo* and
+        *hi* are pair-aligned (even)."""
+        start, stop = self.offsets[lo], self.offsets[hi]
+        return ReadBatch(
+            self.bases[start:stop],
+            self.quals[start:stop],
+            self.offsets[lo : hi + 1] - start,
+            self.names[lo:hi] if self.names is not None else None,
+            paired=self.paired and lo % 2 == 0 and hi % 2 == 0,
+        )
+
     def subset(self, indices: np.ndarray | Sequence[int]) -> "ReadBatch":
         """New batch containing the given reads, in the given order.
 

@@ -21,6 +21,7 @@ from repro.distributed import harness
 from repro.distributed.procrank import distributed_count_proc
 from repro.distributed.rank import merge_spectra, partition_reads
 from repro.distributed.shmem import shared_memory_available
+from repro.pipeline import kmer_counts
 from repro.pipeline.kmer_counts import KmerSpectrum, count_kmers
 from repro.sequence.community import arcticsynth_like, sample_paired_reads
 from repro.sequence.dna import encode
@@ -171,3 +172,30 @@ class TestProperties:
         assert_same_spectrum(merge_spectra(spectra, k), want)
         ranked = [count_kmers(p, k) for p in partition_reads(batch, n_shards)]
         assert_same_spectrum(merge_spectra(ranked, k), count_kmers_reference(batch, k))
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 5), st.text(alphabet="ACGT", max_size=40), st.integers(0, 5)
+            ).map(lambda t: "N" * t[0] + t[1] + "N" * t[2]),
+            max_size=12,
+        ),
+        st.lists(st.integers(0, 41), max_size=30),
+        st.sampled_from([1, 3, 5, 21, 33]),
+        st.integers(1, 2),
+        st.sampled_from([0, 20]),
+    )
+    def test_boundary_mask_equals_reference(self, seqs, quals, k, min_count, min_qual):
+        """The read-end marks clear exactly the windows whose first and
+        last base lie in different reads: reads shorter than k, empty
+        reads and N runs at read edges included."""
+        batch = _batch(seqs, quals)
+        n_win = max(batch.n_bases - k + 1, 0)
+        read_of = np.repeat(np.arange(len(batch)), batch.lengths())
+        want = read_of[:n_win] == read_of[k - 1 :]
+        assert np.array_equal(kmer_counts._inside_reads(batch.offsets, k, n_win), want)
+        assert_same_spectrum(
+            count_kmers(batch, k, min_count=min_count, min_qual=min_qual),
+            count_kmers_reference(batch, k, min_count=min_count, min_qual=min_qual),
+        )

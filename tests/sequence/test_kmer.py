@@ -253,3 +253,42 @@ class TestSortedKmers:
         index = SortedKmers(words, 3, np.array([0, 1]), 2)
         assert index.find(words, np.array([1, 0])).tolist() == [-1, -1]
         assert index.find(words, np.array([0, 1])).tolist() == [0, 1]
+
+    @pytest.mark.parametrize("k", [5, 21, 33])
+    @pytest.mark.parametrize("n", [1, 2, 500, 40_000])
+    def test_packed_and_wide_sorts_agree(self, monkeypatch, rng, k, n):
+        """Keys with room for the row index sort as ``key << b | row``;
+        reporting a full-width key forces the ``argsort`` branch.  Both
+        give the same runs, and ``first`` is each run's lowest row; the
+        packed branch also orders every run by row."""
+        nw = words_per_kmer(k)
+        pool = rng.integers(0, 1 << 62, size=(max(2, n // 8), nw), dtype=np.uint64)
+        pool[:, -1] &= ~np.uint64(0) << np.uint64(64 * nw - 2 * k)
+        words = pool[rng.integers(pool.shape[0], size=n)]
+        group = rng.integers(3, size=n)
+        packed = SortedKmers(words, k, group, 3)
+
+        real = SortedKmers._fold
+
+        def full_width(self, *args, **kwargs):
+            key, present, _ = real(self, *args, **kwargs)
+            return key, present, 64
+
+        monkeypatch.setattr(SortedKmers, "_fold", full_width)
+        wide = SortedKmers(words, k, group, 3)
+        monkeypatch.undo()
+
+        rows = np.column_stack([group.astype(np.uint64), words])
+        ordered, is_start = _sorted_rows(rows)
+        for index in (packed, wide):
+            assert np.array_equal(rows[index.order], ordered)
+            assert np.array_equal(index.starts, np.flatnonzero(is_start))
+            assert np.array_equal(index.run, np.cumsum(is_start) - 1)
+            lowest = np.full(len(index), n)
+            np.minimum.at(lowest, index.run, index.order)
+            assert np.array_equal(index.first, lowest)
+            assert np.array_equal(index.find(words, group), index.run[np.argsort(index.order)])
+        for f in ("starts", "counts", "first", "offsets"):
+            assert np.array_equal(getattr(packed, f), getattr(wide, f)), f
+        # ties break by row: (run, row) ascends along the packed order
+        assert (np.diff(packed.order)[np.diff(packed.run) == 0] > 0).all()
