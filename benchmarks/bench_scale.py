@@ -1,15 +1,14 @@
 """Scale ruler: one dataset at 1x, 4x and 16x its reads, per pipeline stage.
 
-    python benchmarks/bench_scale.py [--scales 1 4 16] [--seed 7]
-                                     [--label change] [--src SRC_DIR]
+    python benchmarks/bench_scale.py [--label change] [--src SRC_DIR]
 
-Generates the end-to-end benchmark's ``arctic`` dataset at each
-``--scale`` (``benchmarks/e2e/child.py generate``: genome length and pairs
-both scale) and runs the default ``run_pipeline`` on it in a fresh
-process.  That process meters every stage ``run_pipeline`` times
-(``StageTimes``): user CPU, and peak RSS as ``VmHWM`` after resetting it
-through ``/proc/self/clear_refs`` when the stage starts; the scaffolding
-re-alignment is the second ``alignment`` entry.  It also records what
+Generates the end-to-end benchmark's ``arctic`` dataset (seed 7) at each
+scale in ``SCALES`` (``benchmarks/e2e/child.py generate``: genome length
+and pairs both scale) and runs the default ``run_pipeline`` on it in a
+fresh process.  That process meters every stage ``run_pipeline`` times
+(``StageTimes``): user and system CPU, and peak RSS as ``VmHWM`` after
+resetting it through ``/proc/self/clear_refs`` when the stage starts;
+the scaffolding re-alignment is the second ``alignment`` entry.  It also records what
 drives each stage: reads, counted k-mer windows, contigs, alignment rows
 per pass, candidate bases and local-assembly table inserts.  A per-stage
 exponent is the least-squares slope of log(metric) against log(reads).
@@ -38,6 +37,8 @@ SRC = HERE.parent / "src"
 E2E_CHILD = HERE / "e2e" / "child.py"
 JSON_PATH = HERE / "results" / "BENCH_scale.json"
 DATASET = "arctic"
+SEED = 7
+SCALES = (1, 4, 16)
 
 
 # -- the measured process ----------------------------------------------------
@@ -66,8 +67,9 @@ def measure(fastq: str) -> dict:
     from repro.pipeline.stages import StageTimes
     from repro.sequence.fastq import load_read_batch
 
-    def user_s() -> float:
-        return resource.getrusage(resource.RUSAGE_SELF).ru_utime
+    def cpu() -> tuple[float, float]:
+        ru = resource.getrusage(resource.RUSAGE_SELF)
+        return ru.ru_utime, ru.ru_stime
 
     stages: list[dict] = []
 
@@ -75,14 +77,16 @@ def measure(fastq: str) -> dict:
         @contextmanager
         def stage(self, name: str):
             _reset_hwm()
-            cpu0 = user_s()
+            user0, sys0 = cpu()
             with super().stage(name):
                 yield
+            user1, sys1 = cpu()
             seen = sum(s["stage"] == name for s in stages)
             stages.append({
                 "stage": name,
                 "name": name if not seen else f"{name}.{seen + 1}",
-                "cpu_s": user_s() - cpu0,
+                "cpu_s": user1 - user0,
+                "sys_s": sys1 - sys0,
                 "peak_rss_mb": _vm_hwm_mb(),
             })
 
@@ -102,14 +106,15 @@ def measure(fastq: str) -> dict:
     reads = load_read_batch(fastq)
     _reset_hwm()
     setup_rss = _vm_hwm_mb()
-    cpu0 = user_s()
+    user0, sys0 = cpu()
     result = run_pipeline(reads, PipelineConfig(), times=StageMeter())
-    cpu = user_s() - cpu0
+    user1, sys1 = cpu()
     la = result.local_assembly
     return {
         "reads": len(reads),
         "bases": int(reads.offsets[-1]),
-        "cpu_user_s": cpu,
+        "cpu_user_s": user1 - user0,
+        "sys_s": sys1 - sys0,
         "peak_rss_mb": max([setup_rss] + [s["peak_rss_mb"] for s in stages]),
         "stages": stages,
         "counts": {
@@ -168,7 +173,7 @@ def exponents(by_scale: dict[str, dict]) -> dict:
 def table(doc: dict) -> str:
     labels = list(doc["runs"])
     lines = [f"{'scale':>5} {'stage':<22}" + "".join(
-        f"{lab + ' cpu s':>16}{lab + ' MiB':>14}" for lab in labels
+        f"{lab + ' cpu s':>16}{lab + ' sys s':>16}{lab + ' MiB':>14}" for lab in labels
     )]
     scales = list(doc["runs"][labels[0]]["scales"])
     for scale in scales:
@@ -180,17 +185,19 @@ def table(doc: dict) -> str:
             cells = []
             for r, p in zip(runs, per):
                 s = p.get(name) if name != "run" else {
-                    "cpu_s": r["cpu_user_s"], "peak_rss_mb": r["peak_rss_mb"]
+                    "cpu_s": r["cpu_user_s"], "sys_s": r["sys_s"],
+                    "peak_rss_mb": r["peak_rss_mb"],
                 }
-                cells.append(f"{s['cpu_s']:>16.2f}{s['peak_rss_mb']:>14.1f}" if s else " " * 30)
+                cells.append(
+                    f"{s['cpu_s']:>16.2f}{s['sys_s']:>16.2f}{s['peak_rss_mb']:>14.1f}"
+                    if s else " " * 46
+                )
             lines.append(f"{scale + 'x':>5} {name:<22}" + "".join(cells))
     return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--scales", type=float, nargs="+", default=[1, 4, 16])
-    ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--label", default="change")
     ap.add_argument("--src", type=Path, default=SRC, help="tree whose src/ is measured")
     ap.add_argument("--commit", default=None, help="recorded with the label")
@@ -202,10 +209,10 @@ def main(argv: list[str] | None = None) -> int:
 
     by_scale: dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="bench-scale-") as tmp:
-        for scale in args.scales:
+        for scale in SCALES:
             out = Path(tmp, f"s{scale:g}")
             _run([str(E2E_CHILD), "generate", "--dataset", DATASET, "--seed",
-                  str(args.seed), "--scale", str(scale), "--out", str(out)], SRC)
+                  str(SEED), "--scale", str(scale), "--out", str(out)], SRC)
             run = _run([__file__, "--child", str(out / "reads.fastq")], args.src.resolve())
             by_scale[f"{scale:g}"] = run
             print(f"{args.label} {scale:g}x: {run['reads']} reads, "
@@ -213,14 +220,12 @@ def main(argv: list[str] | None = None) -> int:
                   flush=True)
 
     doc = json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() else {}
-    if doc.get("seed") != args.seed:
-        doc = {}
     import numpy
 
     doc.update(
         bench="scale",
         dataset=DATASET,
-        seed=args.seed,
+        seed=SEED,
         cpu_cores=len(os.sched_getaffinity(0)),
         python=platform.python_version(),
         numpy=numpy.__version__,

@@ -31,6 +31,7 @@ from repro.core.config import (
 )
 from repro.core.local_assembler import LocalAssemblyReport, extend_tasks
 from repro.core.tasks import apply_extensions, tasks_from_candidates
+from repro.heap import retain_freed_pages
 from repro.pipeline.alignment import AlignmentResult, align_reads
 from repro.pipeline.contig_generation import generate_contigs
 from repro.pipeline.insert_size import estimate_insert_size
@@ -251,7 +252,10 @@ def run_pipeline(
     orchestrator does not own, such as "file IO".  With *checkpoint_dir*
     (MHM2's ``--checkpoint``), the contig-generation output is persisted
     and reused on reruns with identical reads + upstream parameters.
+    The stages free their block arrays block by block, so the run first
+    keeps freed heap pages for reuse (:func:`repro.heap.retain_freed_pages`).
     """
+    retain_freed_pages()
     config = config or PipelineConfig()
     times = times if times is not None else StageTimes()
 

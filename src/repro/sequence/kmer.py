@@ -218,15 +218,12 @@ def unpack_kmers(words: np.ndarray, k: int) -> np.ndarray:
 
 def _shift_rows_left(words: np.ndarray, bits: int) -> np.ndarray:
     """Each row, read as one big-endian bit string, shifted left by
-    ``0 <= bits < 64`` in place, one word column at a time; zeros enter
-    at the low end of the last word.  Returns *words*."""
-    if bits:
-        nw = words.shape[1]
-        for w in range(nw):
-            words[:, w] <<= np.uint64(bits)
-            if w + 1 < nw:
-                words[:, w] |= words[:, w + 1] >> np.uint64(64 - bits)
-    return words
+    ``0 <= bits < 64``; zeros enter at the low end of the last word."""
+    if bits == 0:
+        return words.copy()
+    out = words << np.uint64(bits)
+    out[:, :-1] |= words[:, 1:] >> np.uint64(64 - bits)
+    return out
 
 
 def successor_kmers(words: np.ndarray, k: int, base: np.ndarray) -> np.ndarray:
@@ -237,7 +234,7 @@ def successor_kmers(words: np.ndarray, k: int, base: np.ndarray) -> np.ndarray:
     OR-ed into slot ``k - 1`` (which the shift filled from the zero pad).
     """
     words = np.asarray(words, dtype=np.uint64)
-    out = _shift_rows_left(words.copy(), 2)
+    out = _shift_rows_left(words, 2)
     out[:, (k - 1) // 32] |= np.asarray(base).astype(np.uint64) << _base_shift(k - 1)
     return out
 
@@ -267,18 +264,18 @@ def revcomp_packed(words: np.ndarray, k: int) -> np.ndarray:
     (flipped) pad bits.
     """
     words = np.asarray(words, dtype=np.uint64)
-    x = np.invert(words[:, ::-1])  # the output; the rest is in place
-    tmp = np.empty(x.shape[0], dtype=np.uint64)  # one column of scratch
-    for w in range(x.shape[1]):
-        col = x[:, w]
-        for shift, mask in ((2, 0x3333333333333333), (4, 0x0F0F0F0F0F0F0F0F)):
-            shift, mask = np.uint64(shift), np.uint64(mask)
-            np.right_shift(col, shift, out=tmp)
-            tmp &= mask
-            col &= mask
-            col <<= shift
-            col |= tmp
-        col.byteswap(inplace=True)
+    x = ~words[:, ::-1]
+    # swap adjacent 2-bit codes, then nibbles, then bytes, in place
+    hi = np.empty_like(x)
+    for shift, mask in ((2, 0x3333333333333333), (4, 0x0F0F0F0F0F0F0F0F)):
+        shift, mask = np.uint64(shift), np.uint64(mask)
+        np.right_shift(x, shift, out=hi)
+        hi &= mask
+        x &= mask
+        x <<= shift
+        x |= hi
+    del hi
+    x.byteswap(inplace=True)
     return _shift_rows_left(x, 64 * words.shape[1] - 2 * k)
 
 

@@ -20,9 +20,10 @@ from repro.pipeline.merge_reads import merge_read_pairs
 from repro.sequence.community import arcticsynth_like, sample_paired_reads
 
 #: ``count_kmers`` transient bytes per counted window (``min_count=2``).
-#: Measured on this input: 26 (k = 21) and 66 (k = 33); before the lean
-#: pass 140 and 163, with an n-sized int64 read-end array, int64
-#: extension columns and a gather after the ``argsort``.
+#: Measured on this input: 36 (k = 21) and 80 (k = 33); before the lean
+#: pass 150 and 175, with an n-sized int64 read-end array, int64
+#: extension columns and a gather after the ``argsort``.  An out-of-place
+#: ``revcomp_packed`` alone reads 44 and 88.
 COUNT_BYTES_PER_WINDOW = {21: 40, 33: 90}
 
 
