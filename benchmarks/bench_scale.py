@@ -13,6 +13,12 @@ drives each stage: reads, counted k-mer windows, contigs, alignment rows
 per pass, candidate bases and local-assembly table inserts.  A per-stage
 exponent is the least-squares slope of log(metric) against log(reads).
 
+A GPU arm runs the same dataset at each scale in ``GPU_SCALES`` with
+``local_assembly_mode="gpu"`` and records the local-assembly stage's user
+CPU and ``VmHWM`` next to the simulated device's ``high_water_bytes``:
+the simulator backs device memory with host RAM, so their ratio says how
+much host memory a byte of modelled device memory costs.
+
 Results go to ``results/BENCH_scale.json`` under ``--label``, next to
 the other labels already there, so two trees measure side by side:
 ``--src`` points the runs at another tree's ``src`` (e.g. a checkout of
@@ -39,6 +45,7 @@ JSON_PATH = HERE / "results" / "BENCH_scale.json"
 DATASET = "arctic"
 SEED = 7
 SCALES = (1, 4, 16)
+GPU_SCALES = (1, 4)
 
 
 # -- the measured process ----------------------------------------------------
@@ -55,8 +62,9 @@ def _reset_hwm() -> None:
     Path("/proc/self/clear_refs").write_text("5")
 
 
-def measure(fastq: str) -> dict:
-    """Run the default pipeline on *fastq* with every stage metered."""
+def measure(fastq: str, mode: str = "cpu") -> dict:
+    """Run the default pipeline on *fastq* with every stage metered, local
+    assembly in *mode*."""
     import resource
     from contextlib import contextmanager
 
@@ -107,9 +115,10 @@ def measure(fastq: str) -> dict:
     _reset_hwm()
     setup_rss = _vm_hwm_mb()
     user0, sys0 = cpu()
-    result = run_pipeline(reads, PipelineConfig(), times=StageMeter())
+    result = run_pipeline(reads, PipelineConfig(local_assembly_mode=mode), times=StageMeter())
     user1, sys1 = cpu()
     la = result.local_assembly
+    gpu = la.gpu_report
     return {
         "reads": len(reads),
         "bases": int(reads.offsets[-1]),
@@ -125,6 +134,21 @@ def measure(fastq: str) -> dict:
             "candidate_bases": int(result.alignment.cand_bases.size),
             "table_inserts": la.cpu_stats.n_inserts if la.cpu_stats else 0,
         },
+        "device_high_water_bytes": gpu.high_water_bytes if gpu else None,
+    }
+
+
+def gpu_summary(run: dict) -> dict:
+    """The GPU arm's local-assembly numbers: user CPU, host ``VmHWM``, the
+    device high-water mark and host MiB per device MiB."""
+    la = next(s for s in run["stages"] if s["stage"] == "local assembly")
+    device_mb = run["device_high_water_bytes"] / 2**20
+    return {
+        "reads": run["reads"],
+        "la_cpu_s": la["cpu_s"],
+        "la_peak_rss_mb": la["peak_rss_mb"],
+        "device_high_water_mb": round(device_mb, 3),
+        "host_per_device": round(la["peak_rss_mb"] / device_mb, 3),
     }
 
 
@@ -196,28 +220,50 @@ def table(doc: dict) -> str:
     return "\n".join(lines)
 
 
+def gpu_table(doc: dict) -> str:
+    lines = [f"{'label':<8} {'scale':>5} {'LA cpu s':>9} {'LA MiB':>8} "
+             f"{'device MiB':>11} {'host/device':>12}"]
+    for lab, run in doc["runs"].items():
+        for scale, g in run.get("gpu", {}).items():
+            lines.append(
+                f"{lab:<8} {scale + 'x':>5} {g['la_cpu_s']:>9.2f} {g['la_peak_rss_mb']:>8.1f} "
+                f"{g['device_high_water_mb']:>11.1f} {g['host_per_device']:>12.2f}"
+            )
+    return "\n".join(lines)
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", default="change")
     ap.add_argument("--src", type=Path, default=SRC, help="tree whose src/ is measured")
     ap.add_argument("--commit", default=None, help="recorded with the label")
     ap.add_argument("--child", metavar="FASTQ", help=argparse.SUPPRESS)
+    ap.add_argument("--mode", default="cpu", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.child:
-        print(json.dumps(measure(args.child)))
+        print(json.dumps(measure(args.child, args.mode)))
         return 0
 
     by_scale: dict[str, dict] = {}
+    gpu: dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="bench-scale-") as tmp:
         for scale in SCALES:
             out = Path(tmp, f"s{scale:g}")
             _run([str(E2E_CHILD), "generate", "--dataset", DATASET, "--seed",
                   str(SEED), "--scale", str(scale), "--out", str(out)], SRC)
-            run = _run([__file__, "--child", str(out / "reads.fastq")], args.src.resolve())
+            fastq = str(out / "reads.fastq")
+            run = _run([__file__, "--child", fastq], args.src.resolve())
             by_scale[f"{scale:g}"] = run
             print(f"{args.label} {scale:g}x: {run['reads']} reads, "
                   f"{run['cpu_user_s']:.2f} CPU-s, peak {run['peak_rss_mb']:.0f} MiB",
                   flush=True)
+            if scale in GPU_SCALES:
+                g = gpu_summary(_run([__file__, "--child", fastq, "--mode", "gpu"],
+                                     args.src.resolve()))
+                gpu[f"{scale:g}"] = g
+                print(f"{args.label} {scale:g}x gpu: local assembly {g['la_cpu_s']:.2f} "
+                      f"CPU-s, peak {g['la_peak_rss_mb']:.0f} MiB, device "
+                      f"{g['device_high_water_mb']:.0f} MiB", flush=True)
 
     doc = json.loads(JSON_PATH.read_text()) if JSON_PATH.exists() else {}
     import numpy
@@ -234,10 +280,12 @@ def main(argv: list[str] | None = None) -> int:
         "commit": args.commit,
         "scales": by_scale,
         "exponents": exponents(by_scale),
+        "gpu": gpu,
     }
     JSON_PATH.parent.mkdir(exist_ok=True)
     JSON_PATH.write_text(json.dumps(doc, indent=1) + "\n")
     print(table(doc))
+    print(gpu_table(doc))
     return 0
 
 

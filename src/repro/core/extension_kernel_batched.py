@@ -34,7 +34,9 @@ group:
   3. *account* (pass 2) expands each lane into the ``d + 1`` slots from
      its home to its k-mer's and classifies every visit, from which issue
      counts are per-(step, round) reductions, sector counts one composite
-     sort per access kind, and both tally tables one ``bincount``.
+     sort per access kind, and both tallies one ``bincount`` into the
+     agent table: the dense ``ht_hi``/``ht_total`` stay zero (their
+     clears are counted, not written), as nothing unsanitized reads them.
 
   Four facts about the choreography carry this, each pinned by
   ``tests/core/test_batched_engine.py``: **(a)** lanes of one step holding
@@ -192,10 +194,13 @@ def _warp_build_stream(batch: DeviceBatch, t: int, k: int):
 
 
 def _clear_group(wb: WarpBatch, batch: DeviceBatch, rows, ht_start, slots, vis_start) -> None:
-    """Re-initialise every row's table + visited regions (coalesced)."""
+    """Re-initialise every row's table + visited regions (coalesced).
+    Unsanitized, the tally memsets are counted but not written: the
+    derived build keeps the tallies on its agent table instead."""
+    tally = None if wb.sanitizer is None else 0
     wb.store_span(batch.ht_ptr, ht_start, slots, EMPTY_PTR, rows)
-    wb.store_span(batch.ht_hi, ht_start * 4, slots * 4, 0, rows)
-    wb.store_span(batch.ht_total, ht_start * 4, slots * 4, 0, rows)
+    wb.store_span(batch.ht_hi, ht_start * 4, slots * 4, tally, rows)
+    wb.store_span(batch.ht_total, ht_start * 4, slots * 4, tally, rows)
     wb.store_span(
         batch.vis_ptr,
         vis_start,
@@ -359,26 +364,31 @@ def _within(counts) -> np.ndarray:
 class _Agents(NamedTuple):
     """A k-group's agent table: one row per distinct (warp, k-mer),
     numbered block by block, each acting at its k-mer's first occurrence.
-    The build fills it and the derived walk chases it."""
+    The build fills it and the derived walk chases it.  ``base`` and
+    ``slots`` are per warp (index them with ``warp``); ``first`` and
+    ``step`` are dropped once the build is done."""
 
     first: np.ndarray  #: valid-lane index of the first occurrence
     warp: np.ndarray  #: its warp's row in the group
-    base: np.ndarray  #: its warp's table start in ``ht_ptr``
-    slots: np.ndarray  #: its warp's table size
-    hash: np.ndarray  #: murmur of the k-mer
+    base: np.ndarray  #: per warp: its table start in ``ht_ptr``
+    slots: np.ndarray  #: per warp: its table size
+    hash: np.ndarray  #: murmur of the k-mer (uint32)
     home: np.ndarray  #: ``hash % slots``
     ptr: np.ndarray  #: read pointer of the first lane (the table key)
     step: np.ndarray  #: build step of the first occurrence
-    lanes: np.ndarray  #: its number of valid lanes (its tallies' total)
     words: np.ndarray  #: the packed k-mer, ``(n, words_per_kmer(k))``
     # filled by phase A
     dist: np.ndarray  #: probe distance from home to the claimed slot
     slot: np.ndarray  #: the claimed slot's index in ``ht_ptr``
+    # filled by pass 2: the ``(n, 4)`` tallies ``ht_hi``/``ht_total`` hold
+    # at ``slot`` on the device (``total`` sums to the agent's lanes)
+    hi: np.ndarray
+    total: np.ndarray
     # set once the build is done
     after: np.ndarray  #: agent of the valid lane after the first occurrence
 
 
-def _resolve_block(batch: DeviceBatch, k: int, n_before, load_start, n_act, row_warp):
+def _resolve_block(batch: DeviceBatch, k: int, load_start, n_act, row_warp):
     """Pass 1 for a block of step rows: name each warp's distinct k-mers.
 
     Flattens the rows' valid lanes (row-major: warp, step, lane), packs
@@ -387,21 +397,21 @@ def _resolve_block(batch: DeviceBatch, k: int, n_before, load_start, n_act, row_
     agent, acting at its lowest lane.  Returns per valid lane its
     block-local agent id, extension base and hi-quality flag, the
     valid-lane count of every row, and per agent the block-local lane and
-    row of its first occurrence, its lane count, its packed words, its
-    murmur hash (the only windows hashed) and that lane's read pointer.
-    ``n_before[i]`` counts the ambiguous bases ahead of read byte *i*.
-    None when the block has no valid lane.
+    row of its first occurrence, its packed words, its murmur hash (the
+    only windows hashed) and that lane's read pointer.  Ambiguous windows
+    are marked from the block's own read span.  None when no lane is valid.
     """
     lane_row = np.repeat(np.arange(n_act.size), n_act)
     starts = load_start[lane_row] + _within(n_act)  # flat k-mer start pointers
+    rdata = batch.reads_buf.data
+    lo = int(starts.min())
+    words, ok = pack_kmers(rdata[lo : int(starts.max()) + k + 1], k)
     # valid: no ambiguous base in the window or the extension base
-    v = np.nonzero(n_before[starts + k + 1] == n_before[starts])[0]
+    v = np.nonzero((ok[:-1] & ok[1:])[starts - lo])[0]
     if v.size == 0:
         return None
     starts, lane_row = starts[v], lane_row[v]
-    rdata = batch.reads_buf.data
-    lo = int(starts.min())
-    words = pack_kmers(rdata[lo : int(starts.max()) + k], k)[0][starts - lo]
+    words = words[starts - lo]
     warp = row_warp[lane_row] - row_warp[0]  # rows are warp-major
     index = SortedKmers(words, k, warp, int(warp[-1]) + 1)
     agent = np.empty(v.size, dtype=np.int64)
@@ -413,8 +423,8 @@ def _resolve_block(batch: DeviceBatch, k: int, n_before, load_start, n_act, row_
         rdata[starts + k],
         batch.quals_buf.data[starts + k] >= batch.config.hi_q_thresh,
         np.bincount(lane_row, minlength=n_act.size),
-        first, lane_row[first], index.counts, words[first],
-        murmurhash2_rows(sliding_window_view(rdata, k)[a_ptr]).astype(np.int64),
+        first, lane_row[first], words[first],
+        murmurhash2_rows(sliding_window_view(rdata, k)[a_ptr]),
         a_ptr,
     )
 
@@ -438,7 +448,8 @@ def _place_agents(ht: np.ndarray, ag: _Agents) -> None:
         pend = order[cuts[step] : cuts[step + 1]]
         j = 0
         while pend.size:
-            g = ag.base[pend] + (ag.home[pend] + j) % ag.slots[pend]
+            w = ag.warp[pend]
+            g = ag.base[w] + (ag.home[pend] + j) % ag.slots[w]
             empty = np.nonzero(ht[g] == EMPTY_PTR)[0]
             if empty.size:
                 claimed, won = np.unique(g[empty], return_index=True)
@@ -483,7 +494,8 @@ def _account_block(
     vl = np.repeat(np.arange(n), n_vis)  # visit -> lane
     j = _within(n_vis)  # visit -> probe round
     va = agent[vl]
-    gidx = ag.base[va] + (ag.home[va] + j) % ag.slots[va]
+    vw = ag.warp[va]
+    gidx = ag.base[vw] + (ag.home[va] + j) % ag.slots[vw]
     grp = lane_grp0[vl] + j
     wb._strict_check(batch.ht_ptr, gidx, "load_gather")
     owner = batch.ht_ptr.data[gidx]
@@ -534,27 +546,24 @@ def _account_block(
     for name, values in per_group.items():
         acc[name] += _fold(grp_warp, values, acc[name].size)
 
-    # both tally tables: one bincount on agent * 4 + ext (cleared to zero
-    # by _clear_group, and an agent's slot belongs to this block alone)
+    # both tallies of this block's agents: one bincount on agent * 4 + ext
     code = (agent - a0) * 4 + ext
-    for darr, codes in ((batch.ht_total, code), (batch.ht_hi, code[hi])):
-        counts = np.bincount(codes, minlength=4 * (a1 - a0))
-        hit = np.nonzero(counts)[0]
-        flat = darr.data.reshape(-1)
-        flat[ag.slot[a0 + (hit >> 2)] * 4 + (hit & 3)] += counts[hit].astype(flat.dtype)
+    for tally, codes in ((ag.total, code), (ag.hi, code[hi])):
+        tally[a0:a1] = np.bincount(codes, minlength=4 * (a1 - a0)).reshape(-1, 4)
 
 
 def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots):
     """Closed-form table build — resolve, place, account (module
-    docstring).  Leaves the three tables and every counter exactly as
-    :func:`_build_group_lockstep` would, and returns the group's agent
-    table (None when no warp has a valid lane)."""
+    docstring).  Leaves ``ht_ptr`` and every counter exactly as
+    :func:`_build_group_lockstep` would and returns the group's agent
+    table (None when no warp has a valid lane), whose ``hi``/``total``
+    rows are the lockstep's ``ht_hi``/``ht_total`` at ``slot``."""
     G = rows.size
     ro = batch.read_offsets
     trs = batch.task_read_start
     # -- step rows: one per (warp, read, 32-lane chunk), warp-major ----------
     n_reads = trs[tasks_g + 1] - trs[tasks_g]
-    read_warp = np.repeat(np.arange(G), n_reads)
+    read_warp = np.repeat(np.arange(G, dtype=np.int32), n_reads)
     rid = np.repeat(trs[tasks_g], n_reads) + _within(n_reads)
     nk = ro[rid + 1] - ro[rid] - k
     keep = nk > 0
@@ -591,22 +600,20 @@ def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: in
     # -- pass 1 (resolve), in blocks of whole warps ---------------------------
     warp_lanes = _fold(row_warp, n_act, G)
     block_of_row = ((np.cumsum(warp_lanes) - warp_lanes) // _BLOCK_LANES)[row_warp]
-    row_cuts = np.searchsorted(block_of_row, np.arange(int(block_of_row[-1]) + 2))
-    n_before = np.zeros(batch.reads_buf.data.size + 1, dtype=np.int64)
-    np.cumsum(batch.reads_buf.data >= 4, out=n_before[1:])
-    # per valid lane, filled block by block (valid lanes <= lanes)
+    row_cuts = np.flatnonzero(np.diff(block_of_row, prepend=-1, append=-1))
+    # per valid lane, filled block by block (valid lanes <= lanes); lane
+    # and agent ids, steps and probe distances are all below n_total
     n_total = int(warp_lanes.sum())
-    lane_agent = np.empty(n_total, dtype=np.int64)
+    idx = np.int32 if n_total < 2**31 else np.int64
+    lane_agent = np.empty(n_total, dtype=idx)
     lane_ext = np.empty(n_total, dtype=np.uint8)
     lane_hi = np.empty(n_total, dtype=bool)
     row_valid = np.zeros(n_rows, dtype=np.int64)
-    found = []  # per block: agents' first lane, first row, lanes, words, hash, read pointer
+    found = []  # per block: agents' first lane, first row, words, hash, read pointer
     blocks = []  # (row_lo, row_hi, lane_lo, lane_hi, agent_lo, agent_hi)
     n_lanes = n_agents = 0
     for r0, r1 in zip(row_cuts[:-1].tolist(), row_cuts[1:].tolist()):
-        res = _resolve_block(
-            batch, k, n_before, load_start[r0:r1], n_act[r0:r1], row_warp[r0:r1]
-        )
+        res = _resolve_block(batch, k, load_start[r0:r1], n_act[r0:r1], row_warp[r0:r1])
         if res is None:
             continue
         agent, ext, hi, row_valid[r0:r1], first, first_row, *per_agent = res
@@ -617,22 +624,24 @@ def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: in
         found.append((first + n_lanes, first_row + r0, *per_agent))
         blocks.append((r0, r1, n_lanes, l1, n_agents, a1))
         n_lanes, n_agents = l1, a1
-    del n_before
     ag = None
     if blocks:
-        a_first, a_row, a_lanes, a_words, a_hash, a_ptr = (
+        a_first, a_row, a_words, a_hash, a_ptr = (
             np.concatenate(p) for p in zip(*found)
         )
+        del found
         a_warp = row_warp[a_row]
         ag = _Agents(
-            first=a_first, warp=a_warp, base=ht_start[a_warp], slots=slots[a_warp],
+            first=a_first.astype(idx), warp=a_warp, base=ht_start, slots=slots,
             hash=a_hash, home=a_hash % slots[a_warp], ptr=a_ptr,
-            step=row_step[a_row], lanes=a_lanes, words=a_words,
-            dist=np.empty(n_agents, dtype=np.int64),
+            step=row_step[a_row].astype(idx), words=a_words,
+            dist=np.empty(n_agents, dtype=idx),
             slot=np.empty(n_agents, dtype=np.int64),
+            hi=np.empty((n_agents, 4), dtype=np.uint32),
+            total=np.empty((n_agents, 4), dtype=np.uint32),
             after=None,
         )
-        del found, a_row  # not alive through passes A and 2
+        del a_first, a_row  # not alive through passes A and 2
         ht = batch.ht_ptr.data
         _place_agents(ht, ag)  # phase A
         for r0, r1, l0, l1, a0, a1 in blocks:  # pass 2
@@ -642,7 +651,8 @@ def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: in
                 l0, lane_agent[l0:l1], lane_ext[l0:l1], lane_hi[l0:l1], a0, a1,
             )
         ht[ag.slot] = ag.ptr
-        ag = ag._replace(after=lane_agent[np.minimum(ag.first + 1, n_lanes - 1)])
+        after = lane_agent[np.minimum(ag.first + 1, n_lanes - 1)]
+        ag = ag._replace(after=after, first=None, step=None)
     c = wb.counters
     acc["predicated_off"] = acc["warp_inst"] * _LANES - acc["thread_inst"]
     for name, total in acc.items():
@@ -685,16 +695,15 @@ def _agent_moves(batch: DeviceBatch, k: int, ag: _Agents, index: SortedKmers) ->
     base = np.full(n, -1, dtype=np.int64)
     # Fewer than min_viable lanes: no viable base.  Every lane extending
     # by the first lane's base: that base, the only viable one.
-    some = np.nonzero(ag.lanes >= cfg.min_viable)[0]
+    lanes = ag.total.sum(axis=1)
+    some = np.nonzero(lanes >= cfg.min_viable)[0]
     ext = batch.reads_buf.data[ag.ptr[some] + k].astype(np.int64)
-    same = batch.ht_total.data[ag.slot[some] * 4 + ext] == ag.lanes[some]
+    same = ag.total[some, ext] == lanes[some]
     verdict[some[same]] = -1
     base[some[same]] = ext[same]
     mixed = some[~same]
     verdict[mixed], base[mixed] = classify_extensions(
-        batch.ht_hi.data.reshape(-1, 4)[ag.slot[mixed]],
-        batch.ht_total.data.reshape(-1, 4)[ag.slot[mixed]],
-        cfg.min_viable, cfg.dominance_ratio,
+        ag.hi[mixed], ag.total[mixed], cfg.min_viable, cfg.dominance_ratio
     )
     move = -1 - verdict
     # The successor is most often the k-mer of the lane after the first
@@ -705,7 +714,7 @@ def _agent_moves(batch: DeviceBatch, k: int, ag: _Agents, index: SortedKmers) ->
     hit = ag.warp[after] == ag.warp[go]
     for w in range(words.shape[1]):
         hit &= ag.words[after, w] == words[:, w]
-    succ = np.where(hit, after, -1)
+    succ = np.where(hit, after, -1).astype(np.int64)  # packed into move below
     miss = np.nonzero(~hit)[0]
     run = index.find(words[miss], ag.warp[go[miss]])
     succ[miss] = np.where(run >= 0, index.first[run], -1)
@@ -796,7 +805,7 @@ def _walk_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, k: int, seq_off
         for lo_row, lo_ag, lo_vl in loops:
             visits.append((lo_row, vis_home[lo_ag], lo_vl, np.zeros(lo_row.size, dtype=bool)))
         d = ag.dist[st_ag]
-        lookups.append((st_row, ag.base[st_ag], ag.home[st_ag], ag.slots[st_ag], d + 1, d + 1, d))
+        lookups.append((st_row, ht_start[st_row], ag.home[st_ag], slots[st_row], d + 1, d + 1, d))
         cls_slot = ag.slot[st_ag]
         m = move[st_ag]
         app = np.nonzero(m >= 0)[0]

@@ -10,7 +10,9 @@ The driver packs a batch of extension tasks into flat device buffers
   k-shift round bound, so the GPU can never truncate a walk the CPU
   would complete);
 * ``ht_ptr``/``ht_hi``/``ht_total`` — all per-task hash tables packed into
-  single allocations, located through the ``ht_sizes`` prefix offsets;
+  single allocations, located through the ``ht_sizes`` prefix offsets.
+  Unsanitized batched launches write only ``ht_ptr``: their derived build
+  keeps the tallies on its agent table, and the dense tallies stay zero;
 * ``vis_ptr`` — the per-task visited tables used for loop detection.
 
 Every run, sanitized or not, takes the one host path of §3.2/§4.3:

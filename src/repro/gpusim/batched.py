@@ -381,7 +381,9 @@ class WarpBatch:
         )
 
     def store_span(self, darr: DeviceArray, start, length, value, rows) -> None:
-        """Per-row coalesced memset of ``darr[start:start+length]``."""
+        """Per-row coalesced memset of ``darr[start:start+length]``; a
+        ``value`` of None counts its instructions and sectors only and
+        leaves the host array untouched (no sanitizer may be attached)."""
         start = np.asarray(start, dtype=np.int64)
         length = np.asarray(length, dtype=np.int64)
         n_inst = np.where(length > 0, (length + WARP_SIZE - 1) // WARP_SIZE, 0)
@@ -393,6 +395,8 @@ class WarpBatch:
         san = self.sanitizer
         if san is None or not san.memcheck:
             self._strict_span_check(darr, start, length, "store_span")
+        if value is None:
+            return
         rows_arr = np.asarray(rows)
         flat = darr.data.reshape(-1)
         for i, (s, l) in enumerate(zip(start.tolist(), length.tolist())):

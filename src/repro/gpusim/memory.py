@@ -92,14 +92,16 @@ class DeviceAllocator:
         self.sanitizer = None
 
     def alloc(self, shape, dtype) -> DeviceArray:
-        """Allocate a zero-initialised device array."""
-        arr = np.zeros(shape, dtype=dtype)
-        padded = (arr.nbytes + self.ALIGN - 1) // self.ALIGN * self.ALIGN
+        """Allocate a zero-initialised device array.  The capacity check
+        comes first: a refused request commits no host memory."""
+        nbytes = int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
+        padded = (nbytes + self.ALIGN - 1) // self.ALIGN * self.ALIGN
         if self.bytes_in_use + padded > self.capacity_bytes:
             raise DeviceOutOfMemory(
-                f"allocation of {arr.nbytes} bytes exceeds device memory: "
+                f"allocation of {nbytes} bytes exceeds device memory: "
                 f"{self.bytes_in_use}/{self.capacity_bytes} in use"
             )
+        arr = np.zeros(shape, dtype=dtype)
         base = self._next_addr
         self._next_addr += padded
         self.bytes_in_use += padded

@@ -190,9 +190,20 @@ def _build(tasks, k, engine, order=None):
         ekb._clear_group(wb, batch, rows, ht_start, slots, task_ids * batch.vis_slots)
         build = {"lockstep": ekb._build_group_lockstep,
                  "derived": ekb._build_group_derived}[engine]
-        build(wb, batch, rows, task_ids, k, ht_start, slots)
+        ag = build(wb, batch, rows, task_ids, k, ht_start, slots)
         counters = {f: getattr(bc, f) for f in _FIELDS}
     tables = {name: getattr(batch, name).data.tobytes() for name in _TABLES}
+    if engine == "derived":
+        # the derived build keeps its tallies on the agent table: the
+        # device tables stay zero, and the agents' rows scattered into
+        # zeroed copies at their slots are the bytes the oracles write
+        for name in ("ht_total", "ht_hi"):
+            dense = getattr(batch, name).data
+            assert not dense.any(), f"derived build wrote {name}"
+            if ag is not None:
+                dense = dense.copy().reshape(-1, 4)
+                dense[ag.slot] = getattr(ag, name[3:])
+            tables[name] = dense.tobytes()
     return counters, tables, batch
 
 
@@ -325,6 +336,25 @@ class TestDerivedBuild:
         for f in _FIELDS:
             np.testing.assert_array_equal(shipped[f], patched[f], err_msg=f)
         assert tables == p_tables
+
+    def test_sanitized_builds_fill_the_dense_tallies(self):
+        """Only the derived build keeps its tallies off the device: with a
+        sanitizer attached, the clear resets stale ``ht_hi``/``ht_total``
+        and the lockstep build fills them with the derived build's bytes."""
+        rng = np.random.default_rng(4)
+        tasks = [_reads_task(c, _random_reads(rng, 4, 90), rng) for c in range(3)]
+        _, derived, _ = _build(tasks, 21, "derived")
+        ctx = GpuContext(sanitize="memcheck")
+        batch = pack_batch(ctx, tasks, LocalAssemblyConfig(k_max=95))
+        batch.ht_hi.data[:] = batch.ht_total.data[:] = 7
+        rows = np.arange(len(tasks))
+        wb = WarpBatch(BatchCounters(rows.size), ctx.device.sector_bytes, ctx.sanitizer)
+        ht_start, slots = batch.layout.offsets[rows], batch.layout.sizes[rows]
+        ekb._clear_group(wb, batch, rows, ht_start, slots, rows * batch.vis_slots)
+        assert ekb._build_group(wb, batch, rows, rows, 21, ht_start, slots) is None
+        for name in _TABLES:
+            assert getattr(batch, name).data.tobytes() == derived[name], name
+        assert batch.ht_hi.data.any() and ctx.sanitizer.report().clean
 
     def test_sanitized_launches_keep_the_lockstep_build(self, monkeypatch, workload, config):
         """Selection is by ``wb.sanitizer`` alone: a sanitized run never

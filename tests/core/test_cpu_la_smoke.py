@@ -84,6 +84,10 @@ def test_derived_walk_matches_lockstep_and_is_3x_cheaper(tasks, paired_cpu_ratio
     wb = WarpBatch(BatchCounters(n), ctx.device.sector_bytes)
     ekb._clear_group(wb, batch, rows, ht_start, slots, vis_start)
     agents = ekb._build_group_derived(wb, batch, rows, rows, k, ht_start, slots)
+    # the lockstep walk reads the dense tallies, which the derived build
+    # keeps on its agent table: put them where the lockstep build would
+    batch.ht_hi.data.reshape(-1, 4)[agents.slot] = agents.hi
+    batch.ht_total.data.reshape(-1, 4)[agents.slot] = agents.total
 
     def walk(fn, *agent_table):
         def run():

@@ -85,6 +85,7 @@ class TestPackBatch:
         assert (batch.ht_ptr.data == EMPTY_PTR).all()
         assert (batch.vis_ptr.data == EMPTY_PTR).all()
         assert (batch.ht_hi.data == 0).all()
+        assert (batch.ht_total.data == 0).all()
 
     def test_ht_regions_match_layout(self, packed):
         _, batch, tasks, _ = packed

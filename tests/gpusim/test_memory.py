@@ -1,5 +1,7 @@
 """Tests for the device allocator and sector/transaction counting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +30,26 @@ class TestAllocator:
         a = DeviceAllocator(1000)
         with pytest.raises(DeviceOutOfMemory):
             a.alloc(2000, np.uint8)
+
+    @pytest.mark.parametrize("shape", [(1 << 20, 1 << 20), 1 << 24])
+    def test_oom_is_refused_before_any_host_memory(self, shape):
+        """4 TiB (more than the host has) and 64 MiB asked of a 1 MiB
+        device: exactly DeviceOutOfMemory, not numpy's MemoryError, no
+        host buffer made, and the allocator state untouched."""
+        a = DeviceAllocator(1 << 20)
+        first = a.alloc(100, np.uint8)
+        state = (a.bytes_in_use, a.n_allocs, a.high_water_bytes)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError) as err:
+                a.alloc(shape, np.uint32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(err.value) is DeviceOutOfMemory
+        assert peak < 1 << 16
+        assert (a.bytes_in_use, a.n_allocs, a.high_water_bytes) == state
+        assert a.alloc(1, np.uint8).base_addr == first.base_addr + DeviceAllocator.ALIGN
 
     def test_free_and_reset(self):
         a = DeviceAllocator(1024)
