@@ -17,7 +17,11 @@ A GPU arm runs the same dataset at each scale in ``GPU_SCALES`` with
 ``local_assembly_mode="gpu"`` and records the local-assembly stage's user
 CPU and ``VmHWM`` next to the simulated device's ``high_water_bytes``:
 the simulator backs device memory with host RAM, so their ratio says how
-much host memory a byte of modelled device memory costs.
+much host memory a byte of modelled device memory costs.  It also records
+the CPU (``time.process_time``) of the derived table build's phases —
+resolve, place, account — and of the derived walk, summed over every
+call; it imports the batched kernel module before the run to wrap them,
+so that import is not in the stage's CPU.
 
 Results go to ``results/BENCH_scale.json`` under ``--label``, next to
 the other labels already there, so two trees measure side by side:
@@ -66,6 +70,7 @@ def measure(fastq: str, mode: str = "cpu") -> dict:
     """Run the default pipeline on *fastq* with every stage metered, local
     assembly in *mode*."""
     import resource
+    import time
     from contextlib import contextmanager
 
     import numpy as np
@@ -111,6 +116,23 @@ def measure(fastq: str, mode: str = "cpu") -> dict:
         return rows
 
     kmer_analysis.count_kmers, alignment.align_core = counted, aligned
+    phases: dict[str, float] = {}
+    if mode == "gpu":
+        from repro.core import extension_kernel_batched as ekb
+
+        def timed(name, fn):
+            def run(*args, **kwargs):
+                t0 = time.process_time()
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    phases[name] = phases.get(name, 0.0) + time.process_time() - t0
+
+            return run
+
+        for name, fn in (("resolve", "_resolve_block"), ("place", "_place_agents"),
+                         ("account", "_account_block"), ("walk", "_walk_group_derived")):
+            setattr(ekb, fn, timed(name, getattr(ekb, fn)))
     reads = load_read_batch(fastq)
     _reset_hwm()
     setup_rss = _vm_hwm_mb()
@@ -135,12 +157,14 @@ def measure(fastq: str, mode: str = "cpu") -> dict:
             "table_inserts": la.cpu_stats.n_inserts if la.cpu_stats else 0,
         },
         "device_high_water_bytes": gpu.high_water_bytes if gpu else None,
+        "gpu_phase_cpu_s": phases,
     }
 
 
 def gpu_summary(run: dict) -> dict:
     """The GPU arm's local-assembly numbers: user CPU, host ``VmHWM``, the
-    device high-water mark and host MiB per device MiB."""
+    device high-water mark, host MiB per device MiB and the CPU of the
+    derived build's phases and walk."""
     la = next(s for s in run["stages"] if s["stage"] == "local assembly")
     device_mb = run["device_high_water_bytes"] / 2**20
     return {
@@ -149,6 +173,7 @@ def gpu_summary(run: dict) -> dict:
         "la_peak_rss_mb": la["peak_rss_mb"],
         "device_high_water_mb": round(device_mb, 3),
         "host_per_device": round(la["peak_rss_mb"] / device_mb, 3),
+        "phase_cpu_s": {k: round(v, 4) for k, v in run["gpu_phase_cpu_s"].items()},
     }
 
 
@@ -221,13 +246,16 @@ def table(doc: dict) -> str:
 
 
 def gpu_table(doc: dict) -> str:
+    phases = ("resolve", "place", "account", "walk")
     lines = [f"{'label':<8} {'scale':>5} {'LA cpu s':>9} {'LA MiB':>8} "
-             f"{'device MiB':>11} {'host/device':>12}"]
+             f"{'device MiB':>11} {'host/device':>12}" + "".join(f"{p + ' s':>10}" for p in phases)]
     for lab, run in doc["runs"].items():
         for scale, g in run.get("gpu", {}).items():
+            cpu = g.get("phase_cpu_s", {})
             lines.append(
                 f"{lab:<8} {scale + 'x':>5} {g['la_cpu_s']:>9.2f} {g['la_peak_rss_mb']:>8.1f} "
                 f"{g['device_high_water_mb']:>11.1f} {g['host_per_device']:>12.2f}"
+                + "".join(f"{cpu[p]:>10.3f}" if p in cpu else " " * 10 for p in phases)
             )
     return "\n".join(lines)
 

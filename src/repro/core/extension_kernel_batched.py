@@ -28,30 +28,38 @@ group:
      per distinct k-mer at its first occurrence — the only window whose
      murmur is computed.  The agents form the group's *agent table*
      (:class:`_Agents`), its one index: build and walk both chase it;
-  2. *place* (phase A) runs the step/round lockstep over agents only —
-     probe ``home + j``, lowest lane claims each empty slot — recording
-     every k-mer's slot and the (step, round) it was claimed in;
+  2. *place* (phase A) gives every agent the slot the step/round
+     lockstep (probe ``home + j``, lowest lane claims each empty slot)
+     would, in bulk: the filled slots follow from the homes alone, and
+     only agents sharing a cluster of filled slots are placed one by one,
+     every cluster at once (fact e);
   3. *account* (pass 2) expands each lane into the ``d + 1`` slots from
      its home to its k-mer's and classifies every visit, from which issue
-     counts are per-(step, round) reductions, sector counts one composite
-     sort per access kind, and both tallies one ``bincount`` into the
-     agent table: the dense ``ht_hi``/``ht_total`` stay zero (their
-     clears are counted, not written), as nothing unsanitized reads them.
+     counts are per-(step, round) reductions, sector counts one sort per
+     device array (the visits by slot, flags in the key, for the three
+     tables; the key compares by pointer for the reads), and both tallies
+     one ``bincount`` into the agent table: the dense ``ht_hi``/
+     ``ht_total`` stay zero (their clears are counted, not written), as
+     nothing unsanitized reads them.
 
-  Four facts about the choreography carry this, each pinned by
-  ``tests/core/test_batched_engine.py``: **(a)** lanes of one step holding
-  the same k-mer share hash and probe offset, so they move together;
-  **(b)** a claimed slot never changes occupant; **(c)** two agents reach
-  the same empty slot in the same round only if they share a home slot,
-  and the lowest lane wins; **(d)** a lane whose k-mer an earlier step
-  placed never meets an empty slot — it walks occupied slots from home to
-  its k-mer's and tallies there.  Hence a visit issues a CAS iff its slot
-  was claimed in the visit's own (step, round), wins iff it is also its
-  k-mer's first lane, compares keys otherwise, and resolves at distance
-  ``d``.  Passes 1 and 2 run in blocks of whole warps of about
-  ``_BLOCK_LANES`` lanes: their per-lane temporaries would otherwise all
-  be live at once and set the process's peak RSS; results do not depend
-  on the cap.
+  Five facts about the choreography carry this, each pinned by
+  ``tests/core/test_batched_engine.py`` or ``test_batched_placement.py``:
+  **(a)** lanes of one step holding the same k-mer share hash and probe
+  offset, so they move together; **(b)** a claimed slot never changes
+  occupant; **(c)** two agents reach the same empty slot in the same
+  round only if they share a home slot, and the lowest lane wins;
+  **(d)** a lane whose k-mer an earlier step placed never meets an empty
+  slot — it walks occupied slots from home to its k-mer's and tallies
+  there; **(e)** linear probing fills the same slots in any insert order,
+  and within a cluster of filled slots the lockstep inserts in (step,
+  home offset from the cluster's first slot descending, first lane)
+  order — an agent homed further on reaches every later slot sooner.
+  Hence a visit issues a CAS iff its slot was claimed in the visit's own
+  (step, round), wins iff it is also its k-mer's first lane, compares
+  keys otherwise, and resolves at distance ``d``.  All three phases run
+  in blocks of whole warps of about ``_BLOCK_LANES`` lanes (agents, for
+  phase A): their temporaries would otherwise all be live at once and
+  set the process's peak RSS; results do not depend on the cap.
 
   A *sanitized* launch keeps the lockstep build
   (:func:`_build_group_lockstep`: step *s* of every warp as one
@@ -104,6 +112,7 @@ from repro.core.extension import (
 from repro.core.extension_kernel import _hash_cost_ops, extension_task_kernel_v2
 from repro.core.gpu_batch import EMPTY_PTR, DeviceBatch
 from repro.gpusim.batched import (
+    _KEY_BASE,
     BatchCounters,
     WarpBatch,
     cached_arange,
@@ -130,66 +139,26 @@ _BUILD_COUNTERS = (
 )
 
 
-def _warp_build_stream(batch: DeviceBatch, t: int, k: int):
-    """One warp's build work as step-major arrays.
-
-    Flattens the task's per-read k-mer chunk sequence into
-    ``(n_steps, 32)`` hash/ext/hi/valid arrays plus per-step load starts
-    and active-lane counts — the SoA decomposition of the sequential
-    per-read, per-chunk loop, computed with one window gather and one
-    murmur pass over the whole task instead of per-read Python work.
-    Returns None when the task has no k-mers.  Values match
-    :func:`~repro.core.extension_kernel.read_window_plan` row for row.
-    """
-    cfg = batch.config
-    rng = batch.task_reads(t)
-    if len(rng) == 0:
-        return None
-    ro = batch.read_offsets
-    rb_all = ro[rng.start : rng.stop]
-    nk_all = (ro[rng.start + 1 : rng.stop + 1] - rb_all) - k
-    keep = nk_all > 0
+def _step_rows(batch: DeviceBatch, tasks_g, k: int):
+    """A k-group's build work as step rows, one per (warp, read, 32-lane
+    chunk of its k-mers), warp-major — the Fig 7 layout: each row's warp
+    in the group, load start and active-lane count, or None when no read
+    holds a k-mer and its extension base."""
+    ro, trs = batch.read_offsets, batch.task_read_start
+    n_reads = trs[tasks_g + 1] - trs[tasks_g]
+    read_warp = np.repeat(np.arange(tasks_g.size, dtype=np.int32), n_reads)
+    rid = np.repeat(trs[tasks_g], n_reads) + _within(n_reads)
+    nk = ro[rid + 1] - ro[rid] - k
+    keep = nk > 0
     if not keep.any():
         return None
-    rb = rb_all[keep]
-    nk = nk_all[keep]
-    m = int(nk.sum())
-    cum = np.cumsum(nk) - nk
-    local = cached_arange(m) - np.repeat(cum, nk)
-    starts = np.repeat(rb, nk) + local  # flat k-mer start pointers
-    rdata = batch.reads_buf.data
-    win = rdata[starts[:, None] + cached_arange(k)]
-    ext = rdata[starts + k].astype(np.int64)
-    hi = batch.quals_buf.data[starts + k] >= cfg.hi_q_thresh
-    valid = (ext < 4) & ~(win >= 4).any(axis=1)
-    hashes = np.zeros(m, dtype=np.int64)
-    if valid.any():
-        hashes[valid] = murmurhash2_rows(
-            np.ascontiguousarray(win[valid])
-        ).astype(np.int64)
-    # pad each read's k-mer run out to whole 32-lane steps
+    read_warp, rb, nk = read_warp[keep], ro[rid[keep]], nk[keep]
     n_steps = (nk + _LANES - 1) // _LANES
-    tot_steps = int(n_steps.sum())
-    step_off = np.cumsum(n_steps) - n_steps
-    pos = local + _LANES * np.repeat(step_off, nk)
-
-    def scatter(a, dtype):
-        out = np.zeros(tot_steps * _LANES, dtype=dtype)
-        out[pos] = a
-        return out.reshape(tot_steps, _LANES)
-
-    step_idx = cached_arange(tot_steps) - np.repeat(step_off, n_steps)
-    load_start = np.repeat(rb, n_steps) + _LANES * step_idx
-    acts = np.full(tot_steps, _LANES, dtype=np.int64)
-    last = step_off + n_steps - 1
-    acts[last] = nk - _LANES * (n_steps - 1)
+    chunk = _within(n_steps)
     return (
-        scatter(hashes, np.int64),
-        scatter(ext, np.int64),
-        scatter(hi, bool),
-        scatter(valid, bool),
-        load_start,
-        acts,
+        np.repeat(read_warp, n_steps),
+        np.repeat(rb, n_steps) + _LANES * chunk,
+        np.minimum(_LANES, np.repeat(nk, n_steps) - _LANES * chunk),
     )
 
 
@@ -304,49 +273,36 @@ def _build_group(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_st
 
 def _build_group_lockstep(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots) -> None:
     """Lockstep table build: every access of every probe round is issued
-    through ``wb``, in program order — what a sanitizer consumes."""
-    streams = [_warp_build_stream(batch, int(t), k) for t in tasks_g]
-    n_steps = np.array(
-        [0 if s is None else s[0].shape[0] for s in streams], dtype=np.int64
-    )
-    max_steps = int(n_steps.max()) if n_steps.size else 0
-    if max_steps == 0:
+    through ``wb``, in program order — what a sanitizer consumes.  Step
+    *s* of every warp is one operation over ``(rows, 32)`` lane arrays."""
+    plan = _step_rows(batch, tasks_g, k)
+    if plan is None:
         return
-    # Stack every task's stream into step-padded group arrays once, so each
-    # step is a pure slice instead of a per-row copy loop.
-    G = len(streams)
-    H_all = np.zeros((G, max_steps, _LANES), dtype=np.int64)
-    E_all = np.zeros((G, max_steps, _LANES), dtype=np.int64)
-    Q_all = np.zeros((G, max_steps, _LANES), dtype=bool)
-    V_all = np.zeros((G, max_steps, _LANES), dtype=bool)
-    start_all = np.zeros((G, max_steps), dtype=np.int64)
-    act_all = np.zeros((G, max_steps), dtype=np.int64)
-    for i, s in enumerate(streams):
-        if s is None:
-            continue
-        ns = s[0].shape[0]
-        H_all[i, :ns], E_all[i, :ns], Q_all[i, :ns], V_all[i, :ns] = s[:4]
-        start_all[i, :ns] = s[4]
-        act_all[i, :ns] = s[5]
-    lanes = cached_arange(_LANES)
+    row_warp, load_start, n_act = plan
+    ptr = load_start[:, None] + cached_arange(_LANES)  # each lane's k-mer
+    act = cached_arange(_LANES) < n_act[:, None]
+    rdata = batch.reads_buf.data
+    win = rdata[ptr[act][:, None] + cached_arange(k)]
+    ext = np.zeros(ptr.shape, dtype=np.int64)
+    ext[act] = rdata[ptr[act] + k]
+    valid = np.zeros(ptr.shape, dtype=bool)
+    valid[act] = (ext[act] < 4) & ~(win >= 4).any(axis=1)
+    hashes = np.zeros(ptr.shape, dtype=np.int64)
+    hashes[valid] = murmurhash2_rows(win[valid[act]]).astype(np.int64)
+    ext[~valid] = 0
+    hi = np.zeros(ptr.shape, dtype=bool)
+    hi[act] = batch.quals_buf.data[ptr[act] + k] >= batch.config.hi_q_thresh
+    row_step = _within(np.bincount(row_warp, minlength=rows.size))
+    by_step = np.argsort(row_step, kind="stable")  # rows of one step in warp order
     hops = _hash_cost_ops(k)
-    for step in range(max_steps):
-        sel = np.nonzero(n_steps > step)[0]
-        r = rows[sel]
-        H = H_all[sel, step]
-        E = E_all[sel, step]
-        Q = Q_all[sel, step]
-        V = V_all[sel, step]
-        load_start = start_all[sel, step]
-        n_act = act_all[sel, step]
-        # Coalesced window + ext-base + quality loads (Fig 7).
-        wb.load_span(batch.reads_buf, load_start, n_act + k, r)
-        wb.load_span(batch.quals_buf, load_start + k, n_act, r)
-        wb.int_op(hops, r, n_act)  # row murmur hashes
-        my_ptr = load_start[:, None] + lanes[None, :]
-        E[~V] = 0
+    for s in np.split(by_step, np.flatnonzero(np.diff(row_step[by_step])) + 1):
+        w = row_warp[s]
+        # Coalesced window + ext-base + quality loads (Fig 7), row hashes.
+        wb.load_span(batch.reads_buf, load_start[s], n_act[s] + k, rows[w])
+        wb.load_span(batch.quals_buf, load_start[s] + k, n_act[s], rows[w])
+        wb.int_op(hops, rows[w], n_act[s])
         _probe_insert_group(
-            wb, batch, r, ht_start[sel], slots[sel], V, H, my_ptr, E, Q, k
+            wb, batch, rows[w], ht_start[w], slots[w], valid[s], hashes[s], ptr[s], ext[s], hi[s], k
         )
 
 
@@ -375,7 +331,7 @@ class _Agents(NamedTuple):
     hash: np.ndarray  #: murmur of the k-mer (uint32)
     home: np.ndarray  #: ``hash % slots``
     ptr: np.ndarray  #: read pointer of the first lane (the table key)
-    step: np.ndarray  #: build step of the first occurrence
+    step: np.ndarray  #: its build step, as the step's first valid-lane index
     words: np.ndarray  #: the packed k-mer, ``(n, words_per_kmer(k))``
     # filled by phase A
     dist: np.ndarray  #: probe distance from home to the claimed slot
@@ -430,92 +386,154 @@ def _resolve_block(batch: DeviceBatch, k: int, load_start, n_act, row_warp):
 
 
 def _place_agents(ht: np.ndarray, ag: _Agents) -> None:
-    """Phase A: the step/round lockstep over agents only.
+    """Phase A in bulk (fact e): fills ``ag.dist``/``ag.slot`` and writes
+    each agent's *id* to ``ht``, where pass 2 reads a slot's owner.
 
-    An agent enters at its first-occurrence step and probes ``home + j``
-    in round *j* until it claims an empty slot; of the agents reaching one
-    empty slot in a round the lowest lane wins (fact c), and every other
-    agent — its k-mer is in no earlier slot, this being its first
-    occurrence — moves on.  Fills ``ag.dist`` / ``ag.slot`` and writes the
-    claiming agent's *id* to ``ht``: pass 2 reads a slot's owner through
-    it before :func:`_build_group_derived` stores the read pointers.
+    Linear probing fills the same slots in any insert order — by home, a
+    table's *i*-th agent fills ``max(home, previous + 1)``, and what runs
+    off its end re-enters at its start — so the *clusters*, maximal runs of
+    filled slots (wrapping the table end), come first.  A lone agent keeps
+    its home; the agents of a shared cluster take the first free slot from
+    their homes in fact (e)'s order, one of every cluster a round.  Whole
+    warps (agents are warp-major) of about ``_BLOCK_LANES`` agents go at once.
     """
-    # (step, first lane) order: np.unique's first index per slot is then
-    # the lowest lane of the slot's warp
-    order = np.lexsort((ag.first, ag.step))
-    cuts = np.searchsorted(ag.step[order], np.arange(int(ag.step.max()) + 2))
-    for step in range(cuts.size - 1):
-        pend = order[cuts[step] : cuts[step + 1]]
-        j = 0
-        while pend.size:
-            w = ag.warp[pend]
-            g = ag.base[w] + (ag.home[pend] + j) % ag.slots[w]
-            empty = np.nonzero(ht[g] == EMPTY_PTR)[0]
-            if empty.size:
-                claimed, won = np.unique(g[empty], return_index=True)
-                won = empty[won]
-                ht[claimed] = pend[won]
-                ag.dist[pend[won]] = j
-                ag.slot[pend[won]] = claimed
-                pend = np.delete(pend, won)
-            j += 1
+    warp_start = np.flatnonzero(np.diff(ag.warp, prepend=-1))
+    cuts = warp_start[np.flatnonzero(np.diff(warp_start // _BLOCK_LANES, prepend=-1))]
+    for a0, a1 in zip(cuts.tolist(), cuts[1:].tolist() + [ag.warp.size]):
+        n, b = a1 - a0, (a1 - a0).bit_length()
+        i = np.arange(n)
+
+        def by_home(home, at):  # sorted homes, with the *at* of each
+            key = home << b | at  # ht.size << b < 2**63
+            key.sort()
+            return key >> b, key & ((1 << b) - 1)
+
+        g, order = by_home(ag.base[ag.warp[a0:a1]] + ag.home[a0:a1], i)
+        warp = ag.warp[a0 + order]
+        lo, size = ag.base[warp], ag.slots[warp]
+        tab = np.flatnonzero(np.diff(warp, prepend=-1))
+        shift = np.repeat(tab * (ht.size + n), np.diff(np.r_[tab, n]))  # per-table max
+
+        def fill(home, at):  # the filled slots, for sorted homes
+            return at + np.maximum.accumulate(home - at + shift[at]) - shift[at]
+
+        pos, end, holder = fill(g, i), lo + size, i.copy()  # holder: whose home made pos
+        over = pos >= end
+        if over.any():  # those tables again, their overflow homed at the start
+            in_over = np.repeat(np.logical_or.reduceat(over, tab), np.diff(np.r_[tab, n]))
+            at = np.flatnonzero(in_over)  # agents of a table that runs over
+            home, holder[at] = by_home(np.where(over[at], lo[at], g[at]), at)
+            pos[at] = fill(home, at)
+        head = np.diff(pos, prepend=-2) != 1
+        head[tab] = True
+        run = np.cumsum(head) - 1
+        start = pos[head]  # per run, its first slot; a wrapping cluster's is in its last run
+        last = np.r_[tab[1:], n] - 1
+        wrap = np.flatnonzero((pos[tab] == lo[tab]) & (pos[last] == end[last] - 1))
+        start[run[tab[wrap]]] = start[run[last[wrap]]]  # such a table's first and last
+        merge = np.arange(start.size)  # runs are one cluster
+        merge[run[last[wrap]]] = run[tab[wrap]]
+        cl = np.empty_like(run)
+        cl[holder] = merge[run]
+        off = g - start[cl]
+        off[off < 0] += size[off < 0]
+        members = np.bincount(cl)
+        many = np.flatnonzero(members[cl] > 1)
+        ag.dist[a0:a1] = 0
+        if many.size:
+            a = a0 + order[many]
+            c, row0, lane, o = cl[many], ag.step[a], ag.first[a] - ag.step[a], off[many]
+            R, M = int(row0.max()) + 1, int(members.max())
+            srt = many[  # by cluster, then fact (e)'s order
+                np.argsort(((c * R + row0) * M + M - 1 - o) * _LANES + lane)
+                if members.size * R * M * _LANES < 2**63 else np.lexsort((lane, -o, row0, c))
+            ]
+            cs = np.flatnonzero(np.diff(cl[srt], prepend=-1))
+            n_in = np.diff(np.r_[cs, srt.size])
+            cs = cs[np.argsort(-n_in)]  # biggest clusters first: live ones are a prefix
+            live = np.searchsorted(np.sort(-n_in), -np.arange(M))
+            home, dist = off[srt], np.zeros(srt.size, dtype=np.int64)
+            free = np.ones((cs.size, M), dtype=bool)
+            for r in range(M):
+                at = cs[: live[r]] + r
+                p = np.argmax(free[: at.size] & (cached_arange(M) >= home[at, None]), axis=1)
+                free[cached_arange(at.size), p] = False
+                dist[at] = p - home[at]
+            slot = g[srt] + dist
+            g[srt] = slot - size[srt] * (slot >= end[srt])
+            ag.dist[a0 + order[srt]] = dist
+        order += a0
+        ag.slot[order] = g
+        ht[g] = order
 
 
 def _account_block(
     wb: WarpBatch, batch: DeviceBatch, k: int, acc: dict, ag: _Agents,
-    row_warp, row_step, row_valid, lane0: int, agent, ext, hi, a0: int, a1: int,
+    row_warp, row_lane0, row_valid, lane0: int, agent, ext, hi, a0: int, a1: int,
 ) -> None:
     """Pass 2 for one block: expand every valid lane into its probe visits
     and derive what the lockstep would have accumulated.
 
     A lane whose k-mer sits ``d`` slots past home visits rounds
     ``0 … d`` (fact d: nothing on the way is empty unless it is claimed
-    in that very round).  A visit issues a CAS iff its slot was claimed in
-    the visit's own (step, round); it wins iff it also is its k-mer's
-    first lane; every other visit compares keys with the slot's occupant,
-    and the round-``d`` visit resolves and tallies.  Issue counts are
-    per-(row, round) *group* reductions of those classes, sector counts
-    one composite sort per access kind, all folded into ``acc`` per warp.
-    The block holds valid lanes ``lane0 …`` and agents ``a0 … a1``.
+    in that very round).  Round ``d`` resolves at its k-mer's slot: a CAS
+    iff the lane is in its agent's step, won iff it is the agent's first
+    lane.  Rounds ``0 … d - 1`` pass slots other agents hold: a CAS iff
+    that agent was claimed in the visit's own (step, round).  Every visit
+    not won compares keys.  Issue counts are per-(row, round) *group*
+    bincounts, sector counts one sort per device array — the visits by
+    (group, slot), flags in the low bits, for the three tables, the key
+    compares by (group, pointer) for the reads — folded into ``acc`` per
+    warp.  The block holds valid lanes ``lane0 …`` and agents ``a0 … a1``.
     """
     n = agent.size
     d = ag.dist[agent]
-    n_vis = d + 1
     lane_row = np.repeat(np.arange(row_valid.size), row_valid)
     # a row probes for as many rounds as its farthest lane needs
     live = np.nonzero(row_valid)[0]
     rounds = np.zeros(row_valid.size, dtype=np.int64)
-    rounds[live] = np.maximum.reduceat(n_vis, (np.cumsum(row_valid) - row_valid)[live])
+    rounds[live] = np.maximum.reduceat(d, (np.cumsum(row_valid) - row_valid)[live]) + 1
     n_grp = int(rounds.sum())
     grp_warp = np.repeat(row_warp, rounds)
     lane_grp0 = (np.cumsum(rounds) - rounds)[lane_row]
-    lane_step = row_step[lane_row]
-
-    vl = np.repeat(np.arange(n), n_vis)  # visit -> lane
-    j = _within(n_vis)  # visit -> probe round
+    lane_step = row_lane0[lane_row]
+    res = lane_grp0 + d  # the group of each lane's resolving visit
+    slot = ag.slot[agent]
+    # an agent first occurs in the step of one of its lanes, or earlier
+    cas = ag.first[agent] >= lane_step
+    won = np.zeros(n, dtype=bool)
+    won[ag.first[a0:a1] - lane0] = True
+    far = np.nonzero(d)[0]
+    vl = np.repeat(far, d[far])  # passing visit -> lane
+    j = _within(d[far])  # its round
     va = agent[vl]
     vw = ag.warp[va]
     gidx = ag.base[vw] + (ag.home[va] + j) % ag.slots[vw]
     grp = lane_grp0[vl] + j
-    wb._strict_check(batch.ht_ptr, gidx, "load_gather")
+    wb._strict_check(batch.ht_ptr, gidx, "load_gather")  # resolving slots: placed in bounds
     owner = batch.ht_ptr.data[gidx]
-    cas = (ag.step[owner] == lane_step[vl]) & (ag.dist[owner] == j)
-    won = cas & (owner == va) & (ag.first[agent] == np.arange(lane0, lane0 + n))[vl]
-    cont = ~won
-    grp_cas = grp[cas]
-    # the round-d visit of each lane resolves: one tally per lane
-    res_grp = lane_grp0 + d
-    cidx = ag.slot[agent] * 4 + ext
-    hi_grp, hi_cidx = res_grp[hi], cidx[hi]
+    passing_cas = (ag.first[owner] >= lane_step[vl]) & (ag.dist[owner] == j)
+    cidx = slot * 4 + ext
     wb._strict_check(batch.ht_total, cidx, "atomic_add")
-    wb._strict_check(batch.ht_hi, hi_cidx, "atomic_add")
+    wb._strict_check(batch.ht_hi, cidx, "atomic_add")
 
-    p = np.bincount(grp, minlength=n_grp)
-    e = np.bincount(grp_cas, minlength=n_grp)
-    w = np.bincount(grp[won], minlength=n_grp)
-    r = np.bincount(res_grp, minlength=n_grp)
-    h = np.bincount(hi_grp, minlength=n_grp)
+    # resolving visits per group by flags: plain, CAS, hi, CAS + hi
+    by_flag = np.bincount(res * 4 + cas + 2 * hi, minlength=4 * n_grp).reshape(-1, 4)
+    r, h = by_flag.sum(axis=1), by_flag[:, 2] + by_flag[:, 3]
+    p = r + np.bincount(grp, minlength=n_grp)
+    e = by_flag[:, 1] + by_flag[:, 3] + np.bincount(grp[passing_cas], minlength=n_grp)
+    w = np.bincount(res[won], minlength=n_grp)
     c = p - w
+    # the visits by (group, slot), flags 1 resolves (then 8 * ext), 2 CAS, 4 hi
+    flags = ext << 3 | hi.view(np.uint8) << 2 | cas.view(np.uint8) << 1 | 1
+    res_key, grp_key = res * _KEY_BASE, grp * _KEY_BASE
+    vis = np.concatenate([
+        res_key + (slot << 5 | flags), grp_key + (gidx << 5 | passing_cas.view(np.uint8) << 1)
+    ])
+    vis.sort()
+    tally = vis[vis & 1 == 1]  # group * _KEY_BASE + (tally index << 3 | flags)
+    cmp = np.concatenate([res_key[~won] + ag.ptr[agent[~won]], grp_key + ag.ptr[owner]])
+    cmp.sort()
     has_e, has_c, has_r, has_h = e > 0, c > 0, r > 0, h > 0
     kw = (k + 7) // 8  # key words: one gather + one compare op each
     per_group = {
@@ -529,17 +547,11 @@ def _account_block(
         "atomic_inst": has_e.astype(np.int64) + has_r + has_h,
         "shuffle_inst": has_e,
         "sync_inst": has_e,
-        "global_ld_transactions": wb._element_transactions(
-            batch.ht_ptr, gidx, grp, n_grp
-        )
-        + wb._word_transactions(
-            batch.reads_buf, ag.ptr[owner[cont]], grp[cont], n_grp, k
-        ),
-        "atomic_transactions": wb._element_transactions(
-            batch.ht_ptr, gidx[cas], grp_cas, n_grp
-        )
-        + wb._element_transactions(batch.ht_total, cidx, res_grp, n_grp)
-        + wb._element_transactions(batch.ht_hi, hi_cidx, hi_grp, n_grp),
+        "global_ld_transactions": wb._sorted_transactions(batch.ht_ptr, vis, n_grp, 5)
+        + wb._sorted_word_transactions(batch.reads_buf, cmp, n_grp, k),
+        "atomic_transactions": wb._sorted_transactions(batch.ht_ptr, vis[vis & 2 == 2], n_grp, 5)
+        + wb._sorted_transactions(batch.ht_total, tally, n_grp, 3)
+        + wb._sorted_transactions(batch.ht_hi, tally[tally & 4 == 4], n_grp, 3),
         # every slot CASed in a round gets exactly one winner
         "atomic_conflicts": e - w,
     }
@@ -559,25 +571,12 @@ def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: in
     table (None when no warp has a valid lane), whose ``hi``/``total``
     rows are the lockstep's ``ht_hi``/``ht_total`` at ``slot``."""
     G = rows.size
-    ro = batch.read_offsets
-    trs = batch.task_read_start
-    # -- step rows: one per (warp, read, 32-lane chunk), warp-major ----------
-    n_reads = trs[tasks_g + 1] - trs[tasks_g]
-    read_warp = np.repeat(np.arange(G, dtype=np.int32), n_reads)
-    rid = np.repeat(trs[tasks_g], n_reads) + _within(n_reads)
-    nk = ro[rid + 1] - ro[rid] - k
-    keep = nk > 0
-    if not keep.any():
+    plan = _step_rows(batch, tasks_g, k)
+    if plan is None:
         return
-    read_warp, rb, nk = read_warp[keep], ro[rid[keep]], nk[keep]
-    n_steps = (nk + _LANES - 1) // _LANES
-    chunk = _within(n_steps)
-    n_rows = chunk.size
-    row_warp = np.repeat(read_warp, n_steps)
-    load_start = np.repeat(rb, n_steps) + _LANES * chunk
-    n_act = np.minimum(_LANES, np.repeat(nk, n_steps) - _LANES * chunk)
+    row_warp, load_start, n_act = plan
+    n_rows = row_warp.size
     warp_rows = np.bincount(row_warp, minlength=G)
-    row_step = _within(warp_rows)
 
     # Coalesced window + ext-base + quality loads (Fig 7) and the row
     # murmur hashes of every step of every warp.
@@ -631,10 +630,11 @@ def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: in
         )
         del found
         a_warp = row_warp[a_row]
+        row_lane0 = np.cumsum(row_valid) - row_valid
         ag = _Agents(
             first=a_first.astype(idx), warp=a_warp, base=ht_start, slots=slots,
             hash=a_hash, home=a_hash % slots[a_warp], ptr=a_ptr,
-            step=row_step[a_row].astype(idx), words=a_words,
+            step=row_lane0[a_row].astype(idx), words=a_words,
             dist=np.empty(n_agents, dtype=idx),
             slot=np.empty(n_agents, dtype=np.int64),
             hi=np.empty((n_agents, 4), dtype=np.uint32),
@@ -647,7 +647,7 @@ def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: in
         for r0, r1, l0, l1, a0, a1 in blocks:  # pass 2
             _account_block(
                 wb, batch, k, acc, ag,
-                row_warp[r0:r1], row_step[r0:r1], row_valid[r0:r1],
+                row_warp[r0:r1], row_lane0[r0:r1], row_valid[r0:r1],
                 l0, lane_agent[l0:l1], lane_ext[l0:l1], lane_hi[l0:l1], a0, a1,
             )
         ht[ag.slot] = ag.ptr

@@ -34,6 +34,7 @@ kernel function via :func:`register_batched`;
 from __future__ import annotations
 
 from dataclasses import fields
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -65,9 +66,11 @@ def set_active_sanitizer(sanitizer) -> None:
     _ACTIVE_SANITIZER = sanitizer
 
 #: per-group composite sort keys: ``group * _KEY_BASE + sector``.  Sector
-#: ids fit comfortably (16 GB of device space / 32-byte sectors < 2^30)
-#: and group ids stay below 2^18 for any realistic launch.
-_KEY_BASE = np.int64(1) << 45
+#: ids fit comfortably (16 GB of device space / 32-byte sectors < 2^30);
+#: group ids must stay below ``_MAX_GROUPS`` (:func:`_check_groups`).
+_KEY_BITS = 45
+_KEY_BASE = np.int64(1) << _KEY_BITS
+_MAX_GROUPS = 1 << 18
 
 #: batched-kernel registry: sequential kernel fn -> batched implementation
 #: with signature ``impl(n_warps, sector_bytes, *launch_args)`` returning
@@ -119,9 +122,38 @@ def batched_impl(kernel_fn: Callable) -> Callable | None:
     return _BATCHED_IMPLS.get(kernel_fn)
 
 
+def _check_groups(n_groups: int) -> None:
+    """``group * _KEY_BASE`` overflows int64 past ``_MAX_GROUPS`` groups."""
+    if n_groups > _MAX_GROUPS:
+        raise ValueError(f"{n_groups} groups in one composite-key sort; at most {_MAX_GROUPS}")
+
+
+@lru_cache(maxsize=None)
+def _word_sector_table(sector_bytes: int, nbytes: int, word_bytes: int):
+    """Key-stream sectors an entry adds to its group's count, given the
+    entry before it: a word's sectors are monotone in the start, so an
+    entry adds, per word, its first sector unless the entry before touched
+    that one, and its last where the word straddles into a sector that
+    entry did not touch.  Returns the sector distance at which nothing is
+    shared and the counts, flat over (sectors apart, previous start's
+    offset in its sector, this start's); ``word_bytes <= sector_bytes``."""
+    S = sector_bytes
+    far = (S + nbytes - 2) // S + 1
+    apart = np.arange(far + 1)[:, None, None]
+    prev, cur = np.arange(S)[None, :, None], np.arange(S)[None, None, :]
+    table = 0
+    for w in range(0, nbytes, word_bytes):
+        span = min(word_bytes, nbytes - w) - 1  # to the word's last byte
+        pf, pl = (prev + w) // S, (prev + w + span) // S
+        cf, cl = apart + (cur + w) // S, apart + (cur + w + span) // S
+        table = table + ((cf != pf) & (cf != pl)) + ((cl != cf) & (cl != pf) & (cl != pl))
+    return far, table.ravel()
+
+
 def _sorted_run_count(keys: np.ndarray, n_groups: int) -> np.ndarray:
     """Distinct ``group * _KEY_BASE + value`` keys per group; sorts *keys*
     in place (sort + run-heads + bincount — cheaper than ``np.unique``)."""
+    _check_groups(n_groups)
     keys.sort()
     return np.bincount(
         (keys[run_heads(keys)] // _KEY_BASE).astype(np.intp, copy=False),
@@ -328,27 +360,18 @@ class WarpBatch:
         last = (addrs + darr.itemsize - 1) // self.sector_bytes
         return 1 + (first != last)
 
-    def _sorted_transactions(self, darr, s_keys, n_groups) -> np.ndarray:
-        """Per-group sector count from already row-major-sorted
-        ``group * _KEY_BASE + element_index`` keys (one-sort atomics)."""
-        s_row = s_keys // _KEY_BASE
-        s_ai = s_keys - s_row * _KEY_BASE
-        addrs = darr.base_addr + s_ai * darr.itemsize
-        first = addrs // self.sector_bytes
+    def _sorted_transactions(self, darr, s_keys, n_groups, shift: int = 0) -> np.ndarray:
+        """Per-group sector count from already sorted ``group * _KEY_BASE +
+        (element_index << shift)`` keys (one-sort atomics; the low *shift*
+        bits may carry flags)."""
+        _check_groups(n_groups)
         if not self._aligned(darr):
-            last = (addrs + darr.itemsize - 1) // self.sector_bytes
-            return _per_group_unique(
-                n_groups,
-                np.concatenate([s_row, s_row]),
-                np.concatenate([first, last]),
-            )
-        skeys = s_row * _KEY_BASE + first  # monotone in s_keys: still sorted
-        head = np.empty(skeys.size, dtype=bool)
-        head[0] = True
-        np.not_equal(skeys[1:], skeys[:-1], out=head[1:])
-        return np.bincount(
-            s_row[head].astype(np.intp, copy=False), minlength=n_groups
-        ).astype(np.int64, copy=False)
+            s_row = s_keys // _KEY_BASE
+            idx = (s_keys - s_row * _KEY_BASE) >> shift
+            return self._element_transactions(darr, idx, s_row, n_groups)
+        # sectors split elements evenly: element keys scaled down, still sorted
+        head = run_heads((s_keys >> shift) // (self.sector_bytes // darr.itemsize))
+        return np.bincount(s_keys[head] >> _KEY_BITS, minlength=n_groups)
 
     def _span_sectors(self, darr, start, length) -> np.ndarray:
         first = darr.base_addr + np.asarray(start, dtype=np.int64) * darr.itemsize
@@ -542,6 +565,23 @@ class WarpBatch:
                 np.concatenate([first, lo[cross] + gkeys[cross]]), n_groups
             )
         return trans
+
+    def _sorted_word_transactions(
+        self, darr, s_keys, n_groups: int, nbytes: int, word_bytes: int = 8
+    ) -> np.ndarray:
+        """:meth:`_word_transactions` from entries sorted by ``group *
+        _KEY_BASE + start``, without a sort (:func:`_word_sector_table`)."""
+        _check_groups(n_groups)
+        S = self.sector_bytes
+        far, table = _word_sector_table(S, nbytes, word_bytes)
+        q, off = np.divmod(s_keys + darr.base_addr, S)  # groups stay far apart
+        idx = np.minimum(np.diff(q, prepend=q[:1] - far), far) * S
+        idx[1:] += off[:-1]
+        idx *= S
+        idx += off
+        return np.bincount(
+            s_keys >> _KEY_BITS, weights=table[idx], minlength=n_groups
+        ).astype(np.int64)
 
     # -- single-lane (walk-mode) variants -----------------------------------------
     #

@@ -164,11 +164,14 @@ def _per_warp_fields(per_warp):
     }
 
 
-def _build(tasks, k, engine, order=None):
-    """Clear + build every task's table at mer size *k* on one engine;
-    returns (per-warp counter arrays, table bytes, the batch)."""
+def _build(tasks, k, engine, order=None, skew=0):
+    """Clear + build every task's table at mer size *k* on one engine,
+    the reads and tables *skew* bytes off their aligned bases; returns
+    (per-warp counter arrays, table bytes, the batch)."""
     ctx = GpuContext()
     batch = pack_batch(ctx, list(tasks), LocalAssemblyConfig(k_max=95))
+    for name in ("reads_buf",) + _TABLES:
+        getattr(batch, name).base_addr += skew
     sector = ctx.device.sector_bytes
     task_ids = np.arange(len(tasks)) if order is None else np.asarray(order)
     n = task_ids.size
@@ -207,10 +210,10 @@ def _build(tasks, k, engine, order=None):
     return counters, tables, batch
 
 
-def _assert_builds_agree(tasks, k, order=None):
-    derived, d_tables, batch = _build(tasks, k, "derived", order)
+def _assert_builds_agree(tasks, k, order=None, skew=0):
+    derived, d_tables, batch = _build(tasks, k, "derived", order, skew)
     for oracle in ("lockstep", "sequential"):
-        counters, tables, _ = _build(tasks, k, oracle, order)
+        counters, tables, _ = _build(tasks, k, oracle, order, skew)
         for f in _FIELDS:
             np.testing.assert_array_equal(derived[f], counters[f], err_msg=f"{f} vs {oracle}")
         for name in _TABLES:
@@ -287,6 +290,14 @@ class TestDerivedBuild:
         genome = random_dna(400, rng)
         reads = [genome[i : i + 150] for i in range(0, 250, 10)]
         _assert_builds_agree([_reads_task(0, reads, rng), _reads_task(1, reads[:3], rng)], k)
+
+    @pytest.mark.parametrize("skew", [4, 20])
+    def test_unaligned_tables_and_reads(self, skew):
+        """Bases off the sector grid (8-byte slots then straddle sectors):
+        the one-sort sector counts take the general path and still agree."""
+        rng = np.random.default_rng(skew)
+        tasks = [_reads_task(c, _random_reads(rng, 5, 90), rng) for c in range(3)]
+        _assert_builds_agree(tasks, 13, skew=skew)
 
     def test_one_warp_group_and_permuted_tasks(self):
         rng = np.random.default_rng(21)
