@@ -130,7 +130,7 @@ def bench_fig12_measured_two_ranks(benchmark, workload):
         [
             ("critical-path CPU (s)", f"{one.cpu_critical_s:.3f}",
              f"{two.cpu_critical_s:.3f}"),
-            ("records exchanged", 0, stats.total_kmers_sent),
+            ("windows exchanged", 0, stats.total_kmers_sent),
             ("modelled exchange (ms)", "0.000",
              f"{stats.modelled_time_s * 1e3:.3f}"),
             ("per-rank CPU speedup", "1.00x", f"{speedup:.2f}x"),

@@ -4,7 +4,7 @@ Two benches, one measured and one modelled:
 
 * ``bench_rank_strong_scaling`` forks **real worker processes** (the
   :mod:`repro.distributed.procrank` launcher) at 1/2/4 ranks, runs the
-  partitioned count -> shared-memory alltoallv -> merge on the reference
+  partitioned window pass -> shared-memory alltoallv -> owner tally on the reference
   workload, asserts the merged spectrum is bit-identical to the
   sequential count, and records the measured curve to
   ``BENCH_rank.json``.  On a multi-core host the wall clock strong-scales;
@@ -16,9 +16,10 @@ Two benches, one measured and one modelled:
   numbers; the wall-clock gate only arms when the cores exist.
 
 * ``bench_rank_exchange`` is the analytic overlay: every partition's
-  per-destination record counts (:func:`pack_for_exchange`) priced by
-  :func:`exchange_stats` — no ranks run.  Exchanged volume rises as
-  ``(R-1)/R`` with rank count R, which is why the exchange stops
+  per-destination window counts, from the stage's own put
+  (:func:`group_windows_by_owner`), priced at :func:`WINDOW_BYTES` per
+  row by :func:`exchange_stats` — no ranks run.  Exchanged volume rises
+  as ``(R-1)/R`` with rank count R, which is why the exchange stops
   strong-scaling early (§4.4).
 """
 
@@ -33,10 +34,10 @@ from repro.analysis.reporting import format_table
 from repro.distributed.comm import CommCostModel
 from repro.distributed.procrank import (
     distributed_count_proc,
-    pack_for_exchange,
+    group_windows_by_owner,
     procrank_available,
 )
-from repro.distributed.rank import RECORD_BYTES, exchange_stats, partition_reads
+from repro.distributed.rank import WINDOW_BYTES, exchange_stats, partition_reads
 from repro.pipeline.kmer_counts import count_kmers
 from repro.sequence.kmer import words_per_kmer
 
@@ -104,14 +105,14 @@ def bench_rank_strong_scaling(benchmark, workload):
             "cpu_total_s": report.cpu_total_s,
             "cpu_critical_s": cpu_crit,
             "cpu_critical_speedup": base_cpu / cpu_crit,
-            "sent_records": stats.total_kmers_sent,
+            "sent_windows": stats.total_kmers_sent,
             "bytes_per_rank_max": stats.bytes_per_rank_max,
             "modelled_exchange_s": stats.modelled_time_s,
             "per_rank": [m.to_dict() for m in report.per_rank],
         })
     text = format_table(
         ["ranks", "wall (s)", "cpu total (s)", "cpu critical (s)",
-         "cpu speedup", "records sent", "modelled exch ms"],
+         "cpu speedup", "windows sent", "modelled exch ms"],
         table_rows,
         f"measured process-rank strong scaling ({cpu_cores} host core(s), "
         f"best of {REPEATS}; cpu critical = max per-rank process_time, "
@@ -150,13 +151,13 @@ def bench_rank_exchange(benchmark, workload):
     """Model overlay: exchanged volume vs rank count, from the counts
     matrix every partition's outbox would publish."""
     reads = workload["reads"]
-    row_bytes = RECORD_BYTES(words_per_kmer(21))
+    row_bytes = WINDOW_BYTES(words_per_kmer(21))
 
     def sweep():
         out = []
         for r in RANKS:
             counts = np.stack([
-                pack_for_exchange(count_kmers(p, 21), r)[1]
+                group_windows_by_owner(p, 21, r)[1]
                 for p in partition_reads(reads, r)
             ])
             stats = exchange_stats(counts, row_bytes, CommCostModel())
@@ -166,8 +167,8 @@ def bench_rank_exchange(benchmark, workload):
     rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
 
     table_rows = []
-    for r, local_records, stats in rows:
-        frac = stats.total_kmers_sent / max(local_records, 1)
+    for r, local_windows, stats in rows:
+        frac = stats.total_kmers_sent / max(local_windows, 1)
         table_rows.append(
             (r, stats.total_kmers_sent,
              f"{(r - 1) / r:.2f}", f"{frac:.2f}",
@@ -175,7 +176,7 @@ def bench_rank_exchange(benchmark, workload):
              f"{stats.modelled_time_s * 1e3:.3f}")
         )
     text = format_table(
-        ["ranks", "records sent", "expected off-rank frac", "measured frac",
+        ["ranks", "windows sent", "expected off-rank frac", "measured frac",
          "max MB/rank", "modelled ms"],
         table_rows,
         "Extension — k-mer exchange volume vs rank count (hash partition, "
@@ -187,6 +188,6 @@ def bench_rank_exchange(benchmark, workload):
     assert sents[0] == 0  # a single rank sends nothing
     assert all(a < b for a, b in zip(sents, sents[1:]))  # rising volume
     # measured off-rank fraction tracks (R-1)/R within 10 points
-    for (r, local_records, stats) in rows[1:]:
-        frac = stats.total_kmers_sent / local_records
+    for (r, local_windows, stats) in rows[1:]:
+        frac = stats.total_kmers_sent / local_windows
         assert abs(frac - (r - 1) / r) < 0.10

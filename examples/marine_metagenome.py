@@ -15,8 +15,8 @@ import numpy as np
 
 from repro.analysis.stats import assembly_stats, genome_fraction
 from repro.distributed.comm import CommCostModel
-from repro.distributed.procrank import distributed_count_proc, pack_for_exchange
-from repro.distributed.rank import RECORD_BYTES, exchange_stats, partition_reads
+from repro.distributed.procrank import distributed_count_proc, group_windows_by_owner
+from repro.distributed.rank import WINDOW_BYTES, exchange_stats, partition_reads
 from repro.pipeline.kmer_counts import count_kmers
 from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 from repro.sequence import sample_paired_reads, wa_like
@@ -74,13 +74,12 @@ def main(seed: int = 3) -> None:
         and np.array_equal(single.counts, merged.counts)
     )
     print(f"  merged spectrum == single-process spectrum: {same} ({report.mode})")
-    # what 8 ranks would exchange: each partition's per-owner record counts
+    # what 8 ranks would exchange: each partition's per-owner window counts
     counts = np.stack([
-        pack_for_exchange(count_kmers(part, 21), 8)[1]
-        for part in partition_reads(reads, 8)
+        group_windows_by_owner(part, 21, 8)[1] for part in partition_reads(reads, 8)
     ])
-    stats = exchange_stats(counts, RECORD_BYTES(single.words.shape[1]), CommCostModel())
-    print(f"  over 8 ranks: {stats.total_kmers_sent:,} k-mer records exchanged; "
+    stats = exchange_stats(counts, WINDOW_BYTES(single.words.shape[1]), CommCostModel())
+    print(f"  over 8 ranks: {stats.total_kmers_sent:,} k-mer windows exchanged; "
           f"max {stats.bytes_per_rank_max / 1e6:.2f} MB/rank; "
           f"modelled all-to-all {stats.modelled_time_s * 1e3:.2f} ms")
 

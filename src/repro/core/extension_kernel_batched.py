@@ -1102,10 +1102,10 @@ def run_extension_v2_batched(
         k_live = np.array([states[w].k for w in live], dtype=np.int64)
         status = np.zeros(n_warps, dtype=np.int64)
         # Warps shift k independently; each round runs one lockstep
-        # clear/build/walk per distinct live mer size.
-        for kv in np.unique(k_live):
+        # clear/build/walk per distinct live mer size.  (A bare np.unique
+        # would import numpy.ma into the run.)
+        for kv in sorted(set(k_live.tolist())):
             g = live[k_live == kv]
-            kv = int(kv)
             _clear_group(wb, batch, g, ht_start[g], slots[g], vis_start[g])
             agents = _build_group(wb, batch, g, t_arr[g], kv, ht_start[g], slots[g])
             # Build-to-walk barrier, matching the sequential kernel's

@@ -151,7 +151,8 @@ def _cut_cycles(prd: np.ndarray, on_cycle: np.ndarray) -> None:
             break
         low = lower
         anc = anc[anc]
-    heads = 2 * np.unique(low)
+    low.sort()  # distinct lows by run heads: a bare np.unique imports numpy.ma
+    heads = 2 * low[np.concatenate(([True], low[1:] != low[:-1]))]
     tails = prd[heads]
     prd[heads] = -1
     prd[tails ^ 1] = -1

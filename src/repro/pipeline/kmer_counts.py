@@ -1,19 +1,27 @@
 """Vectorised k-mer counting over packed read batches.
 
 This is the engine behind the *k-mer analysis* stage.  It never loops
-over individual k-mers in Python: every k-mer window of the **entire
-concatenated** base array is packed into 2-bit uint64 words in one
-vectorised pass, windows that cross read boundaries or contain ``N`` are
-masked out, the valid windows are canonicalised in place in word space
-(:func:`~repro.sequence.kmer.canonical_rows`), and one
-:class:`~repro.sequence.kmer.SortedKmers` sort groups them into distinct
-k-mers.  Runs below ``min_count`` get no tally row; the extension tallies
-are one ``np.bincount`` each.
+over individual k-mers in Python, and it is two passes:
 
-The pass is one pass, not blocked, and its memory is kept down instead:
-no per-base read-id array, ``uint8`` extension columns, and every
-per-window array dropped as soon as it is consumed.  Its transient is
-~30 bytes per counted 21-mer window (``bench_smoke`` gates it).
+* the **window pass** (:func:`kmer_windows`): every k-mer window of the
+  **entire concatenated** base array is packed into 2-bit uint64 words in
+  one vectorised pass, windows that cross read boundaries or contain
+  ``N`` are masked out, and the valid windows are canonicalised in place
+  in word space (:func:`~repro.sequence.kmer.canonical_rows`), each with
+  its left/right extension slots packed into one byte;
+* the **tally pass** (:func:`tally_windows`): one
+  :class:`~repro.sequence.kmer.SortedKmers` sort groups the windows into
+  distinct k-mers, runs below ``min_count`` get no tally row, and the
+  extension tallies are one ``np.bincount`` each.
+
+:func:`count_kmers` is one after the other.  The ranked stage
+(:mod:`repro.distributed.procrank`) runs the window pass where the reads
+are and the tally pass where each k-mer is owned.
+
+Neither pass is blocked; memory is kept down instead: no per-base
+read-id array, one ``uint8`` extension column, and every per-window array
+dropped as soon as it is consumed.  The transient is ~35 bytes per
+counted 21-mer window (``bench_smoke`` gates it).
 
 The output (:class:`KmerSpectrum`) records, per distinct canonical k-mer:
 
@@ -42,13 +50,28 @@ from repro.sequence.kmer import (
 )
 from repro.sequence.read import ReadBatch
 
-__all__ = ["KmerSpectrum", "count_kmers", "NO_EXT"]
+__all__ = ["KmerSpectrum", "count_kmers", "kmer_windows", "tally_windows", "NO_EXT"]
 
 #: Extension-slot index meaning "no neighbouring base" (read boundary).
 NO_EXT = 4
 
-#: Extension slot of the complementary base (NO_EXT stays NO_EXT).
-_COMP_EXT = np.array([3, 2, 1, 0, NO_EXT], dtype=np.uint8)
+#: A window's packed extension slots are ``left << _EXT_BITS | right``.
+_EXT_BITS = 3
+_EXT_MASK = (1 << _EXT_BITS) - 1
+
+
+def _rc_ext_table() -> np.ndarray:
+    """Packed slots of the reverse complement: left and right swap, and
+    each becomes its complementary base (NO_EXT stays NO_EXT)."""
+    comp = np.array([3, 2, 1, 0, NO_EXT], dtype=np.uint8)
+    table = np.zeros(1 << 2 * _EXT_BITS, dtype=np.uint8)
+    for left in range(5):
+        for right in range(5):
+            table[left << _EXT_BITS | right] = comp[right] << _EXT_BITS | comp[left]
+    return table
+
+
+_RC_EXT = _rc_ext_table()
 
 
 @dataclass(frozen=True)
@@ -142,7 +165,23 @@ def count_kmers(
 
     The result depends only on the reads, not on how the pass is laid out
     in memory: a window counts when it holds no N and its k bases lie in
-    one read (:func:`_inside_reads`).
+    one read (:func:`_inside_reads`).  It is :func:`tally_windows` of
+    :func:`kmer_windows` — the ranked stage runs the two passes on
+    different ranks.
+    """
+    return tally_windows(*kmer_windows(batch, k, min_qual), k, min_count)
+
+
+def kmer_windows(
+    batch: ReadBatch, k: int, min_qual: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """The window pass: every counted window, canonicalised.
+
+    Returns ``(words, ext)``: the ``(n, words_per_kmer(k))`` canonical
+    k-mer of each window free of N inside one read, and its ``uint8``
+    extension slots ``left << 3 | right`` (:data:`NO_EXT` at a read end or
+    next to an N) in canonical orientation.  Windows come in read order;
+    nothing downstream depends on that order.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"k must be odd and >= 1 for canonical k-mers, got {k}")
@@ -159,31 +198,46 @@ def count_kmers(
     before = np.concatenate([no_ext, bases])
     after = np.concatenate([bases, no_ext])
     before[batch.offsets] = after[batch.offsets] = NO_EXT
-    left = before[: valid.size][valid]
-    right = after[k : k + valid.size][valid]
+    ext = before[: valid.size] << np.uint8(_EXT_BITS)
+    ext |= after[k : k + valid.size]
     del before, after
+    ext = ext[valid]
     canon, is_rc = canonical_rows(words[valid], k)
     del words, valid
     # When the canonical form is the rc, left/right swap and complement.
-    left, right = (
-        np.where(is_rc, _COMP_EXT[right], left),
-        np.where(is_rc, _COMP_EXT[left], right),
-    )
-    del is_rc
+    np.copyto(ext, _RC_EXT[ext], where=is_rc)
+    return canon, ext
 
-    index = SortedKmers(canon, k)
-    counts, order = index.counts, index.order
+
+def tally_windows(
+    words: np.ndarray, ext: np.ndarray, k: int, min_count: int = 1
+) -> KmerSpectrum:
+    """The tally pass: one :class:`~repro.sequence.kmer.SortedKmers` sort
+    of :func:`kmer_windows`' rows, the ``min_count`` cut and one
+    ``np.bincount`` per extension side.
+
+    Counts and tallies are sums over a run and ``SortedKmers.first`` is
+    its lowest row, so the spectrum does not depend on the order of the
+    windows: any shuffle, or any split of them whose parts meet here,
+    counts the same.
+    """
+    index = SortedKmers(words, k)
+    counts = index.counts
     keep = counts >= min_count
     kept = int(np.count_nonzero(keep))
-    out_words = canon[index.first[keep]]
-    del canon, index
+    out_words = words[index.first[keep]]
+    ext = ext[index.order]  # the windows' slots in sorted order
+    del index
     # each window's tally row in sorted order; windows of dropped runs
     # share one spare row, cut off below
-    row = np.where(keep, np.cumsum(keep) - 1, kept)
-    slot = np.repeat(row * 5, counts)
+    slot = np.repeat(np.where(keep, np.cumsum(keep) - 1, kept) * 5, counts)
     size = 5 * (kept + 1)
-    left_ext = np.bincount(slot + left[order], minlength=size)
-    slot += right[order]
+    side = ext >> np.uint8(_EXT_BITS)
+    slot += side
+    left_ext = np.bincount(slot, minlength=size)
+    slot -= side
+    np.bitwise_and(ext, np.uint8(_EXT_MASK), out=side)
+    slot += side
     right_ext = np.bincount(slot, minlength=size)
     return KmerSpectrum(
         k,

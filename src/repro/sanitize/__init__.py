@@ -15,9 +15,10 @@ lifecycle pairing, fork safety, barrier-abort pairing) and
 :mod:`repro.sanitize.rankcheck` (the dynamic vector-clock cross-rank race
 detector + segment-leak ledger behind ``sanitize=rankcheck``).
 
-Only the report types are re-exported: every ranked run imports
-:mod:`~repro.sanitize.rankcheck` through this package, and must not pay
-for the two linters and the kernel sanitizer it never calls.
+Only the report types are re-exported: a ranked run with
+``sanitize=rankcheck`` imports :mod:`~repro.sanitize.rankcheck` through
+this package (other ranked runs import none of it), and must not pay for
+the two linters and the kernel sanitizer it never calls.
 """
 
 from repro.sanitize.report import (

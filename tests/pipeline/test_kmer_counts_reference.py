@@ -24,7 +24,7 @@ from repro.distributed.shmem import shared_memory_available
 from repro.pipeline import kmer_counts
 from repro.pipeline.kmer_counts import KmerSpectrum, count_kmers
 from repro.sequence.community import arcticsynth_like, sample_paired_reads
-from repro.sequence.dna import encode
+from repro.sequence.dna import encode, revcomp
 from repro.sequence.read import ReadBatch
 
 K_VALUES = [1, 3, 21, 31, 33, 63, 65]
@@ -143,6 +143,83 @@ class TestRanked:
         assert report.mode == ("procrank" if forked else "inproc")
         assert_same_spectrum(spec, count_kmers_reference(community_batch, 21, min_count=2))
         assert segments() == before
+
+    @pytest.fixture(scope="class")
+    def edge_pairs(self) -> ReadBatch:
+        """Three pairs, so four ranks leave one partition empty: two
+        overlapping pairs (one read with an N inside, every 38th base below
+        Q20, bases 80-150 in three reads) and a pair of a read shorter
+        than k and an all-N read."""
+        rng = np.random.default_rng(38)
+        genome = "".join(rng.choice(list("ACGT"), size=400))
+        b1 = genome[50:60] + "N" + genome[61:200]
+        seqs = [
+            genome[0:150], revcomp(genome[200:350]),
+            b1, revcomp(genome[80:230]),
+            genome[100:115], "N" * 80,
+        ]
+        batch = _batch(seqs, [30] * 37 + [10])
+        return ReadBatch(batch.bases, batch.quals, batch.offsets, batch.names, paired=True)
+
+    @pytest.mark.parametrize("k", [21, 33, 55])
+    @pytest.mark.parametrize("n_ranks", [1, 2, 3, 4])
+    @pytest.mark.parametrize("transport", ["procrank", "list"])
+    @pytest.mark.parametrize("data", ["community", "edges"])
+    def test_ranked_spectrum_equals_count_kmers(
+        self, community_batch, edge_pairs, monkeypatch, data, transport, n_ranks, k
+    ):
+        """Windows shipped to their owners and tallied once there give
+        ``count_kmers``' spectrum: multi-word rows (k = 33, 55), every
+        ``min_count`` the pipeline uses, quality masking, reads shorter
+        than k, all-N reads and (edges at four ranks) an empty partition."""
+        batch = community_batch if data == "community" else edge_pairs
+        if transport == "list":
+            monkeypatch.setattr(harness, "procrank_available", lambda: False)
+        forked = transport == "procrank" and n_ranks > 1
+        if data == "edges" and n_ranks == 4:
+            assert len(partition_reads(batch, n_ranks)[0]) == 0
+        for min_count, min_qual in ((1, 0), (2, 20), (3, 0), (3, 20)):
+            want = count_kmers(batch, k, min_count=min_count, min_qual=min_qual)
+            spec, _, report = distributed_count_proc(
+                batch, k, n_ranks, min_count=min_count, min_qual=min_qual
+            )
+            assert_same_spectrum(spec, want)
+            assert report.mode == ("procrank" if forked else "inproc")
+            if min_qual == 0:  # the cut leaves something to compare
+                assert len(want) > 0
+
+
+class TestTallyPass:
+    """``count_kmers`` is the tally pass over the window pass, and the tally
+    does not depend on the order of its windows."""
+
+    @pytest.mark.parametrize("k", [1, 21, 33, 55])
+    @pytest.mark.parametrize("min_count", [1, 2, 3])
+    def test_shuffled_windows_tally_the_same(self, community_batch, k, min_count):
+        words, ext = kmer_counts.kmer_windows(community_batch, k, min_qual=20)
+        want = count_kmers(community_batch, k, min_count=min_count, min_qual=20)
+        rng = np.random.default_rng(k * 10 + min_count)
+        for _ in range(3):
+            perm = rng.permutation(len(ext))
+            got = kmer_counts.tally_windows(words[perm], ext[perm], k, min_count)
+            assert_same_spectrum(got, want)
+
+    @pytest.mark.parametrize("k", [21, 33])
+    def test_windows_of_parts_tally_as_the_whole(self, community_batch, k):
+        """What an owner sees: windows of several partitions, concatenated
+        in any source order."""
+        parts = [kmer_counts.kmer_windows(p, k) for p in partition_reads(community_batch, 3)]
+        words = np.concatenate([w for w, _ in parts[::-1]])
+        ext = np.concatenate([e for _, e in parts[::-1]])
+        assert_same_spectrum(
+            kmer_counts.tally_windows(words, ext, k, 2), count_kmers(community_batch, k, 2)
+        )
+
+    def test_extension_slots_are_packed_in_one_byte(self, community_batch):
+        words, ext = kmer_counts.kmer_windows(community_batch, 21)
+        assert ext.dtype == np.uint8 and words.shape == (ext.size, 1)
+        left, right = ext >> 3, ext & 7
+        assert left.max() <= kmer_counts.NO_EXT and right.max() <= kmer_counts.NO_EXT
 
 
 reads = st.lists(st.text(alphabet="ACGTN", min_size=0, max_size=80), min_size=0, max_size=10)

@@ -20,7 +20,8 @@ from repro.pipeline.merge_reads import merge_read_pairs
 from repro.sequence.community import arcticsynth_like, sample_paired_reads
 
 #: ``count_kmers`` transient bytes per counted window (``min_count=2``).
-#: Measured on this input: 36 (k = 21) and 80 (k = 33); before the lean
+#: Measured on this input: 35 (k = 21) and 79 (k = 33) since the window
+#: and tally passes split (36 and 80 before, in one pass); before the lean
 #: pass 150 and 175, with an n-sized int64 read-end array, int64
 #: extension columns and a gather after the ``argsort``.  An out-of-place
 #: ``revcomp_packed`` alone reads 44 and 88.

@@ -22,26 +22,35 @@ import pytest
 
 import repro
 from repro.sequence.community import arcticsynth_like, sample_paired_reads
+from repro.sequence.dna import revcomp
 from repro.sequence.fastq import save_read_batch
+from repro.sequence.read import ReadBatch
 
 PKG = Path(repro.__file__).parent
 
 # -- (a) what a run leaves in sys.modules -------------------------------------
 
 _CHILD = """
-import json, sys
+import json, os, sys
 from repro.pipeline.pipeline import PipelineConfig, run_pipeline
 from repro.sequence.fastq import load_read_batch
 
+def shm():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
 config = PipelineConfig(**json.loads(sys.argv[2]))
 reads = load_read_batch(sys.argv[1])
+shm_before = shm()
 setup = set(sys.modules)
 result = run_pipeline(reads, config)
+tracker = sys.modules.get("multiprocessing.resource_tracker")
 print(json.dumps({
     "setup": sorted(setup),
     "run": sorted(set(sys.modules) - setup),
     "extended": result.local_assembly.n_extended,
     "scaffolds": len(result.scaffolds.scaffolds),
+    "shm_new": sorted(shm() - shm_before),
+    "tracker_pid": tracker and tracker._resource_tracker._pid,
 }))
 """
 
@@ -86,6 +95,31 @@ def fastq(tmp_path_factory) -> Path:
     return path
 
 
+def _circular_pairs(rng, length=1500, n_pairs=300, read_len=100, insert=250) -> ReadBatch:
+    """Error-free pairs sampled around a circular plasmid: reads wrap the
+    origin, so its de Bruijn graph is one cycle."""
+    plasmid = "".join(rng.choice(list("ACGT"), size=length))
+    ring = plasmid * 2
+    seqs = []
+    for start in rng.integers(0, length, size=n_pairs).tolist():
+        seqs.append(ring[start : start + read_len])
+        seqs.append(revcomp(ring[start + insert - read_len : start + insert]))
+    return ReadBatch.from_strings(seqs, paired=True)
+
+
+@pytest.fixture(scope="module")
+def circular_fastq(tmp_path_factory) -> Path:
+    """The community plus a circular plasmid: contig generation cuts a cycle."""
+    rng = np.random.default_rng(43)
+    community = arcticsynth_like(rng, n_genomes=3, genome_length=3000)
+    reads = ReadBatch.concat(
+        [sample_paired_reads(community, 700, rng), _circular_pairs(rng)]
+    )
+    path = tmp_path_factory.mktemp("layers") / "circular.fastq"
+    save_read_batch(path, reads)
+    return path
+
+
 def _run(fastq: Path, **config) -> dict:
     out = subprocess.run(
         [sys.executable, "-c", _CHILD, str(fastq), json.dumps(config)],
@@ -123,6 +157,7 @@ class TestRunLoadsWhatItRuns:
             _loaded(everything, _NEVER_IN_RANKED_RUN + ("repro.distributed", "repro.service"))
             == []
         )
+        assert "numpy.ma" not in everything
 
     def test_ranked_run(self, fastq):
         report = _run(fastq, kmer_ranks=2, aln_ranks=2)
@@ -132,6 +167,32 @@ class TestRunLoadsWhatItRuns:
         assert _loaded(everything, _NEVER_IN_RANKED_RUN + ("repro.service",)) == []
         # the rank segments live in repro.distributed: no simulator module
         assert _loaded(everything, _GPU_STACK) == []
+        # the rank checker loads only for sanitize="rankcheck"
+        assert _loaded(everything, ("repro.sanitize",)) == []
+        assert "numpy.ma" not in everything
+        # no segment outlives the run, and no segment was ever tracked:
+        # a tracked one starts multiprocessing's resource-tracker process
+        assert report["shm_new"] == []
+        assert report["tracker_pid"] is None
+
+    def test_circular_genome_run(self, circular_fastq, monkeypatch):
+        from repro.pipeline import contig_generation
+        from repro.pipeline.kmer_analysis import analyze_kmers
+        from repro.pipeline.merge_reads import merge_read_pairs
+        from repro.sequence.fastq import load_read_batch
+
+        # the input really has a cycle for contig generation to cut ...
+        cuts = []
+        cut = contig_generation._cut_cycles
+        monkeypatch.setattr(
+            contig_generation, "_cut_cycles", lambda *a: cuts.append(cut(*a))
+        )
+        merged, _ = merge_read_pairs(load_read_batch(circular_fastq))
+        contig_generation.generate_contigs(analyze_kmers(merged, 21))
+        assert cuts
+        # ... and cutting it loads no numpy.ma into the run
+        report = _run(circular_fastq)
+        assert "numpy.ma" not in report["setup"] + report["run"]
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
