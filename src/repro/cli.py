@@ -113,12 +113,14 @@ def build_parser() -> argparse.ArgumentParser:
                           "in the output directory (MHM2 --checkpoint)")
     asm.add_argument("--engine", choices=ENGINE_MODES, default="auto",
                      help="warp execution engine (gpu mode; 'auto' resolves to "
-                          "'batched' — the lockstep SoA engine; 'sequential' "
-                          "interprets one warp at a time)")
+                          "'batched' — the SoA engine; 'sequential' "
+                          "interprets one warp at a time, as every "
+                          "sanitized launch does)")
     asm.add_argument("--sanitize", choices=SANITIZE_MODES + ("rankcheck",),
                      default="off",
                      help="dynamic checkers: memcheck/racecheck/initcheck "
-                          "instrument the simulated GPU kernels (gpu mode); "
+                          "instrument the simulated GPU kernels (gpu mode; "
+                          "every launch runs on the interpreter); "
                           "'rankcheck' instruments the process-rank k-mer "
                           "exchange instead (vector-clock cross-rank race "
                           "detection + segment-leak ledger; writes "
@@ -171,11 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
     la.add_argument("--k-init", type=int, default=21)
     la.add_argument("--engine", choices=ENGINE_MODES, default="auto",
                     help="warp execution engine (gpu mode; 'auto' resolves to "
-                         "'batched' — the lockstep SoA engine; 'sequential' "
-                         "interprets one warp at a time)")
+                         "'batched' — the SoA engine; 'sequential' "
+                         "interprets one warp at a time, as every "
+                         "sanitized launch does)")
     la.add_argument("--sanitize", choices=SANITIZE_MODES, default="off",
                     help="dynamic kernel checkers (gpu mode; compute-"
-                         "sanitizer analogue: memcheck/racecheck/initcheck)")
+                         "sanitizer analogue: memcheck/racecheck/initcheck; "
+                         "every launch runs on the interpreter)")
     la.add_argument("--overlap", choices=OVERLAP_MODES, default="off",
                     help="double-buffered GPU driver: stage batch N+1 while "
                          "batch N executes, overlap transfers with kernels")

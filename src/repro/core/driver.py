@@ -186,15 +186,17 @@ class GpuLocalAssembler:
         54-92x faster than sequential interpretation on every recorded
         workload, see BENCH_engine.json), ``"sequential"`` or
         ``"batched"``.  v1 kernels have no batched twin and fall back to
-        sequential interpretation.  All modes are bit-identical.
+        sequential interpretation, as does every launch of a sanitized
+        run.  All modes are bit-identical.
     sanitize:
         Dynamic checker mode (``"off"``, ``"memcheck"``, ``"racecheck"``,
         ``"initcheck"`` or ``"full"``).  Anything but ``"off"`` attaches a
         :class:`~repro.sanitize.Sanitizer` to the context and stores its
         report on :attr:`GpuLocalAssemblyReport.sanitizer`.  A sanitized
-        run serialises the timeline (``overlap`` reports ``"off"``) and
+        run serialises the timeline (``overlap`` reports ``"off"``),
         disables fused dispatch, so every launch stays individually
-        attributable.
+        attributable, and interprets every launch (the kernel as written
+        is what a sanitizer checks), whatever ``engine`` says.
     overlap:
         ``"off"`` (default) — the synchronous driver; ``"on"`` — the
         double-buffered pipeline on the modelled stream timeline: batch

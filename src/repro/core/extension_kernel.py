@@ -168,10 +168,11 @@ def _probe_insert_v2(
                 with warp.where(contender):
                     warp.global_gather_span(reads, occupant, k)
                     warp.int_op(key_words)  # word-wise comparison
-                rbuf = reads.data
-                for lane in np.nonzero(contender)[0]:
-                    p = int(occupant[lane])
-                    key_eq[lane] = np.array_equal(rbuf[p : p + k], windows[lane])
+                c = np.nonzero(contender)[0]
+                # clip: a corrupt pointer (a defect a sanitized run is
+                # reporting) compares instead of aborting the run
+                keys = reads.data.take(occupant[c, None] + np.arange(k), mode="clip")
+                key_eq[c] = (keys == windows[c]).all(axis=1)
             resolved = won | (contender & key_eq)
             if resolved.any():
                 with warp.where(resolved):

@@ -28,8 +28,8 @@ group:
      per distinct k-mer at its first occurrence — the only window whose
      murmur is computed.  The agents form the group's *agent table*
      (:class:`_Agents`), its one index: build and walk both chase it;
-  2. *place* (phase A) gives every agent the slot the step/round
-     lockstep (probe ``home + j``, lowest lane claims each empty slot)
+  2. *place* (phase A) gives every agent the slot the kernel's step/round
+     probing (probe ``home + j``, lowest lane claims each empty slot)
      would, in bulk: the filled slots follow from the homes alone, and
      only agents sharing a cluster of filled slots are placed one by one,
      every cluster at once (fact e);
@@ -40,7 +40,7 @@ group:
      tables; the key compares by pointer for the reads), and both tallies
      one ``bincount`` into the agent table: the dense ``ht_hi``/
      ``ht_total`` stay zero (their clears are counted, not written), as
-     nothing unsanitized reads them.
+     nothing on this engine reads them.
 
   Five facts about the choreography carry this, each pinned by
   ``tests/core/test_batched_engine.py`` or ``test_batched_placement.py``:
@@ -51,7 +51,7 @@ group:
   **(d)** a lane whose k-mer an earlier step placed never meets an empty
   slot — it walks occupied slots from home to its k-mer's and tallies
   there; **(e)** linear probing fills the same slots in any insert order,
-  and within a cluster of filled slots the lockstep inserts in (step,
+  and within a cluster of filled slots the kernel inserts in (step,
   home offset from the cluster's first slot descending, first lane)
   order — an agent homed further on reaches every later slot sooner.
   Hence a visit issues a CAS iff its slot was claimed in the visit's own
@@ -61,13 +61,10 @@ group:
   phase A): their temporaries would otherwise all be live at once and
   set the process's peak RSS; results do not depend on the cap.
 
-  A *sanitized* launch keeps the lockstep build
-  (:func:`_build_group_lockstep`: step *s* of every warp as one
-  operation, ``(rows, 32)`` pending masks advancing the probe), because
-  the order of individual accesses is what a sanitizer consumes.  The
-  choice is made by ``wb.sanitizer`` alone — there is no option — and the
-  lockstep build doubles as a second oracle for the derivation beside the
-  sequential interpreter, which stays the reference;
+  The sequential interpreter running the kernel as written stays the
+  reference, and it is also what a sanitized launch runs
+  (:class:`~repro.gpusim.kernel.GpuContext` interprets every launch with
+  a sanitizer attached), so this module carries no sanitizer;
 * **walk** — single-lane per warp, and derived too.  Every k-mer a walk
   looks up is an agent (found at its slot, ``dist + 1`` probes from home)
   or absent (the walk ends after probing the occupied run from its home),
@@ -77,11 +74,7 @@ group:
   ``cur = succ[cur]`` over integer arrays, and a revisited agent is a
   LOOP.  The visited table is replayed insert by insert — its probe
   lengths depend on the order — and every walk counter comes from the
-  logged steps in one pass per access kind.  Sanitized launches keep the
-  lockstep walk (:func:`_walk_group_lockstep`: each walk step — visited
-  probe, main-table lookup, classification, append — applied to all
-  still-walking rows at once), chosen by ``wb.sanitizer`` exactly as for
-  the build.
+  logged steps in one pass per access kind.
 
 Bit-identity with the sequential interpreter holds because counters are
 additive per warp (each :class:`~repro.gpusim.batched.WarpBatch` primitive
@@ -164,12 +157,11 @@ def _step_rows(batch: DeviceBatch, tasks_g, k: int):
 
 def _clear_group(wb: WarpBatch, batch: DeviceBatch, rows, ht_start, slots, vis_start) -> None:
     """Re-initialise every row's table + visited regions (coalesced).
-    Unsanitized, the tally memsets are counted but not written: the
-    derived build keeps the tallies on its agent table instead."""
-    tally = None if wb.sanitizer is None else 0
+    The tally memsets are counted but not written: the derived build
+    keeps the tallies on its agent table instead."""
     wb.store_span(batch.ht_ptr, ht_start, slots, EMPTY_PTR, rows)
-    wb.store_span(batch.ht_hi, ht_start * 4, slots * 4, tally, rows)
-    wb.store_span(batch.ht_total, ht_start * 4, slots * 4, tally, rows)
+    wb.store_span(batch.ht_hi, ht_start * 4, slots * 4, None, rows)
+    wb.store_span(batch.ht_total, ht_start * 4, slots * 4, None, rows)
     wb.store_span(
         batch.vis_ptr,
         vis_start,
@@ -177,133 +169,6 @@ def _clear_group(wb: WarpBatch, batch: DeviceBatch, rows, ht_start, slots, vis_s
         EMPTY_PTR,
         rows,
     )
-
-
-def _probe_insert_group(
-    wb: WarpBatch,
-    batch: DeviceBatch,
-    rows,
-    ht_start,
-    slots,
-    valid,
-    hashes,
-    my_ptr,
-    ext,
-    hi,
-    k: int,
-) -> None:
-    """The §3.3 insert choreography across all rows of a build step.
-
-    ``(len(rows), 32)`` pending masks advance the linear probe; rows drop
-    out of an iteration's sub-operations (CAS, key compare, tally) exactly
-    when the sequential per-warp code would skip them.
-    """
-    key_words = (k + 7) // 8
-    pending = valid.copy()
-    off = np.zeros(pending.shape, dtype=np.int64)
-    rbuf = batch.reads_buf.data
-    ar_k = cached_arange(k)
-    while True:
-        pcnt_all = pending.sum(axis=1)
-        a = np.nonzero(pcnt_all)[0]
-        if a.size == 0:
-            break
-        r = rows[a]
-        P = pending[a]
-        pcnt = pcnt_all[a]
-        gidx = ht_start[a, None] + (hashes[a] + off[a]) % slots[a, None]
-        # fuse_int=2: slot = (hash + off) % slots address math;
-        # fuse_control=1: the loop-back branch, issued under the entry mask
-        ptrs = wb.load_gather(
-            batch.ht_ptr, gidx, P, r, active=pcnt, fuse_int=2, fuse_control=1
-        )
-        empty = P & (ptrs == EMPTY_PTR)
-        ecnt_all = empty.sum(axis=1)
-        e = np.nonzero(ecnt_all)[0]
-        won = np.zeros_like(P)
-        old = np.zeros_like(ptrs)
-        myp = my_ptr[a]
-        if e.size:
-            # Thread-collision mask + CAS claim + sync (paper §3.3),
-            # issued as one fused op.
-            old_e = wb.atomic_cas(
-                batch.ht_ptr, gidx[e], EMPTY_PTR, myp[e], empty[e], r[e],
-                active=ecnt_all[e], fuse_shfl_sync=True,
-            )
-            old[e] = old_e
-            won[e] = empty[e] & (old_e == EMPTY_PTR)
-        occupant = np.where(won, myp, np.where(empty, old, ptrs))
-        contender = P & ~won
-        ccnt_all = contender.sum(axis=1)
-        c = np.nonzero(ccnt_all)[0]
-        key_eq = np.zeros_like(P)
-        if c.size:
-            # fuse_int: the per-word key compare
-            wb.gather_span(
-                batch.reads_buf, occupant[c], contender[c], k, r[c],
-                active=ccnt_all[c], fuse_int=key_words,
-            )
-            occ_p = occupant[contender]
-            mine_p = myp[contender]
-            key_eq[contender] = (
-                rbuf[occ_p[:, None] + ar_k] == rbuf[mine_p[:, None] + ar_k]
-            ).all(axis=1)
-        resolved = won | (contender & key_eq)
-        u = np.nonzero(resolved.any(axis=1))[0]
-        if u.size:
-            cidx = gidx * 4 + ext[a]
-            _ = wb.atomic_add(batch.ht_total, cidx[u], 1, resolved[u], r[u])
-            hq = resolved & hi[a]
-            v = np.nonzero(hq.any(axis=1))[0]
-            if v.size:
-                _ = wb.atomic_add(batch.ht_hi, cidx[v], 1, hq[v], r[v])
-        new_pending = P & ~resolved
-        pending[a] = new_pending
-        off[a] += new_pending
-
-
-def _build_group(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots):
-    """Warp-cooperative table build for one k-group: derived in closed
-    form, or in lockstep when a sanitizer needs per-access order.
-    Returns the derived build's agent table (None from the lockstep)."""
-    if wb.sanitizer is not None:
-        return _build_group_lockstep(wb, batch, rows, tasks_g, k, ht_start, slots)
-    return _build_group_derived(wb, batch, rows, tasks_g, k, ht_start, slots)
-
-
-def _build_group_lockstep(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots) -> None:
-    """Lockstep table build: every access of every probe round is issued
-    through ``wb``, in program order — what a sanitizer consumes.  Step
-    *s* of every warp is one operation over ``(rows, 32)`` lane arrays."""
-    plan = _step_rows(batch, tasks_g, k)
-    if plan is None:
-        return
-    row_warp, load_start, n_act = plan
-    ptr = load_start[:, None] + cached_arange(_LANES)  # each lane's k-mer
-    act = cached_arange(_LANES) < n_act[:, None]
-    rdata = batch.reads_buf.data
-    win = rdata[ptr[act][:, None] + cached_arange(k)]
-    ext = np.zeros(ptr.shape, dtype=np.int64)
-    ext[act] = rdata[ptr[act] + k]
-    valid = np.zeros(ptr.shape, dtype=bool)
-    valid[act] = (ext[act] < 4) & ~(win >= 4).any(axis=1)
-    hashes = np.zeros(ptr.shape, dtype=np.int64)
-    hashes[valid] = murmurhash2_rows(win[valid[act]]).astype(np.int64)
-    ext[~valid] = 0
-    hi = np.zeros(ptr.shape, dtype=bool)
-    hi[act] = batch.quals_buf.data[ptr[act] + k] >= batch.config.hi_q_thresh
-    row_step = _within(np.bincount(row_warp, minlength=rows.size))
-    by_step = np.argsort(row_step, kind="stable")  # rows of one step in warp order
-    hops = _hash_cost_ops(k)
-    for s in np.split(by_step, np.flatnonzero(np.diff(row_step[by_step])) + 1):
-        w = row_warp[s]
-        # Coalesced window + ext-base + quality loads (Fig 7), row hashes.
-        wb.load_span(batch.reads_buf, load_start[s], n_act[s] + k, rows[w])
-        wb.load_span(batch.quals_buf, load_start[s] + k, n_act[s], rows[w])
-        wb.int_op(hops, rows[w], n_act[s])
-        _probe_insert_group(
-            wb, batch, rows[w], ht_start[w], slots[w], valid[s], hashes[s], ptr[s], ext[s], hi[s], k
-        )
 
 
 def _fold(index, values, n: int) -> np.ndarray:
@@ -472,7 +337,7 @@ def _account_block(
     row_warp, row_lane0, row_valid, lane0: int, agent, ext, hi, a0: int, a1: int,
 ) -> None:
     """Pass 2 for one block: expand every valid lane into its probe visits
-    and derive what the lockstep would have accumulated.
+    and derive what the interpreted build would have accumulated.
 
     A lane whose k-mer sits ``d`` slots past home visits rounds
     ``0 … d`` (fact d: nothing on the way is empty unless it is claimed
@@ -567,9 +432,10 @@ def _account_block(
 def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots):
     """Closed-form table build — resolve, place, account (module
     docstring).  Leaves ``ht_ptr`` and every counter exactly as
-    :func:`_build_group_lockstep` would and returns the group's agent
-    table (None when no warp has a valid lane), whose ``hi``/``total``
-    rows are the lockstep's ``ht_hi``/``ht_total`` at ``slot``."""
+    :func:`~repro.core.extension_kernel.build_table_v2` would and returns
+    the group's agent table (None when no warp has a valid lane), whose
+    ``hi``/``total`` rows are the interpreter's ``ht_hi``/``ht_total`` at
+    ``slot``."""
     G = rows.size
     plan = _step_rows(batch, tasks_g, k)
     if plan is None:
@@ -660,15 +526,6 @@ def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: in
     return ag
 
 
-def _walk_group(wb: WarpBatch, batch: DeviceBatch, rows, k: int, seq_off, slen, ht_start, slots, vis_start, ag):
-    """Single-lane mer-walks for one k-group: derived from the build's
-    agent table *ag*, or in lockstep when a sanitizer needs per-access
-    order.  Returns ``(appended, status, slen)`` per row."""
-    if wb.sanitizer is not None:
-        return _walk_group_lockstep(wb, batch, rows, k, seq_off, slen, ht_start, slots, vis_start)
-    return _walk_group_derived(wb, batch, rows, k, seq_off, slen, ht_start, slots, vis_start, ag)
-
-
 def _free_run(table, base, home, size) -> np.ndarray:
     """Linear probing without inserting: for every query, the occupied
     slots from ``home`` on to the first empty one in its region
@@ -736,9 +593,9 @@ def _walk_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, k: int, seq_off
     probe length; the absent k-mer that ends a walk is hashed once, after
     the appended bases are stored.  Every counter then comes from the
     logs in one pass per access kind.  Leaves ``seq_buf``, ``vis_ptr`` and
-    every counter exactly as :func:`_walk_group_lockstep` would, and
-    returns the same ``(appended, status, slen)``.  The visited table has
-    ``2 * max_walk_len`` slots, so it never fills.
+    every counter exactly as :func:`~repro.core.extension_kernel.mer_walk_gpu`
+    would, and returns its ``(appended, status)`` and the new ``slen``.
+    The visited table has ``2 * max_walk_len`` slots, so it never fills.
     """
     cfg = batch.config
     R = rows.size
@@ -903,155 +760,6 @@ def _walk_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, k: int, seq_off
     return appended, status, slen
 
 
-def _walk_group_lockstep(
-    wb: WarpBatch,
-    batch: DeviceBatch,
-    rows,
-    k: int,
-    seq_off,
-    slen,
-    ht_start,
-    slots,
-    vis_start,
-):
-    """Lockstep single-lane mer-walks for one k-group: every access of
-    every walk step is issued through ``wb``, in program order.
-    Returns ``(appended, status, slen)`` per row.  Every still-walking row
-    advances through the same walk step at once; rows leave the lockstep
-    (loop/runout/fork/accept) exactly where the sequential walk breaks.
-    """
-    cfg = batch.config
-    R = rows.size
-    vis_slots = batch.vis_slots
-    sdata = batch.seq_buf.data
-    rdata = batch.reads_buf.data
-    status = np.full(R, int(WalkStatus.MAX_LEN), dtype=np.int64)
-    appended = np.zeros(R, dtype=np.int64)
-    slen = slen.copy()
-    walking = np.ones(R, dtype=bool)
-    short = slen < k
-    if short.any():
-        wb.control_op(1, rows[short], 1)
-        status[short] = int(WalkStatus.RUNOUT)
-        walking[short] = False
-    hops = _hash_cost_ops(k)
-    key_words = (k + 7) // 8
-    ar_k = cached_arange(k)
-    ar_4 = cached_arange(4)
-    for _ in range(cfg.max_walk_len):
-        wloc = np.nonzero(walking)[0]
-        if wloc.size == 0:
-            break
-        if wloc.size == R:  # common case: every row still walking
-            kpos = seq_off + slen - k
-            kmers = sdata[kpos[:, None] + ar_k]
-            h = murmurhash2_rows(kmers).astype(np.int64)
-        else:
-            kpos = np.zeros(R, dtype=np.int64)
-            kpos[wloc] = seq_off[wloc] + slen[wloc] - k
-            kmers = np.zeros((R, k), dtype=np.uint8)
-            kmers[wloc] = sdata[kpos[wloc, None] + ar_k]
-            h = np.zeros(R, dtype=np.int64)
-            h[wloc] = murmurhash2_rows(
-                np.ascontiguousarray(kmers[wloc])
-            ).astype(np.int64)
-        wb.int_op(hops, rows[wloc], 1)
-
-        # -- visited-table probe (loop detection + insert) -----------------
-        pend = walking.copy()
-        seen = np.zeros(R, dtype=bool)
-        voff = np.zeros(R, dtype=np.int64)
-        while True:
-            pl = np.nonzero(pend)[0]
-            if pl.size == 0:
-                break
-            vidx = vis_start[pl] + (h[pl] + voff[pl]) % vis_slots
-            cur = wb.load_lane0(batch.vis_ptr, vidx, rows[pl], fuse_int=2)
-            isempty = cur == EMPTY_PTR
-            if isempty.any():
-                e = pl[isempty]
-                _ = wb.atomic_cas_lane0(
-                    batch.vis_ptr, vidx[isempty], EMPTY_PTR, kpos[e], rows[e]
-                )
-                pend[e] = False  # inserted: first sighting
-            occ = pl[~isempty]
-            if occ.size:
-                curo = cur[~isempty].astype(np.int64)
-                wb.gather_span_lane0(
-                    batch.seq_buf, curo, k, rows[occ], fuse_int=key_words
-                )
-                eq = (sdata[curo[:, None] + ar_k] == kmers[occ]).all(axis=1)
-                seen[occ[eq]] = True
-                pend[occ[eq]] = False
-                cont = occ[~eq]
-                if cont.size:
-                    voff[cont] += 1
-                    wb.control_op(1, rows[cont], 1)
-                    # exhausted tables treat the k-mer as unseen (2x sizing
-                    # makes this unreachable in practice)
-                    pend[cont[voff[cont] >= vis_slots]] = False
-        status[seen] = int(WalkStatus.LOOP)
-        walking &= ~seen
-
-        # -- main-table lookup by content -----------------------------------
-        pend = walking.copy()
-        found = np.full(R, -1, dtype=np.int64)
-        moff = np.zeros(R, dtype=np.int64)
-        while True:
-            pl = np.nonzero(pend)[0]
-            if pl.size == 0:
-                break
-            gidx = ht_start[pl] + (h[pl] + moff[pl]) % slots[pl]
-            cur = wb.load_lane0(batch.ht_ptr, gidx, rows[pl], fuse_int=2)
-            isempty = cur == EMPTY_PTR
-            pend[pl[isempty]] = False  # absent: walk ran out
-            occ = pl[~isempty]
-            if occ.size:
-                curo = cur[~isempty].astype(np.int64)
-                gocc = gidx[~isempty]
-                wb.gather_span_lane0(
-                    batch.reads_buf, curo, k, rows[occ], fuse_int=key_words
-                )
-                eq = (rdata[curo[:, None] + ar_k] == kmers[occ]).all(axis=1)
-                found[occ[eq]] = gocc[eq]
-                pend[occ[eq]] = False
-                cont = occ[~eq]
-                if cont.size:
-                    moff[cont] += 1
-                    wb.control_op(1, rows[cont], 1)
-                    pend[cont[moff[cont] >= slots[cont]]] = False
-        absent = walking & (found < 0)
-        status[absent] = int(WalkStatus.RUNOUT)
-        walking &= ~absent
-
-        # -- classify + append ------------------------------------------------
-        cl = np.nonzero(walking)[0]
-        if cl.size == 0:
-            break
-        wb.gather_span_lane0(batch.ht_hi, found[cl] * 16, 16, rows[cl])
-        # fuse_int=8: the tally-compare arithmetic of classify_extension
-        wb.gather_span_lane0(batch.ht_total, found[cl] * 16, 16, rows[cl], fuse_int=8)
-        verdict, top_b = classify_extensions(
-            batch.ht_hi.data[found[cl, None] * 4 + ar_4],
-            batch.ht_total.data[found[cl, None] * 4 + ar_4],
-            cfg.min_viable,
-            cfg.dominance_ratio,
-        )
-        stopped = verdict >= 0  # RUNOUT or FORK
-        status[cl[stopped]] = verdict[stopped]
-        walking[cl[stopped]] = False
-        st = cl[~stopped]
-        if st.size:
-            wb.store_lane0(
-                batch.seq_buf, seq_off[st] + slen[st],
-                top_b[~stopped], rows[st],
-                fuse_local_store=True,  # walk string bookkeeping
-            )
-            slen[st] += 1
-            appended[st] += 1
-    return appended, status, slen
-
-
 def run_extension_v2_batched(
     n_warps: int, sector_bytes: int, batch: DeviceBatch, task_ids
 ) -> BatchCounters:
@@ -1101,17 +809,17 @@ def run_extension_v2_batched(
             break
         k_live = np.array([states[w].k for w in live], dtype=np.int64)
         status = np.zeros(n_warps, dtype=np.int64)
-        # Warps shift k independently; each round runs one lockstep
+        # Warps shift k independently; each round runs one batched
         # clear/build/walk per distinct live mer size.  (A bare np.unique
         # would import numpy.ma into the run.)
         for kv in sorted(set(k_live.tolist())):
             g = live[k_live == kv]
             _clear_group(wb, batch, g, ht_start[g], slots[g], vis_start[g])
-            agents = _build_group(wb, batch, g, t_arr[g], kv, ht_start[g], slots[g])
+            agents = _build_group_derived(wb, batch, g, t_arr[g], kv, ht_start[g], slots[g])
             # Build-to-walk barrier, matching the sequential kernel's
             # warp.sync() between build_fn and mer_walk_gpu.
             wb.sync_op(g, _LANES)
-            app, st, new_slen = _walk_group(
+            app, st, new_slen = _walk_group_derived(
                 wb, batch, g, kv, seq_off[g], slen[g], ht_start[g], slots[g],
                 vis_start[g], agents,
             )

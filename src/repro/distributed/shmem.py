@@ -38,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "SharedNDArray",
-    "create_shared_array",
     "attach_shared_array",
     "create_named_shared_array",
     "launch_token",
@@ -89,13 +88,14 @@ def _untracked():
 def shared_memory_available() -> bool:
     """True when multiprocessing.shared_memory can be used on this host.
 
-    Probed once per process, with an untracked segment: registering it
-    would start multiprocessing's resource-tracker process."""
+    Probed once per process, with an untracked segment named like a
+    launch's (registering it would start multiprocessing's
+    resource-tracker process)."""
     if _shm_mod is None:
         return False
     try:
         with _untracked():
-            seg = _shm_mod.SharedMemory(create=True, size=8)
+            seg = _shm_mod.SharedMemory(f"repro-{launch_token()}-probe", create=True, size=8)
     except (OSError, PermissionError):  # pragma: no cover - no /dev/shm
         return False
     with _untracked():
@@ -148,24 +148,6 @@ class SharedNDArray(np.ndarray):
 def _wrap(shm, shape, dtype) -> SharedNDArray:
     arr = np.ndarray(shape, dtype=dtype, buffer=shm.buf).view(SharedNDArray)
     arr._shm = shm
-    return arr
-
-
-def create_shared_array(shape, dtype) -> SharedNDArray:
-    """Allocate a zero-initialised shared array (owner side).
-
-    The segment is not registered with the resource tracker — the owner
-    unlinks it in a ``finally`` (``python -m repro lint`` checks every
-    call site), and a tracked segment would start the tracker process."""
-    if _shm_mod is None:  # pragma: no cover
-        raise RuntimeError("multiprocessing.shared_memory is unavailable")
-    dtype = np.dtype(dtype)
-    size = max(1, int(np.prod(np.atleast_1d(shape))) * dtype.itemsize)
-    with _untracked():
-        shm = _shm_mod.SharedMemory(create=True, size=size)
-    arr = _wrap(shm, shape, dtype)
-    if arr.size:
-        arr.fill(0)
     return arr
 
 

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.config import ENGINE_MODES, OVERLAP_MODES, SANITIZE_MODES
-from repro.gpusim.batched import batched_impl, set_active_sanitizer
+from repro.gpusim.batched import batched_impl
 from repro.gpusim.counters import KernelCounters
 from repro.gpusim.device import DeviceSpec, V100
 from repro.gpusim.memory import DeviceAllocator, DeviceArray
@@ -85,6 +85,11 @@ class GpuContext:
       sequential on every recorded workload (BENCH_engine.json,
       BENCH_batched.json).
 
+    A context with a sanitizer (``sanitize != "off"``) interprets every
+    launch whatever its ``engine``: the interpreter is the one path that
+    executes the kernel as written, so it is the one a sanitizer checks
+    (the batched engine derives a kernel's effect instead of stepping it).
+
     The context also owns a :class:`~repro.gpusim.streams.StreamTimeline`
     and the CUDA-style async API (:meth:`to_device_async`,
     :meth:`launch_async`, :meth:`from_device_async`): ops placed on
@@ -128,6 +133,7 @@ class GpuContext:
                     f"got {self.sanitize!r}"
                 )
             self.sanitizer = Sanitizer(self.sanitize)
+            self.engine_mode = "sequential"  # a sanitizer checks the kernel as written
         if self.allocator is None:
             self.allocator = DeviceAllocator(self.device.global_mem_bytes)
         if self.sanitizer is not None:
@@ -299,15 +305,14 @@ class GpuContext:
         only its load-sector count can move by a few, where its slice of
         a packed buffer starts mid-sector.
 
-        More than one sub-batch requires a registered batched impl and an
-        unsanitized context (sanitized runs keep per-batch launches for
-        precise attribution); the interpreter runs one at a time.
+        More than one sub-batch requires a registered batched impl (so an
+        unsanitized context); the interpreter runs one at a time.
         """
         n_total = int(sum(sub_warps))
         batched = None
         if self.engine_mode == "batched" and n_total > 0:
             batched = batched_impl(kernel_fn)
-        if len(sub_warps) > 1 and (batched is None or self.sanitizer is not None):
+        if len(sub_warps) > 1 and batched is None:
             raise RuntimeError(
                 f"fusing {name!r} needs a batched impl and sanitize='off'"
             )
@@ -315,15 +320,7 @@ class GpuContext:
             self.sanitizer.begin_launch(kernel_version or name, bin_name, n_total)
         t0 = time.perf_counter()
         if batched is not None:
-            # Batched impls build their own WarpBatch; publish the
-            # sanitizer for it around the call.
-            if self.sanitizer is not None:
-                set_active_sanitizer(self.sanitizer)
-            try:
-                swept = batched(n_total, self.device.sector_bytes, *args)
-            finally:
-                if self.sanitizer is not None:
-                    set_active_sanitizer(None)
+            swept = batched(n_total, self.device.sector_bytes, *args)
             parts = [
                 swept.finalize_range(int(hi) - n_sub, int(hi))
                 for n_sub, hi in zip(sub_warps, np.cumsum(sub_warps))

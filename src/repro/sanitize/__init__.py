@@ -4,8 +4,11 @@ Dynamic side (:class:`repro.sanitize.sanitizer.Sanitizer`): memcheck
 (out-of-bounds / use-after-free), racecheck (conflicting non-atomic lane
 accesses between sync points) and initcheck (reads of never-written
 device elements), instrumenting the `gpusim` interpreter through hooks in
-:class:`~repro.gpusim.warp.Warp`, :class:`~repro.gpusim.batched.WarpBatch`
-and :class:`~repro.gpusim.memory.DeviceAllocator`.
+:class:`~repro.gpusim.warp.Warp` and
+:class:`~repro.gpusim.memory.DeviceAllocator`.  A sanitized context
+interprets every launch, whatever its engine: the batched engine derives
+a kernel's effect in bulk, so the interpreter is the one path whose
+accesses are the kernel's own.
 
 Static side (:func:`repro.sanitize.lint.lint_paths`): AST hygiene rules
 over kernel source — twin signature/counter parity, banned impure calls,

@@ -21,11 +21,6 @@ linted code), same contract as :mod:`repro.sanitize.lint`:
     via ``register_launch_segment`` somewhere in the same module
     (the procrank pattern: all derivable names are registered before
     the fork, so the atexit sweep covers crashes);
-  - ``x = create_shared_array(...)`` must sit inside a ``try`` whose
-    ``finally`` unlinks (an ``.unlink()`` call or
-    ``cleanup_launch_segments``), or transfer ownership (returned,
-    stored on an attribute, or appended to a container an owner
-    finalizes);
   - ``x = attach_shared_array(...)`` must sit inside a ``try`` whose
     ``finally`` closes (``.close()``), or be returned to the caller.
 
@@ -225,26 +220,6 @@ def _check_segments(path: str, tree: ast.Module, findings: list) -> None:
                                 "(token=...) nor covered by a "
                                 "register_launch_segment call on the same "
                                 "name; a crash here leaks /dev/shm"
-                            ),
-                        )
-                    )
-            elif cname == "create_shared_array":
-                bound = _bound_name(fn, node)
-                if bound in escaped:
-                    continue
-                if not _covered_by_finally(
-                    fn, node, {"unlink", "cleanup_launch_segments"}
-                ):
-                    findings.append(
-                        LintFinding(
-                            path=path,
-                            line=node.lineno,
-                            rule="segment-lifecycle",
-                            message=(
-                                "anonymous shared segment is created outside "
-                                "any try/finally that unlinks it; an "
-                                "exception on this path leaks the segment "
-                                "until process exit"
                             ),
                         )
                     )

@@ -9,10 +9,12 @@ code):
   it touches: the set of instruction counters reachable from the
   sequential kernel through :class:`~repro.gpusim.warp.Warp` methods must
   equal the set the batched twin touches through
-  :class:`~repro.gpusim.batched.WarpBatch` methods (fused-op kwargs like
-  ``fuse_shfl_sync`` included).  A twin that forgets a counter class is
-  exactly the kind of drift the bit-identity tests catch late and
-  expensively; the lint catches it before anything runs.
+  :class:`~repro.gpusim.batched.WarpBatch` methods or by naming a
+  :class:`~repro.gpusim.counters.KernelCounters` ``<class>_inst`` field
+  (``c.atomic_inst[rows] += ...``, ``acc["global_ld_inst"]``), as the
+  derived twins write their counters directly.  A twin that forgets a
+  counter class is exactly the kind of drift the bit-identity tests catch
+  late and expensively; the lint catches it before anything runs.
 * **banned-call** — kernel bodies (functions whose first parameter is
   ``warp`` or ``wb``, registered kernels, and everything reachable from
   them) must not call into ``time``, ``random``, ``datetime`` or
@@ -67,30 +69,16 @@ _SEQ_COUNTERS = {
 #: WarpBatch method -> counter classes (batched SoA engine).
 _BATCHED_COUNTERS = {
     "int_op": frozenset({"int"}),
-    "fp_op": frozenset({"fp"}),
-    "control_op": frozenset({"control"}),
     "shuffle_op": frozenset({"shuffle"}),
     "sync_op": frozenset({"sync"}),
-    "local_store_op": frozenset({"local_st"}),
-    "load_span": frozenset({"global_ld"}),
-    "load_gather": frozenset({"global_ld"}),
-    "gather_span": frozenset({"global_ld"}),
-    "load_lane0": frozenset({"global_ld"}),
-    "gather_span_lane0": frozenset({"global_ld"}),
     "store_span": frozenset({"global_st"}),
-    "store_scatter": frozenset({"global_st"}),
     "store_lane0": frozenset({"global_st"}),
-    "atomic_cas": frozenset({"atomic"}),
-    "atomic_add": frozenset({"atomic"}),
-    "atomic_cas_lane0": frozenset({"atomic"}),
 }
 
-#: fused-op kwargs fold extra instruction classes into a batched call.
-_FUSE_COUNTERS = {
-    "fuse_int": frozenset({"int"}),
-    "fuse_control": frozenset({"control"}),
-    "fuse_shfl_sync": frozenset({"shuffle", "sync"}),
-    "fuse_local_store": frozenset({"local_st"}),
+#: KernelCounters ``<class>_inst`` field -> its class: a batched twin that
+#: names one (attribute or string key) touches that class.
+_COUNTER_FIELDS = {
+    f"{c}_inst": c for classes in _SEQ_COUNTERS.values() for c in classes
 }
 
 _BANNED_MODULES = ("time", "random", "datetime")
@@ -155,10 +143,6 @@ def _attr_root(node: ast.expr) -> tuple[str | None, list[str]]:
     return None, list(reversed(chain))
 
 
-def _is_falsy_constant(node: ast.expr) -> bool:
-    return isinstance(node, ast.Constant) and not node.value
-
-
 def _called_names(fn: ast.AST) -> set[str]:
     """Function names referenced by *fn*: direct calls and names passed as
     arguments (``build_fn=build_table_v2`` indirection)."""
@@ -192,28 +176,26 @@ def _reachable(roots: set[str], global_fns: dict) -> set[str]:
     return seen
 
 
-def _counter_classes(fn: ast.AST, method_map: dict) -> set[str]:
-    """Counter classes touched directly by *fn* through warp-API methods."""
+def _counter_classes(fn: ast.AST, method_map: dict, fields: bool) -> set[str]:
+    """Counter classes touched directly by *fn* through warp-API methods
+    and, with *fields*, through named ``<class>_inst`` counter fields."""
     classes: set[str] = set()
     for node in ast.walk(fn):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-            continue
-        touched = method_map.get(node.func.attr)
-        if touched is None:
-            continue
-        classes |= touched
-        for kw in node.keywords:
-            fused = _FUSE_COUNTERS.get(kw.arg or "")
-            if fused is not None and not _is_falsy_constant(kw.value):
-                classes |= fused
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            classes |= method_map.get(node.func.attr, frozenset())
+        elif fields and isinstance(node, ast.Attribute):
+            classes.add(_COUNTER_FIELDS.get(node.attr, ""))
+        elif fields and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            classes.add(_COUNTER_FIELDS.get(node.value, ""))
+    classes.discard("")
     return classes
 
 
-def _closure_counters(root: str, global_fns: dict, method_map: dict) -> set[str]:
+def _closure_counters(root: str, global_fns: dict, method_map: dict, fields: bool = False) -> set[str]:
     classes: set[str] = set()
     for name in _reachable({root}, global_fns):
         _, fn = global_fns[name]
-        classes |= _counter_classes(fn, method_map)
+        classes |= _counter_classes(fn, method_map, fields)
     return classes
 
 
@@ -315,7 +297,7 @@ def _check_twins(mods: list, global_fns: dict, findings: list) -> None:
                     )
                 )
             seq_classes = _closure_counters(seq_name, global_fns, _SEQ_COUNTERS)
-            bat_classes = _closure_counters(bat_name, global_fns, _BATCHED_COUNTERS)
+            bat_classes = _closure_counters(bat_name, global_fns, _BATCHED_COUNTERS, fields=True)
             if seq_classes != bat_classes:
                 only_seq = sorted(seq_classes - bat_classes)
                 only_bat = sorted(bat_classes - seq_classes)

@@ -27,8 +27,8 @@ unsynchronized write is flagged no matter which side the replay visits
 first.
 
 A :class:`SegmentLedger` rides along: it snapshots the live
-shared-memory names (``/dev/shm``, filtered to this runtime's
-prefixes) before a launch and diffs after cleanup — any new surviving
+shared-memory names (``/dev/shm``, filtered to this process's launch
+tokens) before a launch and diffs after cleanup — any new surviving
 name is a leaked segment, the resource-exhaustion half of the PR's
 motivation.  Findings from both checkers land in the same structured
 :class:`~repro.sanitize.report.SanitizerReport` JSON the device
@@ -55,10 +55,6 @@ __all__ = [
     "SegmentLedger",
     "build_rank_report",
 ]
-
-#: /dev/shm name prefixes this runtime creates (anonymous ``psm_`` from
-#: multiprocessing.shared_memory, ``repro-`` from the named exchange).
-_SHM_PREFIXES = ("psm_", "repro-")
 
 _SHM_DIR = "/dev/shm"
 
@@ -233,25 +229,26 @@ def check_happens_before(
 class SegmentLedger:
     """Before/after diff of live shared-memory segments on this host.
 
-    ``snapshot()`` lists the current segment names (restricted to the
-    prefixes this runtime creates, so unrelated tenants of /dev/shm
-    never show up as leaks); ``leaked(before, after)`` is the diff a
-    clean launch must keep empty.  On hosts without /dev/shm the
-    ledger degrades to empty snapshots (no false positives, no
-    coverage).
+    ``snapshot()`` lists the current segment names of this process's
+    launches.  Every segment a launch creates, its ranks' included, is
+    named ``repro-<token>-…`` and every token starts with the launching
+    process's PID in hex, so other tenants of /dev/shm — a second run
+    launching ranks at the same time among them — never show up as
+    leaks; ``leaked(before, after)`` is the diff a clean launch must
+    keep empty.  On hosts without /dev/shm the ledger
+    degrades to empty snapshots (no false positives, no coverage).
     """
 
     def __init__(self, shm_dir: str = _SHM_DIR) -> None:
         self.shm_dir = shm_dir
+        self.prefix = f"repro-{os.getpid():x}-"
 
     def snapshot(self) -> frozenset:
         try:
             names = os.listdir(self.shm_dir)
         except OSError:
             return frozenset()
-        return frozenset(
-            n for n in names if n.startswith(_SHM_PREFIXES)
-        )
+        return frozenset(n for n in names if n.startswith(self.prefix))
 
     @staticmethod
     def leaked(before: frozenset, after: frozenset) -> list[str]:

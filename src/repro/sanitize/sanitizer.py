@@ -86,11 +86,6 @@ class Sanitizer:
         if self.racecheck:
             self._epochs[warp_id] += 1
 
-    def warp_sync_rows(self, rows) -> None:
-        """Batched form: several warps sync in one lockstep step."""
-        if self.racecheck:
-            self._epochs[np.asarray(rows)] += 1
-
     def on_alloc(self, darr) -> None:
         if self.initcheck:
             self._init[darr.base_addr] = np.zeros(darr.data.size, dtype=bool)
@@ -192,12 +187,19 @@ class Sanitizer:
         if n == 0:
             return None
         self.n_checked += n
-        warps = np.broadcast_to(np.asarray(warps, dtype=np.int64), idx.shape)
-        lanes = np.broadcast_to(np.asarray(lanes, dtype=np.int64), idx.shape)
+        # per-access warp/lane arrays, made only where a check reads them
+        # (most calls pass scalars and find nothing)
+        warps = np.asarray(warps, dtype=np.int64)
+        lanes = np.asarray(lanes, dtype=np.int64)
+
+        def per_access(a):
+            return np.broadcast_to(a, idx.shape)
+
         opname = op or ("store" if write else "load")
         keep = None
         if self.memcheck:
             if getattr(darr, "freed", False):
+                warps, lanes = per_access(warps), per_access(lanes)
                 self._record(
                     "memcheck",
                     "use_after_free",
@@ -210,6 +212,7 @@ class Sanitizer:
                 return np.zeros(n, dtype=bool)
             bad = (idx < 0) | (idx >= darr.data.size)
             if bad.any():
+                warps, lanes = per_access(warps), per_access(lanes)
                 kind = "oob_store" if write else "oob_load"
                 for j in np.nonzero(bad)[0][:_PER_CALL_CAP].tolist():
                     self._record(
@@ -232,6 +235,7 @@ class Sanitizer:
             bm = self._bitmap(darr)
             uninit = ~bm[idx]
             if uninit.any():
+                warps, lanes = per_access(warps), per_access(lanes)
                 for j in np.nonzero(uninit)[0][:_PER_CALL_CAP].tolist():
                     self._record(
                         "initcheck",
@@ -244,7 +248,7 @@ class Sanitizer:
                         index=int(idx[j]),
                     )
         if self.racecheck:
-            self._race_check(darr, idx, warps, lanes, write, atomic, opname)
+            self._race_check(darr, idx, per_access(warps), per_access(lanes), write, atomic, opname)
         if self.initcheck and write:
             self._bitmap(darr)[idx] = True
         return keep

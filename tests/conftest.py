@@ -6,6 +6,7 @@ pipeline run) so the full suite stays fast.
 
 from __future__ import annotations
 
+import gc
 import statistics
 import time
 
@@ -60,17 +61,23 @@ def la_config() -> LocalAssemblyConfig:
 def paired_cpu_ratio():
     """Measure how many times cheaper an array stage is than its reference."""
 
+    def timed(fn) -> float:
+        gc.collect()  # no other call's garbage on this call's clock
+        t0 = time.process_time()
+        fn()
+        return time.process_time() - t0
+
     def measure(reference, array, rounds: int = 5) -> float:
         """Median of *rounds* back-to-back reference/array CPU-time ratios:
-        both sides of a ratio share whatever else the box is doing."""
+        both sides of a ratio share whatever else the box is doing, and
+        the side that runs first alternates from pair to pair."""
         ratios = []
-        for _ in range(rounds):
-            t0 = time.process_time()
-            reference()
-            t1 = time.process_time()
-            array()
-            t2 = time.process_time()
-            ratios.append((t1 - t0) / max(t2 - t1, 1e-9))
+        for i in range(rounds):
+            if i % 2:
+                t_array, t_ref = timed(array), timed(reference)
+            else:
+                t_ref, t_array = timed(reference), timed(array)
+            ratios.append(t_ref / max(t_array, 1e-9))
         return statistics.median(ratios)
 
     return measure
@@ -78,8 +85,8 @@ def paired_cpu_ratio():
 
 @pytest.fixture(scope="session")
 def shm_snapshot():
-    """``shm_snapshot()``: the live shared-memory names this runtime could
-    have created — diff two snapshots to prove a launch leaked nothing."""
+    """``shm_snapshot()``: the live shared-memory names of this process's
+    launches — diff two snapshots to prove a launch leaked nothing."""
     from repro.sanitize.rankcheck import SegmentLedger
 
     return SegmentLedger().snapshot
@@ -128,3 +135,60 @@ def ranked_stages():
         "aln": (lambda r: align_stage(contigs, reads, r), same_alignment),
         "la": (lambda r: la_stage(tasks, r, mode="cpu"), lambda a, b: a == b),
     }
+
+
+@pytest.fixture(scope="session")
+def seed17_tasks():
+    """The seed-17 pipeline-built task set: 3 x 5 kb genomes, 500 pairs."""
+    from repro.core.tasks import tasks_from_candidates
+    from repro.pipeline.alignment import align_reads
+    from repro.pipeline.contig_generation import generate_contigs
+    from repro.pipeline.kmer_analysis import analyze_kmers
+    from repro.pipeline.merge_reads import merge_read_pairs
+    from repro.sequence.community import arcticsynth_like
+
+    rng = np.random.default_rng(17)
+    community = arcticsynth_like(rng, n_genomes=3, genome_length=5000)
+    reads = sample_paired_reads(community, 500, rng)
+    merged, _ = merge_read_pairs(reads)
+    contigs = generate_contigs(analyze_kmers(merged, 21))
+    candidates = align_reads(contigs, reads).candidates
+    return tasks_from_candidates(contigs, candidates.values())
+
+
+def _v2_launch(tasks, sanitize="off", stale=None):
+    """A packed batch and a thunk running one v2 launch over every task;
+    *stale* prefills the dense tallies."""
+    import repro.core.extension_kernel_batched  # noqa: F401  (registers the batched v2 impl)
+    from repro.core.extension_kernel import extension_task_kernel_v2
+    from repro.core.gpu_batch import pack_batch
+    from repro.gpusim.kernel import GpuContext
+
+    ctx = GpuContext(sanitize=sanitize)
+    batch = pack_batch(ctx, tasks, LocalAssemblyConfig())
+    if stale is not None:
+        batch.ht_hi.data[:] = batch.ht_total.data[:] = stale
+    n = len(tasks)
+
+    def launch():
+        result = ctx.launch("extension_v2", extension_task_kernel_v2, n, batch, np.arange(n))
+        assert sanitize == "off" or ctx.sanitizer_report().clean
+        return result
+
+    return batch, launch
+
+
+@pytest.fixture(scope="session")
+def v2_launch():
+    """``v2_launch(tasks, sanitize="off", stale=None)`` -> ``(batch,
+    thunk)``: one v2 launch over every task, on a fresh context."""
+    return _v2_launch
+
+
+@pytest.fixture(scope="session")
+def seed17_interpreted(seed17_tasks):
+    """``(batch, result)`` of one memcheck launch — which runs on the
+    interpreter — over every seed-17 task with reads: the slow reference
+    the derived launch is held to, computed once."""
+    batch, launch = _v2_launch([t for t in seed17_tasks if t.n_reads], sanitize="memcheck")
+    return batch, launch()

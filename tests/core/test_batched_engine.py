@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.config import LocalAssemblyConfig
+from repro.core.config import ENGINE_MODES, LocalAssemblyConfig
 from repro.core.cpu_local_assembly import run_local_assembly_cpu
 from repro.core.driver import GpuLocalAssembler
 from repro.core.local_assembler import extend_tasks
@@ -118,9 +118,9 @@ class TestBatchedDeterminism:
 # ---------------------------------------------------------------------------
 # The derived (closed-form) table build.
 #
-# Unsanitized batched launches resolve / place / account the §3.3 insert
-# choreography instead of stepping it.  Two oracles pin it: the lockstep
-# build a sanitized launch still runs, and the sequential interpreter.
+# Batched launches resolve / place / account the §3.3 insert choreography
+# instead of stepping it.  The oracle is the sequential interpreter, which
+# runs the kernel as written (and is what every sanitized launch runs).
 # Every counter field is compared per warp, and the three tables byte for
 # byte, on inputs built to exercise each fact the derivation rests on.
 # ---------------------------------------------------------------------------
@@ -191,15 +191,13 @@ def _build(tasks, k, engine, order=None, skew=0):
         ht_start = batch.layout.offsets[task_ids]
         slots = batch.layout.sizes[task_ids]
         ekb._clear_group(wb, batch, rows, ht_start, slots, task_ids * batch.vis_slots)
-        build = {"lockstep": ekb._build_group_lockstep,
-                 "derived": ekb._build_group_derived}[engine]
-        ag = build(wb, batch, rows, task_ids, k, ht_start, slots)
+        ag = ekb._build_group_derived(wb, batch, rows, task_ids, k, ht_start, slots)
         counters = {f: getattr(bc, f) for f in _FIELDS}
     tables = {name: getattr(batch, name).data.tobytes() for name in _TABLES}
     if engine == "derived":
         # the derived build keeps its tallies on the agent table: the
         # device tables stay zero, and the agents' rows scattered into
-        # zeroed copies at their slots are the bytes the oracles write
+        # zeroed copies at their slots are the bytes the oracle writes
         for name in ("ht_total", "ht_hi"):
             dense = getattr(batch, name).data
             assert not dense.any(), f"derived build wrote {name}"
@@ -212,12 +210,11 @@ def _build(tasks, k, engine, order=None, skew=0):
 
 def _assert_builds_agree(tasks, k, order=None, skew=0):
     derived, d_tables, batch = _build(tasks, k, "derived", order, skew)
-    for oracle in ("lockstep", "sequential"):
-        counters, tables, _ = _build(tasks, k, oracle, order, skew)
-        for f in _FIELDS:
-            np.testing.assert_array_equal(derived[f], counters[f], err_msg=f"{f} vs {oracle}")
-        for name in _TABLES:
-            assert d_tables[name] == tables[name], f"{name} vs {oracle}"
+    counters, tables, _ = _build(tasks, k, "sequential", order, skew)
+    for f in _FIELDS:
+        np.testing.assert_array_equal(derived[f], counters[f], err_msg=f)
+    for name in _TABLES:
+        assert d_tables[name] == tables[name], name
     return derived, batch
 
 
@@ -348,50 +345,63 @@ class TestDerivedBuild:
             np.testing.assert_array_equal(shipped[f], patched[f], err_msg=f)
         assert tables == p_tables
 
-    def test_sanitized_builds_fill_the_dense_tallies(self):
-        """Only the derived build keeps its tallies off the device: with a
-        sanitizer attached, the clear resets stale ``ht_hi``/``ht_total``
-        and the lockstep build fills them with the derived build's bytes."""
-        rng = np.random.default_rng(4)
-        tasks = [_reads_task(c, _random_reads(rng, 4, 90), rng) for c in range(3)]
-        _, derived, _ = _build(tasks, 21, "derived")
-        ctx = GpuContext(sanitize="memcheck")
-        batch = pack_batch(ctx, tasks, LocalAssemblyConfig(k_max=95))
-        batch.ht_hi.data[:] = batch.ht_total.data[:] = 7
-        rows = np.arange(len(tasks))
-        wb = WarpBatch(BatchCounters(rows.size), ctx.device.sector_bytes, ctx.sanitizer)
-        ht_start, slots = batch.layout.offsets[rows], batch.layout.sizes[rows]
-        ekb._clear_group(wb, batch, rows, ht_start, slots, rows * batch.vis_slots)
-        assert ekb._build_group(wb, batch, rows, rows, 21, ht_start, slots) is None
-        for name in _TABLES:
-            assert getattr(batch, name).data.tobytes() == derived[name], name
-        assert batch.ht_hi.data.any() and ctx.sanitizer.report().clean
 
-    def test_sanitized_launches_keep_the_lockstep_build(self, monkeypatch, workload, config):
-        """Selection is by ``wb.sanitizer`` alone: a sanitized run never
-        enters the derived build or walk, an unsanitized one never the
-        lockstep ones."""
-        calls = []
-        for name in ("_build_group_lockstep", "_build_group_derived",
-                     "_walk_group_lockstep", "_walk_group_derived"):
-            real = getattr(ekb, name)
-            monkeypatch.setattr(
-                ekb, name,
-                lambda *a, _real=real, _name=name: (calls.append(_name), _real(*a))[1],
-            )
-        GpuLocalAssembler(config, engine="batched").run(workload)
-        assert set(calls) == {"_build_group_derived", "_walk_group_derived"}
-        calls.clear()
-        GpuLocalAssembler(config, engine="batched", sanitize="memcheck").run(workload)
-        assert set(calls) == {"_build_group_lockstep", "_walk_group_lockstep"}
+# ---------------------------------------------------------------------------
+# Sanitized launches run on the interpreter.
+#
+# A sanitizer checks the kernel that runs, so a sanitized context
+# interprets every launch whatever its engine: the batched engine derives
+# the kernel's effect in bulk and never executes its accesses.
+# ---------------------------------------------------------------------------
+
+def test_sanitized_launches_run_on_the_interpreter(monkeypatch, workload, config):
+    """A sanitized context interprets whatever its engine: the default
+    engine's sanitized run never enters the derived build or walk, and
+    gives the unsanitized run's extensions and counters."""
+    for engine in ENGINE_MODES:
+        assert GpuContext(engine=engine, sanitize="memcheck").engine_mode == "sequential"
+    calls = []
+    for name in ("_build_group_derived", "_walk_group_derived"):
+        real = getattr(ekb, name)
+        monkeypatch.setattr(
+            ekb, name, lambda *a, _real=real, _name=name: (calls.append(_name), _real(*a))[1],
+        )
+    plain = GpuLocalAssembler(config).run(workload)
+    assert set(calls) == {"_build_group_derived", "_walk_group_derived"}
+    calls.clear()
+    checked = GpuLocalAssembler(config, sanitize="memcheck").run(workload)
+    assert calls == [] and checked.sanitizer.clean
+    _assert_identical_reports(plain, checked)
+
+
+@pytest.mark.parametrize("engine", ENGINE_MODES)
+def test_sanitized_run_reports_a_seeded_kernel_defect(monkeypatch, workload, config, engine):
+    """One out-of-bounds load seeded into the v2 kernel's build step: a
+    memcheck run reports it on every engine, once per build, and an
+    unsanitized interpreted launch trips the strict bounds check."""
+    real_build = ek.build_table_v2
+    builds = []
+
+    def faulty_build(warp, batch, t, k):
+        real_build(warp, batch, t, k)
+        builds.append(t)
+        with warp.where(np.arange(32) == 0):  # lane 0 reads one slot past the end
+            warp.global_load(batch.ht_ptr, np.full(32, batch.ht_ptr.data.size))
+
+    monkeypatch.setattr(ek, "build_table_v2", faulty_build)
+    report = GpuLocalAssembler(config, engine=engine, sanitize="memcheck").run(workload).sanitizer
+    assert len(builds) > 0
+    assert report.n_errors == len(builds)
+    assert {(e.checker, e.kind, e.lane) for e in report.errors} == {("memcheck", "oob_load", 0)}
+    with pytest.raises(IndexError, match="out of bounds"):
+        GpuLocalAssembler(config, engine="sequential").run(workload)
 
 
 # ---------------------------------------------------------------------------
 # The derived (closed-form) mer-walk.
 #
-# Unsanitized batched launches chase the build's agent table instead of
-# stepping the probes.  The same two oracles pin it: the lockstep walk a
-# sanitized launch still runs, and the sequential interpreter.  Each path
+# Batched launches chase the build's agent table instead of stepping the
+# probes.  The same oracle pins it: the sequential interpreter.  Each path
 # runs clear + build + walk; every counter field is compared per warp,
 # the walk results row by row and the three walk buffers byte for byte.
 # ---------------------------------------------------------------------------
@@ -438,16 +448,10 @@ def _walk(tasks, k, engine, order=None, max_walk_len=300):
         seq_off = batch.seq_offsets[task_ids]
         slen = batch.seq_len[task_ids].copy()
         ekb._clear_group(wb, batch, rows, ht_start, slots, vis_start)
-        if engine == "derived":
-            ag = ekb._build_group_derived(wb, batch, rows, task_ids, k, ht_start, slots)
-            out = ekb._walk_group_derived(
-                wb, batch, rows, k, seq_off, slen, ht_start, slots, vis_start, ag
-            )
-        else:
-            ekb._build_group_lockstep(wb, batch, rows, task_ids, k, ht_start, slots)
-            out = ekb._walk_group_lockstep(
-                wb, batch, rows, k, seq_off, slen, ht_start, slots, vis_start
-            )
+        ag = ekb._build_group_derived(wb, batch, rows, task_ids, k, ht_start, slots)
+        out = ekb._walk_group_derived(
+            wb, batch, rows, k, seq_off, slen, ht_start, slots, vis_start, ag
+        )
         batch.seq_len[task_ids] = out[2]
         results = list(zip(*(a.tolist() for a in out)))
         counters = {f: getattr(bc, f) for f in _FIELDS}
@@ -458,13 +462,12 @@ def _walk(tasks, k, engine, order=None, max_walk_len=300):
 
 def _assert_walks_agree(tasks, k, order=None, max_walk_len=300):
     derived, d_results, d_buffers, batch = _walk(tasks, k, "derived", order, max_walk_len)
-    for oracle in ("lockstep", "sequential"):
-        counters, results, buffers, _ = _walk(tasks, k, oracle, order, max_walk_len)
-        for f in _FIELDS:
-            np.testing.assert_array_equal(derived[f], counters[f], err_msg=f"{f} vs {oracle}")
-        assert d_results == results, oracle
-        for name, data in buffers.items():
-            assert d_buffers[name] == data, f"{name} vs {oracle}"
+    counters, results, buffers, _ = _walk(tasks, k, "sequential", order, max_walk_len)
+    for f in _FIELDS:
+        np.testing.assert_array_equal(derived[f], counters[f], err_msg=f)
+    assert d_results == results
+    for name, data in buffers.items():
+        assert d_buffers[name] == data, name
     return d_results, batch
 
 

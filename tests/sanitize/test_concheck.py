@@ -33,14 +33,6 @@ def publish_outbox(token, rank, rows):
     outbox[...] = rows
 '''
 
-LEAKED_ANON_SEGMENT = '''\
-def scratch_matrix(n):
-    counts = create_shared_array((n, n), "i8")
-    counts.fill(0)
-    total = int(counts.sum())
-    return total
-'''
-
 UNCLOSED_ATTACH = '''\
 def peek(name, n):
     box = attach_shared_array(name, (n,), "u8")
@@ -137,17 +129,6 @@ def take(path):
     return claim if claim.acquire() else None
 '''
 
-CLEAN_ANON_SEGMENT = '''\
-def scratch_matrix(n):
-    counts = None
-    try:
-        counts = create_shared_array((n, n), "i8")
-        return int(counts.sum())
-    finally:
-        if counts is not None:
-            counts.unlink()
-'''
-
 CLEAN_REGISTERED_NAME = '''\
 def launch(token, n_ranks, shapes):
     for r in range(n_ranks):
@@ -165,7 +146,6 @@ class TestSeededBugs:
         "source, rule, needle",
         [
             (LEAKED_NAMED_SEGMENT, "segment-lifecycle", "register_launch_segment"),
-            (LEAKED_ANON_SEGMENT, "segment-lifecycle", "try/finally"),
             (UNCLOSED_ATTACH, "segment-lifecycle", "close"),
             (UNRELEASED_CLAIM, "claim-lifecycle", "finally"),
             (LOCK_ACROSS_FORK, "lock-across-fork", "deadlock"),
@@ -175,7 +155,6 @@ class TestSeededBugs:
         ],
         ids=[
             "leaked-named-segment",
-            "leaked-anon-segment",
             "unclosed-attach",
             "unreleased-claim",
             "lock-across-fork",
@@ -208,14 +187,12 @@ class TestCleanPatterns:
             CLEAN_RANK_BODY,
             CLEAN_CLAIM,
             CLEAN_CLAIM_HANDOFF,
-            CLEAN_ANON_SEGMENT,
             CLEAN_REGISTERED_NAME,
         ],
         ids=[
             "rank-body",
             "claim-finally",
             "claim-handoff",
-            "anon-finally",
             "registered-name",
         ],
     )

@@ -2,8 +2,9 @@
 
 This is the acceptance gate for the kernels themselves: running the
 unmodified v2 kernel (and the v1 baseline) under ``--sanitize full``
-reports zero errors on the sequential and batched engines, and
-turning the sanitizer on does not change a single extended base.
+reports zero errors whatever the engine (a sanitized context interprets
+every launch), and turning the sanitizer on does not change a single
+extended base.
 """
 
 import numpy as np
@@ -67,9 +68,9 @@ def test_v2_sanitizer_clean_on_engine(workload, cfg, baseline, engine):
 
 @pytest.mark.parametrize("mode", ["memcheck", "racecheck", "initcheck"])
 def test_batched_sanitized_coverage_is_pinned(workload, cfg, baseline, mode):
-    """Unsanitized batched launches derive the table build instead of
-    stepping it; a sanitized one must still step — and show — every
-    access, under each checker family."""
+    """Unsanitized batched launches derive the table build and walk
+    instead of stepping them; a sanitized batched context interprets the
+    kernel and shows every access, under each checker family."""
     report = GpuLocalAssembler(config=cfg, engine="batched", sanitize=mode).run(workload)
     assert report.sanitizer.clean, report.sanitizer.summary()
     assert report.sanitizer.n_checked == N_CHECKED

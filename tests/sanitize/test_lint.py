@@ -6,7 +6,9 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.sanitize.lint import lint_files, lint_paths
+from repro.gpusim.batched import WarpBatch
+from repro.gpusim.counters import KernelCounters
+from repro.sanitize.lint import _BATCHED_COUNTERS, _COUNTER_FIELDS, lint_files, lint_paths
 
 _PKG = Path(repro.__file__).parent
 
@@ -60,11 +62,36 @@ def good_kernel(warp, warp_id, buf, idx):
 
 
 def good_kernel_batched(wb, rows, buf, idx):
-    _ = wb.atomic_add(buf, idx, 1, 32, rows)
+    wb.counters.atomic_inst[rows] += 2
     wb.int_op(1, rows, 32)
 
 
 register_batched(good_kernel, good_kernel_batched)
+'''
+
+#: a derived twin: it accounts every class by writing counter fields
+#: directly (attribute or string key), through a helper
+DERIVED_TWIN = '''\
+def walk_kernel(warp, warp_id, buf, idx):
+    _ = warp.atomic_cas(buf, idx, 0, 1)
+    warp.global_load(buf, idx)
+    warp.global_store(buf, idx, 0)
+    warp.int_op()
+
+
+def _account(wb, rows, acc):
+    acc["global_ld_inst"] += 1
+    wb.counters.atomic_inst[rows] += 1
+
+
+def walk_kernel_batched(wb, rows, buf, idx):
+    acc = {"global_ld_inst": 0}
+    _account(wb, rows, acc)
+    wb.store_lane0(buf, idx, 0, rows)
+    wb.int_op(1, rows, 32)
+
+
+register_batched(walk_kernel, walk_kernel_batched)
 '''
 
 
@@ -91,6 +118,22 @@ class TestTwinParity:
 
     def test_matching_twins_clean(self, tmp_path):
         assert _lint_source(tmp_path, CLEAN_KERNEL) == []
+
+    def test_derived_twin_writing_counters_directly_is_clean(self, tmp_path):
+        assert _lint_source(tmp_path, DERIVED_TWIN) == []
+
+    def test_derived_twin_omitting_a_class_flagged(self, tmp_path):
+        source = DERIVED_TWIN.replace('    acc["global_ld_inst"] += 1\n', "")
+        source = source.replace('{"global_ld_inst": 0}', "{}")
+        (f,) = _lint_source(tmp_path, source)
+        assert f.rule == "twin-parity"
+        assert "sequential-only=['global_ld']" in f.message
+
+    def test_batched_counter_map_names_warpbatch_methods(self):
+        for name in _BATCHED_COUNTERS:
+            assert callable(getattr(WarpBatch, name, None)), name
+        for name in _COUNTER_FIELDS:
+            assert name in KernelCounters.__dataclass_fields__, name
 
 
 class TestBannedCalls:

@@ -9,10 +9,12 @@ while the merged spectrum stays bit-identical.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from repro.distributed.shmem import launch_token
 from repro.sanitize.rankcheck import (
     RANK_SANITIZE_MODES,
     RankEvent,
@@ -153,19 +155,28 @@ class TestTracer:
 
 class TestSegmentLedger:
     def test_snapshot_filters_to_runtime_prefixes(self, tmp_path):
-        (tmp_path / "psm_abc").write_bytes(b"")
-        (tmp_path / "repro-tok-out0").write_bytes(b"")
-        (tmp_path / "sem.mp-xyz").write_bytes(b"")  # barrier semaphores
-        (tmp_path / "other-tenant").write_bytes(b"")
+        mine = f"repro-{launch_token()}-out0"
+        for name in (mine, "psm_abc", "sem.mp-xyz", "other-tenant"):
+            (tmp_path / name).write_bytes(b"")  # sem.mp-: barrier semaphores
         snap = SegmentLedger(str(tmp_path)).snapshot()
-        assert snap == {"psm_abc", "repro-tok-out0"}
+        assert snap == {mine}
 
     def test_leak_is_the_diff(self, tmp_path):
         ledger = SegmentLedger(str(tmp_path))
         before = ledger.snapshot()
-        (tmp_path / "repro-tok-own1").write_bytes(b"")
+        leak = f"repro-{launch_token()}-own1.0"
+        (tmp_path / leak).write_bytes(b"")
         leaked = ledger.leaked(before, ledger.snapshot())
-        assert leaked == ["repro-tok-own1"]
+        assert leaked == [leak]
+
+    def test_foreign_process_segment_is_not_reported(self, tmp_path):
+        """A second process launching ranks at the same time is not a
+        leak of this one: its tokens start with its own PID."""
+        ledger = SegmentLedger(str(tmp_path))
+        before = ledger.snapshot()
+        other = os.getpid() + 1
+        (tmp_path / f"repro-{other:x}-x").write_bytes(b"")
+        assert ledger.leaked(before, ledger.snapshot()) == []
 
     def test_missing_dir_degrades_to_empty(self):
         ledger = SegmentLedger("/nonexistent-shm-dir")

@@ -64,11 +64,9 @@ class TestStrictIndexValidation:
     def test_batched_oob_raises(self, alloc):
         darr = alloc.to_device(np.arange(16, dtype=np.int64))
         wb = WarpBatch(BatchCounters(2))
-        idx = np.zeros((2, 32), dtype=np.int64)
-        idx[1, 5] = 999
-        mask = np.ones((2, 32), dtype=bool)
         with pytest.raises(IndexError, match="999"):
-            wb.load_gather(darr, idx, mask, np.array([0, 1]))
+            wb.store_lane0(darr, np.array([3, 999]), 0, np.array([0, 1]))
+        assert darr.data.tolist() == list(range(16))  # checked before any write
 
 
 class TestFreedAccess:
