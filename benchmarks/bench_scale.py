@@ -19,9 +19,11 @@ CPU and ``VmHWM`` next to the simulated device's ``high_water_bytes``:
 the simulator backs device memory with host RAM, so their ratio says how
 much host memory a byte of modelled device memory costs.  It also records
 the CPU (``time.process_time``) of the derived table build's phases —
-resolve, place, account — and of the derived walk, summed over every
-call; it imports the batched kernel module before the run to wrap them,
-so that import is not in the stage's CPU.
+resolve, place, account and the agents' moves — and of the derived walk,
+summed over every call; it imports the batched kernel module before the
+run to wrap them, so that import is not in the stage's CPU.  (Before the
+build decided the moves, the walk did: on such a tree ``walk`` includes
+``moves``.)
 
 Results go to ``results/BENCH_scale.json`` under ``--label``, next to
 the other labels already there, so two trees measure side by side:
@@ -131,7 +133,8 @@ def measure(fastq: str, mode: str = "cpu") -> dict:
             return run
 
         for name, fn in (("resolve", "_resolve_block"), ("place", "_place_agents"),
-                         ("account", "_account_block"), ("walk", "_walk_group_derived")):
+                         ("account", "_account_block"), ("moves", "_agent_moves"),
+                         ("walk", "_walk_group_derived")):
             setattr(ekb, fn, timed(name, getattr(ekb, fn)))
     reads = load_read_batch(fastq)
     _reset_hwm()
@@ -246,7 +249,7 @@ def table(doc: dict) -> str:
 
 
 def gpu_table(doc: dict) -> str:
-    phases = ("resolve", "place", "account", "walk")
+    phases = ("resolve", "place", "account", "moves", "walk")
     lines = [f"{'label':<8} {'scale':>5} {'LA cpu s':>9} {'LA MiB':>8} "
              f"{'device MiB':>11} {'host/device':>12}" + "".join(f"{p + ' s':>10}" for p in phases)]
     for lab, run in doc["runs"].items():

@@ -29,6 +29,8 @@ tests enforce this.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -39,8 +41,10 @@ from repro.core.extension import (
     kshift_next,
 )
 from repro.core.gpu_batch import EMPTY_PTR, DeviceBatch
-from repro.gpusim.warp import Warp
 from repro.hashing.murmur import murmurhash2_32, murmurhash2_rows
+
+if TYPE_CHECKING:  # an unsanitized batched launch never loads the interpreter
+    from repro.gpusim.warp import Warp
 
 __all__ = [
     "extension_task_kernel_v1",

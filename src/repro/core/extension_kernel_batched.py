@@ -26,8 +26,9 @@ group:
      once and names every warp's distinct k-mers by content with one
      :class:`~repro.sequence.kmer.SortedKmers` sort, giving one *agent*
      per distinct k-mer at its first occurrence — the only window whose
-     murmur is computed.  The agents form the group's *agent table*
-     (:class:`_Agents`), its one index: build and walk both chase it;
+     murmur is computed.  The sort's runs are the block's agents
+     (:class:`_Agents`), so it is also the block's one index: the moves
+     and the walks' start k-mers are looked up in it;
   2. *place* (phase A) gives every agent the slot the kernel's step/round
      probing (probe ``home + j``, lowest lane claims each empty slot)
      would, in bulk: the filled slots follow from the homes alone, and
@@ -38,7 +39,7 @@ group:
      counts are per-(step, round) reductions, sector counts one sort per
      device array (the visits by slot, flags in the key, for the three
      tables; the key compares by pointer for the reads), and both tallies
-     one ``bincount`` into the agent table: the dense ``ht_hi``/
+     one ``bincount`` onto the block's agents: the dense ``ht_hi``/
      ``ht_total`` stay zero (their clears are counted, not written), as
      nothing on this engine reads them.
 
@@ -56,10 +57,13 @@ group:
   order — an agent homed further on reaches every later slot sooner.
   Hence a visit issues a CAS iff its slot was claimed in the visit's own
   (step, round), wins iff it is also its k-mer's first lane, compares
-  keys otherwise, and resolves at distance ``d``.  All three phases run
-  in blocks of whole warps of about ``_BLOCK_LANES`` lanes (agents, for
-  phase A): their temporaries would otherwise all be live at once and
-  set the process's peak RSS; results do not depend on the cap.
+  keys otherwise, and resolves at distance ``d``.  A block of whole
+  warps of about ``_BLOCK_LANES`` lanes goes through resolve, place,
+  account and :func:`_agent_moves` back to back, and its tables are
+  final before the next block is resolved: every phase is warp-local,
+  so results do not depend on the cap, and only one block's temporaries
+  are ever live.  What the walk reads of the agents (:class:`_Moves`, a
+  few numbers each) is all that outlives a block.
 
   The sequential interpreter running the kernel as written stays the
   reference, and it is also what a sanitized launch runs
@@ -68,13 +72,13 @@ group:
 * **walk** — single-lane per warp, and derived too.  Every k-mer a walk
   looks up is an agent (found at its slot, ``dist + 1`` probes from home)
   or absent (the walk ends after probing the occupied run from its home),
-  so each agent's verdict, base and successor agent are computed once
-  (:func:`_agent_moves`) and a walk is a chain through the table: its
-  start k-mer is resolved once per round, each step is
-  ``cur = succ[cur]`` over integer arrays, and a revisited agent is a
-  LOOP.  The visited table is replayed insert by insert — its probe
-  lengths depend on the order — and every walk counter comes from the
-  logged steps in one pass per access kind.
+  so the build decides each agent's verdict, base and successor agent
+  once (:func:`_agent_moves`) and finds each warp's start agent, and a
+  walk is a chain of moves: each step is ``cur = succ[cur]`` over
+  integer arrays, and a revisited agent is a LOOP.  The visited table is
+  replayed insert by insert — its probe lengths depend on the order —
+  and the walk counters come from the logged steps one access kind at a
+  time.
 
 Bit-identity with the sequential interpreter holds because counters are
 additive per warp (each :class:`~repro.gpusim.batched.WarpBatch` primitive
@@ -118,9 +122,9 @@ __all__ = ["run_extension_v2_batched"]
 
 _LANES = 32
 
-#: Lanes per resolve/account block of the derived build (a warp with more
-#: is a block of its own).  Bounds the per-lane temporaries alive at once
-#: (peak RSS); counters and tables are independent of it.
+#: Lanes per block of the derived build (a warp with more is a block of
+#: its own).  Bounds the temporaries alive at once (peak RSS); counters,
+#: tables and moves are independent of it.
 _BLOCK_LANES = 1 << 15
 
 #: the counters a table build moves (``predicated_off`` follows from the
@@ -158,7 +162,7 @@ def _step_rows(batch: DeviceBatch, tasks_g, k: int):
 def _clear_group(wb: WarpBatch, batch: DeviceBatch, rows, ht_start, slots, vis_start) -> None:
     """Re-initialise every row's table + visited regions (coalesced).
     The tally memsets are counted but not written: the derived build
-    keeps the tallies on its agent table instead."""
+    keeps the tallies with its agents instead."""
     wb.store_span(batch.ht_ptr, ht_start, slots, EMPTY_PTR, rows)
     wb.store_span(batch.ht_hi, ht_start * 4, slots * 4, None, rows)
     wb.store_span(batch.ht_total, ht_start * 4, slots * 4, None, rows)
@@ -183,21 +187,18 @@ def _within(counts) -> np.ndarray:
 
 
 class _Agents(NamedTuple):
-    """A k-group's agent table: one row per distinct (warp, k-mer),
-    numbered block by block, each acting at its k-mer's first occurrence.
-    The build fills it and the derived walk chases it.  ``base`` and
-    ``slots`` are per warp (index them with ``warp``); ``first`` and
-    ``step`` are dropped once the build is done."""
+    """One block's agents: a row per distinct (warp, k-mer) of the block's
+    warps, acting at its k-mer's first occurrence.  Lanes, steps, agents
+    and warps are numbered within the block; ``base`` and ``slots`` are
+    per block warp (index them with ``warp``)."""
 
     first: np.ndarray  #: valid-lane index of the first occurrence
-    warp: np.ndarray  #: its warp's row in the group
+    warp: np.ndarray  #: its warp's index in the block
     base: np.ndarray  #: per warp: its table start in ``ht_ptr``
     slots: np.ndarray  #: per warp: its table size
-    hash: np.ndarray  #: murmur of the k-mer (uint32)
-    home: np.ndarray  #: ``hash % slots``
+    home: np.ndarray  #: ``murmur % slots``
     ptr: np.ndarray  #: read pointer of the first lane (the table key)
     step: np.ndarray  #: its build step, as the step's first valid-lane index
-    words: np.ndarray  #: the packed k-mer, ``(n, words_per_kmer(k))``
     # filled by phase A
     dist: np.ndarray  #: probe distance from home to the claimed slot
     slot: np.ndarray  #: the claimed slot's index in ``ht_ptr``
@@ -205,22 +206,34 @@ class _Agents(NamedTuple):
     # at ``slot`` on the device (``total`` sums to the agent's lanes)
     hi: np.ndarray
     total: np.ndarray
-    # set once the build is done
-    after: np.ndarray  #: agent of the valid lane after the first occurrence
+
+
+class _Moves(NamedTuple):
+    """What the build hands the walk: per agent of the k-group (numbered
+    block by block) what a walk step reads of it, and per warp where its
+    walk starts."""
+
+    move: np.ndarray  #: Algorithm 2's decision (:func:`_agent_moves`)
+    vis_home: np.ndarray  #: ``murmur % vis_slots``
+    home: np.ndarray  #: ``murmur % slots``
+    slot: np.ndarray  #: its slot's index in ``ht_ptr``
+    dist: np.ndarray  #: probe distance from home to ``slot``
+    start: np.ndarray  #: per warp: its start k-mer's agent, -1 if none
 
 
 def _resolve_block(batch: DeviceBatch, k: int, load_start, n_act, row_warp):
     """Pass 1 for a block of step rows: name each warp's distinct k-mers.
 
     Flattens the rows' valid lanes (row-major: warp, step, lane), packs
-    the block's read span once and sorts the lanes' (warp, k-mer) rows
-    with one :class:`~repro.sequence.kmer.SortedKmers`: each run is an
-    agent, acting at its lowest lane.  Returns per valid lane its
-    block-local agent id, extension base and hi-quality flag, the
-    valid-lane count of every row, and per agent the block-local lane and
-    row of its first occurrence, its packed words, its murmur hash (the
-    only windows hashed) and that lane's read pointer.  Ambiguous windows
-    are marked from the block's own read span.  None when no lane is valid.
+    the block's read span once and sorts the lanes' (block warp, k-mer)
+    rows with one :class:`~repro.sequence.kmer.SortedKmers`: each run is
+    an agent, acting at its lowest lane.  Returns per valid lane its agent,
+    extension base and hi-quality flag, the valid-lane count of every row,
+    per agent the lane and row of its first occurrence, its packed words,
+    its murmur hash (the only windows hashed) and that lane's read
+    pointer, and the sort itself, which finds an agent by (block warp,
+    k-mer).  Ambiguous windows are marked from the block's own read span.
+    None when no lane is valid.
     """
     lane_row = np.repeat(np.arange(n_act.size), n_act)
     starts = load_start[lane_row] + _within(n_act)  # flat k-mer start pointers
@@ -233,8 +246,8 @@ def _resolve_block(batch: DeviceBatch, k: int, load_start, n_act, row_warp):
         return None
     starts, lane_row = starts[v], lane_row[v]
     words = words[starts - lo]
-    warp = row_warp[lane_row] - row_warp[0]  # rows are warp-major
-    index = SortedKmers(words, k, warp, int(warp[-1]) + 1)
+    w0 = row_warp[0]  # rows are warp-major
+    index = SortedKmers(words, k, row_warp[lane_row] - w0, int(row_warp[-1] - w0) + 1)
     agent = np.empty(v.size, dtype=np.int64)
     agent[index.order] = index.run
     first = index.first
@@ -247,6 +260,7 @@ def _resolve_block(batch: DeviceBatch, k: int, load_start, n_act, row_warp):
         first, lane_row[first], words[first],
         murmurhash2_rows(sliding_window_view(rdata, k)[a_ptr]),
         a_ptr,
+        index,
     )
 
 
@@ -259,82 +273,78 @@ def _place_agents(ht: np.ndarray, ag: _Agents) -> None:
     off its end re-enters at its start — so the *clusters*, maximal runs of
     filled slots (wrapping the table end), come first.  A lone agent keeps
     its home; the agents of a shared cluster take the first free slot from
-    their homes in fact (e)'s order, one of every cluster a round.  Whole
-    warps (agents are warp-major) of about ``_BLOCK_LANES`` agents go at once.
+    their homes in fact (e)'s order, one of every cluster a round.
     """
-    warp_start = np.flatnonzero(np.diff(ag.warp, prepend=-1))
-    cuts = warp_start[np.flatnonzero(np.diff(warp_start // _BLOCK_LANES, prepend=-1))]
-    for a0, a1 in zip(cuts.tolist(), cuts[1:].tolist() + [ag.warp.size]):
-        n, b = a1 - a0, (a1 - a0).bit_length()
-        i = np.arange(n)
+    n = ag.warp.size
+    b = n.bit_length()
+    i = np.arange(n)
 
-        def by_home(home, at):  # sorted homes, with the *at* of each
-            key = home << b | at  # ht.size << b < 2**63
-            key.sort()
-            return key >> b, key & ((1 << b) - 1)
+    def by_home(home, at):  # sorted homes, with the *at* of each
+        key = home << b | at  # ht.size << b < 2**63
+        key.sort()
+        return key >> b, key & ((1 << b) - 1)
 
-        g, order = by_home(ag.base[ag.warp[a0:a1]] + ag.home[a0:a1], i)
-        warp = ag.warp[a0 + order]
-        lo, size = ag.base[warp], ag.slots[warp]
-        tab = np.flatnonzero(np.diff(warp, prepend=-1))
-        shift = np.repeat(tab * (ht.size + n), np.diff(np.r_[tab, n]))  # per-table max
+    g, order = by_home(ag.base[ag.warp] + ag.home, i)
+    warp = ag.warp[order]
+    lo, size = ag.base[warp], ag.slots[warp]
+    tab = np.flatnonzero(np.diff(warp, prepend=-1))
+    shift = np.repeat(tab * (ht.size + n), np.diff(np.r_[tab, n]))  # per-table max
 
-        def fill(home, at):  # the filled slots, for sorted homes
-            return at + np.maximum.accumulate(home - at + shift[at]) - shift[at]
+    def fill(home, at):  # the filled slots, for sorted homes
+        return at + np.maximum.accumulate(home - at + shift[at]) - shift[at]
 
-        pos, end, holder = fill(g, i), lo + size, i.copy()  # holder: whose home made pos
-        over = pos >= end
-        if over.any():  # those tables again, their overflow homed at the start
-            in_over = np.repeat(np.logical_or.reduceat(over, tab), np.diff(np.r_[tab, n]))
-            at = np.flatnonzero(in_over)  # agents of a table that runs over
-            home, holder[at] = by_home(np.where(over[at], lo[at], g[at]), at)
-            pos[at] = fill(home, at)
-        head = np.diff(pos, prepend=-2) != 1
-        head[tab] = True
-        run = np.cumsum(head) - 1
-        start = pos[head]  # per run, its first slot; a wrapping cluster's is in its last run
-        last = np.r_[tab[1:], n] - 1
-        wrap = np.flatnonzero((pos[tab] == lo[tab]) & (pos[last] == end[last] - 1))
-        start[run[tab[wrap]]] = start[run[last[wrap]]]  # such a table's first and last
-        merge = np.arange(start.size)  # runs are one cluster
-        merge[run[last[wrap]]] = run[tab[wrap]]
-        cl = np.empty_like(run)
-        cl[holder] = merge[run]
-        off = g - start[cl]
-        off[off < 0] += size[off < 0]
-        members = np.bincount(cl)
-        many = np.flatnonzero(members[cl] > 1)
-        ag.dist[a0:a1] = 0
-        if many.size:
-            a = a0 + order[many]
-            c, row0, lane, o = cl[many], ag.step[a], ag.first[a] - ag.step[a], off[many]
-            R, M = int(row0.max()) + 1, int(members.max())
-            srt = many[  # by cluster, then fact (e)'s order
-                np.argsort(((c * R + row0) * M + M - 1 - o) * _LANES + lane)
-                if members.size * R * M * _LANES < 2**63 else np.lexsort((lane, -o, row0, c))
-            ]
-            cs = np.flatnonzero(np.diff(cl[srt], prepend=-1))
-            n_in = np.diff(np.r_[cs, srt.size])
-            cs = cs[np.argsort(-n_in)]  # biggest clusters first: live ones are a prefix
-            live = np.searchsorted(np.sort(-n_in), -np.arange(M))
-            home, dist = off[srt], np.zeros(srt.size, dtype=np.int64)
-            free = np.ones((cs.size, M), dtype=bool)
-            for r in range(M):
-                at = cs[: live[r]] + r
-                p = np.argmax(free[: at.size] & (cached_arange(M) >= home[at, None]), axis=1)
-                free[cached_arange(at.size), p] = False
-                dist[at] = p - home[at]
-            slot = g[srt] + dist
-            g[srt] = slot - size[srt] * (slot >= end[srt])
-            ag.dist[a0 + order[srt]] = dist
-        order += a0
-        ag.slot[order] = g
-        ht[g] = order
+    pos, end, holder = fill(g, i), lo + size, i.copy()  # holder: whose home made pos
+    over = pos >= end
+    if over.any():  # those tables again, their overflow homed at the start
+        in_over = np.repeat(np.logical_or.reduceat(over, tab), np.diff(np.r_[tab, n]))
+        at = np.flatnonzero(in_over)  # agents of a table that runs over
+        home, holder[at] = by_home(np.where(over[at], lo[at], g[at]), at)
+        pos[at] = fill(home, at)
+    head = np.diff(pos, prepend=-2) != 1
+    head[tab] = True
+    run = np.cumsum(head) - 1
+    start = pos[head]  # per run, its first slot; a wrapping cluster's is in its last run
+    last = np.r_[tab[1:], n] - 1
+    wrap = np.flatnonzero((pos[tab] == lo[tab]) & (pos[last] == end[last] - 1))
+    start[run[tab[wrap]]] = start[run[last[wrap]]]  # such a table's first and last
+    merge = np.arange(start.size)  # runs are one cluster
+    merge[run[last[wrap]]] = run[tab[wrap]]
+    cl = np.empty_like(run)
+    cl[holder] = merge[run]
+    off = g - start[cl]
+    off[off < 0] += size[off < 0]
+    members = np.bincount(cl)
+    many = np.flatnonzero(members[cl] > 1)
+    ag.dist[:] = 0
+    if many.size:
+        a = order[many]
+        c, row0, lane, o = cl[many], ag.step[a], ag.first[a] - ag.step[a], off[many]
+        R, M = int(row0.max()) + 1, int(members.max())
+        srt = many[  # by cluster, then fact (e)'s order
+            np.argsort(((c * R + row0) * M + M - 1 - o) * _LANES + lane)
+            if members.size * R * M * _LANES < 2**63 else np.lexsort((lane, -o, row0, c))
+        ]
+        cs = np.flatnonzero(np.diff(cl[srt], prepend=-1))
+        n_in = np.diff(np.r_[cs, srt.size])
+        cs = cs[np.argsort(-n_in)]  # biggest clusters first: live ones are a prefix
+        live = np.searchsorted(np.sort(-n_in), -np.arange(M))
+        home, dist = off[srt], np.zeros(srt.size, dtype=np.int64)
+        free = np.ones((cs.size, M), dtype=bool)
+        for r in range(M):
+            at = cs[: live[r]] + r
+            p = np.argmax(free[: at.size] & (cached_arange(M) >= home[at, None]), axis=1)
+            free[cached_arange(at.size), p] = False
+            dist[at] = p - home[at]
+        slot = g[srt] + dist
+        g[srt] = slot - size[srt] * (slot >= end[srt])
+        ag.dist[order[srt]] = dist
+    ag.slot[order] = g
+    ht[g] = order
 
 
 def _account_block(
     wb: WarpBatch, batch: DeviceBatch, k: int, acc: dict, ag: _Agents,
-    row_warp, row_lane0, row_valid, lane0: int, agent, ext, hi, a0: int, a1: int,
+    row_warp, row_lane0, row_valid, agent, ext, hi,
 ) -> None:
     """Pass 2 for one block: expand every valid lane into its probe visits
     and derive what the interpreted build would have accumulated.
@@ -349,7 +359,7 @@ def _account_block(
     bincounts, sector counts one sort per device array — the visits by
     (group, slot), flags in the low bits, for the three tables, the key
     compares by (group, pointer) for the reads — folded into ``acc`` per
-    warp.  The block holds valid lanes ``lane0 …`` and agents ``a0 … a1``.
+    warp (``row_warp``: each row's warp in the k-group).
     """
     n = agent.size
     d = ag.dist[agent]
@@ -367,7 +377,7 @@ def _account_block(
     # an agent first occurs in the step of one of its lanes, or earlier
     cas = ag.first[agent] >= lane_step
     won = np.zeros(n, dtype=bool)
-    won[ag.first[a0:a1] - lane0] = True
+    won[ag.first] = True
     far = np.nonzero(d)[0]
     vl = np.repeat(far, d[far])  # passing visit -> lane
     j = _within(d[far])  # its round
@@ -423,129 +433,23 @@ def _account_block(
     for name, values in per_group.items():
         acc[name] += _fold(grp_warp, values, acc[name].size)
 
-    # both tallies of this block's agents: one bincount on agent * 4 + ext
-    code = (agent - a0) * 4 + ext
+    # both tallies of the block's agents: one bincount on agent * 4 + ext
+    code = agent * 4 + ext
     for tally, codes in ((ag.total, code), (ag.hi, code[hi])):
-        tally[a0:a1] = np.bincount(codes, minlength=4 * (a1 - a0)).reshape(-1, 4)
+        tally[:] = np.bincount(codes, minlength=tally.size).reshape(-1, 4)
 
 
-def _build_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots):
-    """Closed-form table build — resolve, place, account (module
-    docstring).  Leaves ``ht_ptr`` and every counter exactly as
-    :func:`~repro.core.extension_kernel.build_table_v2` would and returns
-    the group's agent table (None when no warp has a valid lane), whose
-    ``hi``/``total`` rows are the interpreter's ``ht_hi``/``ht_total`` at
-    ``slot``."""
-    G = rows.size
-    plan = _step_rows(batch, tasks_g, k)
-    if plan is None:
-        return
-    row_warp, load_start, n_act = plan
-    n_rows = row_warp.size
-    warp_rows = np.bincount(row_warp, minlength=G)
-
-    # Coalesced window + ext-base + quality loads (Fig 7) and the row
-    # murmur hashes of every step of every warp.
-    wb._strict_span_check(batch.reads_buf, load_start, n_act + k, "load_span")
-    wb._strict_span_check(batch.quals_buf, load_start + k, n_act, "load_span")
-    hops = _hash_cost_ops(k)
-    win_inst = (n_act + k + _LANES - 1) // _LANES
-    acc = {name: np.zeros(G, dtype=np.int64) for name in _BUILD_COUNTERS}
-    acc["warp_inst"] += _fold(row_warp, win_inst + 1 + hops, G)
-    acc["thread_inst"] += _fold(row_warp, (2 + hops) * n_act + k, G)
-    acc["int_inst"] += hops * warp_rows
-    acc["global_ld_inst"] += _fold(row_warp, win_inst + 1, G)
-    acc["global_ld_transactions"] += _fold(
-        row_warp,
-        wb._span_sectors(batch.reads_buf, load_start, n_act + k)
-        + wb._span_sectors(batch.quals_buf, load_start + k, n_act),
-        G,
-    )
-
-    # -- pass 1 (resolve), in blocks of whole warps ---------------------------
-    warp_lanes = _fold(row_warp, n_act, G)
-    block_of_row = ((np.cumsum(warp_lanes) - warp_lanes) // _BLOCK_LANES)[row_warp]
-    row_cuts = np.flatnonzero(np.diff(block_of_row, prepend=-1, append=-1))
-    # per valid lane, filled block by block (valid lanes <= lanes); lane
-    # and agent ids, steps and probe distances are all below n_total
-    n_total = int(warp_lanes.sum())
-    idx = np.int32 if n_total < 2**31 else np.int64
-    lane_agent = np.empty(n_total, dtype=idx)
-    lane_ext = np.empty(n_total, dtype=np.uint8)
-    lane_hi = np.empty(n_total, dtype=bool)
-    row_valid = np.zeros(n_rows, dtype=np.int64)
-    found = []  # per block: agents' first lane, first row, words, hash, read pointer
-    blocks = []  # (row_lo, row_hi, lane_lo, lane_hi, agent_lo, agent_hi)
-    n_lanes = n_agents = 0
-    for r0, r1 in zip(row_cuts[:-1].tolist(), row_cuts[1:].tolist()):
-        res = _resolve_block(batch, k, load_start[r0:r1], n_act[r0:r1], row_warp[r0:r1])
-        if res is None:
-            continue
-        agent, ext, hi, row_valid[r0:r1], first, first_row, *per_agent = res
-        l1, a1 = n_lanes + agent.size, n_agents + first.size
-        lane_agent[n_lanes:l1] = agent + n_agents
-        lane_ext[n_lanes:l1] = ext
-        lane_hi[n_lanes:l1] = hi
-        found.append((first + n_lanes, first_row + r0, *per_agent))
-        blocks.append((r0, r1, n_lanes, l1, n_agents, a1))
-        n_lanes, n_agents = l1, a1
-    ag = None
-    if blocks:
-        a_first, a_row, a_words, a_hash, a_ptr = (
-            np.concatenate(p) for p in zip(*found)
-        )
-        del found
-        a_warp = row_warp[a_row]
-        row_lane0 = np.cumsum(row_valid) - row_valid
-        ag = _Agents(
-            first=a_first.astype(idx), warp=a_warp, base=ht_start, slots=slots,
-            hash=a_hash, home=a_hash % slots[a_warp], ptr=a_ptr,
-            step=row_lane0[a_row].astype(idx), words=a_words,
-            dist=np.empty(n_agents, dtype=idx),
-            slot=np.empty(n_agents, dtype=np.int64),
-            hi=np.empty((n_agents, 4), dtype=np.uint32),
-            total=np.empty((n_agents, 4), dtype=np.uint32),
-            after=None,
-        )
-        del a_first, a_row  # not alive through passes A and 2
-        ht = batch.ht_ptr.data
-        _place_agents(ht, ag)  # phase A
-        for r0, r1, l0, l1, a0, a1 in blocks:  # pass 2
-            _account_block(
-                wb, batch, k, acc, ag,
-                row_warp[r0:r1], row_lane0[r0:r1], row_valid[r0:r1],
-                l0, lane_agent[l0:l1], lane_ext[l0:l1], lane_hi[l0:l1], a0, a1,
-            )
-        ht[ag.slot] = ag.ptr
-        after = lane_agent[np.minimum(ag.first + 1, n_lanes - 1)]
-        ag = ag._replace(after=after, first=None, step=None)
-    c = wb.counters
-    acc["predicated_off"] = acc["warp_inst"] * _LANES - acc["thread_inst"]
-    for name, total in acc.items():
-        getattr(c, name)[rows] += total
-    return ag
-
-
-def _free_run(table, base, home, size) -> np.ndarray:
-    """Linear probing without inserting: for every query, the occupied
-    slots from ``home`` on to the first empty one in its region
-    ``table[base : base + size]`` (``size`` when the region is full)."""
-    size = np.broadcast_to(size, home.shape)
-    run = np.zeros(home.size, dtype=np.int64)
-    pend = np.nonzero(table[base + home] != EMPTY_PTR)[0]
-    while pend.size:
-        run[pend] += 1
-        pend = pend[run[pend] < size[pend]]
-        slot = base[pend] + (home[pend] + run[pend]) % size[pend]
-        pend = pend[table[slot] != EMPTY_PTR]
-    return run
-
-
-def _agent_moves(batch: DeviceBatch, k: int, ag: _Agents, index: SortedKmers) -> np.ndarray:
-    """Algorithm 2's decision at every agent, as one int per agent (the
-    CPU engine's encoding): ``move >= 0`` appends base ``move & 3`` and
-    goes on to agent ``(move >> 2) - 1`` of the same warp (-1: absent);
-    ``move < 0`` stops the walk with status ``-1 - move``."""
+def _agent_moves(
+    batch: DeviceBatch, k: int, ag: _Agents, words, after, index: SortedKmers
+) -> np.ndarray:
+    """Algorithm 2's decision at every agent of a block, as one int per
+    agent (the CPU engine's encoding): ``move >= 0`` appends base
+    ``move & 3`` and goes on to agent ``(move >> 2) - 1`` of the same warp
+    (-1: absent); ``move < 0`` stops the walk with status ``-1 - move``.
+    *words* are the agents' packed k-mers, *after* the agent of the valid
+    lane after each first occurrence (the block's last lane's own), and
+    *index* the block's lanes by (warp, k-mer), whose runs are its agents.
+    """
     cfg = batch.config
     n = ag.slot.size
     verdict = np.full(n, int(WalkStatus.RUNOUT), dtype=np.int64)
@@ -566,33 +470,154 @@ def _agent_moves(batch: DeviceBatch, k: int, ag: _Agents, index: SortedKmers) ->
     # The successor is most often the k-mer of the lane after the first
     # one; the rest are searched for.
     go = np.nonzero(verdict < 0)[0]
-    words = successor_kmers(ag.words[go], k, base[go])
-    after = ag.after[go]
-    hit = ag.warp[after] == ag.warp[go]
-    for w in range(words.shape[1]):
-        hit &= ag.words[after, w] == words[:, w]
-    succ = np.where(hit, after, -1).astype(np.int64)  # packed into move below
+    succ_words = successor_kmers(words[go], k, base[go])
+    nxt = after[go]
+    hit = ag.warp[nxt] == ag.warp[go]
+    for w in range(succ_words.shape[1]):
+        hit &= words[nxt, w] == succ_words[:, w]
+    succ = np.where(hit, nxt, -1).astype(np.int64)  # packed into move below
     miss = np.nonzero(~hit)[0]
-    run = index.find(words[miss], ag.warp[go[miss]])
-    succ[miss] = np.where(run >= 0, index.first[run], -1)
+    succ[miss] = index.find(succ_words[miss], ag.warp[go[miss]])
     move[go] = (succ + 1) * 4 + base[go]
     return move
 
 
-def _walk_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, k: int, seq_off, slen, ht_start, slots, vis_start, ag):
+def _start_agents(batch: DeviceBatch, k: int, index: SortedKmers, kpos0, warp, a0: int):
+    """The agent of each walk's start k-mer ``seq_buf[kpos0 : kpos0 + k]``
+    in block warp *warp*, looked up in the block's *index* and numbered
+    from the block's first agent *a0*; -1 when it is absent or holds an N."""
+    kmers, ok = pack_kmers(batch.seq_buf.data[kpos0[:, None] + cached_arange(k)].ravel(), k)
+    run = index.find(kmers[::k], warp)
+    return np.where(ok[::k] & (run >= 0), run + a0, -1)
+
+
+def _build_group_derived(
+    wb: WarpBatch, batch: DeviceBatch, rows, tasks_g, k: int, ht_start, slots, seq_off, slen,
+):
+    """Closed-form table build — resolve, place, account (module
+    docstring) — and each agent's move, block by block.  Leaves
+    ``ht_ptr`` and every counter exactly as
+    :func:`~repro.core.extension_kernel.build_table_v2` would and returns
+    what the walk reads (:class:`_Moves`; None when no warp has a valid
+    lane).  Blocks are whole warps, so each block's tables are final and
+    its agents decided before the next block is resolved."""
+    G = rows.size
+    plan = _step_rows(batch, tasks_g, k)
+    if plan is None:
+        return None
+    row_warp, load_start, n_act = plan
+    warp_rows = np.bincount(row_warp, minlength=G)
+
+    # Coalesced window + ext-base + quality loads (Fig 7) and the row
+    # murmur hashes of every step of every warp.
+    wb._strict_span_check(batch.reads_buf, load_start, n_act + k, "load_span")
+    wb._strict_span_check(batch.quals_buf, load_start + k, n_act, "load_span")
+    hops = _hash_cost_ops(k)
+    win_inst = (n_act + k + _LANES - 1) // _LANES
+    acc = {name: np.zeros(G, dtype=np.int64) for name in _BUILD_COUNTERS}
+    acc["warp_inst"] += _fold(row_warp, win_inst + 1 + hops, G)
+    acc["thread_inst"] += _fold(row_warp, (2 + hops) * n_act + k, G)
+    acc["int_inst"] += hops * warp_rows
+    acc["global_ld_inst"] += _fold(row_warp, win_inst + 1, G)
+    acc["global_ld_transactions"] += _fold(
+        row_warp,
+        wb._span_sectors(batch.reads_buf, load_start, n_act + k)
+        + wb._span_sectors(batch.quals_buf, load_start + k, n_act),
+        G,
+    )
+
+    warp_lanes = _fold(row_warp, n_act, G)
+    block_of_row = ((np.cumsum(warp_lanes) - warp_lanes) // _BLOCK_LANES)[row_warp]
+    row_cuts = np.flatnonzero(np.diff(block_of_row, prepend=-1, append=-1))
+    ht = batch.ht_ptr.data
+    V = batch.vis_slots
+    # slots, probe distances and homes are below the widest table
+    idx = np.int32 if max(int(slots.max()), V) < 2**31 else np.int64
+    start = np.full(G, -1, dtype=np.int64)  # a walk's start agent; -1: none
+    kpos0 = seq_off + slen - k  # where each warp's start k-mer begins
+    columns = [[] for _ in _Moves._fields[:-1]]  # per block: move, vis_home, home, slot, dist
+    n_agents = 0
+    for r0, r1 in zip(row_cuts[:-1].tolist(), row_cuts[1:].tolist()):
+        rw = row_warp[r0:r1]
+        res = _resolve_block(batch, k, load_start[r0:r1], n_act[r0:r1], rw)  # pass 1
+        if res is None:
+            continue
+        agent, ext, hi, row_valid, first, first_row, words, murmur, ptr, index = res
+        w0, w1 = int(rw[0]), int(rw[-1]) + 1
+        warp = rw[first_row] - w0
+        n = first.size
+        row_lane0 = np.cumsum(row_valid) - row_valid
+        ag = _Agents(
+            first=first, warp=warp, base=ht_start[w0:w1], slots=slots[w0:w1],
+            home=(murmur % slots[w0:w1][warp]).astype(idx), ptr=ptr,
+            step=row_lane0[first_row], dist=np.empty(n, dtype=idx),
+            slot=np.empty(n, dtype=np.int64),
+            hi=np.empty((n, 4), dtype=np.uint32), total=np.empty((n, 4), dtype=np.uint32),
+        )
+        _place_agents(ht, ag)  # phase A
+        _account_block(wb, batch, k, acc, ag, rw, row_lane0, row_valid, agent, ext, hi)  # pass 2
+        ht[ag.slot] = ag.ptr
+        after = agent[np.minimum(first + 1, agent.size - 1)]
+        move = _agent_moves(batch, k, ag, words, after, index)
+        move[move >= 4] += 4 * n_agents  # successors numbered k-group wide
+        walks = np.arange(w0, w1)[slen[w0:w1] >= k]
+        if walks.size:
+            start[walks] = _start_agents(batch, k, index, kpos0[walks], walks - w0, n_agents)
+        for col, piece in zip(columns, (move, (murmur % V).astype(idx), ag.home, ag.slot, ag.dist)):
+            col.append(piece)
+        n_agents += n
+    c = wb.counters
+    acc["predicated_off"] = acc["warp_inst"] * _LANES - acc["thread_inst"]
+    for name, total in acc.items():
+        getattr(c, name)[rows] += total
+    if not n_agents:
+        return None
+
+    def joined(pieces):  # each column's pieces go before the next is joined
+        out = np.concatenate(pieces)
+        pieces.clear()
+        return out
+
+    return _Moves(*map(joined, columns), start=start)
+
+
+def _free_run(table, base, home, size) -> np.ndarray:
+    """Linear probing without inserting: for every query, the occupied
+    slots from ``home`` on to the first empty one in its region
+    ``table[base : base + size]`` (``size`` when the region is full)."""
+    size = np.broadcast_to(size, home.shape)
+    run = np.zeros(home.size, dtype=np.int64)
+    pend = np.nonzero(table[base + home] != EMPTY_PTR)[0]
+    while pend.size:
+        run[pend] += 1
+        pend = pend[run[pend] < size[pend]]
+        slot = base[pend] + (home[pend] + run[pend]) % size[pend]
+        pend = pend[table[slot] != EMPTY_PTR]
+    return run
+
+
+
+
+def _walk_group_derived(
+    wb: WarpBatch, batch: DeviceBatch, rows, k: int, seq_off, slen, ht_start, slots, vis_start,
+    moves,
+):
     """Closed-form single-lane mer-walks for one k-group.
 
     A k-mer a walk looks up is either an agent — its main-table probe
     runs from its home to its slot, ``dist + 1`` loads and key compares —
     or absent, which ends the walk after probing the occupied run from its
-    home to the first empty slot.  So a walk is a chain through the agent
-    table: the start k-mer is resolved once, each step is one gather of
-    the agent's move (:func:`_agent_moves`), and a revisited agent is a
-    LOOP.  The visited table is replayed insert by insert (its probe
-    lengths depend on the order), logging each step's row, agent and
-    probe length; the absent k-mer that ends a walk is hashed once, after
-    the appended bases are stored.  Every counter then comes from the
-    logs in one pass per access kind.  Leaves ``seq_buf``, ``vis_ptr`` and
+    home to the first empty slot.  The build has decided every agent and
+    found every warp's start agent (*moves*, :class:`_Moves`), so a walk
+    is a chain of integer gathers, ``cur = succ[cur]``, and a revisited
+    agent is a LOOP.  The visited table is replayed insert by insert (its
+    probe lengths depend on the order), logging each step's row, agent,
+    visited-table home and probe length; the absent k-mer that ends a
+    walk is hashed once, after the appended bases are stored.  The
+    counters then come from the logs one access kind at a time — visited
+    table, main table, tally gathers — each kind's per-load expansion
+    folded into per-row sums and dropped before the next kind is
+    expanded.  Leaves ``seq_buf``, ``vis_ptr`` and
     every counter exactly as :func:`~repro.core.extension_kernel.mer_walk_gpu`
     would, and returns its ``(appended, status)`` and the new ``slen``.
     The visited table has ``2 * max_walk_len`` slots, so it never fills.
@@ -610,34 +635,29 @@ def _walk_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, k: int, seq_off
     vis_base = np.arange(R) * V
 
     # -- chase: one integer step per walking row ------------------------------
-    steps = []  # per step: (rows, agents, visited-table probe length)
-    loops = []  # the same, for walks back on an agent they visited
+    steps = []  # per step: (rows, agents, visited-table home, probe length)
+    loops = []  # the same but agents, for walks back on an agent they visited
     ends = [live]  # rows whose walk meets an absent k-mer
-    if ag is not None and live.size:
-        index = SortedKmers(ag.words, k, ag.warp, R)
-        move = _agent_moves(batch, k, ag, index)
-        vis_home = ag.hash % V
+    if moves is not None and live.size:
+        move, vis_home = moves.move, moves.vis_home
         vis_len = np.full(move.size, -1, dtype=np.int64)  # -1: not visited
-        words, ok = pack_kmers(sdata[kpos0[live, None] + cached_arange(k)].ravel(), k)
-        run = index.find(words[::k], live)
-        hit = ok[::k] & (run >= 0)
-        ends = [live[~hit]]
-        w, cur = live[hit], index.first[run[hit]]
-        del index
+        cur = moves.start[live]
+        ends = [live[cur < 0]]
+        w, cur = live[cur >= 0], cur[cur >= 0]
         for s in range(cfg.max_walk_len):
             if w.size == 0:
                 break
+            home = vis_home[cur]
             vl = vis_len[cur]
             back = vl >= 0
             if back.any():
-                loops.append((w[back], cur[back], vl[back]))
+                loops.append((w[back], home[back], vl[back]))
                 status[w[back]] = int(WalkStatus.LOOP)
-                w, cur = w[~back], cur[~back]
-            home = vis_home[cur]
+                w, cur, home = w[~back], cur[~back], home[~back]
             vl = _free_run(vis_occ, vis_base[w], home, V)
             vis_occ[vis_base[w] + (home + vl) % V] = s
             vis_len[cur] = vl
-            steps.append((w, cur, vl))
+            steps.append((w, cur, home, vl))
             m = move[cur]
             stop = m < 0
             if stop.any():
@@ -647,30 +667,28 @@ def _walk_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, k: int, seq_off
             if s + 1 < cfg.max_walk_len:
                 ends.append(w[cur < 0])
             w, cur = w[cur >= 0], cur[cur >= 0]
+        del vis_len
 
-    # visits: (row, home, probe length, inserted) in the visited table;
-    # lookups: (row, base, home, size, compares, loads, branches) in the
-    # main table — an agent's probe ends on its slot, an absent k-mer's on
-    # the first empty slot (none when its region is full)
-    visits, lookups = [], []
+    def logged(log, width):  # a log's columns, concatenated
+        return [np.concatenate(x) for x in zip(*log)] if log else [np.zeros(0, dtype=np.int64)] * width
+
+    st_row, st_ag, st_vhome, st_vl = logged(steps, 4)
+    st_step = np.repeat(np.arange(len(steps)), [x[0].size for x in steps])
+    lo_row, lo_vhome, lo_vl = logged(loops, 3)
+    del steps, loops
     appended = np.zeros(R, dtype=np.int64)
-    st_row = cls_slot = app_row = app_idx = np.zeros(0, dtype=np.int64)
-    if steps:
-        st_row, st_ag, st_vl = (np.concatenate(x) for x in zip(*steps))
-        st_step = np.repeat(np.arange(len(steps)), [x[0].size for x in steps])
-        visits.append((st_row, vis_home[st_ag], st_vl, np.ones(st_row.size, dtype=bool)))
-        for lo_row, lo_ag, lo_vl in loops:
-            visits.append((lo_row, vis_home[lo_ag], lo_vl, np.zeros(lo_row.size, dtype=bool)))
-        d = ag.dist[st_ag]
-        lookups.append((st_row, ht_start[st_row], ag.home[st_ag], slots[st_row], d + 1, d + 1, d))
-        cls_slot = ag.slot[st_ag]
-        m = move[st_ag]
+    app_row = app_idx = np.zeros(0, dtype=np.int64)
+    st_home = st_dist = st_slot = np.zeros(0, dtype=np.int64)
+    if st_row.size:
+        st_home, st_dist, st_slot = moves.home[st_ag], moves.dist[st_ag], moves.slot[st_ag]
+        m = moves.move[st_ag]
         app = np.nonzero(m >= 0)[0]
         app_row = st_row[app]
         appended = _fold(app_row, None, R)
         app_idx = seq_off[app_row] + slen[app_row] + st_step[app]
         wb._strict_check(batch.seq_buf, app_idx, "store_lane0")
         sdata[app_idx] = m[app] & 3
+    del st_ag, st_step
     slen = slen + appended
 
     # -- the absent k-mers that end walks: hash, visit, probe -----------------
@@ -683,15 +701,12 @@ def _walk_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, k: int, seq_off
     e_home = e_hash % slots[e_row]
     e_run = _free_run(batch.ht_ptr.data, ht_start[e_row], e_home, slots[e_row])
     status[e_row] = int(WalkStatus.RUNOUT)
-    visits.append((e_row, e_vhome, e_vl, np.ones(e_row.size, dtype=bool)))
-    lookups.append(
-        (e_row, ht_start[e_row], e_home, slots[e_row], e_run, e_run + (e_run < slots[e_row]), e_run)
-    )
     taken = np.nonzero(vis_occ != EMPTY_PTR)[0]
     t_row = taken // V
     batch.vis_ptr.data[vis_start[t_row] + taken % V] = kpos0[t_row] + vis_occ[taken]
+    del taken, t_row
 
-    # -- every counter from the logs, one pass per access kind ----------------
+    # -- every counter, one access kind at a time -----------------------------
     def per_row(row_of, values=None):
         return _fold(row_of, values, R)
 
@@ -699,36 +714,62 @@ def _walk_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, k: int, seq_off
         one = wb._single_element_transactions(darr, idx)
         return per_row(row_of, np.broadcast_to(one, idx.shape))
 
-    # visited table: loads up to the free (insert) or equal (LOOP) slot, and
-    # a key compare against the walk k-mer held by each occupied one
-    v_row, v_home, v_len, v_ins = (np.concatenate(x) for x in zip(*visits))
-    n_load = v_len + 1
-    j = _within(n_load)
-    vl_row = np.repeat(v_row, n_load)
-    vl_pos = (np.repeat(v_home, n_load) + j) % V
-    vl_idx = vis_start[vl_row] + vl_pos
-    vc = np.nonzero(j < np.repeat(v_len + ~v_ins, n_load))[0]
-    vc_kpos = kpos0[vl_row[vc]] + vis_occ[vis_base[vl_row[vc]] + vl_pos[vc]]
-    ins = np.nonzero(v_ins)[0]
-    cas_idx = vis_start[v_row[ins]] + (v_home[ins] + v_len[ins]) % V
-    # main table
-    m_row, m_base, m_home, m_size, m_cmp, n_load, m_branch = (
-        np.concatenate(x) for x in zip(*lookups)
-    )
-    j = _within(n_load)
-    ml_row = np.repeat(m_row, n_load)
-    ml_idx = np.repeat(m_base, n_load) + (np.repeat(m_home, n_load) + j) % np.repeat(m_size, n_load)
-    mc = np.nonzero(j < np.repeat(m_cmp, n_load))[0]
-    wb._strict_check(batch.vis_ptr, vl_idx, "load_lane0")
-    wb._strict_check(batch.vis_ptr, cas_idx, "atomic_cas_lane0")
-    wb._strict_check(batch.ht_ptr, ml_idx, "load_lane0")
+    def probes(darr, row, base, home, size, n_load, n_cmp, keys, key_ptr):
+        """Per row: the loads of ``n_load`` slots from each probe's home
+        in ``darr[base : base + size]``, the key compares at the first
+        ``n_cmp`` of them, and their sectors (the keys' in *keys*).  The
+        per-load expansion lives only inside this call."""
+        j = _within(n_load)
+        l_row = np.repeat(row, n_load)
+        pos = (np.repeat(home, n_load) + j) % np.repeat(size, n_load)
+        l_idx = np.repeat(base, n_load) + pos
+        wb._strict_check(darr, l_idx, "load_lane0")
+        cmp = np.nonzero(j < np.repeat(n_cmp, n_load))[0]
+        c_row = l_row[cmp]
+        c_sectors = wb._lane0_span_sectors(keys, key_ptr(c_row, pos[cmp], l_idx[cmp]), k)
+        return (
+            per_row(l_row), per_row(c_row),
+            elem_sectors(darr, l_row, l_idx) + per_row(c_row, c_sectors),
+        )
 
-    hashes = per_row(v_row)  # one murmur per step
-    loads = per_row(vl_row) + per_row(ml_row)  # each fuses 2 address ops
-    compares = per_row(vl_row[vc]) + per_row(ml_row[mc])  # kw words + kw ops
-    branches = per_row(v_row, v_len) + per_row(m_row, m_branch)
-    cas = per_row(v_row[ins])
-    classified = per_row(st_row)  # two 16-byte tally gathers + 8 ops
+    # visited table: walk steps and ends insert (the first n_ins visits), a
+    # LOOP finds its agent; each loads up to the free or equal slot and
+    # compares keys with the walk k-mer each occupied one holds (a LOOP's
+    # last compare is the equal one), and an insert is one CAS
+    v_row = np.concatenate([st_row, e_row, lo_row])
+    v_home = np.concatenate([st_vhome, e_vhome, lo_vhome])
+    v_len = np.concatenate([st_vl, e_vl, lo_vl])
+    n_ins = st_row.size + e_row.size
+    v_loads, v_cmp, v_sectors = probes(
+        batch.vis_ptr, v_row, vis_start[v_row], v_home, np.broadcast_to(V, v_row.shape),
+        v_len + 1, v_len + (np.arange(v_row.size) >= n_ins), batch.seq_buf,
+        lambda r, pos, _: kpos0[r] + vis_occ[vis_base[r] + pos],
+    )
+    ins = v_row[:n_ins]
+    cas_idx = vis_start[ins] + (v_home[:n_ins] + v_len[:n_ins]) % V
+    wb._strict_check(batch.vis_ptr, cas_idx, "atomic_cas_lane0")
+    hashes, v_branch, cas = per_row(v_row), per_row(v_row, v_len), per_row(ins)
+    cas_sectors = elem_sectors(batch.vis_ptr, ins, cas_idx)
+    del vis_occ, v_row, v_home, v_len, ins, cas_idx
+    # main table: an agent's probe ends on its slot, dist + 1 loads and
+    # compares; an absent k-mer's compares at each occupied slot and loads
+    # the first empty one (none when its region is full)
+    m_row = np.concatenate([st_row, e_row])
+    m_loads, m_cmp, m_sectors = probes(
+        batch.ht_ptr, m_row, ht_start[m_row], np.concatenate([st_home, e_home]), slots[m_row],
+        np.concatenate([st_dist + 1, e_run + (e_run < slots[e_row])]),
+        np.concatenate([st_dist + 1, e_run]), batch.reads_buf,
+        lambda r, pos, idx: batch.ht_ptr.data[idx],
+    )
+    m_branch = per_row(st_row, st_dist) + per_row(e_row, e_run)
+    # the tally gathers: two 16-byte rows + 8 ops per classified step
+    classified = per_row(st_row)
+    t_sectors = per_row(
+        st_row,
+        wb._lane0_span_sectors(batch.ht_hi, st_slot * 16, 16)
+        + wb._lane0_span_sectors(batch.ht_total, st_slot * 16, 16),
+    )
+    loads, compares, branches = v_loads + m_loads, v_cmp + m_cmp, v_branch + m_branch
     kw = (k + 7) // 8
     hops = _hash_cost_ops(k)
     inst = (
@@ -742,17 +783,9 @@ def _walk_group_derived(wb: WarpBatch, batch: DeviceBatch, rows, k: int, seq_off
     c.int_inst[rows] += hops * hashes + 2 * loads + kw * compares + 8 * classified
     c.control_inst[rows] += branches + short
     c.global_ld_inst[rows] += loads + kw * compares + 4 * classified
-    c.global_ld_transactions[rows] += (
-        elem_sectors(batch.vis_ptr, vl_row, vl_idx)
-        + per_row(vl_row[vc], wb._lane0_span_sectors(batch.seq_buf, vc_kpos, k))
-        + elem_sectors(batch.ht_ptr, ml_row, ml_idx)
-        + per_row(ml_row[mc], wb._lane0_span_sectors(
-            batch.reads_buf, batch.ht_ptr.data[ml_idx[mc]], k))
-        + per_row(st_row, wb._lane0_span_sectors(batch.ht_hi, cls_slot * 16, 16)
-                  + wb._lane0_span_sectors(batch.ht_total, cls_slot * 16, 16))
-    )
+    c.global_ld_transactions[rows] += v_sectors + m_sectors + t_sectors
     c.atomic_inst[rows] += cas
-    c.atomic_transactions[rows] += elem_sectors(batch.vis_ptr, v_row[ins], cas_idx)
+    c.atomic_transactions[rows] += cas_sectors
     c.global_st_inst[rows] += appended
     c.global_st_transactions[rows] += elem_sectors(batch.seq_buf, app_row, app_idx)
     c.local_st_inst[rows] += appended
@@ -815,15 +848,17 @@ def run_extension_v2_batched(
         for kv in sorted(set(k_live.tolist())):
             g = live[k_live == kv]
             _clear_group(wb, batch, g, ht_start[g], slots[g], vis_start[g])
-            agents = _build_group_derived(wb, batch, g, t_arr[g], kv, ht_start[g], slots[g])
+            moves = _build_group_derived(
+                wb, batch, g, t_arr[g], kv, ht_start[g], slots[g], seq_off[g], slen[g]
+            )
             # Build-to-walk barrier, matching the sequential kernel's
             # warp.sync() between build_fn and mer_walk_gpu.
             wb.sync_op(g, _LANES)
             app, st, new_slen = _walk_group_derived(
                 wb, batch, g, kv, seq_off[g], slen[g], ht_start[g], slots[g],
-                vis_start[g], agents,
+                vis_start[g], moves,
             )
-            del agents  # not alive through the next group's build
+            del moves  # not alive through the next group's build
             totals[g] += app
             status[g] = st
             slen[g] = new_slen

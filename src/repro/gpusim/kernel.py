@@ -29,7 +29,6 @@ from repro.gpusim.device import DeviceSpec, V100
 from repro.gpusim.memory import DeviceAllocator, DeviceArray
 from repro.gpusim.streams import Event, Stream, StreamTimeline
 from repro.gpusim.timing import KernelTiming, TimingModel
-from repro.gpusim.warp import Warp
 
 __all__ = ["LaunchResult", "GpuContext"]
 
@@ -77,7 +76,7 @@ class GpuContext:
     The ``engine`` field picks how a launch's warps are executed; all modes
     produce bit-identical :class:`LaunchResult`\\ s:
 
-    * ``"sequential"`` — one :class:`Warp` interpreter per warp, in-process;
+    * ``"sequential"`` — one :class:`~repro.gpusim.warp.Warp` interpreter per warp, in-process;
     * ``"batched"`` — the SoA engine (:mod:`repro.gpusim.batched`): all
       warps advance in lockstep through vectorised kernel steps.  Kernels
       without a registered batched implementation fall back to sequential;
@@ -326,6 +325,8 @@ class GpuContext:
                 for n_sub, hi in zip(sub_warps, np.cumsum(sub_warps))
             ]
         else:
+            from repro.gpusim.warp import Warp  # only interpreted launches load it
+
             counters = KernelCounters()
             per_warp: list[int] = []
             for warp_id in range(n_total):

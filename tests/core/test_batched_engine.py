@@ -14,6 +14,8 @@ instead of 100), same identity assertions, no timing.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -167,7 +169,9 @@ def _per_warp_fields(per_warp):
 def _build(tasks, k, engine, order=None, skew=0):
     """Clear + build every task's table at mer size *k* on one engine,
     the reads and tables *skew* bytes off their aligned bases; returns
-    (per-warp counter arrays, table bytes, the batch)."""
+    (per-warp counter arrays, table bytes, the batch).  The derived
+    build's tallies are read off each block's agents as pass 2 leaves
+    them."""
     ctx = GpuContext()
     batch = pack_batch(ctx, list(tasks), LocalAssemblyConfig(k_max=95))
     for name in ("reads_buf",) + _TABLES:
@@ -191,18 +195,29 @@ def _build(tasks, k, engine, order=None, skew=0):
         ht_start = batch.layout.offsets[task_ids]
         slots = batch.layout.sizes[task_ids]
         ekb._clear_group(wb, batch, rows, ht_start, slots, task_ids * batch.vis_slots)
-        ag = ekb._build_group_derived(wb, batch, rows, task_ids, k, ht_start, slots)
+        blocks = []
+        account = ekb._account_block
+
+        def kept(*args):
+            account(*args)
+            blocks.append(args[4])  # the block's agents, tallied
+
+        with mock.patch.object(ekb, "_account_block", kept):
+            ekb._build_group_derived(
+                wb, batch, rows, task_ids, k, ht_start, slots,
+                batch.seq_offsets[task_ids], batch.seq_len[task_ids],
+            )
         counters = {f: getattr(bc, f) for f in _FIELDS}
     tables = {name: getattr(batch, name).data.tobytes() for name in _TABLES}
     if engine == "derived":
-        # the derived build keeps its tallies on the agent table: the
+        # the derived build keeps its tallies on each block's agents: the
         # device tables stay zero, and the agents' rows scattered into
         # zeroed copies at their slots are the bytes the oracle writes
         for name in ("ht_total", "ht_hi"):
             dense = getattr(batch, name).data
             assert not dense.any(), f"derived build wrote {name}"
-            if ag is not None:
-                dense = dense.copy().reshape(-1, 4)
+            dense = dense.copy().reshape(-1, 4)
+            for ag in blocks:
                 dense[ag.slot] = getattr(ag, name[3:])
             tables[name] = dense.tobytes()
     return counters, tables, batch
@@ -400,7 +415,7 @@ def test_sanitized_run_reports_a_seeded_kernel_defect(monkeypatch, workload, con
 # ---------------------------------------------------------------------------
 # The derived (closed-form) mer-walk.
 #
-# Batched launches chase the build's agent table instead of stepping the
+# Batched launches chase the build's agent moves instead of stepping the
 # probes.  The same oracle pins it: the sequential interpreter.  Each path
 # runs clear + build + walk; every counter field is compared per warp,
 # the walk results row by row and the three walk buffers byte for byte.
@@ -448,9 +463,11 @@ def _walk(tasks, k, engine, order=None, max_walk_len=300):
         seq_off = batch.seq_offsets[task_ids]
         slen = batch.seq_len[task_ids].copy()
         ekb._clear_group(wb, batch, rows, ht_start, slots, vis_start)
-        ag = ekb._build_group_derived(wb, batch, rows, task_ids, k, ht_start, slots)
+        moves = ekb._build_group_derived(
+            wb, batch, rows, task_ids, k, ht_start, slots, seq_off, slen
+        )
         out = ekb._walk_group_derived(
-            wb, batch, rows, k, seq_off, slen, ht_start, slots, vis_start, ag
+            wb, batch, rows, k, seq_off, slen, ht_start, slots, vis_start, moves
         )
         batch.seq_len[task_ids] = out[2]
         results = list(zip(*(a.tolist() for a in out)))
@@ -606,6 +623,73 @@ class TestDerivedWalk:
         results, batch = _assert_walks_agree(tasks, 13)
         assert _statuses(results) == {ek.WalkStatus.RUNOUT}
         assert any(_absent_run_wraps(batch, t, 13) for t in range(8))
+
+
+def _launch_with_cap(tasks, config, cap):
+    """One whole batched v2 launch with ``_BLOCK_LANES`` = *cap*: per-warp
+    counters, the buffers it leaves, what each k-group's build handed its
+    walk (and the walk's statuses), and per block its warp count and the
+    moves of the agents whose first lane is the block's last."""
+    ctx = GpuContext()
+    batch = pack_batch(ctx, list(tasks), config)
+    handed, blocks = [], []
+    moves_of, walk = ekb._agent_moves, ekb._walk_group_derived
+
+    def decide(batch, k, ag, words, after, index):
+        move = moves_of(batch, k, ag, words, after, index)
+        edge = np.flatnonzero(ag.first == index.order.size - 1)
+        blocks.append((np.unique(ag.warp).size, move[edge]))
+        return move
+
+    def chase(*args):
+        out = walk(*args)
+        handed.append((args[-1], out[1]))
+        return out
+
+    with mock.patch.multiple(ekb, _BLOCK_LANES=cap, _agent_moves=decide, _walk_group_derived=chase):
+        bc = ekb.run_extension_v2_batched(
+            len(tasks), ctx.device.sector_bytes, batch, np.arange(len(tasks))
+        )
+    counters = {f: getattr(bc, f) for f in _FIELDS}
+    buffers = {
+        name: getattr(batch, name).data.tobytes()
+        for name in ("seq_buf", "out_ext_len", "vis_ptr", "ht_ptr")
+    }
+    return counters, buffers, handed, blocks
+
+
+def test_block_cap_changes_no_launch():
+    """Blocks end at warp edges, and so do the build's successor shortcut
+    and start-k-mer lookup: one warp per block and several warps per block
+    give the default cap's launch — buffers, per-warp counters and the
+    move table handed to every walk.  A homopolymer (a k-mer that is its
+    own successor) is walked into a LOOP, and with ``min_viable`` 1 an
+    agent whose first lane is its block's last still gets a successor."""
+    rng = np.random.default_rng(67)
+    tasks = []
+    for c in range(4):
+        genome = random_dna(160 + 20 * c, rng) + "A" * 40
+        reads = [genome[i : i + 70] for i in range(0, len(genome) - 69, 5)]
+        # a read that ends in a k-mer no earlier lane of its warp holds
+        reads += ["A" * 70, random_dna(70, rng)]
+        tasks.append(_contig_task(c, genome[:80], reads, rng))
+    config = LocalAssemblyConfig(min_viable=1, max_walk_len=150)
+    default = _launch_with_cap(tasks, config, ekb._BLOCK_LANES)
+    lanes = sum(r.size - 21 for t in tasks for r in t.reads)
+    for cap in (1, lanes // 3):
+        counters, buffers, handed, blocks = _launch_with_cap(tasks, config, cap)
+        for f in _FIELDS:
+            np.testing.assert_array_equal(counters[f], default[0][f], err_msg=f)
+        assert buffers == default[1]
+        assert len(handed) == len(default[2])
+        for (moves, _), (ref, _) in zip(handed, default[2]):
+            for f in ekb._Moves._fields:
+                np.testing.assert_array_equal(getattr(moves, f), getattr(ref, f), err_msg=f)
+        warps = {n for n, _ in blocks}
+        assert (warps == {1}) if cap == 1 else (max(warps) > 1)
+        if cap == 1:
+            assert any(m.size and (m >= 0).all() for _, m in blocks)
+    assert ek.WalkStatus.LOOP in {int(s) for _, st in default[2] for s in st}
 
 
 def test_cached_arange_does_not_grow_with_the_data():

@@ -1,6 +1,6 @@
 """Phase A of the derived table build: bulk placement against the lockstep.
 
-``_place_agents`` places every agent of a k-group at once: the occupied
+``_place_agents`` places every agent of a block of warps at once: the occupied
 slots from the agents' homes alone, then each cluster of occupied slots in
 fact (e)'s order.  The reference below is the step/round lockstep it
 replaced, kept verbatim: per step, every pending agent probes ``home + j``
@@ -11,8 +11,6 @@ clusters wrapping the table end, one-slot tables and one-agent warps.
 """
 
 from __future__ import annotations
-
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -47,7 +45,7 @@ def _place_agents_reference(ht: np.ndarray, ag) -> None:
 
 
 def _agents(warps, table_order=None, lane0=0):
-    """An agent table and its empty ``ht`` for warps given as ``(slots,
+    """A block's agents and its empty ``ht`` for warps given as ``(slots,
     [(home, step, lane), ...])``: agents numbered warp-major, each first
     occurring at *lane* of its warp's 32-lane *step*, valid lanes counted
     from *lane0*, the tables laid out in *table_order* (default: warp
@@ -66,21 +64,19 @@ def _agents(warps, table_order=None, lane0=0):
         lane0 += 32 * (1 + max((s for _, s, _ in agents), default=0))
     n = len(warp)
     ag = ekb._Agents(
-        first=np.array(first, dtype=np.int64), warp=np.array(warp, dtype=np.int32),
-        base=base, slots=sizes, hash=None, home=np.array(home, dtype=np.int64),
-        ptr=None, step=np.array(step, dtype=np.int64), words=None,
-        dist=np.full(n, -1, dtype=np.int32), slot=np.full(n, -1, dtype=np.int64),
-        hi=None, total=None, after=None,
+        first=np.array(first, dtype=np.int64), warp=np.array(warp, dtype=np.int64),
+        base=base, slots=sizes, home=np.array(home, dtype=np.int32), ptr=None,
+        step=np.array(step, dtype=np.int64), dist=np.full(n, -1, dtype=np.int32),
+        slot=np.full(n, -1, dtype=np.int64), hi=None, total=None,
     )
     return np.full(int(sizes.sum()), EMPTY_PTR, dtype=np.int64), ag
 
 
-def _assert_places_like_the_lockstep(warps, table_order=None, cap=None):
+def _assert_places_like_the_lockstep(warps, table_order=None):
     ht, ag = _agents(warps, table_order)
     ref_ht, ref = _agents(warps, table_order)
     _place_agents_reference(ref_ht, ref)
-    with mock.patch.object(ekb, "_BLOCK_LANES", cap or ekb._BLOCK_LANES):
-        ekb._place_agents(ht, ag)
+    ekb._place_agents(ht, ag)
     np.testing.assert_array_equal(ag.dist, ref.dist, err_msg="dist")
     np.testing.assert_array_equal(ag.slot, ref.slot, err_msg="slot")
     assert ht.tobytes() == ref_ht.tobytes()
@@ -120,8 +116,7 @@ def warp_tables(draw):
 @given(warp_tables(), st.data())
 def test_bulk_placement_equals_the_lockstep(warps, data):
     table_order = data.draw(st.permutations(range(len(warps))))
-    cap = data.draw(st.sampled_from([None, 1, 3]))  # whole warps per pass
-    _assert_places_like_the_lockstep(warps, table_order, cap)
+    _assert_places_like_the_lockstep(warps, table_order)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -2,11 +2,12 @@
 
 The device tables are host arrays in the simulator, so an unsanitized
 batched launch must not write what nothing reads: the derived build keeps
-each agent's tallies on its agent table, and the dense ``ht_hi`` /
+each agent's tallies with the agent, and the dense ``ht_hi`` /
 ``ht_total`` stay untouched zero pages.  Its own temporaries are sized by
-the lanes it resolves, not by the reads buffer.  ``tracemalloc`` sees
-every NumPy buffer and its counts depend only on the input: a *transient*
-is the launch's peak minus what it leaves allocated.
+one block of the lanes it resolves, not by the reads buffer, and what it
+hands the walk is a few numbers per agent.  ``tracemalloc`` sees every
+NumPy buffer and its counts depend only on the input: a *transient* is
+the launch's peak minus what it leaves allocated.
 """
 
 import tracemalloc
@@ -14,15 +15,21 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import repro.core.extension_kernel_batched as ekb
 from repro.core.config import LocalAssemblyConfig
 
 #: Transient bytes of one unsanitized launch per valid ``k_init`` lane.
-#: Measured on this input: 106, most of it one pass-2 block's probe
-#: visits.  Before the tallies moved to the agent table it read 117: an
-#: int64 ambiguity prefix over the whole reads buffer, int64 lane and
-#: agent ids, per-agent copies of per-warp table bounds, and the resolve
-#: blocks' per-agent pieces alive next to their concatenation.
-LAUNCH_BYTES_PER_LANE = 112
+#: Measured on this input: 83, most of it one pass-2 block's probe
+#: visits.  It read 104 while the build kept every lane's agent, base and
+#: flag and every agent's words, tallies and first occurrence for the
+#: walk, which sorted the agents again; and 117 before the tallies moved
+#: to the agents (an int64 ambiguity prefix over the whole reads buffer,
+#: int64 lane and agent ids, per-agent copies of per-warp table bounds).
+LAUNCH_BYTES_PER_LANE = 88
+
+#: Bytes per agent of what the build hands the walk (``_Moves``): the
+#: move, both homes, the slot and the probe distance.
+MOVE_BYTES_PER_AGENT = 40
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +82,26 @@ def test_launch_transient_per_valid_lane(tasks, v2_launch):
         tracemalloc.stop()
     per_lane = (peak - current) / _valid_lanes(tasks, LocalAssemblyConfig().k_init)
     assert per_lane <= LAUNCH_BYTES_PER_LANE, f"{per_lane:.1f} B per valid lane"
+
+
+def test_build_hands_the_walk_a_slim_move_table(tasks, v2_launch, monkeypatch):
+    """Per agent, the walk gets its move, homes, slot and probe distance
+    and nothing else of the build; per warp, its start agent."""
+    handed = []
+    walk = ekb._walk_group_derived
+
+    def spy(*args):
+        handed.append((args[2].size, args[-1]))
+        return walk(*args)
+
+    monkeypatch.setattr(ekb, "_walk_group_derived", spy)
+    _, launch = v2_launch(tasks)
+    launch()
+    groups = [(n_warps, moves) for n_warps, moves in handed if moves is not None]
+    assert groups
+    for n_warps, moves in groups:
+        per_agent = [getattr(moves, f) for f in moves._fields if f != "start"]
+        assert {a.shape for a in per_agent} == {moves.move.shape}
+        assert moves.start.shape == (n_warps,)
+        per = sum(a.nbytes for a in per_agent) / moves.move.size
+        assert per <= MOVE_BYTES_PER_AGENT, f"{per:.1f} B per agent"

@@ -195,6 +195,44 @@ class TestRunLoadsWhatItRuns:
         assert "numpy.ma" not in report["setup"] + report["run"]
 
 
+_GPU_EXTEND = """
+import json, sys
+import numpy as np
+from repro.core.local_assembler import extend_tasks
+from repro.core.tasks import RIGHT, ExtensionTask, TaskSet
+from repro.sequence.dna import encode, random_dna
+
+genome = random_dna(300, np.random.default_rng(5))
+reads = tuple(encode(genome[i : i + 70]) for i in range(0, 230, 5))
+quals = tuple(np.full(70, 40, dtype=np.uint8) for _ in reads)
+task = ExtensionTask.from_reads(
+    cid=0, side=RIGHT, contig=encode(genome[:120]), reads=reads, quals=quals
+)
+ext, _ = extend_tasks(TaskSet([task]), mode="gpu", sanitize=sys.argv[1])
+print(json.dumps({
+    "extended": int(ext.lengths().sum()),
+    "interpreter": "repro.gpusim.warp" in sys.modules,
+}))
+"""
+
+
+@pytest.mark.parametrize("sanitize", ["off", "memcheck"])
+def test_only_interpreted_launches_load_the_interpreter(sanitize):
+    """An unsanitized v2 launch runs on the batched engine and never loads
+    ``repro.gpusim.warp``; a sanitized one interprets the kernel and does."""
+    out = subprocess.run(
+        [sys.executable, "-c", _GPU_EXTEND, sanitize],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(PKG.parent)),
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout.strip().splitlines()[-1])
+    assert report["extended"] > 0
+    assert report["interpreter"] == (sanitize != "off")
+
+
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
 def test_setup_starts_no_blas_worker():
     """The program makes no BLAS call, so its import leaves one thread: an
